@@ -14,8 +14,8 @@ import os
 import sys
 
 from .board import ascii_render, svg_render
-from .filling import Branch, Theory, branch_weight, count_puzzles, \
-    enumerate_puzzles, structure_constants, trace
+from .filling import Branch, InvariantError, Theory, branch_weight, \
+    count_puzzles, enumerate_puzzles, structure_constants, trace
 from .intervalrank import DotSet, covers, envelope, essential_conditions, \
     essential_set, fixed_point_in, format_dots, parse_dots, rank_from_dots
 from .oracle import _SUITES, verify_suite
@@ -27,22 +27,21 @@ class InputError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as bad input (exit 1), not through SystemExit(2)."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _pair(mu_s: str, nu_s: str) -> tuple[Word, Word]:
     mu = parse_word(mu_s)
     nu = parse_word(nu_s, n=mu.n, k=mu.k)
     return mu, nu
 
 
-def _set_threads(threads: int | None):
-    if threads is not None:
-        if threads < 1:
-            raise InputError("--threads must be positive")
-        os.environ["PUZZLE_THREADS"] = str(threads)
-
-
 def cmd_coeff(args) -> int:
     mu, nu = _pair(args.mu, args.nu)
-    _set_threads(args.threads)
     theory = Theory(args.theory)
     coeffs = structure_constants(theory, mu, nu)
     if args.json:
@@ -65,7 +64,6 @@ def cmd_coeff(args) -> int:
 def cmd_puzzles(args) -> int:
     mu, nu = _pair(args.mu, args.nu)
     lam = parse_word(args.lam, n=mu.n, k=mu.k) if args.lam else None
-    _set_threads(args.threads)
     pzs = enumerate_puzzles(mu, nu, lam=lam)
     print(f"{len(pzs)} puzzles")
     if args.render is None:
@@ -100,7 +98,7 @@ def _trace_lines(node, parent_pos, depth, out):
     line = f"{pad}{head} @ {node.pos}  codim={node.codim}  essential: {cond_s}"
     if node.branch in _INTERESTING_KINDS:
         n = node.path.n
-        br = Branch(node.branch, parent_pos, ())
+        br = Branch(node.branch, parent_pos)
         ws = ", ".join(f"{t.value}={render(branch_weight(t, br, n))}"
                        for t in Theory)
         line += f"  weight: {ws}"
@@ -120,7 +118,7 @@ def _trace_json(node, parent_pos):
     }
     if node.branch in _INTERESTING_KINDS:
         n = node.path.n
-        br = Branch(node.branch, parent_pos, ())
+        br = Branch(node.branch, parent_pos)
         doc["weight"] = {t.value: render(branch_weight(t, br, n))
                         for t in Theory}
     return doc
@@ -144,6 +142,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    if args.n < 1:
+        raise InputError(f"--n must be positive, got {args.n}")
     try:
         d = parse_dots(args.dots, args.n) if args.dots else DotSet(args.n, frozenset())
     except ValueError as exc:
@@ -174,6 +174,8 @@ def cmd_rank(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_n < 1:
+        raise InputError(f"--max-n must be positive, got {args.max_n}")
     suites = args.suite or None
     if suites:
         unknown = [s for s in suites if s not in _SUITES]
@@ -188,7 +190,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="puzzlecalc",
         description="Exact Schubert structure constants via puzzle paths.")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -198,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(fn=cmd_coeff)
 
     p = sub.add_parser("puzzles", help="enumerate and render puzzles")
@@ -207,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", default=None)
     p.add_argument("--render", choices=["ascii", "svg"], default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(fn=cmd_puzzles)
 
     p = sub.add_parser("trace", help="annotated degeneration tree")
@@ -234,16 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (WordError, InputError) as exc:
+    except (WordError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except AssertionError as exc:
+    except InvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 2
 

@@ -7,13 +7,13 @@ SW 0) the continuation is forced, while the interesting configuration
 branches four ways.  Multiplying the branch weights of a complete run gives
 that puzzle's contribution to a structure constant, in any of four theories:
 ordinary or torus-equivariant cohomology, and ordinary or torus-equivariant
-K-theory.
+K-theory.  The class of a partly filled puzzle depends on its path alone, so
+structure constants are summed once per distinct path state rather than once
+per run.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -82,11 +82,15 @@ INTERESTING = (
 )
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant of the degeneration failed: a bug, not bad input."""
+
+
 @dataclass(frozen=True)
 class Branch:
     kind: str                 # "triangle", "boring", or an interesting kind
     pos: FillPos
-    new_labels: tuple[str, ...]
+    piece: RhombusPlacement | TrianglePlacement | None = None
 
 
 def _apply_rhombus(p: PuzzlePath, kink: int, upper: str, lower: str) -> PuzzlePath:
@@ -106,6 +110,8 @@ def legal_branches(p: PuzzlePath) -> list[tuple[Branch, PuzzlePath]]:
     """
     The continuations of a valid, non-final path, in deterministic order:
     the forced one, or (interesting case) equivariant, shift0, shift1, topk.
+    Each branch carries the piece it places; a broken invariant raises
+    InvariantError.
     """
     pos = next_fill_position(p)
     if pos.kind == "done":
@@ -116,34 +122,38 @@ def legal_branches(p: PuzzlePath) -> list[tuple[Branch, PuzzlePath]]:
         blabel = p.steps[kink + 1].label
         key = (klabel, blabel)
         if key not in TRIANGLE:
-            raise ValueError(f"unfillable bottom triangle {key} at {pos}")
+            raise InvariantError(f"unfillable bottom triangle {key} at {pos}")
         q = _apply_triangle(p, kink, TRIANGLE[key])
-        assert is_valid(q), f"forced triangle at {pos} broke the path: {validate_path(q)}"
-        return [(Branch("triangle", pos, (TRIANGLE[key],)), q)]
+        if not is_valid(q):
+            raise InvariantError(f"forced triangle at {pos} broke the path: {validate_path(q)}")
+        return [(Branch("triangle", pos, TrianglePlacement(klabel, blabel, TRIANGLE[key])), q)]
 
     slabel = p.steps[kink + 1].label
     key = (klabel, slabel)
     if key in BORING:
         upper, lower = BORING[key]
         q = _apply_rhombus(p, kink, upper, lower)
-        assert is_valid(q), f"forced rhombus at {pos} broke the path: {validate_path(q)}"
-        return [(Branch("boring", pos, (upper, lower)), q)]
+        if not is_valid(q):
+            raise InvariantError(f"forced rhombus at {pos} broke the path: {validate_path(q)}")
+        piece = RhombusPlacement("boring", key, (upper, lower), BORING_MID.get(key))
+        return [(Branch("boring", pos, piece), q)]
     if key != ("1", "0"):
-        raise ValueError(f"unfillable rhombus {key} at {pos}")
+        raise InvariantError(f"unfillable rhombus {key} at {pos}")
 
     out = []
-    for kind, (upper, lower), _mid in INTERESTING:
+    for kind, (upper, lower), mid in INTERESTING:
         q = _apply_rhombus(p, kink, upper, lower)
-        if kind == "equivariant":
-            assert is_valid(q), \
-                f"equivariant continuation at {pos} broke the path: {validate_path(q)}"
-            out.append((Branch(kind, pos, (upper, lower)), q))
-        elif is_valid(q):
-            out.append((Branch(kind, pos, (upper, lower)), q))
+        if is_valid(q):
+            piece = RhombusPlacement(kind, key, (upper, lower), mid)
+            out.append((Branch(kind, pos, piece), q))
+        elif kind == "equivariant":
+            raise InvariantError(
+                f"equivariant continuation at {pos} broke the path: {validate_path(q)}")
     kinds = {b.kind for b, _ in out}
-    assert kinds & {"shift0", "shift1"}, f"no shift continuation at {pos}"
-    assert (("topk" in kinds) == ({"shift0", "shift1"} <= kinds)), \
-        f"topk legality out of step with the shifts at {pos}"
+    if not kinds & {"shift0", "shift1"}:
+        raise InvariantError(f"no shift continuation at {pos}")
+    if ("topk" in kinds) != ({"shift0", "shift1"} <= kinds):
+        raise InvariantError(f"topk legality out of step with the shifts at {pos}")
     return out
 
 
@@ -191,98 +201,53 @@ _PRUNED = {
 }
 
 
-def _run(p: PuzzlePath, prune: set[str]):
-    """Yield (branch list, final path) for every completed run below p."""
-    stack = [(p, [])]
-    while stack:
-        path, taken = stack.pop()
-        branches = legal_branches(path)
-        if not branches:
-            yield taken, path
-            continue
-        for br, q in reversed(branches):
-            if br.kind in prune:
-                continue
-            stack.append((q, taken + [br]))
-
-
 def structure_constants(theory: Theory, mu: Word, nu: Word) -> dict:
     """
     All nonzero coefficients of the product expansion for the pair (mu, nu),
-    keyed by the boundary word read off each complete run.  An unreachable
+    keyed by the boundary word read off each final path.  An unreachable
     boundary pair yields the empty dict.
+
+    A fold over the distinct path states, children before parents: a
+    state's value maps each final word to the sum, in branch order, of the
+    branch weight times the child's value.  Forced pieces weigh 1 and are
+    not multiplied in; cancelled coefficients are dropped only at the root.
     """
     p = initial_path(mu, nu)
     if not is_valid(p):
         return {}
     n = mu.n
-    zero = Poly.zero(n) if not theory.k_theory else LPoly.zero(n)
-    out: dict[str, object] = {}
-    threads = _thread_count()
-    if threads > 1:
-        chunks = _parallel_runs(p, _PRUNED[theory], threads)
-    else:
-        chunks = [_run(p, _PRUNED[theory])]
-    for runs in chunks:
-        for taken, final in runs:
-            w = zero + (Poly.const(n, 1) if not theory.k_theory else LPoly.const(n, 1))
-            for br in taken:
-                w = w * branch_weight(theory, br, n)
-            lam = str(final_path_word(final))
-            out[lam] = out.get(lam, zero) + w
-    return {lam: v for lam, v in out.items() if not v.is_zero()}
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("PUZZLE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _parallel_runs(p: PuzzlePath, prune: set[str], threads: int):
-    """Split the search at the root's first branch point, preserving order."""
-    tops = [(q, [br]) for br, q in legal_branches(p) if br.kind not in prune]
-
-    def expand(item):
-        q, taken = item
-        return [(taken + t, f) for t, f in _run(q, prune)]
-
-    if not tops:
-        return []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(expand, tops))
+    one = LPoly.const(n, 1) if theory.k_theory else Poly.const(n, 1)
+    prune = _PRUNED[theory]
+    value: dict[tuple, dict[str, object]] = {}
+    # (path, None) asks for the path's children; (path, branches) is popped
+    # again once every child has a value
+    stack: list[tuple[PuzzlePath, list | None]] = [(p, None)]
+    while stack:
+        path, branches = stack.pop()
+        if branches is None:
+            if path.steps in value:
+                continue
+            branches = legal_branches(path)
+            if not branches:
+                value[path.steps] = {str(final_path_word(path)): one}
+                continue
+            branches = [(br, q) for br, q in branches if br.kind not in prune]
+            stack.append((path, branches))
+            stack.extend((q, None) for _, q in branches if q.steps not in value)
+        elif branches[0][0].kind in ("triangle", "boring"):
+            value[path.steps] = value[branches[0][1].steps]
+        else:
+            acc: dict[str, object] = {}
+            for br, q in branches:
+                w = branch_weight(theory, br, n)
+                for lam, c in value[q.steps].items():
+                    acc[lam] = acc[lam] + w * c if lam in acc else w * c
+            value[path.steps] = acc
+    return {lam: c for lam, c in value[p.steps].items() if not c.is_zero()}
 
 
 def count_puzzles(theory: Theory, mu: Word, nu: Word, lam: Word | None = None) -> int:
     return len(enumerate_puzzles(mu, nu, lam=lam, theory=theory))
-
-
-def _puzzle_from_run(mu: Word, nu: Word, taken, final: PuzzlePath) -> Puzzle:
-    n = mu.n
-    rhombi = []
-    bottoms = []
-    # replay the run to recover the right-side labels each piece replaced
-    p = initial_path(mu, nu)
-    for br in taken:
-        kink = p.kink_index()
-        klabel = p.steps[kink].label
-        if br.kind == "triangle":
-            blabel = p.steps[kink + 1].label
-            bottoms.append((br.pos.c, TrianglePlacement(klabel, blabel, br.new_labels[0])))
-            p = _apply_triangle(p, kink, br.new_labels[0])
-        else:
-            slabel = p.steps[kink + 1].label
-            upper, lower = br.new_labels
-            if br.kind == "boring":
-                mid = BORING_MID.get((klabel, slabel))
-            else:
-                mid = dict((k, m) for k, _l, m in INTERESTING)[br.kind]
-            rhombi.append(((br.pos.i, br.pos.j),
-                           RhombusPlacement(br.kind, (klabel, slabel), (upper, lower), mid)))
-            p = _apply_rhombus(p, kink, upper, lower)
-    return Puzzle(n, final_path_word(final), mu, nu,
-                  tuple(sorted(rhombi)), tuple(sorted(bottoms)))
 
 
 def enumerate_puzzles(mu: Word, nu: Word, lam: Word | None = None,
@@ -290,17 +255,26 @@ def enumerate_puzzles(mu: Word, nu: Word, lam: Word | None = None,
     """
     Every completed puzzle for (mu, nu), optionally restricted to a given
     boundary word lam, pruned to branches of nonzero weight when a theory
-    is given.
+    is given.  Each puzzle is assembled from the pieces its run placed.
     """
     p = initial_path(mu, nu)
     if not is_valid(p):
         return []
     prune = _PRUNED[theory] if theory is not None else set()
     out = []
-    for taken, final in _run(p, prune):
-        pz = _puzzle_from_run(mu, nu, taken, final)
-        if lam is None or pz.lam == lam:
-            out.append(pz)
+    stack = [(p, [])]
+    while stack:
+        path, taken = stack.pop()
+        branches = legal_branches(path)
+        if branches:
+            stack.extend((q, taken + [br]) for br, q in reversed(branches)
+                         if br.kind not in prune)
+            continue
+        word = final_path_word(path)
+        if lam is None or word == lam:
+            rhombi = sorted(((b.pos.i, b.pos.j), b.piece) for b in taken if b.kind != "triangle")
+            bottoms = sorted((b.pos.c, b.piece) for b in taken if b.kind == "triangle")
+            out.append(Puzzle(mu.n, word, mu, nu, tuple(rhombi), tuple(bottoms)))
     return out
 
 

@@ -1,5 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
+import pytest
+
+import puzzlecalc
 from puzzlecalc.cli import main
 
 
@@ -169,3 +177,54 @@ def test_verify_json(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--max-n", "2", "--suite", "nope")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "dots", "--n", "0"],
+    ["rank", "essential", "--n", "-2"],
+    ["verify", "--max-n", "-1"],
+    ["verify", "--max-n", "0"],
+    ["coeff", "--theory", "h", "--mu", "0101", "--nu", "1010", "--threads", "2"],
+    ["puzzles", "--mu", "0101", "--nu", "1010", "--threads", "2"],
+    ["coeff", "--theory", "xt", "--mu", "0101", "--nu", "1010"],
+    ["coeff", "--mu", "0101", "--nu", "1010"],
+    ["rank", "dots", "--n", "three"],
+    ["frobnicate"],
+    [],
+])
+def test_bad_input_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+_BROKEN_INVARIANT = textwrap.dedent("""
+    import sys
+    from puzzlecalc import cli, filling
+    from puzzlecalc.board import initial_path
+    from puzzlecalc.words import parse_word
+
+    # only the starting path passes the validity check, so the first piece
+    # placed breaks the path
+    start = initial_path(parse_word("0101"), parse_word("1010"))
+    filling.is_valid = lambda q: q == start
+    try:
+        filling.legal_branches(start)
+        print("returned")
+    except filling.InvariantError:
+        print("raised")
+    print(sys.flags.optimize)
+    print(cli.main(["coeff", "--theory", "h", "--mu", "0101", "--nu", "1010"]))
+""")
+
+
+def test_invariant_violation_survives_optimize():
+    src = str(pathlib.Path(puzzlecalc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-O", "-c", _BROKEN_INVARIANT],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert res.stdout.split() == ["raised", "1", "2"], res.stderr
+    assert res.stderr.startswith("internal invariant violation: ")

@@ -1,5 +1,3 @@
-import os
-
 from puzzlecalc.board import initial_path, is_valid
 from puzzlecalc.filling import (Theory, count_puzzles, enumerate_puzzles,
                                 legal_branches, puzzle_degree_balance,
@@ -43,6 +41,12 @@ def test_identity_product():
     w = parse_word("0011")
     h = structure_constants(Theory.H, w, w)
     assert h == {"0011": Poly.const(4, 1)}
+
+
+def test_deep_identity_product():
+    # n(n+1)/2 = 1275 pieces in one run: the fold must not recurse per piece
+    w = parse_word("0" * 25 + "1" * 25)
+    assert structure_constants(Theory.H, w, w) == {str(w): Poly.const(50, 1)}
 
 
 def test_unreachable_pair_is_empty():
@@ -100,16 +104,6 @@ def test_degree_balance_on_small_puzzles():
                     for pz in enumerate_puzzles(mu, nu):
                         lhs, rhs = puzzle_degree_balance(pz)
                         assert lhs == rhs
-
-
-def test_threading_does_not_change_output():
-    single = structure_constants(Theory.KT, MU, NU)
-    os.environ["PUZZLE_THREADS"] = "4"
-    try:
-        multi = structure_constants(Theory.KT, MU, NU)
-    finally:
-        del os.environ["PUZZLE_THREADS"]
-    assert single == multi
 
 
 def test_enumerate_with_lambda_filter():
