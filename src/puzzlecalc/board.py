@@ -104,56 +104,84 @@ def validate_path(p: PuzzlePath) -> list[str]:
        (and such a step must exist);
     7. after a kink K, a SW 1 comes before any SW R or bottom 0, which in
        turn comes before any bottom 1.
+
+    A path that leaves the board gets a single "geometry" message instead.
+    One pass over the steps tracks the vertex, the rule-4 counts and the
+    first step of each rule 5-7 kind after the latest SE step.
     """
-    bad = []
-    try:
-        verts = p.vertices()
-    except ValueError as e:
-        return [f"geometry: {e}"]
-    kink = p.kink_index()
+    n, steps = p.n, p.steps
+    bad: list[str] = []
+    a = b = 0
+    lead = 0  # length of the leading run of SE steps
+    kink = None  # the latest SE step so far: the kink once the pass ends
+    k_at = None  # where rule 2's message goes if a later SE step follows a K kink
+    se0 = swr = w0 = 0
+    # since the latest SE step: the first SW R or bottom 0, SW 1, bottom 1
+    ray = sw1 = w1 = None
+    for idx, s in enumerate(steps):
+        d, label = s.dir, s.label
+        if d == "SE":
+            if k_at is not None:
+                bad.insert(k_at, f"2: K on non-kink step {kink}")
+                k_at = None
+            on_boundary = a == b
+            a += 1
+            b += 1
+            if lead == idx:
+                lead += 1
+            kink = idx
+            ray = sw1 = w1 = None
+            if label == "0":
+                se0 += 1
+        elif d == "SW":
+            on_boundary = b == 0
+            a += 1
+            if label == "R":
+                swr += 1
+                if ray is None:
+                    ray = idx
+            elif label == "1" and sw1 is None:
+                sw1 = idx
+        else:
+            if a != n or b < 1:
+                return ["geometry: west step off the bottom row"]
+            on_boundary = True
+            b -= 1
+            if label == "0":
+                w0 += 1
+                if ray is None:
+                    ray = idx
+            elif label == "1" and w1 is None:
+                w1 = idx
+        if on_boundary and label != "0" and label != "1":
+            bad.append(f"1: boundary step {idx} carries {label}")
+        if label == "K":
+            if d == "SE":
+                k_at = len(bad)
+            else:
+                bad.append(f"2: K on non-kink step {idx}")
+    if (a, b) != (n, 0):
+        return [f"geometry: path ends at v({a},{b}), not v({n},0)"]
 
-    for idx, s in enumerate(p.steps):
-        a, b = verts[idx]
-        on_boundary = (s.dir == "SE" and a == b) or (s.dir == "SW" and b == 0) or s.dir == "W"
-        if on_boundary and s.label not in ("0", "1"):
-            bad.append(f"1: boundary step {idx} carries {s.label}")
-        if s.label == "K" and idx != kink:
-            bad.append(f"2: K on non-kink step {idx}")
-
-    lead = 0
-    while lead < len(p.steps) and p.steps[lead].dir == "SE":
-        lead += 1
+    head_zeros = tail_zeros = 0
     for t in range(1, lead + 1):
-        head_zeros = sum(1 for s in p.steps[:t] if s.label == "0")
-        tail = p.steps[len(p.steps) - t:]
-        tail_zeros = sum(1 for s in tail if s.dir == "W" and s.label == "0")
+        if steps[t - 1].label == "0":
+            head_zeros += 1
+        s = steps[-t]
+        if s.dir == "W" and s.label == "0":
+            tail_zeros += 1
         if head_zeros < tail_zeros:
             bad.append(f"3: first {t} SE steps have {head_zeros} 0s "
                        f"but the last {t} steps have {tail_zeros} bottom 0s")
             break
 
-    se0 = sum(1 for s in p.steps if s.dir == "SE" and s.label == "0")
-    swr = sum(1 for s in p.steps if s.dir == "SW" and s.label == "R")
-    w0 = sum(1 for s in p.steps if s.dir == "W" and s.label == "0")
     if se0 != swr + w0:
         bad.append(f"4: #SE0={se0} but #SWR+#W0={swr + w0}")
 
     if kink is not None:
-        klabel = p.steps[kink].label
-        after = p.steps[kink + 1:]
-
-        def first_index(pred):
-            for i, s in enumerate(after):
-                if pred(s):
-                    return i
-            return None
-
-        one = first_index(lambda s: s.label == "1")  # SW 1 or bottom 1
-        ray = first_index(lambda s: (s.dir == "SW" and s.label == "R")
-                          or (s.dir == "W" and s.label == "0"))
-        sw1 = first_index(lambda s: s.dir == "SW" and s.label == "1")
-        w1 = first_index(lambda s: s.dir == "W" and s.label == "1")
-
+        klabel = steps[kink].label
+        # bottom steps come last on the board, so the first 1 is a SW 1 if any
+        one = sw1 if sw1 is not None else w1
         if klabel in ("R", "K"):
             if one is None or (ray is not None and ray < one):
                 bad.append("5: no 1 after the kink before an R or bottom 0")

@@ -54,10 +54,13 @@ def parse_dots(s: str, n: int) -> DotSet:
     s = s.strip()
     if s:
         for chunk in s.split(";"):
-            parts = chunk.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"bad dot {chunk!r}; expected 'i,j'")
-            dots.add((int(parts[0]), int(parts[1])))
+            try:
+                i, j = map(int, chunk.split(","))
+            except ValueError:
+                raise ValueError(f"bad dot {chunk!r}; expected 'i,j'") from None
+            if (i, j) in dots:
+                raise ValueError(f"repeated dot {chunk!r}")
+            dots.add((i, j))
     return DotSet(n, frozenset(dots))
 
 

@@ -4,14 +4,19 @@ Exact sparse polynomial arithmetic over the integers.
 Two flavours share one representation: Poly is an ordinary polynomial in
 y_1..y_n, and LPoly is a Laurent-style exponential sum whose monomial
 E(e_1,..,e_n) stands for exp(e_1 y_1 + ... + e_n y_n).  All coefficients are
-Python ints; zero terms are never stored, so equality of values is equality
-of representations.
+Python ints.  A value is stored as a dict from exponent tuple to coefficient
+with no zero coefficients, so equal values have equal dicts; the canonical
+graded order of the terms is built only when something reads it (rendering,
+JSON, repr, hash).
 """
 
 from __future__ import annotations
 
 import re
 from math import factorial
+from operator import add, neg
+
+_set = object.__setattr__
 
 
 class PolyError(ValueError):
@@ -26,14 +31,23 @@ def _gen_binomial(a: int, m: int) -> int:
     return num // factorial(m)
 
 
-def _canon_key(exp):
-    return (sum(exp), tuple(-e for e in exp))
+def _graded_key(term):
+    # total degree first, then the larger exponent vector first
+    exp = term[0]
+    return (sum(exp), tuple(map(neg, exp)))
 
 
 class _Sparse:
-    """Shared machinery for Poly and LPoly.  Immutable by convention."""
+    """
+    Shared machinery for Poly and LPoly.  Immutable by convention.
 
-    __slots__ = ("n", "terms")
+    The value lives in a dict from exponent tuple to nonzero coefficient;
+    the ring operations combine these dicts directly and never sort.
+    `terms`, the canonical tuple of (exp, coef) pairs in graded order, is
+    built on first use and cached.
+    """
+
+    __slots__ = ("n", "_coeffs", "_terms")
     _allow_negative = False
 
     def __init__(self, n: int, terms=None):
@@ -45,16 +59,30 @@ class _Sparse:
             if not self._allow_negative and any(e < 0 for e in exp):
                 raise PolyError(f"negative exponent {exp} in non-Laurent polynomial")
             d[exp] = d.get(exp, 0) + coef
-        object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self,
-            "terms",
-            tuple(sorted(((e, c) for e, c in d.items() if c != 0),
-                         key=lambda t: _canon_key(t[0]))),
-        )
+        _set(self, "n", n)
+        _set(self, "_coeffs", {e: c for e, c in d.items() if c != 0})
+        _set(self, "_terms", None)
+
+    @classmethod
+    def _wrap(cls, n: int, coeffs: dict):
+        # the ring operations' constructor: coeffs already has arity-n
+        # exponents valid for cls and no zero coefficients
+        self = object.__new__(cls)
+        _set(self, "n", n)
+        _set(self, "_coeffs", coeffs)
+        _set(self, "_terms", None)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
+
+    @property
+    def terms(self) -> tuple:
+        t = self._terms
+        if t is None:
+            t = tuple(sorted(self._coeffs.items(), key=_graded_key))
+            _set(self, "_terms", t)
+        return t
 
     # -- constructors ------------------------------------------------------
 
@@ -76,45 +104,68 @@ class _Sparse:
         if type(other) is not type(self) or other.n != self.n:
             raise PolyError(f"mixed arithmetic: {self!r} vs {other!r}")
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
         self._check(other)
-        return type(self)(self.n, list(self.terms) + list(other.terms))
+        out = dict(self._coeffs)
+        for e, c in other._coeffs.items():
+            c = out.get(e, 0) + sign * c
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return self._wrap(self.n, out)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __neg__(self):
-        return type(self)(self.n, [(e, -c) for e, c in self.terms])
+        return self._wrap(self.n, {e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return type(self)(self.n, [(e, c * other) for e, c in self.terms])
+            if other == 1:
+                return self
+            if other == 0:
+                return self._wrap(self.n, {})
+            return self._wrap(self.n, {e: c * other for e, c in self._coeffs.items()})
         self._check(other)
-        out = []
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                out.append((tuple(a + b for a, b in zip(e1, e2)), c1 * c2))
-        return type(self)(self.n, out)
+        small, big = ((self, other) if len(self._coeffs) <= len(other._coeffs)
+                      else (other, self))
+        if len(small._coeffs) == 1:
+            # a monomial times big: exponents stay distinct, nothing cancels
+            (e1, c1), = small._coeffs.items()
+            if c1 == 1 and not any(e1):
+                return big
+            return self._wrap(self.n, {tuple(map(add, e1, e2)): c1 * c2
+                                       for e2, c2 in big._coeffs.items()})
+        out = {}
+        get = out.get
+        for e1, c1 in small._coeffs.items():
+            for e2, c2 in big._coeffs.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return self._wrap(self.n, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return type(other) is type(self) and other.n == self.n and other.terms == self.terms
+        return (type(other) is type(self) and other.n == self.n
+                and other._coeffs == self._coeffs)
 
     def __hash__(self):
         return hash((type(self).__name__, self.n, self.terms))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._coeffs
 
     def constant_term(self) -> int:
-        for e, c in self.terms:
-            if all(x == 0 for x in e):
-                return c
-        return 0
+        return self._coeffs.get((0,) * self.n, 0)
 
     def sum_of_coefficients(self) -> int:
-        return sum(c for _, c in self.terms)
+        return sum(self._coeffs.values())
 
     def __repr__(self):
         return f"{type(self).__name__}({self.n}, {list(self.terms)})"
@@ -145,7 +196,7 @@ class Poly(_Sparse):
         return cls.monomial(n, tuple(1 if j == i - 1 else 0 for j in range(n)))
 
     def degree_component(self, d: int) -> "Poly":
-        return Poly(self.n, [(e, c) for e, c in self.terms if sum(e) == d])
+        return Poly._wrap(self.n, {e: c for e, c in self._coeffs.items() if sum(e) == d})
 
 
 class LPoly(_Sparse):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -6,9 +8,11 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import puzzlecalc
 from puzzlecalc.cli import main
+from puzzlecalc.oracle import _SUITES
 
 
 def run(capsys, *argv):
@@ -191,6 +195,8 @@ def test_verify_unknown_suite(capsys):
     ["rank", "dots", "--n", "three"],
     ["frobnicate"],
     [],
+    ["rank", "dots", "--n", "3", "--dots", "1,x"],
+    ["rank", "dots", "--n", "3", "--dots", "1,2;1,2"],
 ])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -198,6 +204,101 @@ def test_bad_input_is_one_error_line(capsys, argv):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+# -- fuzzing the command line ---------------------------------------------
+# Argument lists drawn from a bounded grammar: each subcommand with its
+# required flags (each sometimes left out) and any of its optional flags,
+# then perhaps one stray item: any flag with a value, a flag missing its
+# value, or a loose token.  Values are well-formed or malformed; repeated
+# entries weight the draw.  Sizes stay small (--n <= 4, --max-n <= 2,
+# words of length <= 4) so that no call runs long.
+
+def _numbers(hi):
+    good = [str(i) for i in range(1, hi + 1)]
+    return st.sampled_from(3 * good + ["0", "-1", "x", "1.5", ""])
+
+
+_GOOD_WORDS = ["01", "10", "001", "010", "100", "0011", "0101", "0110", "1001",
+               "1010", "1100"]
+_WORDS = (st.sampled_from(_GOOD_WORDS) | st.sampled_from(_GOOD_WORDS)
+          | st.text("01x ", max_size=4))
+_VALUES = {
+    "--theory": st.sampled_from(["h", "ht", "k", "kt", "xt"]),
+    "--mu": _WORDS,
+    "--nu": _WORDS,
+    "--lambda": _WORDS,
+    "--word": _WORDS,
+    "--render": st.sampled_from(["ascii", "svg", "png"]),
+    "--out": st.sampled_from(["out", "out/sub", "a-file", "a-file"]),
+    "--n": _numbers(4),
+    "--max-n": _numbers(2),
+    "--seed": _numbers(9),
+    "--dots": st.sampled_from(["", "1,1", "2,2", "1,3", "2,2;1,3", "1,1;2,2;3,3;4,4",
+                               "1,x", "1,2;1,2", "2,1", "9,9", "1,2,3", ";", "1,1;1,2"]),
+    "--suite": st.sampled_from(sorted(_SUITES) + ["nope"] * 3),
+}
+# subcommand: (required flags, optional flags)
+_COMMANDS = {
+    "coeff": (("--theory", "--mu", "--nu"), ("--json",)),
+    "puzzles": (("--mu", "--nu"), ("--lambda", "--render", "--out")),
+    "trace": (("--mu", "--nu"), ("--json",)),
+    "rank": (("--n",), ("--dots", "--word")),
+    "verify": (("--max-n",), ("--suite", "--seed", "--json")),
+    "frobnicate": ((), ()),
+    "--json": ((), ()),
+}
+_RANK_OPS = ["dots", "essential", "covers", "envelope", "fixed-points"]
+_STRAY = (
+    st.sampled_from(sorted(_VALUES)).flatmap(lambda f: _VALUES[f].map(lambda v: [f, v]))
+    | st.sampled_from(sorted(_VALUES) + ["--json", "--help"]).map(lambda f: [f])
+    | (st.sampled_from(_RANK_OPS + ["0", "1", "2"]) | _WORDS).map(lambda t: [t])
+)
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(list(_COMMANDS)))
+    required, optional = _COMMANDS[cmd]
+    argv = [cmd]
+    if cmd == "rank":
+        argv.append(draw(st.sampled_from(_RANK_OPS + ["nope"])))
+    mu = draw(_WORDS)
+    for flag in required + optional:
+        if draw(st.integers(0, 9)) < (1 if flag in required else 5):
+            continue
+        if flag == "--json":
+            argv.append(flag)
+            continue
+        value = _VALUES[flag]
+        if flag == "--mu":
+            value = st.just(mu)
+        elif flag in ("--nu", "--lambda"):
+            # a rearranged mu is a well-formed partner
+            value = st.permutations(mu).map("".join) | value
+        argv += [flag, draw(value)]
+    for item in draw(st.lists(_STRAY, max_size=1)):
+        argv += item
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=_argv())
+def test_fuzzed_arguments_exit_cleanly(tmp_path_factory, argv):
+    here = os.getcwd()
+    out, err = io.StringIO(), io.StringIO()
+    os.chdir(tmp_path_factory.mktemp("fuzz"))
+    try:
+        pathlib.Path("a-file").touch()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help
+                code = exc.code
+    finally:
+        os.chdir(here)
+    assert code in (0, 1), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 _BROKEN_INVARIANT = textwrap.dedent("""

@@ -8,6 +8,11 @@ pair with n <= 5 for `coeff --json` (four theories) and
 `puzzles --render ascii`, and every pair with n <= 4 for plain `coeff`
 (four theories) and `trace --json`.
 
+The `validate-path` groups gate `board.validate_path` alone: for each
+n <= 5 they hash its messages on every initial path, every path state
+reachable from a valid one, and every relabelling of one step of those
+paths to another of 0, 1, R and K.
+
 Rewrite the digests only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -21,28 +26,29 @@ import sys
 
 import pytest
 
+from puzzlecalc.board import PuzzlePath, Step, initial_path, is_valid, validate_path
 from puzzlecalc.cli import main
+from puzzlecalc.filling import legal_branches
 from puzzlecalc.words import all_words
 
 DIGESTS = pathlib.Path(__file__).with_name("golden.json")
 THEORIES = ("h", "ht", "k", "kt")
+LABELS = ("0", "1", "R", "K")
 
 
 def _groups():
     for n in range(1, 6):
         for t in THEORIES:
-            yield f"coeff-json/{t}/{n}", n, ["coeff", "--theory", t, "--json"]
-        yield f"puzzles-ascii/-/{n}", n, ["puzzles", "--render", "ascii"]
+            yield f"coeff-json/{t}/{n}", cli_digest, (n, ["coeff", "--theory", t, "--json"])
+        yield f"puzzles-ascii/-/{n}", cli_digest, (n, ["puzzles", "--render", "ascii"])
+        yield f"validate-path/-/{n}", validate_path_digest, (n,)
     for n in range(1, 5):
         for t in THEORIES:
-            yield f"coeff-text/{t}/{n}", n, ["coeff", "--theory", t]
-        yield f"trace-json/-/{n}", n, ["trace", "--json"]
+            yield f"coeff-text/{t}/{n}", cli_digest, (n, ["coeff", "--theory", t])
+        yield f"trace-json/-/{n}", cli_digest, (n, ["trace", "--json"])
 
 
-GROUPS = {name: (n, argv) for name, n, argv in _groups()}
-
-
-def digest(n: int, argv: list[str]) -> str:
+def cli_digest(n: int, argv: list[str]) -> str:
     h = hashlib.sha256()
     for k in range(n + 1):
         for mu in all_words(n, k):
@@ -54,15 +60,51 @@ def digest(n: int, argv: list[str]) -> str:
     return h.hexdigest()
 
 
+def _paths(n: int) -> set[tuple[Step, ...]]:
+    """Every initial path of length n and every state reachable from a valid one."""
+    seen = set()
+    for k in range(n + 1):
+        for mu in all_words(n, k):
+            for nu in all_words(n, k):
+                p = initial_path(mu, nu)
+                seen.add(p.steps)
+                stack = [p] if is_valid(p) else []
+                while stack:
+                    for _, q in legal_branches(stack.pop()):
+                        if q.steps not in seen:
+                            seen.add(q.steps)
+                            stack.append(q)
+    return seen
+
+
+def validate_path_digest(n: int) -> str:
+    paths = set()
+    for steps in _paths(n):
+        paths.add(steps)
+        for idx, s in enumerate(steps):
+            for label in LABELS:
+                if label != s.label:
+                    paths.add(steps[:idx] + (Step(s.dir, label),) + steps[idx + 1:])
+    h = hashlib.sha256()
+    for steps in sorted(paths, key=lambda st: [(s.dir, s.label) for s in st]):
+        bad = validate_path(PuzzlePath(n, steps))
+        h.update((" ".join(s.dir + s.label for s in steps) + " | " + "; ".join(bad) + "\n").encode())
+    return h.hexdigest()
+
+
+GROUPS = {name: (fn, args) for name, fn, args in _groups()}
+
+
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_output_matches_golden_digest(group):
     want = json.loads(DIGESTS.read_text())[group]
-    assert digest(*GROUPS[group]) == want
+    fn, args = GROUPS[group]
+    assert fn(*args) == want
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_golden.py --write")
-    doc = {name: digest(n, argv) for name, (n, argv) in sorted(GROUPS.items())}
+    doc = {name: fn(*args) for name, (fn, args) in sorted(GROUPS.items())}
     DIGESTS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(doc)} digests to {DIGESTS}")

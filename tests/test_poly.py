@@ -109,3 +109,56 @@ def test_lowest_form_consistency(p, d):
         return
     if d == 0:
         assert low == Poly.const(N, eval_at_one(p))
+
+
+# -- one value, one canonical form -----------------------------------------
+
+def _graded(terms):
+    return sorted(terms, key=lambda t: (sum(t[0]), [-e for e in t[0]]))
+
+
+@pytest.mark.parametrize("cls, operands", [(Poly, polys), (LPoly, lpolys)])
+@given(data=st.data())
+def test_a_value_has_one_canonical_form(cls, operands, data):
+    # the product a * b built three ways: by `*`, by the constructor from
+    # the unreduced term list, and as a sum of its monomials in any order
+    a, b = data.draw(operands), data.draw(operands)
+    raw = [(tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+           for e1, c1 in a.terms for e2, c2 in b.terms]
+    total = cls.zero(N)
+    for exp, coef in data.draw(st.permutations(raw)):
+        total = total + cls.monomial(N, exp, coef)
+    for p in (cls(N, raw), total):
+        assert p == a * b
+        assert p.terms == (a * b).terms
+        assert hash(p) == hash(a * b)
+        assert p.to_json() == (a * b).to_json()
+
+
+@given(st.one_of(polys, lpolys), st.one_of(polys, lpolys))
+def test_terms_are_in_graded_order(a, b):
+    for p in (a, a + a * a, a * a - a) + ((a * b, a - b) if type(a) is type(b) else ()):
+        assert list(p.terms) == _graded(p.terms)
+        assert len({e for e, _ in p.terms}) == len(p.terms)
+        assert all(c != 0 for _, c in p.terms)
+
+
+@given(st.one_of(polys, lpolys))
+def test_cancellation_leaves_the_zero_element(p):
+    for z in (p * 0, 0 * p, p - p, p + (-p)):
+        assert z.terms == ()
+        assert z.is_zero()
+        assert z == type(p).zero(N)
+
+
+@given(polys, polys)
+def test_cancelled_products_keep_no_zero_terms(a, b):
+    # the cross terms a*b and -b*a cancel inside the product
+    p = (a + b) * (a - b)
+    assert p.terms == (a * a - b * b).terms
+    assert all(c != 0 for _, c in p.terms)
+
+
+def test_constructor_rejects_wrong_arity():
+    with pytest.raises(PolyError):
+        LPoly(2, [((1, 0, 0), 1)])
