@@ -64,18 +64,21 @@ def cmd_coeff(args) -> int:
 def cmd_puzzles(args) -> int:
     mu, nu = _pair(args.mu, args.nu)
     lam = parse_word(args.lam, n=mu.n, k=mu.k) if args.lam else None
+    to_files = args.render is not None and (args.render == "svg" or args.out is not None)
+    outdir = args.out or "."
+    if to_files:
+        # before any output, so that a bad --out leaves stdout empty
+        os.makedirs(outdir, exist_ok=True)
     pzs = enumerate_puzzles(mu, nu, lam=lam)
     print(f"{len(pzs)} puzzles")
     if args.render is None:
         return 0
     stem = f"puzzle-{mu}-{nu}" + (f"-{lam}" if lam else "")
-    if args.render == "ascii" and args.out is None:
+    if not to_files:
         for pz in pzs:
             print()
             print(ascii_render(pz))
         return 0
-    outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
     ext = "svg" if args.render == "svg" else "txt"
     draw = svg_render if args.render == "svg" else ascii_render
     for idx, pz in enumerate(pzs):
@@ -173,9 +176,14 @@ def cmd_rank(args) -> int:
     return 0
 
 
+# verify's cost grows steeply with --max-n: the ten suites take about 97 s
+# together at 6 (the essential suite 53 s of it) on a 2-core x86 box
+MAX_VERIFY_N = 6
+
+
 def cmd_verify(args) -> int:
-    if args.max_n < 1:
-        raise InputError(f"--max-n must be positive, got {args.max_n}")
+    if not 1 <= args.max_n <= MAX_VERIFY_N:
+        raise InputError(f"--max-n must be between 1 and {MAX_VERIFY_N}, got {args.max_n}")
     suites = args.suite or None
     if suites:
         unknown = [s for s in suites if s not in _SUITES]

@@ -377,6 +377,39 @@ def rank_of_matrix(m, p: int | None = None) -> int:
     return rank
 
 
+def window_ranks(m, n: int, p: int) -> list[int]:
+    """
+    GF(p) rank of columns i..j of the k x n matrix m for every window
+    1 <= i <= j <= n, in lexicographic (i, j) order.
+
+    One sweep per start column i: each new column j is reduced against the
+    pivot-normalised basis spanned by columns i..j-1, and the basis size is
+    the window's rank.  Once it reaches k, every later window from i has
+    rank k.
+    """
+    k = len(m)
+    cols = [[row[c] % p for row in m] for c in range(n)]
+    out = []
+    for i in range(n):
+        basis = []  # (pivot row, column with a 1 there and 0 at earlier pivots)
+        for j in range(i, n):
+            if len(basis) == k:
+                out.extend([k] * (n - j))
+                break
+            v = cols[j]
+            for piv, b in basis:
+                f = v[piv]
+                if f:
+                    v = [(x - f * y) % p for x, y in zip(v, b)]
+            for piv, x in enumerate(v):
+                if x:
+                    inv = pow(x, -1, p)
+                    basis.append((piv, [y * inv % p for y in v]))
+                    break
+            out.append(len(basis))
+    return out
+
+
 def all_dotsets(n: int, size: int) -> list[DotSet]:
     """Every DotSet of the given cardinality, deterministically ordered."""
     cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]

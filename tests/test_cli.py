@@ -95,6 +95,16 @@ def test_puzzles_svg_files(tmp_path, capsys):
     assert (tmp_path / files[0]).read_text().startswith("<svg")
 
 
+def test_puzzles_out_is_a_file(tmp_path, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.touch()
+    code, out, err = run(capsys, "puzzles", "--mu", "01", "--nu", "10",
+                         "--render", "ascii", "--out", str(blocker))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_trace_text(capsys):
     code, out, _ = run(capsys, "trace", "--mu", "010", "--nu", "100")
     assert code == 0
@@ -188,6 +198,7 @@ def test_verify_unknown_suite(capsys):
     ["rank", "essential", "--n", "-2"],
     ["verify", "--max-n", "-1"],
     ["verify", "--max-n", "0"],
+    ["verify", "--max-n", "7"],
     ["coeff", "--theory", "h", "--mu", "0101", "--nu", "1010", "--threads", "2"],
     ["puzzles", "--mu", "0101", "--nu", "1010", "--threads", "2"],
     ["coeff", "--theory", "xt", "--mu", "0101", "--nu", "1010"],

@@ -9,7 +9,7 @@ from puzzlecalc.intervalrank import (DotSet, all_dotsets, bruhat_leq, covers,
                                      fixed_point_in, format_dots, irm_min,
                                      is_valid_rank_matrix, matching_exists,
                                      parse_dots, rank_from_dots,
-                                     rank_of_matrix)
+                                     rank_of_matrix, window_ranks)
 from puzzlecalc.words import all_words
 
 
@@ -134,6 +134,38 @@ def test_rank_of_matrix_prime_field():
     assert rank_of_matrix([[1, 2], [2, 4]], p=5) == 1
     assert rank_of_matrix([[5, 0], [0, 1]], p=5) == 1
     assert rank_of_matrix([[5, 0], [0, 1]]) == 2
+
+
+@st.composite
+def _matrices(draw):
+    """A k x n integer matrix (k <= 5, n <= 6) with entries outside 0..p-1,
+    sometimes all zero or with some columns repeating others."""
+    k = draw(st.integers(0, 5))
+    n = draw(st.integers(1, 6))
+    m = [draw(st.lists(st.integers(-7, 12), min_size=n, max_size=n))
+         for _ in range(k)]
+    shape = draw(st.sampled_from(["random", "zero", "repeated"]))
+    if shape == "zero":
+        m = [[0] * n for _ in range(k)]
+    elif shape == "repeated":
+        src = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        m = [[row[c] for c in src] for row in m]
+    return m, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices(), st.sampled_from([2, 3, 5, 7]))
+def test_window_ranks_match_rank_of_matrix(mn, p):
+    m, n = mn
+    windows = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    assert window_ranks(m, n, p) == [
+        rank_of_matrix([row[i - 1:j] for row in m], p) for (i, j) in windows]
+
+
+def test_window_ranks_examples():
+    assert window_ranks([], 3, 5) == [0] * 6
+    # columns 1 and 2 agree mod 5; column 3 is independent of them
+    assert window_ranks([[1, 6, 0], [2, 7, 1]], 3, 5) == [1, 1, 2, 1, 2, 1]
 
 
 def test_all_dotsets_counts():

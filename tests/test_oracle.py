@@ -1,4 +1,5 @@
-from puzzlecalc.oracle import Report, lr_count, lr_oracle, verify_suite
+from puzzlecalc import intervalrank
+from puzzlecalc.oracle import Report, _suite_essential, lr_count, lr_oracle, verify_suite
 from puzzlecalc.words import parse_word
 
 
@@ -67,3 +68,18 @@ def test_verify_suite_subset_and_seed_stability():
     a = verify_suite(3, seed=7, suites=["hall", "essential"])
     b = verify_suite(3, seed=7, suites=["hall", "essential"])
     assert a.to_json() == b.to_json()
+
+
+def test_essential_suite_catches_a_missing_cell(monkeypatch):
+    # without its largest cell the essential set no longer implies every
+    # window bound, and the random matrices must show it
+    real = intervalrank.essential_set
+
+    def drop_largest(d):
+        cells = real(d)
+        return cells - {max(cells)} if cells else cells
+
+    monkeypatch.setattr(intervalrank, "essential_set", drop_largest)
+    report = Report()
+    _suite_essential(3, 0, report, samples=200)
+    assert report.results[0][:2] == ("essential", False)
