@@ -15,6 +15,7 @@ carry only 0/1.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .words import Word
@@ -22,16 +23,29 @@ from .words import Word
 Label = str
 
 
-@dataclass(frozen=True)
-class Step:
-    dir: str  # "SE", "SW", "W"
-    label: Label
+class Step(namedtuple("Step", "dir label")):
+    """
+    One edge of a path: its direction ("SE", "SW" or "W") and its label.
+    A tuple, so that a path's steps hash and compare in C; the engine
+    builds paths from the twelve interned instances in STEP.
+    """
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dir not in ("SE", "SW", "W"):
-            raise ValueError(f"bad direction {self.dir!r}")
-        if self.label not in ("0", "1", "R", "K"):
-            raise ValueError(f"bad label {self.label!r}")
+    def __new__(cls, dir: str, label: Label):
+        if dir not in ("SE", "SW", "W"):
+            raise ValueError(f"bad direction {dir!r}")
+        if label not in ("0", "1", "R", "K"):
+            raise ValueError(f"bad label {label!r}")
+        return super().__new__(cls, dir, label)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace goes through _make, so it validates too
+        return cls(*iterable)
+
+
+STEP = {(d, label): Step(d, label)
+        for d in ("SE", "SW", "W") for label in ("0", "1", "R", "K")}
 
 
 @dataclass(frozen=True)
@@ -74,8 +88,8 @@ def initial_path(mu: Word, nu: Word) -> PuzzlePath:
         raise ValueError("word lengths differ")
     if mu.k != nu.k:
         raise ValueError("words have different numbers of 1s")
-    steps = [Step("SE", str(b)) for b in mu.bits]
-    steps += [Step("W", str(b)) for b in reversed(nu.bits)]
+    steps = [STEP["SE", str(b)] for b in mu.bits]
+    steps += [STEP["W", str(b)] for b in reversed(nu.bits)]
     return PuzzlePath(mu.n, tuple(steps))
 
 
@@ -217,24 +231,48 @@ class FillPos:
         return "done"
 
 
+def fill_site(p: PuzzlePath) -> tuple[int, FillPos] | None:
+    """
+    The kink (the index of the last SE step) and the position the next
+    piece occupies, or None once the path is final.  One pass over the
+    steps, building no vertex list; a non-final path that leaves the board
+    raises ValueError, as vertices() would.
+    """
+    n = p.n
+    a = b = 0
+    kink = None
+    off = False
+    for idx, (d, _) in enumerate(p.steps):
+        if d == "SE":
+            a += 1
+            b += 1
+            kink, ka, kb = idx, a, b
+        elif d == "SW":
+            a += 1
+        elif a != n or b < 1:
+            off = True
+        else:
+            b -= 1
+    if kink is None:
+        return None
+    if off:
+        raise ValueError("west step off the bottom row")
+    if (a, b) != (n, 0):
+        raise ValueError(f"path ends at v({a},{b}), not v({n},0)")
+    # a path that ends at v(n, 0) cannot end with its kink, and the step
+    # after the last SE step is SW or W
+    if p.steps[kink + 1].dir == "W":
+        return kink, FillPos("bottom", c=kb)
+    return kink, FillPos("rhombus", i=kb, j=kb + n - ka)
+
+
 def next_fill_position(p: PuzzlePath) -> FillPos:
     """
     The unique position the next piece occupies: the rhombus or bottom
     triangle just left of the kink.
     """
-    kink = p.kink_index()
-    if kink is None:
-        return FillPos("done")
-    verts = p.vertices()
-    a, b = verts[kink + 1]  # end of the kink edge
-    if kink + 1 >= len(p.steps):
-        raise ValueError("kink has no following step")
-    nxt = p.steps[kink + 1]
-    if nxt.dir == "W":
-        return FillPos("bottom", c=b)
-    if nxt.dir == "SW":
-        return FillPos("rhombus", i=b, j=b + p.n - a)
-    raise ValueError("two consecutive SE steps cannot both be the kink")
+    site = fill_site(p)
+    return FillPos("done") if site is None else site[1]
 
 
 # -- completed puzzles -----------------------------------------------------

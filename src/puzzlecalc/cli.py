@@ -9,6 +9,7 @@ verify (invariant sweeps).  Exit codes: 0 success, 1 bad input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -241,9 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built on the first call and reused: parsing leaves no state in the parser
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except (WordError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

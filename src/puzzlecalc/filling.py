@@ -9,17 +9,19 @@ that puzzle's contribution to a structure constant, in any of four theories:
 ordinary or torus-equivariant cohomology, and ordinary or torus-equivariant
 K-theory.  The class of a partly filled puzzle depends on its path alone, so
 structure constants are summed once per distinct path state rather than once
-per run.
+per run, and a state's continuations are derived and checked once per
+boundary pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
-from .board import (FillPos, Puzzle, PuzzlePath, RhombusPlacement, Step,
-                    TrianglePlacement, final_path_word, initial_path, is_valid,
-                    next_fill_position, validate_path)
+from .board import (STEP, FillPos, Puzzle, PuzzlePath, RhombusPlacement,
+                    TrianglePlacement, fill_site, final_path_word, initial_path,
+                    is_valid, next_fill_position, validate_path)
 from .intervalrank import DotSet, IntervalRankMatrix
 from .poly import LPoly, Poly
 from .words import Word, inversions
@@ -92,31 +94,73 @@ class Branch:
     pos: FillPos
     piece: RhombusPlacement | TrianglePlacement | None = None
 
+    @cached_property
+    def placed(self) -> tuple:
+        """The entry this branch adds to a Puzzle: ((i, j), piece) in its
+        rhombi, (c, piece) in its bottoms.  Cached, so that every puzzle
+        through this branch shares one entry."""
+        if self.kind == "triangle":
+            return self.pos.c, self.piece
+        return (self.pos.i, self.pos.j), self.piece
+
 
 def _apply_rhombus(p: PuzzlePath, kink: int, upper: str, lower: str) -> PuzzlePath:
-    steps = list(p.steps)
-    steps[kink] = Step("SW", upper)
-    steps[kink + 1] = Step("SE", lower)
-    return PuzzlePath(p.n, tuple(steps))
+    s = p.steps
+    return PuzzlePath(p.n, s[:kink] + (STEP["SW", upper], STEP["SE", lower]) + s[kink + 2:])
 
 
 def _apply_triangle(p: PuzzlePath, kink: int, left: str) -> PuzzlePath:
-    steps = list(p.steps)
-    steps[kink:kink + 2] = [Step("SW", left)]
-    return PuzzlePath(p.n, tuple(steps))
+    s = p.steps
+    return PuzzlePath(p.n, s[:kink] + (STEP["SW", left],) + s[kink + 2:])
 
 
-def legal_branches(p: PuzzlePath) -> list[tuple[Branch, PuzzlePath]]:
+class _Successors:
+    """
+    The branches of every path state met since the walk of the current
+    boundary pair began, keyed by steps.  Branches are a function of the
+    path alone, so a hit returns what a fresh derivation would.  A miss on
+    an initial path (the only paths with no SW step, so 2n steps), or on a
+    board of another size, starts a new pair and drops the old rows: the
+    table holds at most one pair's state graph.
+    """
+
+    def __init__(self):
+        self.n = 0
+        self.rows: dict[tuple, tuple[tuple[Branch, PuzzlePath], ...]] = {}
+
+    def clear(self):
+        self.n = 0
+        self.rows.clear()
+
+
+_successors = _Successors()
+
+
+def legal_branches(p: PuzzlePath) -> tuple[tuple[Branch, PuzzlePath], ...]:
     """
     The continuations of a valid, non-final path, in deterministic order:
     the forced one, or (interesting case) equivariant, shift0, shift1, topk.
     Each branch carries the piece it places; a broken invariant raises
-    InvariantError.
+    InvariantError, and is raised again on the next call.
     """
-    pos = next_fill_position(p)
-    if pos.kind == "done":
-        return []
-    kink = p.kink_index()
+    table = _successors
+    if p.n == table.n:
+        out = table.rows.get(p.steps)
+        if out is not None:
+            return out
+    out = _derive_branches(p)
+    if p.n != table.n or len(p.steps) == 2 * p.n:
+        table.rows.clear()
+        table.n = p.n
+    table.rows[p.steps] = out
+    return out
+
+
+def _derive_branches(p: PuzzlePath) -> tuple[tuple[Branch, PuzzlePath], ...]:
+    site = fill_site(p)
+    if site is None:
+        return ()
+    kink, pos = site
     klabel = p.steps[kink].label
     if pos.kind == "bottom":
         blabel = p.steps[kink + 1].label
@@ -126,7 +170,7 @@ def legal_branches(p: PuzzlePath) -> list[tuple[Branch, PuzzlePath]]:
         q = _apply_triangle(p, kink, TRIANGLE[key])
         if not is_valid(q):
             raise InvariantError(f"forced triangle at {pos} broke the path: {validate_path(q)}")
-        return [(Branch("triangle", pos, TrianglePlacement(klabel, blabel, TRIANGLE[key])), q)]
+        return ((Branch("triangle", pos, TrianglePlacement(klabel, blabel, TRIANGLE[key])), q),)
 
     slabel = p.steps[kink + 1].label
     key = (klabel, slabel)
@@ -136,7 +180,7 @@ def legal_branches(p: PuzzlePath) -> list[tuple[Branch, PuzzlePath]]:
         if not is_valid(q):
             raise InvariantError(f"forced rhombus at {pos} broke the path: {validate_path(q)}")
         piece = RhombusPlacement("boring", key, (upper, lower), BORING_MID.get(key))
-        return [(Branch("boring", pos, piece), q)]
+        return ((Branch("boring", pos, piece), q),)
     if key != ("1", "0"):
         raise InvariantError(f"unfillable rhombus {key} at {pos}")
 
@@ -154,7 +198,7 @@ def legal_branches(p: PuzzlePath) -> list[tuple[Branch, PuzzlePath]]:
         raise InvariantError(f"no shift continuation at {pos}")
     if ("topk" in kinds) != ({"shift0", "shift1"} <= kinds):
         raise InvariantError(f"topk legality out of step with the shifts at {pos}")
-    return out
+    return tuple(out)
 
 
 def branch_weight(theory: Theory, branch: Branch, n: int):
@@ -262,18 +306,23 @@ def enumerate_puzzles(mu: Word, nu: Word, lam: Word | None = None,
         return []
     prune = _PRUNED[theory] if theory is not None else set()
     out = []
-    stack = [(p, [])]
+    # a run's branches so far, newest first, as a chain (branch, rest)
+    stack: list[tuple[PuzzlePath, tuple | None]] = [(p, None)]
     while stack:
-        path, taken = stack.pop()
+        path, chain = stack.pop()
         branches = legal_branches(path)
         if branches:
-            stack.extend((q, taken + [br]) for br, q in reversed(branches)
+            stack.extend((q, (br, chain)) for br, q in reversed(branches)
                          if br.kind not in prune)
             continue
         word = final_path_word(path)
         if lam is None or word == lam:
-            rhombi = sorted(((b.pos.i, b.pos.j), b.piece) for b in taken if b.kind != "triangle")
-            bottoms = sorted((b.pos.c, b.piece) for b in taken if b.kind == "triangle")
+            rhombi, bottoms = [], []
+            while chain is not None:
+                br, chain = chain
+                (bottoms if br.kind == "triangle" else rhombi).append(br.placed)
+            rhombi.sort()
+            bottoms.sort()
             out.append(Puzzle(mu.n, word, mu, nu, tuple(rhombi), tuple(bottoms)))
     return out
 

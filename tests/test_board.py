@@ -1,7 +1,10 @@
-from puzzlecalc.board import (PuzzlePath, Step, ascii_render, final_path_word,
-                              initial_path, is_valid, next_fill_position,
-                              read_boundary, svg_render, validate_path)
-from puzzlecalc.filling import enumerate_puzzles
+import pytest
+
+from puzzlecalc.board import (STEP, FillPos, PuzzlePath, Step, ascii_render,
+                              fill_site, final_path_word, initial_path, is_valid,
+                              next_fill_position, read_boundary, svg_render,
+                              validate_path)
+from puzzlecalc.filling import enumerate_puzzles, legal_branches
 from puzzlecalc.words import all_words, parse_word
 
 
@@ -90,3 +93,73 @@ def test_path_rejects_bad_step_sequence():
     # SE after W never occurs on a staircase path
     p = PuzzlePath(2, (Step("W", "0"), Step("SE", "1")))
     assert not is_valid(p)
+
+
+def test_step_rejects_bad_direction_or_label():
+    with pytest.raises(ValueError, match="direction"):
+        Step("NE", "0")
+    with pytest.raises(ValueError, match="label"):
+        Step("SE", "2")
+    with pytest.raises(ValueError, match="label"):
+        STEP["SW", "1"]._replace(label="x")
+
+
+def test_interned_step_equals_a_fresh_one():
+    assert len(STEP) == 12
+    for (d, label), s in STEP.items():
+        fresh = Step(d, label)
+        assert s == fresh and hash(s) == hash(fresh)
+        assert (s.dir, s.label) == (d, label)
+    fresh_path = initial_path(parse_word("01"), parse_word("10")).steps
+    assert fresh_path == (Step("SE", "0"), Step("SE", "1"), Step("W", "0"), Step("W", "1"))
+    assert hash(fresh_path) == hash(tuple(Step(s.dir, s.label) for s in fresh_path))
+
+
+def test_step_repr_is_unchanged():
+    # the dictionary suite's messages embed a path's steps
+    assert repr(Step("SE", "0")) == "Step(dir='SE', label='0')"
+    assert repr(STEP["W", "1"]) == "Step(dir='W', label='1')"
+
+
+def _position_by_vertices(p: PuzzlePath) -> FillPos:
+    """next_fill_position the slow way, from the whole vertex list."""
+    kink = p.kink_index()
+    if kink is None:
+        return FillPos("done")
+    a, b = p.vertices()[kink + 1]
+    if p.steps[kink + 1].dir == "W":
+        return FillPos("bottom", c=b)
+    return FillPos("rhombus", i=b, j=b + p.n - a)
+
+
+def test_fill_position_matches_the_vertex_list_on_reachable_states():
+    seen = set()
+    for n in range(1, 6):
+        for mu, nu in _pairs(n):
+            p = initial_path(mu, nu)
+            stack = [p] if is_valid(p) else []
+            while stack:
+                path = stack.pop()
+                if path.steps in seen:
+                    continue
+                seen.add(path.steps)
+                want = _position_by_vertices(path)
+                assert next_fill_position(path) == want
+                site = fill_site(path)
+                assert (site is None) == (want.kind == "done")
+                if site is not None:
+                    assert site == (path.kink_index(), want)
+                stack.extend(q for _, q in legal_branches(path))
+    assert len(seen) > 1900
+
+
+def test_fill_position_rejects_a_west_step_off_the_bottom_row():
+    # before the kink, and after it on a path that still ends at v(n, 0)
+    for steps in [(Step("W", "0"), Step("SE", "1")),
+                  (Step("W", "0"), Step("SE", "1"), Step("SW", "0")),
+                  (Step("SE", "0"), Step("W", "0"), Step("SE", "1"), Step("W", "1")),
+                  (Step("SE", "0"), Step("W", "0"), Step("SW", "0"))]:
+        with pytest.raises(ValueError, match="west step off the bottom row"):
+            next_fill_position(PuzzlePath(2, steps))
+        with pytest.raises(ValueError, match="west step off the bottom row"):
+            fill_site(PuzzlePath(2, steps))

@@ -188,6 +188,17 @@ def test_verify_json(capsys):
     assert [s["suite"] for s in doc["suites"]] == ["hall"]
 
 
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    # main parses every call with one parser; a flag or an appended --suite
+    # of one call must not carry over to the next
+    code, out, _ = run(capsys, "verify", "--max-n", "1", "--suite", "lr", "--json")
+    assert code == 0 and [s["suite"] for s in json.loads(out)["suites"]] == ["lr"]
+    code, out, _ = run(capsys, "verify", "--max-n", "1", "--json")
+    assert code == 0 and [s["suite"] for s in json.loads(out)["suites"]] == list(_SUITES)
+    code, out, _ = run(capsys, "coeff", "--theory", "h", "--mu", "0101", "--nu", "1010")
+    assert code == 0 and out.splitlines() == ["0110: 1", "1001: 1"]
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--max-n", "2", "--suite", "nope")
     assert code == 1

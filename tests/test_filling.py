@@ -1,7 +1,10 @@
+import pytest
+
+from puzzlecalc import filling
 from puzzlecalc.board import initial_path, is_valid
-from puzzlecalc.filling import (Theory, count_puzzles, enumerate_puzzles,
-                                legal_branches, puzzle_degree_balance,
-                                structure_constants, trace)
+from puzzlecalc.filling import (InvariantError, Theory, count_puzzles,
+                                enumerate_puzzles, legal_branches,
+                                puzzle_degree_balance, structure_constants, trace)
 from puzzlecalc.poly import LPoly, Poly, eval_at_one
 from puzzlecalc.words import all_words, parse_word
 
@@ -111,3 +114,65 @@ def test_enumerate_with_lambda_filter():
     one_triangle_only = [pz for pz in enumerate_puzzles(MU, NU, lam=parse_word("1001"))
                          if pz.count("equivariant") == 0 and pz.count("topk") == 0]
     assert len(one_triangle_only) == 1
+
+
+def _reachable(mu, nu) -> dict:
+    """Every state reachable from (mu, nu), mapped to its branches."""
+    p = initial_path(mu, nu)
+    out = {}
+    stack = [p] if is_valid(p) else []
+    while stack:
+        path = stack.pop()
+        if path.steps not in out:
+            out[path.steps] = (path, legal_branches(path))
+            stack.extend(q for _, q in out[path.steps][1])
+    return out
+
+
+def test_warm_and_cold_branches_agree():
+    states = 0
+    for n in range(1, 6):
+        for k in range(n + 1):
+            for mu in all_words(n, k):
+                for nu in all_words(n, k):
+                    filling._successors.clear()
+                    reachable = _reachable(mu, nu)
+                    for path, first in reachable.values():
+                        # a second call on a walked state is a table hit
+                        assert legal_branches(path) is first
+                    for path, warm in reachable.values():
+                        filling._successors.clear()
+                        assert legal_branches(path) == warm
+                        states += 1
+    assert states > 5000
+
+
+def test_table_holds_one_pair():
+    a = (parse_word("010101"), parse_word("101010"))
+    b = (parse_word("001011"), parse_word("110100"))
+    from_a, from_b = set(_reachable(*a)), set(_reachable(*b))
+    only_a = from_a - from_b
+    assert only_a
+    for theory in Theory:
+        enumerate_puzzles(*a)
+        assert set(filling._successors.rows) == from_a
+        structure_constants(theory, *b)
+        count_puzzles(theory, *b)
+        assert set(filling._successors.rows) <= from_b
+    # a state on a board of another size starts a new table, initial or not
+    mid = next(path for path, _ in _reachable(MU, NU).values() if len(path.steps) < 8)
+    enumerate_puzzles(*a)
+    legal_branches(mid)
+    assert set(filling._successors.rows) == {mid.steps}
+
+
+def test_invariant_error_is_not_cached(monkeypatch):
+    start = initial_path(MU, NU)
+    filling._successors.clear()
+    monkeypatch.setattr(filling, "is_valid", lambda q: False)
+    for _ in range(2):
+        with pytest.raises(InvariantError):
+            legal_branches(start)
+    assert start.steps not in filling._successors.rows
+    monkeypatch.undo()
+    assert legal_branches(start)
