@@ -301,9 +301,6 @@ class Puzzle:
     rhombi: tuple[tuple[tuple[int, int], RhombusPlacement], ...]
     bottoms: tuple[tuple[int, TrianglePlacement], ...]
 
-    def rhombus_at(self, i: int, j: int) -> RhombusPlacement:
-        return dict(self.rhombi)[(i, j)]
-
     def count(self, kind: str) -> int:
         return sum(1 for _, r in self.rhombi if r.kind == kind)
 

@@ -15,7 +15,7 @@ import os
 import sys
 
 from .board import ascii_render, svg_render
-from .filling import Branch, InvariantError, Theory, branch_weight, \
+from .filling import INTERESTING, Branch, InvariantError, Theory, branch_weight, \
     count_puzzles, enumerate_puzzles, structure_constants, trace
 from .intervalrank import DotSet, covers, envelope, essential_conditions, \
     essential_set, fixed_point_in, format_dots, parse_dots, rank_from_dots
@@ -91,7 +91,16 @@ def cmd_puzzles(args) -> int:
     return 0
 
 
-_INTERESTING_KINDS = ("equivariant", "shift0", "shift1", "topk")
+_INTERESTING_KINDS = tuple(kind for kind, _, _ in INTERESTING)
+
+
+def _trace_weights(node, parent_pos) -> dict[str, str] | None:
+    """The rendered weight, per theory, of the interesting branch that led
+    to node; None when node was reached otherwise."""
+    if node.branch not in _INTERESTING_KINDS:
+        return None
+    br = Branch(node.branch, parent_pos)
+    return {t.value: render(branch_weight(t, br, node.path.n)) for t in Theory}
 
 
 def _trace_lines(node, parent_pos, depth, out):
@@ -100,12 +109,9 @@ def _trace_lines(node, parent_pos, depth, out):
     conds = essential_conditions(node.dots)
     cond_s = ", ".join(f"({i},{j}) r<={b}" for i, j, b in conds) or "none"
     line = f"{pad}{head} @ {node.pos}  codim={node.codim}  essential: {cond_s}"
-    if node.branch in _INTERESTING_KINDS:
-        n = node.path.n
-        br = Branch(node.branch, parent_pos)
-        ws = ", ".join(f"{t.value}={render(branch_weight(t, br, n))}"
-                       for t in Theory)
-        line += f"  weight: {ws}"
+    weights = _trace_weights(node, parent_pos)
+    if weights is not None:
+        line += "  weight: " + ", ".join(f"{t}={w}" for t, w in weights.items())
     out.append(line)
     for child in node.children:
         _trace_lines(child, node.pos, depth + 1, out)
@@ -120,11 +126,9 @@ def _trace_json(node, parent_pos):
         "essential": [[i, j, b] for i, j, b in essential_conditions(node.dots)],
         "children": [_trace_json(c, node.pos) for c in node.children],
     }
-    if node.branch in _INTERESTING_KINDS:
-        n = node.path.n
-        br = Branch(node.branch, parent_pos)
-        doc["weight"] = {t.value: render(branch_weight(t, br, n))
-                        for t in Theory}
+    weights = _trace_weights(node, parent_pos)
+    if weights is not None:
+        doc["weight"] = weights
     return doc
 
 
@@ -132,7 +136,7 @@ def cmd_trace(args) -> int:
     mu, nu = _pair(args.mu, args.nu)
     try:
         root = trace(mu, nu)
-    except ValueError as exc:
+    except ValueError as exc:  # the unreachable pair; other failures raise InvariantError
         raise InputError(str(exc)) from exc
     if args.json:
         doc = {"n": mu.n, "k": mu.k, "mu": str(mu), "nu": str(nu),

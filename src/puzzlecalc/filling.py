@@ -34,10 +34,6 @@ class Theory(str, Enum):
     KT = "kt"
 
     @property
-    def equivariant(self) -> bool:
-        return self in (Theory.HT, Theory.KT)
-
-    @property
     def k_theory(self) -> bool:
         return self in (Theory.K, Theory.KT)
 
@@ -245,49 +241,65 @@ _PRUNED = {
 }
 
 
+def reachable(mu: Word, nu: Word, prune=frozenset()) -> dict:
+    """
+    The state graph of the boundary pair (mu, nu): every path state reachable
+    from its initial path through branches whose kind is not in prune, keyed
+    by steps and mapped to (path, kept branches), children before parents,
+    so the initial path comes last.  An unreachable pair yields {}.
+    legal_branches is called once per distinct state.
+    """
+    p = initial_path(mu, nu)
+    if not is_valid(p):
+        return {}
+    out: dict[tuple, tuple[PuzzlePath, tuple]] = {}
+    # (path, None) asks for the path's children; (path, branches) is popped
+    # again once every child is in out
+    stack: list[tuple[PuzzlePath, tuple | None]] = [(p, None)]
+    while stack:
+        path, branches = stack.pop()
+        if branches is not None:
+            out[path.steps] = (path, branches)
+        elif path.steps not in out:
+            branches = legal_branches(path)
+            if prune:
+                branches = tuple((br, q) for br, q in branches if br.kind not in prune)
+            stack.append((path, branches))
+            stack.extend((q, None) for _, q in branches if q.steps not in out)
+    return out
+
+
 def structure_constants(theory: Theory, mu: Word, nu: Word) -> dict:
     """
     All nonzero coefficients of the product expansion for the pair (mu, nu),
     keyed by the boundary word read off each final path.  An unreachable
     boundary pair yields the empty dict.
 
-    A fold over the distinct path states, children before parents: a
-    state's value maps each final word to the sum, in branch order, of the
-    branch weight times the child's value.  Forced pieces weigh 1 and are
-    not multiplied in; cancelled coefficients are dropped only at the root.
+    A fold over the reachable states, children before parents: a state's
+    value maps each final word to the sum, in branch order, of the branch
+    weight times the child's value.  Forced pieces weigh 1 and are not
+    multiplied in; cancelled coefficients are dropped only at the root.
     """
-    p = initial_path(mu, nu)
-    if not is_valid(p):
-        return {}
     n = mu.n
     one = LPoly.const(n, 1) if theory.k_theory else Poly.const(n, 1)
-    prune = _PRUNED[theory]
+    states = reachable(mu, nu, _PRUNED[theory])
+    if not states:
+        return {}
     value: dict[tuple, dict[str, object]] = {}
-    # (path, None) asks for the path's children; (path, branches) is popped
-    # again once every child has a value
-    stack: list[tuple[PuzzlePath, list | None]] = [(p, None)]
-    while stack:
-        path, branches = stack.pop()
-        if branches is None:
-            if path.steps in value:
-                continue
-            branches = legal_branches(path)
-            if not branches:
-                value[path.steps] = {str(final_path_word(path)): one}
-                continue
-            branches = [(br, q) for br, q in branches if br.kind not in prune]
-            stack.append((path, branches))
-            stack.extend((q, None) for _, q in branches if q.steps not in value)
+    for steps, (path, branches) in states.items():
+        if not branches:
+            value[steps] = {str(final_path_word(path)): one}
         elif branches[0][0].kind in ("triangle", "boring"):
-            value[path.steps] = value[branches[0][1].steps]
+            value[steps] = value[branches[0][1].steps]
         else:
             acc: dict[str, object] = {}
             for br, q in branches:
                 w = branch_weight(theory, br, n)
                 for lam, c in value[q.steps].items():
                     acc[lam] = acc[lam] + w * c if lam in acc else w * c
-            value[path.steps] = acc
-    return {lam: c for lam, c in value[p.steps].items() if not c.is_zero()}
+            value[steps] = acc
+    root = value[next(reversed(states))]
+    return {lam: c for lam, c in root.items() if not c.is_zero()}
 
 
 def count_puzzles(theory: Theory, mu: Word, nu: Word, lam: Word | None = None) -> int:
@@ -359,7 +371,11 @@ class TraceNode:
 
 
 def trace(mu: Word, nu: Word) -> TraceNode:
-    """The full degeneration tree for (mu, nu), annotated geometrically."""
+    """
+    The full degeneration tree for (mu, nu), annotated geometrically.  An
+    unreachable pair raises ValueError; a reached state that cannot be
+    annotated raises InvariantError.
+    """
     from .intervalrank import essential_set
     from .pinkdots import path_codim, path_to_rank
 
@@ -369,9 +385,14 @@ def trace(mu: Word, nu: Word) -> TraceNode:
         raise ValueError(f"no runs for this boundary pair: {bad}")
 
     def node(path, branch):
-        d, r = path_to_rank(path)
-        return TraceNode(path, next_fill_position(path), branch, d, r,
-                         tuple(sorted(essential_set(d))), path_codim(path))
+        # path is valid here, so a failure to annotate it is a bug
+        try:
+            d, r = path_to_rank(path)
+            return TraceNode(path, next_fill_position(path), branch, d, r,
+                             tuple(sorted(essential_set(d))), path_codim(path))
+        except ValueError as exc:
+            steps = " ".join(s.dir + s.label for s in path.steps)
+            raise InvariantError(f"cannot annotate the state {steps}: {exc}") from exc
 
     root = node(p, None)
     stack = [(root, p)]

@@ -342,13 +342,6 @@ def envelope_codim(d: DotSet) -> int:
                if a < a2 and b > b2)
 
 
-def shift_basic(s: frozenset[int], i: int, j: int) -> frozenset[int]:
-    """Replace j by i in the set unless i is present or j is absent."""
-    if i in s or j not in s:
-        return s
-    return (s - {j}) | {i}
-
-
 # -- exact matrix rank -----------------------------------------------------
 
 def rank_of_matrix(m, p: int | None = None) -> int:

@@ -125,21 +125,15 @@ def _suite_pinkdots(max_n: int, report: Report):
     bad = []
     for n in range(1, max_n + 1):
         for mu, nu in _word_pairs(n):
-            p = initial_path(mu, nu)
-            if not is_valid(p):
-                continue
-            stack = [p]
-            while stack:
-                path = stack.pop()
-                d, _ = pinkdots.path_to_rank(path)
+            # children come first, so each state's dots are computed once
+            dots = {}
+            for path, branches in filling.reachable(mu, nu).values():
+                d = dots[path.steps] = pinkdots.path_to_rank(path)[0]
                 if len(d.dots) != n - mu.k:
                     bad.append(f"{mu}/{nu}: {len(d.dots)} dots, expected {n - mu.k}")
-                for br, q in filling.legal_branches(path):
-                    if br.kind in ("triangle", "boring"):
-                        d2, _ = pinkdots.path_to_rank(q)
-                        if d2 != d:
-                            bad.append(f"{mu}/{nu}: forced step at {br.pos} moved the dots")
-                    stack.append(q)
+                for br, q in branches:
+                    if br.kind in ("triangle", "boring") and dots[q.steps] != d:
+                        bad.append(f"{mu}/{nu}: forced step at {br.pos} moved the dots")
     report.record("pinkdots", not bad, "; ".join(bad[:3]))
 
 
@@ -147,33 +141,23 @@ def _suite_dictionary(max_n: int, report: Report):
     bad = []
     for n in range(1, max_n + 1):
         for mu, nu in _word_pairs(n):
-            p = initial_path(mu, nu)
-            if not is_valid(p):
-                continue
-            stack = [p]
-            while stack:
-                path = stack.pop()
-                d, r = pinkdots.path_to_rank(path)
+            # children come first, so each state's ranks are computed once
+            ranks = {}
+            for path, branches in filling.reachable(mu, nu).values():
+                d, _ = ranks[path.steps] = pinkdots.path_to_rank(path)
                 if pinkdots.path_codim(path) != ir.envelope_codim(d):
                     bad.append(f"{mu}/{nu}: codim mismatch on {path.steps}")
-                branches = filling.legal_branches(path)
-                kinds = {br.kind: q for br, q in branches}
+                kinds = {br.kind: ranks[q.steps] for br, q in branches}
                 if "equivariant" in kinds:
-                    dsw, rsw = pinkdots.path_to_rank(kinds["equivariant"])
+                    dsw, _ = kinds["equivariant"]
                     for kind in ("shift0", "shift1"):
-                        if kind in kinds:
-                            dch, _ = pinkdots.path_to_rank(kinds[kind])
-                            if dsw not in ir.covers(dch):
-                                bad.append(
-                                    f"{mu}/{nu}: sweep does not cover the {kind} child")
+                        if kind in kinds and dsw not in ir.covers(kinds[kind][0]):
+                            bad.append(
+                                f"{mu}/{nu}: sweep does not cover the {kind} child")
                     if "topk" in kinds:
-                        d0, r0 = pinkdots.path_to_rank(kinds["shift0"])
-                        d1, r1 = pinkdots.path_to_rank(kinds["shift1"])
-                        dk, rk = pinkdots.path_to_rank(kinds["topk"])
+                        r0, r1, rk = (kinds[kind][1] for kind in ("shift0", "shift1", "topk"))
                         if ir.irm_min(r0, r1) != rk:
                             bad.append(f"{mu}/{nu}: irm_min of shifts is not the K child")
-                for _, q in branches:
-                    stack.append(q)
     report.record("dictionary", not bad, "; ".join(bad[:3]))
 
 

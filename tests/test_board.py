@@ -4,7 +4,7 @@ from puzzlecalc.board import (STEP, FillPos, PuzzlePath, Step, ascii_render,
                               fill_site, final_path_word, initial_path, is_valid,
                               next_fill_position, read_boundary, svg_render,
                               validate_path)
-from puzzlecalc.filling import enumerate_puzzles, legal_branches
+from puzzlecalc.filling import enumerate_puzzles, reachable
 from puzzlecalc.words import all_words, parse_word
 
 
@@ -136,21 +136,17 @@ def test_fill_position_matches_the_vertex_list_on_reachable_states():
     seen = set()
     for n in range(1, 6):
         for mu, nu in _pairs(n):
-            p = initial_path(mu, nu)
-            stack = [p] if is_valid(p) else []
-            while stack:
-                path = stack.pop()
-                if path.steps in seen:
+            for steps, (path, _) in reachable(mu, nu).items():
+                if steps in seen:
                     continue
-                seen.add(path.steps)
+                seen.add(steps)
                 want = _position_by_vertices(path)
                 assert next_fill_position(path) == want
                 site = fill_site(path)
                 assert (site is None) == (want.kind == "done")
                 if site is not None:
                     assert site == (path.kink_index(), want)
-                stack.extend(q for _, q in legal_branches(path))
-    assert len(seen) > 1900
+    assert len(seen) == 1915
 
 
 def test_fill_position_rejects_a_west_step_off_the_bottom_row():

@@ -126,6 +126,20 @@ def test_trace_invalid_pair(capsys):
     assert code == 1
 
 
+def test_trace_annotation_failure_is_an_invariant_violation(capsys, monkeypatch):
+    # the pair is reachable, so failing to pair a state's rays is a bug,
+    # not bad input
+    def unbalanced(p, rays):
+        raise ValueError("unbalanced rays")
+
+    monkeypatch.setattr(puzzlecalc.pinkdots, "pair_dots", unbalanced)
+    code, out, err = run(capsys, "trace", "--mu", "0101", "--nu", "1010")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal invariant violation: ")
+
+
 def test_rank_essential(capsys):
     code, out, _ = run(capsys, "rank", "essential",
                        "--n", "5", "--dots", "1,5;3,3")

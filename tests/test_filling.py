@@ -1,10 +1,11 @@
 import pytest
 
 from puzzlecalc import filling
-from puzzlecalc.board import initial_path, is_valid
+from puzzlecalc.board import initial_path
 from puzzlecalc.filling import (InvariantError, Theory, count_puzzles,
                                 enumerate_puzzles, legal_branches,
-                                puzzle_degree_balance, structure_constants, trace)
+                                puzzle_degree_balance, reachable,
+                                structure_constants, trace)
 from puzzlecalc.poly import LPoly, Poly, eval_at_one
 from puzzlecalc.words import all_words, parse_word
 
@@ -79,24 +80,22 @@ def test_branch_order_is_deterministic():
                                        "shift1", "topk"].index)
 
 
-def test_topk_requires_both_shifts():
-    for n in range(1, 5):
+def _pairs(max_n):
+    for n in range(1, max_n + 1):
         for k in range(n + 1):
             for mu in all_words(n, k):
                 for nu in all_words(n, k):
-                    p = initial_path(mu, nu)
-                    if not is_valid(p):
-                        continue
-                    stack = [p]
-                    while stack:
-                        q = stack.pop()
-                        brs = legal_branches(q)
-                        kinds = {b.kind for b, _ in brs}
-                        if "topk" in kinds:
-                            assert {"shift0", "shift1"} <= kinds
-                        if "equivariant" in kinds:
-                            assert kinds & {"shift0", "shift1"}
-                        stack.extend(child for _, child in brs)
+                    yield mu, nu
+
+
+def test_topk_requires_both_shifts():
+    for mu, nu in _pairs(4):
+        for _, brs in reachable(mu, nu).values():
+            kinds = {b.kind for b, _ in brs}
+            if "topk" in kinds:
+                assert {"shift0", "shift1"} <= kinds
+            if "equivariant" in kinds:
+                assert kinds & {"shift0", "shift1"}
 
 
 def test_degree_balance_on_small_puzzles():
@@ -116,41 +115,74 @@ def test_enumerate_with_lambda_filter():
     assert len(one_triangle_only) == 1
 
 
-def _reachable(mu, nu) -> dict:
-    """Every state reachable from (mu, nu), mapped to its branches."""
-    p = initial_path(mu, nu)
-    out = {}
-    stack = [p] if is_valid(p) else []
-    while stack:
-        path = stack.pop()
-        if path.steps not in out:
-            out[path.steps] = (path, legal_branches(path))
-            stack.extend(q for _, q in out[path.steps][1])
-    return out
+def _tree_states(node):
+    """The steps of every node of a trace tree."""
+    yield node.path.steps
+    for child in node.children:
+        yield from _tree_states(child)
+
+
+def test_reachable_puts_children_before_parents():
+    for mu, nu in _pairs(5):
+        states = reachable(mu, nu)
+        order = {steps: idx for idx, steps in enumerate(states)}
+        for steps, (path, branches) in states.items():
+            assert path.steps == steps
+            assert all(order[q.steps] < order[steps] for _, q in branches)
+        if states:
+            assert next(reversed(states)) == initial_path(mu, nu).steps
+
+
+def test_reachable_is_the_tree_walk_deduplicated():
+    visits = 0
+    for mu, nu in _pairs(5):
+        states = reachable(mu, nu)
+        if not states:
+            with pytest.raises(ValueError, match="no runs"):
+                trace(mu, nu)
+            continue
+        assert set(states) == set(_tree_states(trace(mu, nu)))
+        visits += len(states)
+    assert visits == 5709
+    assert reachable(parse_word("1100"), parse_word("0011")) == {}
+
+
+def test_pruned_graph_is_reached_through_kept_branches():
+    for theory, prune in filling._PRUNED.items():
+        for mu, nu in _pairs(5):
+            full = reachable(mu, nu)
+            # parents come before children in reverse, so one pass marks
+            # every state reached from the initial path through kept branches
+            kept = {next(reversed(full))} if full else set()
+            for steps in reversed(full):
+                if steps in kept:
+                    kept.update(q.steps for br, q in full[steps][1] if br.kind not in prune)
+            pruned = reachable(mu, nu, prune)
+            assert set(pruned) == kept
+            for steps, (_, branches) in pruned.items():
+                assert branches == tuple((br, q) for br, q in full[steps][1]
+                                         if br.kind not in prune)
 
 
 def test_warm_and_cold_branches_agree():
     states = 0
-    for n in range(1, 6):
-        for k in range(n + 1):
-            for mu in all_words(n, k):
-                for nu in all_words(n, k):
-                    filling._successors.clear()
-                    reachable = _reachable(mu, nu)
-                    for path, first in reachable.values():
-                        # a second call on a walked state is a table hit
-                        assert legal_branches(path) is first
-                    for path, warm in reachable.values():
-                        filling._successors.clear()
-                        assert legal_branches(path) == warm
-                        states += 1
-    assert states > 5000
+    for mu, nu in _pairs(5):
+        filling._successors.clear()
+        walked = reachable(mu, nu)
+        for path, first in walked.values():
+            # a second call on a walked state is a table hit
+            assert legal_branches(path) is first
+        for path, warm in walked.values():
+            filling._successors.clear()
+            assert legal_branches(path) == warm
+            states += 1
+    assert states == 5709
 
 
 def test_table_holds_one_pair():
     a = (parse_word("010101"), parse_word("101010"))
     b = (parse_word("001011"), parse_word("110100"))
-    from_a, from_b = set(_reachable(*a)), set(_reachable(*b))
+    from_a, from_b = set(reachable(*a)), set(reachable(*b))
     only_a = from_a - from_b
     assert only_a
     for theory in Theory:
@@ -160,7 +192,7 @@ def test_table_holds_one_pair():
         count_puzzles(theory, *b)
         assert set(filling._successors.rows) <= from_b
     # a state on a board of another size starts a new table, initial or not
-    mid = next(path for path, _ in _reachable(MU, NU).values() if len(path.steps) < 8)
+    mid = next(path for path, _ in reachable(MU, NU).values() if len(path.steps) < 8)
     enumerate_puzzles(*a)
     legal_branches(mid)
     assert set(filling._successors.rows) == {mid.steps}

@@ -6,7 +6,7 @@ length n and hashes the exit codes, stdout and stderr into one sha256,
 which must match the digest recorded in golden.json.  The corpus is every
 pair with n <= 5 for `coeff --json` (four theories) and
 `puzzles --render ascii`, and every pair with n <= 4 for plain `coeff`
-(four theories) and `trace --json`.
+(four theories), `trace --json` and plain `trace`.
 
 The `validate-path` groups gate `board.validate_path` alone: for each
 n <= 5 they hash its messages on every initial path, every path state
@@ -26,9 +26,9 @@ import sys
 
 import pytest
 
-from puzzlecalc.board import PuzzlePath, Step, initial_path, is_valid, validate_path
+from puzzlecalc.board import PuzzlePath, Step, initial_path, validate_path
 from puzzlecalc.cli import main
-from puzzlecalc.filling import legal_branches
+from puzzlecalc.filling import reachable
 from puzzlecalc.words import all_words
 
 DIGESTS = pathlib.Path(__file__).with_name("golden.json")
@@ -46,6 +46,7 @@ def _groups():
         for t in THEORIES:
             yield f"coeff-text/{t}/{n}", cli_digest, (n, ["coeff", "--theory", t])
         yield f"trace-json/-/{n}", cli_digest, (n, ["trace", "--json"])
+        yield f"trace-text/-/{n}", cli_digest, (n, ["trace"])
 
 
 def cli_digest(n: int, argv: list[str]) -> str:
@@ -66,14 +67,8 @@ def _paths(n: int) -> set[tuple[Step, ...]]:
     for k in range(n + 1):
         for mu in all_words(n, k):
             for nu in all_words(n, k):
-                p = initial_path(mu, nu)
-                seen.add(p.steps)
-                stack = [p] if is_valid(p) else []
-                while stack:
-                    for _, q in legal_branches(stack.pop()):
-                        if q.steps not in seen:
-                            seen.add(q.steps)
-                            stack.append(q)
+                seen.add(initial_path(mu, nu).steps)
+                seen.update(reachable(mu, nu))
     return seen
 
 

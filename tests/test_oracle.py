@@ -1,5 +1,7 @@
-from puzzlecalc import intervalrank
-from puzzlecalc.oracle import Report, _suite_essential, lr_count, lr_oracle, verify_suite
+from puzzlecalc import intervalrank, pinkdots
+from puzzlecalc.intervalrank import DotSet
+from puzzlecalc.oracle import (Report, _suite_dictionary, _suite_essential,
+                               _suite_pinkdots, lr_count, lr_oracle, verify_suite)
 from puzzlecalc.words import parse_word
 
 
@@ -83,3 +85,32 @@ def test_essential_suite_catches_a_missing_cell(monkeypatch):
     report = Report()
     _suite_essential(3, 0, report, samples=200)
     assert report.results[0][:2] == ("essential", False)
+
+
+def test_dictionary_suite_catches_a_wrong_codimension(monkeypatch):
+    real = pinkdots.path_codim
+    monkeypatch.setattr(pinkdots, "path_codim", lambda p: real(p) + 1)
+    report = Report()
+    _suite_dictionary(3, report)
+    suite, ok, detail = report.results[0]
+    assert (suite, ok) == ("dictionary", False)
+    assert "codim mismatch" in detail
+
+
+def test_pinkdots_suite_catches_a_forced_step_that_moves_the_dots(monkeypatch):
+    # mirror the dots of every path with an odd number of steps: the count
+    # is kept, but a forced triangle (one step fewer) now moves them
+    real = pinkdots.path_to_rank
+
+    def mirrored(p):
+        d, r = real(p)
+        if len(p.steps) % 2:
+            d = DotSet(d.n, frozenset((d.n + 1 - j, d.n + 1 - i) for i, j in d.dots))
+        return d, r
+
+    monkeypatch.setattr(pinkdots, "path_to_rank", mirrored)
+    report = Report()
+    _suite_pinkdots(3, report)
+    suite, ok, detail = report.results[0]
+    assert (suite, ok) == ("pinkdots", False)
+    assert "moved the dots" in detail
