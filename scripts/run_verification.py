@@ -3,13 +3,14 @@
 Exhaustive small-size verification driver.
 
 Runs every invariant sweep up to --max-n, printing one PASS/FAIL line per
-suite plus total wall time.  Exit code 0 on success, 2 on any failure, so
-the script doubles as a regression gate.
+suite, then one line with each suite's wall time and one with the total.
+Exit code 0 on success, 2 on any failure, so the script doubles as a
+regression gate.
 """
 import argparse
 import time
 
-from puzzlecalc.oracle import _SUITES, verify_suite
+from puzzlecalc.oracle import _SUITES, Report, verify_suite
 
 
 def main() -> int:
@@ -20,8 +21,14 @@ def main() -> int:
                     help="restrict to the named suites (repeatable)")
     args = ap.parse_args()
     t0 = time.time()
-    rep = verify_suite(args.max_n, seed=args.seed, suites=args.suite)
+    rep = Report()
+    times = []
+    for name in args.suite or _SUITES:
+        t = time.time()
+        rep.results += verify_suite(args.max_n, seed=args.seed, suites=[name]).results
+        times.append(f"time {name}: {time.time() - t:.2f}s")
     print(rep)
+    print("\n".join(times))
     print(f"elapsed: {time.time() - t0:.1f}s")
     return 0 if rep.ok else 2
 

@@ -181,8 +181,9 @@ def cmd_rank(args) -> int:
     return 0
 
 
-# verify's cost grows steeply with --max-n: the ten suites take about 97 s
-# together at 6 (the essential suite 53 s of it) on a 2-core x86 box
+# verify's cost grows steeply with --max-n: the ten suites take about 48 s
+# together at 6 (the essential suite 25 s of it) and peak at about 51 MB RSS
+# on a 2-core x86 box
 MAX_VERIFY_N = 6
 
 

@@ -11,6 +11,7 @@ and the CLI.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -188,9 +189,10 @@ def _suite_essential(max_n: int, seed: int, report: Report, samples: int = 1000)
     all window rank bounds.
 
     Each dot set's window bounds, and which of them sit on essential cells,
-    are listed once, in the (i, j) order of intervalrank.window_ranks; that
-    computes every window rank of a sample with one incremental
-    elimination per start column."""
+    are listed once, in the (i, j) order of intervalrank.window_ranks.  All
+    samples of one (n, size) share one intervalrank.SpanTable, so a
+    window's rank is mostly a dict lookup from the span of the window one
+    column shorter; the table is dropped when the loop moves on."""
     p = 5
     rng = random.Random(seed)
     bad = []
@@ -198,6 +200,7 @@ def _suite_essential(max_n: int, seed: int, report: Report, samples: int = 1000)
         windows = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
         for size in range(n + 1):
             k = n - size
+            spans = ir.SpanTable(p, k)
             for d in ir.all_dotsets(n, size):
                 r = ir.rank_from_dots(d)
                 ess = ir.essential_set(d)
@@ -205,8 +208,8 @@ def _suite_essential(max_n: int, seed: int, report: Report, samples: int = 1000)
                 ess_bounds = [(t, bounds[t]) for t, w in enumerate(windows) if w in ess]
                 for _ in range(samples):
                     m = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
-                    ranks = ir.window_ranks(m, n, p)
-                    full = all(a <= b for a, b in zip(ranks, bounds))
+                    ranks = spans.window_ranks(m, n)
+                    full = all(map(operator.le, ranks, bounds))
                     essential = all(ranks[t] <= b for t, b in ess_bounds)
                     if full != essential:
                         bad.append(f"n={n} {d} matrix {m}")

@@ -48,7 +48,9 @@ def parse_word(s: str, n: int | None = None, k: int | None = None) -> Word:
 
     Each failure mode raises WordError with a distinct message.
     """
-    if not s or any(c not in "01" for c in s):
+    if not s:
+        raise WordError("word is empty")
+    if any(c not in "01" for c in s):
         raise WordError(f"word {s!r} contains characters outside {{0,1}}")
     w = Word(tuple(int(c) for c in s))
     if n is not None and w.n != n:

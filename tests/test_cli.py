@@ -228,6 +228,7 @@ def test_verify_unknown_suite(capsys):
     ["puzzles", "--mu", "0101", "--nu", "1010", "--threads", "2"],
     ["coeff", "--theory", "xt", "--mu", "0101", "--nu", "1010"],
     ["coeff", "--mu", "0101", "--nu", "1010"],
+    ["coeff", "--theory", "h", "--mu=", "--nu="],
     ["rank", "dots", "--n", "three"],
     ["frobnicate"],
     [],

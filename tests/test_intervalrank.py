@@ -3,13 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from puzzlecalc.intervalrank import (DotSet, all_dotsets, bruhat_leq, covers,
-                                     dots_from_rank, envelope, envelope_codim,
-                                     essential_conditions, essential_set,
-                                     fixed_point_in, format_dots, irm_min,
-                                     is_valid_rank_matrix, matching_exists,
-                                     parse_dots, rank_from_dots,
-                                     rank_of_matrix, window_ranks)
+from puzzlecalc.intervalrank import (DotSet, SpanTable, all_dotsets, bruhat_leq,
+                                     covers, dots_from_rank, envelope,
+                                     envelope_codim, essential_conditions,
+                                     essential_set, fixed_point_in, format_dots,
+                                     irm_min, is_valid_rank_matrix,
+                                     matching_exists, parse_dots,
+                                     rank_from_dots, rank_of_matrix,
+                                     window_ranks)
 from puzzlecalc.words import all_words
 
 
@@ -166,6 +167,48 @@ def test_window_ranks_examples():
     assert window_ranks([], 3, 5) == [0] * 6
     # columns 1 and 2 agree mod 5; column 3 is independent of them
     assert window_ranks([[1, 6, 0], [2, 7, 1]], 3, 5) == [1, 1, 2, 1, 2, 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.integers(1, 5), st.sampled_from([2, 3, 5]),
+       st.data())
+def test_shared_span_table_matches_rank_of_matrix(k, n, p, data):
+    # one table serves every matrix; what earlier matrices left in it must
+    # not change a later matrix's ranks
+    ms = data.draw(st.lists(
+        st.lists(st.lists(st.integers(-3, 8), min_size=n, max_size=n),
+                 min_size=k, max_size=k),
+        min_size=1, max_size=12))
+    table = SpanTable(p, k)
+    windows = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    for m in ms:
+        assert table.window_ranks(m, n) == [
+            rank_of_matrix([row[i - 1:j] for row in m], p) for (i, j) in windows]
+
+
+def test_span_table_counts_the_subspaces():
+    # GF(5)^3 has 1 + 31 + 31 + 1 = 64 subspaces; random matrices meet them
+    # all, and none twice
+    rng = random.Random(0)
+    table = SpanTable(5, 3)
+    for _ in range(300):
+        table.window_ranks([[rng.randrange(5) for _ in range(4)] for _ in range(3)], 4)
+    assert len(table) == 64
+
+
+def test_window_ranks_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="length 2, expected 3"):
+        window_ranks([[1, 2, 3], [4, 5]], 3, 5)
+    with pytest.raises(ValueError, match="length 4, expected 3"):
+        window_ranks([[1, 2, 3, 4], [4, 5, 6]], 3, 5)
+
+
+def test_span_table_rejects_a_wrong_row_count():
+    table = SpanTable(5, 2)
+    with pytest.raises(ValueError, match="3 rows"):
+        table.window_ranks([[1, 2], [3, 4], [0, 1]], 2)
+    with pytest.raises(ValueError, match="1 rows"):
+        table.window_ranks([[1, 2]], 2)
 
 
 def test_all_dotsets_counts():

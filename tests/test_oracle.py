@@ -74,7 +74,8 @@ def test_verify_suite_subset_and_seed_stability():
 
 def test_essential_suite_catches_a_missing_cell(monkeypatch):
     # without its largest cell the essential set no longer implies every
-    # window bound, and the random matrices must show it
+    # window bound, and the random matrices must show it; the detail names
+    # the first failing matrix, so it also pins the draws and their ranks
     real = intervalrank.essential_set
 
     def drop_largest(d):
@@ -84,7 +85,8 @@ def test_essential_suite_catches_a_missing_cell(monkeypatch):
     monkeypatch.setattr(intervalrank, "essential_set", drop_largest)
     report = Report()
     _suite_essential(3, 0, report, samples=200)
-    assert report.results[0][:2] == ("essential", False)
+    assert report.results == [
+        ("essential", False, "n=2 1,1 matrix [[1, 3]]; n=2 2,2 matrix [[2, 4]]")]
 
 
 def test_dictionary_suite_catches_a_wrong_codimension(monkeypatch):

@@ -24,6 +24,12 @@ def test_parse_rejects_bad_alphabet():
         parse_word("01a1")
 
 
+def test_parse_rejects_empty_word():
+    # the empty word has its own message, not the bad-alphabet one
+    with pytest.raises(WordError, match="^word is empty$"):
+        parse_word("")
+
+
 def test_parse_rejects_wrong_length():
     with pytest.raises(WordError, match="length"):
         parse_word("011", n=4)
