@@ -15,11 +15,11 @@ import os
 import sys
 
 from .board import ascii_render, svg_render
-from .filling import INTERESTING, Branch, InvariantError, Theory, branch_weight, \
-    count_puzzles, enumerate_puzzles, structure_constants, trace
-from .intervalrank import DotSet, covers, envelope, essential_conditions, \
-    essential_set, fixed_point_in, format_dots, parse_dots, rank_from_dots
-from .oracle import _SUITES, verify_suite
+from .filling import FORCED, InvariantError, Theory, branch_weight, count_puzzles, \
+    enumerate_puzzles, structure_constants, trace
+from .intervalrank import DotSet, covers, envelope, essential_set, fixed_point_in, \
+    format_dots, parse_dots, rank_from_dots
+from .oracle import UnknownSuiteError, verify_suite
 from .poly import coefficients_to_json, render
 from .words import Word, WordError, all_words, parse_word
 
@@ -91,67 +91,97 @@ def cmd_puzzles(args) -> int:
     return 0
 
 
-_INTERESTING_KINDS = tuple(kind for kind, _, _ in INTERESTING)
+def _trace_rows(root):
+    """
+    Every node of the trace tree in preorder, as (depth, node, weights):
+    weights is the rendered weight, per theory, of the interesting branch
+    that led to node, or None at the root and after a forced piece.  The
+    walk keeps its own stack, as a tree is as deep as its puzzles have
+    pieces, n(n+1)/2.
+    """
+    stack = [(0, root)]
+    while stack:
+        depth, node = stack.pop()
+        via = node.via
+        weights = None
+        if via is not None and via.kind not in FORCED:
+            weights = {t.value: render(branch_weight(t, via, node.path.n)) for t in Theory}
+        yield depth, node, weights
+        stack.extend((depth + 1, c) for c in reversed(node.children))
 
 
-def _trace_weights(node, parent_pos) -> dict[str, str] | None:
-    """The rendered weight, per theory, of the interesting branch that led
-    to node; None when node was reached otherwise."""
-    if node.branch not in _INTERESTING_KINDS:
-        return None
-    br = Branch(node.branch, parent_pos)
-    return {t.value: render(branch_weight(t, br, node.path.n)) for t in Theory}
+def _trace_text(root) -> str:
+    lines = []
+    for depth, node, weights in _trace_rows(root):
+        cond_s = ", ".join(f"({i},{j}) r<={b}" for i, j, b in node.essential) or "none"
+        line = (f"{'  ' * depth}{node.branch or 'root'} @ {node.pos}  codim={node.codim}"
+                f"  essential: {cond_s}")
+        if weights is not None:
+            line += "  weight: " + ", ".join(f"{t}={w}" for t, w in weights.items())
+        lines.append(line)
+    return "\n".join(lines)
 
 
-def _trace_lines(node, parent_pos, depth, out):
-    pad = "  " * depth
-    head = node.branch or "root"
-    conds = essential_conditions(node.dots)
-    cond_s = ", ".join(f"({i},{j}) r<={b}" for i, j, b in conds) or "none"
-    line = f"{pad}{head} @ {node.pos}  codim={node.codim}  essential: {cond_s}"
-    weights = _trace_weights(node, parent_pos)
-    if weights is not None:
-        line += "  weight: " + ", ".join(f"{t}={w}" for t, w in weights.items())
-    out.append(line)
-    for child in node.children:
-        _trace_lines(child, node.pos, depth + 1, out)
+def _trace_json(root) -> dict:
+    # spine[d] is the children list of the last node met at depth d, which
+    # in preorder is the parent of the next node at depth d + 1
+    spine: list[list] = [[]]
+    for depth, node, weights in _trace_rows(root):
+        doc = {
+            "branch": node.branch,
+            "position": str(node.pos),
+            "dots": format_dots(node.dots),
+            "codim": node.codim,
+            "essential": node.essential,
+            "children": [],
+        }
+        if weights is not None:
+            doc["weight"] = weights
+        del spine[depth + 1:]
+        spine[depth].append(doc)
+        spine.append(doc["children"])
+    return spine[0][0]
 
 
-def _trace_json(node, parent_pos):
-    doc = {
-        "branch": node.branch,
-        "position": str(node.pos),
-        "dots": format_dots(node.dots),
-        "codim": node.codim,
-        "essential": [[i, j, b] for i, j, b in essential_conditions(node.dots)],
-        "children": [_trace_json(c, node.pos) for c in node.children],
-    }
-    weights = _trace_weights(node, parent_pos)
-    if weights is not None:
-        doc["weight"] = weights
-    return doc
+# trace --json nests two JSON levels per piece of a puzzle, n(n+1) + 4 in
+# all: 934 at n = 30.  Python's json module writes and reads no deeper than
+# sys.getrecursionlimit() (1000 by default) less its caller's frames.  Plain
+# trace has no depth limit.
+MAX_TRACE_JSON_N = 30
 
 
 def cmd_trace(args) -> int:
     mu, nu = _pair(args.mu, args.nu)
+    if args.json and mu.n > MAX_TRACE_JSON_N:
+        raise InputError(f"trace --json takes words of length at most {MAX_TRACE_JSON_N}, "
+                         f"got {mu.n}")
     try:
         root = trace(mu, nu)
     except ValueError as exc:  # the unreachable pair; other failures raise InvariantError
         raise InputError(str(exc)) from exc
     if args.json:
-        doc = {"n": mu.n, "k": mu.k, "mu": str(mu), "nu": str(nu),
-               "tree": _trace_json(root, None)}
+        doc = {"n": mu.n, "k": mu.k, "mu": str(mu), "nu": str(nu), "tree": _trace_json(root)}
         print(json.dumps(doc, sort_keys=True))
     else:
-        lines: list[str] = []
-        _trace_lines(root, None, 0, lines)
-        print("\n".join(lines))
+        print(_trace_text(root))
     return 0
 
 
+# verify's cost grows steeply with --max-n: the ten suites take about 48 s
+# together at 6 (the essential suite 25 s of it) and peak at about 51 MB RSS
+# on a 2-core x86 box
+MAX_VERIFY_N = 6
+
+# rank fixed-points tests every word with n - #dots ones, C(n, n/2) at worst:
+# with n/2 dots on the diagonal it takes about 0.5 s at n = 14, 2.3-2.9 s at
+# 16 (peak RSS 24 MB) and 11.7 s at 18 on the same box; the other rank ops
+# take under 0.01 s at 18
+MAX_RANK_N = 16
+
+
 def cmd_rank(args) -> int:
-    if args.n < 1:
-        raise InputError(f"--n must be positive, got {args.n}")
+    if not 1 <= args.n <= MAX_RANK_N:
+        raise InputError(f"--n must be between 1 and {MAX_RANK_N}, got {args.n}")
     try:
         d = parse_dots(args.dots, args.n) if args.dots else DotSet(args.n, frozenset())
     except ValueError as exc:
@@ -181,21 +211,13 @@ def cmd_rank(args) -> int:
     return 0
 
 
-# verify's cost grows steeply with --max-n: the ten suites take about 48 s
-# together at 6 (the essential suite 25 s of it) and peak at about 51 MB RSS
-# on a 2-core x86 box
-MAX_VERIFY_N = 6
-
-
 def cmd_verify(args) -> int:
     if not 1 <= args.max_n <= MAX_VERIFY_N:
         raise InputError(f"--max-n must be between 1 and {MAX_VERIFY_N}, got {args.max_n}")
-    suites = args.suite or None
-    if suites:
-        unknown = [s for s in suites if s not in _SUITES]
-        if unknown:
-            raise InputError(f"unknown suite(s): {', '.join(unknown)}")
-    rep = verify_suite(args.max_n, seed=args.seed, suites=suites)
+    try:
+        rep = verify_suite(args.max_n, seed=args.seed, suites=args.suite)
+    except UnknownSuiteError as exc:
+        raise InputError(str(exc)) from exc
     if args.json:
         print(json.dumps(rep.to_json(), sort_keys=True))
     else:

@@ -22,7 +22,7 @@ from functools import cached_property
 from .board import (STEP, FillPos, Puzzle, PuzzlePath, RhombusPlacement,
                     TrianglePlacement, fill_site, final_path_word, initial_path,
                     is_valid, next_fill_position, validate_path)
-from .intervalrank import DotSet, IntervalRankMatrix
+from .intervalrank import DotSet, essential_conditions
 from .poly import LPoly, Poly
 from .words import Word, inversions
 
@@ -39,28 +39,18 @@ class Theory(str, Enum):
 
 
 # forced rhombus continuations, keyed by (kink label, following SW label):
-# value is (new upper SW label, new kink label)
+# value is (new upper SW label, new kink label, horizontal mid edge), where
+# the single K pieces have no mid edge
 BORING = {
-    ("1", "1"): ("1", "1"),
-    ("0", "0"): ("0", "0"),
-    ("0", "1"): ("1", "0"),
-    ("1", "R"): ("R", "1"),
-    ("R", "0"): ("0", "R"),
-    ("0", "R"): ("0", "1"),
-    ("R", "1"): ("0", "1"),
-    ("K", "0"): ("0", "K"),
-    ("K", "1"): ("R", "0"),
-}
-
-# horizontal mid edge of the two-triangle rhombi; single pieces have none
-BORING_MID = {
-    ("1", "1"): "1",
-    ("0", "0"): "0",
-    ("0", "1"): "R",
-    ("1", "R"): "0",
-    ("R", "0"): "1",
-    ("0", "R"): "0",
-    ("R", "1"): "1",
+    ("1", "1"): ("1", "1", "1"),
+    ("0", "0"): ("0", "0", "0"),
+    ("0", "1"): ("1", "0", "R"),
+    ("1", "R"): ("R", "1", "0"),
+    ("R", "0"): ("0", "R", "1"),
+    ("0", "R"): ("0", "1", "0"),
+    ("R", "1"): ("0", "1", "1"),
+    ("K", "0"): ("0", "K", None),
+    ("K", "1"): ("R", "0", None),
 }
 
 # bottom triangles, keyed by (kink label, bottom label) -> new SW label
@@ -70,6 +60,9 @@ TRIANGLE = {
     ("R", "1"): "0",
     ("1", "0"): "R",
 }
+
+# the kinds of the forced pieces, which weigh 1 in every theory
+FORCED = ("triangle", "boring")
 
 # the four continuations of the interesting configuration (kink 1, SW 0)
 INTERESTING = (
@@ -171,11 +164,11 @@ def _derive_branches(p: PuzzlePath) -> tuple[tuple[Branch, PuzzlePath], ...]:
     slabel = p.steps[kink + 1].label
     key = (klabel, slabel)
     if key in BORING:
-        upper, lower = BORING[key]
+        upper, lower, mid = BORING[key]
         q = _apply_rhombus(p, kink, upper, lower)
         if not is_valid(q):
             raise InvariantError(f"forced rhombus at {pos} broke the path: {validate_path(q)}")
-        piece = RhombusPlacement("boring", key, (upper, lower), BORING_MID.get(key))
+        piece = RhombusPlacement("boring", key, (upper, lower), mid)
         return ((Branch("boring", pos, piece), q),)
     if key != ("1", "0"):
         raise InvariantError(f"unfillable rhombus {key} at {pos}")
@@ -204,7 +197,7 @@ def branch_weight(theory: Theory, branch: Branch, n: int):
     """
     coh = not theory.k_theory
     one = Poly.const(n, 1) if coh else LPoly.const(n, 1)
-    if branch.kind in ("triangle", "boring"):
+    if branch.kind in FORCED:
         return one
     i, j = branch.pos.i, branch.pos.j
 
@@ -233,12 +226,12 @@ def branch_weight(theory: Theory, branch: Branch, n: int):
     raise ValueError(branch.kind)
 
 
-_PRUNED = {
-    Theory.H: {"equivariant", "topk"},
-    Theory.HT: {"topk"},
-    Theory.K: {"equivariant"},
-    Theory.KT: set(),
-}
+# per theory, the interesting kinds that branch_weight makes zero: runs
+# through them contribute nothing, so the walks leave them out (whether a
+# weight vanishes does not depend on the window it sits at)
+_PRUNED = {t: frozenset(kind for kind, _, _ in INTERESTING
+                        if branch_weight(t, Branch(kind, FillPos("rhombus", 1, 2)), 2).is_zero())
+           for t in Theory}
 
 
 def reachable(mu: Word, nu: Word, prune=frozenset()) -> dict:
@@ -289,7 +282,7 @@ def structure_constants(theory: Theory, mu: Word, nu: Word) -> dict:
     for steps, (path, branches) in states.items():
         if not branches:
             value[steps] = {str(final_path_word(path)): one}
-        elif branches[0][0].kind in ("triangle", "boring"):
+        elif branches[0][0].kind in FORCED:
             value[steps] = value[branches[0][1].steps]
         else:
             acc: dict[str, object] = {}
@@ -302,8 +295,8 @@ def structure_constants(theory: Theory, mu: Word, nu: Word) -> dict:
     return {lam: c for lam, c in root.items() if not c.is_zero()}
 
 
-def count_puzzles(theory: Theory, mu: Word, nu: Word, lam: Word | None = None) -> int:
-    return len(enumerate_puzzles(mu, nu, lam=lam, theory=theory))
+def count_puzzles(theory: Theory, mu: Word, nu: Word) -> int:
+    return len(enumerate_puzzles(mu, nu, theory=theory))
 
 
 def enumerate_puzzles(mu: Word, nu: Word, lam: Word | None = None,
@@ -355,19 +348,16 @@ def puzzle_degree_balance(pz: Puzzle) -> tuple[int, int]:
 class TraceNode:
     path: PuzzlePath
     pos: FillPos
-    branch: str | None          # branch taken to arrive here (None at root)
+    via: Branch | None          # branch taken to arrive here (None at root)
     dots: DotSet
-    rank: IntervalRankMatrix
-    essential: tuple[tuple[int, int], ...]
+    essential: list[tuple[int, int, int]]   # essential_conditions(dots)
     codim: int
     children: list["TraceNode"] = field(default_factory=list)
 
-    def leaves(self):
-        if not self.children:
-            yield self
-        else:
-            for c in self.children:
-                yield from c.leaves()
+    @property
+    def branch(self) -> str | None:
+        """The kind of the branch taken to arrive here (None at root)."""
+        return self.via.kind if self.via is not None else None
 
 
 def trace(mu: Word, nu: Word) -> TraceNode:
@@ -376,7 +366,6 @@ def trace(mu: Word, nu: Word) -> TraceNode:
     unreachable pair raises ValueError; a reached state that cannot be
     annotated raises InvariantError.
     """
-    from .intervalrank import essential_set
     from .pinkdots import path_codim, path_to_rank
 
     p = initial_path(mu, nu)
@@ -384,12 +373,12 @@ def trace(mu: Word, nu: Word) -> TraceNode:
     if bad:
         raise ValueError(f"no runs for this boundary pair: {bad}")
 
-    def node(path, branch):
+    def node(path, via):
         # path is valid here, so a failure to annotate it is a bug
         try:
             d, r = path_to_rank(path)
-            return TraceNode(path, next_fill_position(path), branch, d, r,
-                             tuple(sorted(essential_set(d))), path_codim(path))
+            return TraceNode(path, next_fill_position(path), via, d,
+                             essential_conditions(d, r), path_codim(path))
         except ValueError as exc:
             steps = " ".join(s.dir + s.label for s in path.steps)
             raise InvariantError(f"cannot annotate the state {steps}: {exc}") from exc
@@ -399,7 +388,7 @@ def trace(mu: Word, nu: Word) -> TraceNode:
     while stack:
         tn, path = stack.pop()
         for br, q in legal_branches(path):
-            child = node(q, br.kind)
+            child = node(q, br)
             tn.children.append(child)
             stack.append((child, q))
     return root

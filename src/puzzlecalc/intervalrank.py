@@ -38,12 +38,6 @@ class DotSet:
     def sorted_dots(self) -> list[tuple[int, int]]:
         return sorted(self.dots)
 
-    def dot_count_in(self, i: int, j: int) -> int:
-        """Dots (a, b) with i <= a <= b <= j; zero for an empty window."""
-        if i > j:
-            return 0
-        return sum(1 for (a, b) in self.dots if i <= a and b <= j)
-
     def __str__(self) -> str:
         return format_dots(self)
 
@@ -109,10 +103,17 @@ class IntervalRankMatrix:
 
 
 def rank_from_dots(d: DotSet) -> IntervalRankMatrix:
+    n = d.n
+    col = dict(d.dots)
+    # below[j]: the dots (a, b) with a >= i and b <= j, as i falls from n
+    below = [0] * (n + 1)
     rows = []
-    for i in range(1, d.n + 1):
-        rows.append(tuple((j - i + 1) - d.dot_count_in(i, j) for j in range(i, d.n + 1)))
-    return IntervalRankMatrix(d.n, tuple(rows))
+    for i in range(n, 0, -1):
+        if i in col:
+            for j in range(col[i], n + 1):
+                below[j] += 1
+        rows.append(tuple((j - i + 1) - below[j] for j in range(i, n + 1)))
+    return IntervalRankMatrix(n, tuple(reversed(rows)))
 
 
 def dots_from_rank(r: IntervalRankMatrix) -> DotSet:
@@ -195,13 +196,16 @@ def essential_set(d: DotSet) -> frozenset[tuple[int, int]]:
     return frozenset(cells)
 
 
-def essential_conditions(d: DotSet) -> list[tuple[int, int, int]]:
+def essential_conditions(d: DotSet, r: IntervalRankMatrix | None = None
+                         ) -> list[tuple[int, int, int]]:
     """
     Essential cells with their rank bounds, dropping bounds no k x n matrix
     can violate (those with bound >= min(k, window length), k = n - #dots).
+    r is rank_from_dots(d), computed here unless the caller has it.
     """
     k = d.n - len(d.dots)
-    r = rank_from_dots(d)
+    if r is None:
+        r = rank_from_dots(d)
     out = []
     for (i, j) in sorted(essential_set(d)):
         bound = r.entry(i, j)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import operator
 import random
+import time
 from dataclasses import dataclass, field
 
 from . import filling, intervalrank as ir, pinkdots
@@ -90,6 +91,9 @@ def lr_oracle(lam: Word, mu: Word, nu: Word) -> int:
 @dataclass
 class Report:
     results: list[tuple[str, bool, str]] = field(default_factory=list)
+    # (suite, wall seconds) per suite run; text output only, so that the
+    # JSON form stays a function of the checks alone
+    times: list[tuple[str, float]] = field(default_factory=list)
 
     def record(self, suite: str, ok: bool, detail: str = ""):
         self.results.append((suite, ok, detail))
@@ -106,6 +110,7 @@ class Report:
     def __str__(self):
         lines = [f"{'PASS' if ok else 'FAIL'} {s}" + (f": {d}" if d else "")
                  for s, ok, d in self.results]
+        lines += [f"time {s}: {secs:.2f}s" for s, secs in self.times]
         lines.append("OK" if self.ok else "FAILED")
         return "\n".join(lines)
 
@@ -338,12 +343,23 @@ _SUITES = {
 }
 
 
+class UnknownSuiteError(ValueError):
+    """verify_suite was asked for a suite it does not have."""
+
+
 def verify_suite(max_n: int, seed: int = 0, suites=None) -> Report:
-    """Run the named invariant sweeps (all by default) up to size max_n."""
-    report = Report()
+    """
+    Run the named invariant sweeps (all by default) up to size max_n, timing
+    each.  Every name is checked before any sweep runs.
+    """
     names = list(_SUITES) if suites is None else list(suites)
+    unknown = [name for name in names if name not in _SUITES]
+    if unknown:
+        raise UnknownSuiteError(f"unknown suite(s): {', '.join(unknown)}; "
+                                f"choose from {', '.join(_SUITES)}")
+    report = Report()
     for name in names:
-        if name not in _SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from {sorted(_SUITES)}")
+        t0 = time.perf_counter()
         _SUITES[name](max_n, seed, report)
+        report.times.append((name, time.perf_counter() - t0))
     return report

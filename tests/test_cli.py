@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import puzzlecalc
+from puzzlecalc import cli
 from puzzlecalc.cli import main
 from puzzlecalc.oracle import _SUITES
 
@@ -121,6 +123,32 @@ def test_trace_json(capsys):
     assert doc["tree"]["children"]
 
 
+@pytest.mark.parametrize("half", [22, 23])
+def test_plain_trace_has_no_depth_limit(capsys, half):
+    # one puzzle, so one run of n(n+1)/2 pieces: 990 at n=44, 1081 at n=46
+    word = "0" * half + "1" * half
+    code, out, err = run(capsys, "trace", "--mu", word, "--nu", word)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == half * (2 * half + 1) + 1
+    assert lines[-1].startswith("  " * (len(lines) - 1) + "triangle @ done")
+
+
+def test_trace_json_depth_limit(capsys):
+    # the deepest accepted tree reads back; one size more is one error line
+    n = cli.MAX_TRACE_JSON_N
+    word = "0" * (n // 2) + "1" * (n - n // 2)
+    code, out, _ = run(capsys, "trace", "--mu", word, "--nu", word, "--json")
+    assert code == 0
+    assert json.loads(out)["n"] == n
+    word = "0" * 15 + "1" * 16
+    assert len(word) > n
+    code, out, err = run(capsys, "trace", "--mu", word, "--nu", word, "--json")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert str(n) in err
+
+
 def test_trace_invalid_pair(capsys):
     code, _, err = run(capsys, "trace", "--mu", "100", "--nu", "010")
     assert code == 1
@@ -190,7 +218,13 @@ def test_rank_malformed_dots(capsys):
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "2")
     assert code == 0
-    assert out.splitlines()[-1] == "OK"
+    lines = out.splitlines()
+    assert lines[-1] == "OK"
+    # one wall-time line per suite, in run order, between the checks and OK
+    times = [line for line in lines if line.startswith("time ")]
+    assert lines[-1 - len(times):-1] == times
+    assert [line.split(":")[0] for line in times] == [f"time {s}" for s in _SUITES]
+    assert all(re.fullmatch(r"time \w+: \d+\.\d\ds", line) for line in times)
 
 
 def test_verify_json(capsys):
@@ -214,13 +248,15 @@ def test_reused_parser_keeps_no_state_between_calls(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    code, _, err = run(capsys, "verify", "--max-n", "2", "--suite", "nope")
-    assert code == 1
+    code, out, err = run(capsys, "verify", "--max-n", "2", "--suite", "hall", "--suite", "nope")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: unknown suite(s): nope") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [
     ["rank", "dots", "--n", "0"],
     ["rank", "essential", "--n", "-2"],
+    ["rank", "fixed-points", "--n", "17", "--dots", "1,1"],
     ["verify", "--max-n", "-1"],
     ["verify", "--max-n", "0"],
     ["verify", "--max-n", "7"],

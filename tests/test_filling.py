@@ -1,7 +1,7 @@
 import pytest
 
 from puzzlecalc import filling
-from puzzlecalc.board import initial_path
+from puzzlecalc.board import FillPos, initial_path
 from puzzlecalc.filling import (InvariantError, Theory, count_puzzles,
                                 enumerate_puzzles, legal_branches,
                                 puzzle_degree_balance, reachable,
@@ -145,6 +145,18 @@ def test_reachable_is_the_tree_walk_deduplicated():
         visits += len(states)
     assert visits == 5709
     assert reachable(parse_word("1100"), parse_word("0011")) == {}
+
+
+def test_pruned_kinds_are_those_of_zero_weight_at_every_window():
+    # _PRUNED probes one window; a kind's weight vanishes at all or at none
+    assert filling._PRUNED[Theory.H] == {"equivariant", "topk"}
+    for theory, prune in filling._PRUNED.items():
+        for n in range(2, 6):
+            for i in range(1, n):
+                for j in range(i + 1, n + 1):
+                    for kind, _, _ in filling.INTERESTING:
+                        br = filling.Branch(kind, FillPos("rhombus", i, j))
+                        assert filling.branch_weight(theory, br, n).is_zero() == (kind in prune)
 
 
 def test_pruned_graph_is_reached_through_kept_branches():

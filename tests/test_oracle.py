@@ -1,4 +1,8 @@
-from puzzlecalc import intervalrank, pinkdots
+import json
+
+import pytest
+
+from puzzlecalc import intervalrank, oracle, pinkdots
 from puzzlecalc.intervalrank import DotSet
 from puzzlecalc.oracle import (Report, _suite_dictionary, _suite_essential,
                                _suite_pinkdots, lr_count, lr_oracle, verify_suite)
@@ -70,6 +74,26 @@ def test_verify_suite_subset_and_seed_stability():
     a = verify_suite(3, seed=7, suites=["hall", "essential"])
     b = verify_suite(3, seed=7, suites=["hall", "essential"])
     assert a.to_json() == b.to_json()
+
+
+def test_verify_suite_times_each_suite_in_text_only():
+    rep = verify_suite(2, suites=["lr", "hall"])
+    assert [s for s, _ in rep.times] == ["lr", "hall"]
+    assert all(secs >= 0 for _, secs in rep.times)
+    assert str(rep).splitlines()[-3:-1] == [f"time {s}: {secs:.2f}s" for s, secs in rep.times]
+    assert "time" not in json.dumps(rep.to_json())
+
+
+def test_unknown_suite_is_refused_before_any_suite_runs(monkeypatch):
+    ran = []
+    # every name is checked before any suite runs; _SUITES dispatches
+    # through the module-level names
+    monkeypatch.setattr(oracle, "_suite_hall", lambda n, rep: ran.append(n))
+    with pytest.raises(ValueError, match="nope"):
+        verify_suite(2, suites=["hall", "nope"])
+    assert ran == []
+    verify_suite(2, suites=["hall"])
+    assert ran == [2]
 
 
 def test_essential_suite_catches_a_missing_cell(monkeypatch):

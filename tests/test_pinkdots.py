@@ -1,6 +1,6 @@
 from puzzlecalc.board import initial_path, is_valid
-from puzzlecalc.filling import trace
-from puzzlecalc.intervalrank import envelope, envelope_codim, rank_from_dots
+from puzzlecalc.filling import reachable, trace
+from puzzlecalc.intervalrank import dots_from_rank, envelope, envelope_codim, rank_from_dots
 from puzzlecalc.pinkdots import path_codim, path_to_rank, place_rays
 from puzzlecalc.words import all_words
 
@@ -65,7 +65,11 @@ def test_initial_path_envelope_is_boundary_pair():
 
 
 def test_rank_consistency():
+    # the rank matrix path_to_rank returns is its dots' own, and gives the
+    # dots back
     for n in range(1, 5):
         for mu, nu in _valid_pairs(n):
-            for node in _all_paths(mu, nu):
-                assert node.rank == rank_from_dots(node.dots)
+            for path, _ in reachable(mu, nu).values():
+                d, r = path_to_rank(path)
+                assert r == rank_from_dots(d)
+                assert dots_from_rank(r) == d
