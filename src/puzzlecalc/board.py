@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .words import Word
 
@@ -316,59 +318,95 @@ def read_boundary(pz: Puzzle) -> tuple[Word, Word, Word]:
     return pz.lam, pz.mu, pz.nu
 
 
-def _edge_labels(pz: Puzzle) -> dict:
+class _Layout(NamedTuple):
     """
-    Label of every edge in the board, reconstructed from the boundary and
-    the placements.  Keys: ("H", a, b), ("SE", a, b), ("SW", a, b) where
-    (a, b) is the upper vertex of the edge.
+    The edges of the size-n board, each with a slot number: slots count the
+    edges in the order ascii_render prints them, row by row.
     """
-    n = pz.n
-    edges = {}
-    for d in range(1, n + 1):
-        edges[("SE", d - 1, d - 1)] = str(pz.mu[d])
-    for a in range(n):
-        edges[("SW", a, 0)] = str(pz.lam[n - a])
-    for c in range(1, n + 1):
-        edges[("H", n, c)] = str(pz.nu[c])
-    rh = dict(pz.rhombi)
-    bt = dict(pz.bottoms)
-    for (i, j), r in rh.items():
-        # the rhombus occupying window (i, j): upper vertex row a with
-        # j = i + n - a, columns b = i - 1 (left side) and b = i (right side)
-        a = i + n - j
-        edges[("SW", a - 1, i - 1)] = r.left[0]
-        edges[("SE", a, i - 1)] = r.left[1]
-        edges[("SE", a - 1, i - 1)] = r.right[0]
-        edges[("SW", a, i)] = r.right[1]
-        if r.mid is not None:
-            edges[("H", a, i)] = r.mid
-    for c, t in bt.items():
-        edges[("SW", n - 1, c - 1)] = t.left
-        edges[("SE", n - 1, c - 1)] = t.diag
-    return edges
+    keys: tuple[tuple[str, int, int], ...]   # ("H"|"SE"|"SW", a, b) per slot
+    template: str   # the ASCII text with one {} per slot
+    mu: tuple[int, ...]   # the NE boundary edges, mu[1..n]
+    lam: tuple[int, ...]   # the NW boundary edges, lam[1..n]
+    nu: tuple[int, ...]   # the bottom edges, nu[1..n]
+    # window (i, j) -> its left /, left \\, right \\, right / and mid edges
+    rhombus: dict[tuple[int, int], tuple[int, int, int, int, int]]
+    bottom: dict[int, tuple[int, int]]   # triangle c -> its / and \\ edges
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int) -> _Layout:
+    """
+    The board's geometry, once per size.  The edge with upper vertex v(a, b)
+    is ("H", a, b) when horizontal (it joins v(a, b-1) and v(a, b)), ("SE",
+    a, b) when written \\ and ("SW", a, b) when written /.
+    """
+    keys = []
+
+    def slot(kind, a, b):
+        keys.append((kind, a, b))
+        return "{}"
+
+    lines = []
+    for a in range(1, n + 1):
+        indent = "  " * (n - a)
+        lines.append(indent + " ".join(f"/{slot('SW', a - 1, b)} \\{slot('SE', a - 1, b)}"
+                                       for b in range(a)))
+        lines.append(indent + "  " + "    ".join(f"-{slot('H', a, b)}" for b in range(1, a + 1)))
+    at = {key: s for s, key in enumerate(keys)}
+    rhombus = {}
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            # the rhombus occupying window (i, j): upper vertex row a with
+            # j = i + n - a, columns b = i - 1 (left side) and b = i (right side)
+            a = i + n - j
+            rhombus[i, j] = (at["SW", a - 1, i - 1], at["SE", a, i - 1],
+                             at["SE", a - 1, i - 1], at["SW", a, i], at["H", a, i])
+    return _Layout(
+        keys=tuple(keys),
+        template="\n".join(lines),
+        mu=tuple(at["SE", d - 1, d - 1] for d in range(1, n + 1)),
+        lam=tuple(at["SW", n - q, 0] for q in range(1, n + 1)),
+        nu=tuple(at["H", n, c] for c in range(1, n + 1)),
+        rhombus=rhombus,
+        bottom={c: (at["SW", n - 1, c - 1], at["SE", n - 1, c - 1]) for c in range(1, n + 1)},
+    )
+
+
+_BIT = ("0", "1")
+
+
+def _edge_labels(pz: Puzzle) -> list[Label | None]:
+    """
+    Label of every edge in the board, in slot order, reconstructed from the
+    boundary and the placements; None on the mid edge of a piece that has
+    none.
+    """
+    lay = _layout(pz.n)
+    labels: list[Label | None] = [None] * len(lay.keys)
+    for word, slots in ((pz.mu, lay.mu), (pz.lam, lay.lam), (pz.nu, lay.nu)):
+        for s, bit in zip(slots, word.bits):
+            labels[s] = _BIT[bit]
+    rhombus = lay.rhombus
+    for pos, r in pz.rhombi:
+        left_sw, left_se, right_se, right_sw, mid = rhombus[pos]
+        labels[left_sw], labels[left_se] = r.left
+        labels[right_se], labels[right_sw] = r.right
+        labels[mid] = r.mid
+    bottom = lay.bottom
+    for c, t in pz.bottoms:
+        left, diag = bottom[c]
+        labels[left] = t.left
+        labels[diag] = t.diag
+    return labels
 
 
 def ascii_render(pz: Puzzle) -> str:
     """
     One text row per board row: the zigzag of / and \\ edge labels, then the
-    horizontal edge labels underneath (blank where there is no edge).
+    horizontal edge labels underneath (-- where a piece has no mid edge).
     """
-    n = pz.n
-    edges = _edge_labels(pz)
-    lines = []
-    for a in range(1, n + 1):
-        indent = "  " * (n - a)
-        zig = []
-        for b in range(a):
-            zig.append("/" + edges[("SW", a - 1, b)])
-            zig.append("\\" + edges[("SE", a - 1, b)])
-        lines.append(indent + " ".join(zig))
-        horiz = []
-        for b in range(1, a + 1):
-            lab = edges.get(("H", a, b))
-            horiz.append("--" if lab is None else f"-{lab}")
-        lines.append(indent + "  " + "    ".join(horiz))
-    return "\n".join(lines)
+    return _layout(pz.n).template.format(
+        *["-" if lab is None else lab for lab in _edge_labels(pz)])
 
 
 _PIECE_FILL = {"equivariant": "#fbb", "topk": "#bbf", "boring": None,
@@ -381,31 +419,38 @@ def svg_render(pz: Puzzle) -> str:
     n = pz.n
     s = 60.0
     h = s * 3 ** 0.5 / 2
+    lay = _layout(n)
 
-    def xy(a, b):
+    def ends(slot):
+        # the edge's end points v(a, b), from the upper vertex (a, b) of its key
+        kind, a, b = lay.keys[slot]
+        if kind == "H":
+            return (a, b - 1), (a, b)
+        return (a, b), (a + 1, b + 1 if kind == "SE" else b)
+
+    def xy(v):
         # v(a, b): row a down from apex, b steps SE of the NW boundary
+        a, b = v
         x = (n - a) * s / 2 + b * s
         y = a * h
         return x + 10, y + 10
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{n * s + 20:.0f}" '
              f'height="{n * h + 20:.0f}" font-size="12" text-anchor="middle">']
-    rh = dict(pz.rhombi)
-    for (i, j), r in sorted(rh.items()):
+    for pos, r in sorted(pz.rhombi):
         fill = _PIECE_FILL.get(r.kind)
         if fill:
-            a = i + n - j
-            pts = [xy(a - 1, i - 1), xy(a, i), xy(a + 1, i), xy(a, i - 1)]
-            poly = " ".join(f"{x:.1f},{y:.1f}" for x, y in pts)
+            _, left_se, right_se, right_sw, _ = lay.rhombus[pos]
+            top, right = ends(right_se)
+            bottom, left = ends(right_sw)[1], ends(left_se)[0]
+            poly = " ".join(f"{x:.1f},{y:.1f}" for x, y in map(xy, (top, right, bottom, left)))
             parts.append(f'<polygon points="{poly}" fill="{fill}" stroke="none"/>')
-    edges = _edge_labels(pz)
-    for (kind, a, b), lab in sorted(edges.items()):
-        if kind == "H":
-            p1, p2 = xy(a, b - 1), xy(a, b)
-        elif kind == "SE":
-            p1, p2 = xy(a, b), xy(a + 1, b + 1)
-        else:
-            p1, p2 = xy(a, b), xy(a + 1, b)
+    labels = _edge_labels(pz)
+    for slot in sorted(range(len(labels)), key=lay.keys.__getitem__):
+        lab = labels[slot]
+        if lab is None:
+            continue
+        p1, p2 = map(xy, ends(slot))
         parts.append(f'<line x1="{p1[0]:.1f}" y1="{p1[1]:.1f}" '
                      f'x2="{p2[0]:.1f}" y2="{p2[1]:.1f}" stroke="#444"/>')
         mx, my = (p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2

@@ -171,29 +171,20 @@ def essential_set(d: DotSet) -> frozenset[tuple[int, int]]:
     Cross out everything strictly south or strictly west of each dot, then
     every cell in a dotless row or column; among surviving upper-triangular
     cells keep those with nothing surviving immediately north or east.
+    A surviving cell lies in a dot's row and a dot's column, so only those
+    cells are tried, each by O(1) lookups in the dots' row and column maps.
     """
     n = d.n
-    dot_rows = {i for i, _ in d.dots}
-    dot_cols = {j for _, j in d.dots}
+    col_of = dict(d.dots)  # row -> column of its dot
+    row_of = {j: i for i, j in d.dots}  # column -> row of its dot
 
     def survives(i, j):
-        if not (1 <= i <= j <= n):
-            return False
-        if i not in dot_rows or j not in dot_cols:
-            return False
-        for (a, b) in d.dots:
-            if b == j and a < i:  # strictly south of dot (a, j)
-                return False
-            if a == i and b > j:  # strictly west of dot (i, b)
-                return False
-        return True
+        # row i's dot is not east of column j, and column j's dot is not
+        # north of row i; as a dot has i <= j, so does a surviving cell
+        return col_of.get(i, n + 1) <= j and row_of.get(j, 0) >= i
 
-    cells = set()
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            if survives(i, j) and not survives(i - 1, j) and not survives(i, j + 1):
-                cells.add((i, j))
-    return frozenset(cells)
+    return frozenset((i, j) for i in col_of for j in row_of
+                     if survives(i, j) and not survives(i - 1, j) and not survives(i, j + 1))
 
 
 def essential_conditions(d: DotSet, r: IntervalRankMatrix | None = None

@@ -159,3 +159,107 @@ def test_fill_position_rejects_a_west_step_off_the_bottom_row():
             next_fill_position(PuzzlePath(2, steps))
         with pytest.raises(ValueError, match="west step off the bottom row"):
             fill_site(PuzzlePath(2, steps))
+
+
+# -- rendering against the dict-based renderers it replaced ----------------
+
+def _reference_edge_labels(pz):
+    """Every edge label keyed by ("H"|"SE"|"SW", a, b), (a, b) the upper vertex."""
+    n = pz.n
+    edges = {}
+    for d in range(1, n + 1):
+        edges[("SE", d - 1, d - 1)] = str(pz.mu[d])
+    for a in range(n):
+        edges[("SW", a, 0)] = str(pz.lam[n - a])
+    for c in range(1, n + 1):
+        edges[("H", n, c)] = str(pz.nu[c])
+    for (i, j), r in dict(pz.rhombi).items():
+        a = i + n - j
+        edges[("SW", a - 1, i - 1)] = r.left[0]
+        edges[("SE", a, i - 1)] = r.left[1]
+        edges[("SE", a - 1, i - 1)] = r.right[0]
+        edges[("SW", a, i)] = r.right[1]
+        if r.mid is not None:
+            edges[("H", a, i)] = r.mid
+    for c, t in dict(pz.bottoms).items():
+        edges[("SW", n - 1, c - 1)] = t.left
+        edges[("SE", n - 1, c - 1)] = t.diag
+    return edges
+
+
+def _reference_ascii(pz):
+    n = pz.n
+    edges = _reference_edge_labels(pz)
+    lines = []
+    for a in range(1, n + 1):
+        indent = "  " * (n - a)
+        zig = []
+        for b in range(a):
+            zig.append("/" + edges[("SW", a - 1, b)])
+            zig.append("\\" + edges[("SE", a - 1, b)])
+        lines.append(indent + " ".join(zig))
+        horiz = []
+        for b in range(1, a + 1):
+            lab = edges.get(("H", a, b))
+            horiz.append("--" if lab is None else f"-{lab}")
+        lines.append(indent + "  " + "    ".join(horiz))
+    return "\n".join(lines)
+
+
+def _reference_svg(pz):
+    n = pz.n
+    s = 60.0
+    h = s * 3 ** 0.5 / 2
+
+    def xy(a, b):
+        return (n - a) * s / 2 + b * s + 10, a * h + 10
+
+    fills = {"equivariant": "#fbb", "topk": "#bbf"}
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{n * s + 20:.0f}" '
+             f'height="{n * h + 20:.0f}" font-size="12" text-anchor="middle">']
+    for (i, j), r in sorted(dict(pz.rhombi).items()):
+        fill = fills.get(r.kind)
+        if fill:
+            a = i + n - j
+            pts = [xy(a - 1, i - 1), xy(a, i), xy(a + 1, i), xy(a, i - 1)]
+            poly = " ".join(f"{x:.1f},{y:.1f}" for x, y in pts)
+            parts.append(f'<polygon points="{poly}" fill="{fill}" stroke="none"/>')
+    for (kind, a, b), lab in sorted(_reference_edge_labels(pz).items()):
+        if kind == "H":
+            p1, p2 = xy(a, b - 1), xy(a, b)
+        elif kind == "SE":
+            p1, p2 = xy(a, b), xy(a + 1, b + 1)
+        else:
+            p1, p2 = xy(a, b), xy(a + 1, b)
+        parts.append(f'<line x1="{p1[0]:.1f}" y1="{p1[1]:.1f}" '
+                     f'x2="{p2[0]:.1f}" y2="{p2[1]:.1f}" stroke="#444"/>')
+        mx, my = (p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2
+        parts.append(f'<text x="{mx:.1f}" y="{my - 2:.1f}">{lab}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+# pairs beyond the golden corpus (n <= 5), n = 7 being the benchmark's size;
+# six of them have topk pieces, which have no mid edge
+RENDER_PAIRS = [
+    ("101010", "111000"), ("010011", "010101"), ("000111", "100011"),
+    ("100011", "110010"), ("010101", "010101"), ("110001", "110100"),
+    ("001101", "100110"),
+    ("0010110", "0110100"), ("0101001", "0101010"), ("1001010", "1100010"),
+    ("0000111", "0010101"), ("0101110", "1111000"), ("0010111", "1110010"),
+    ("0100111", "1110001"),
+    ("00101011", "01111000"), ("01010011", "01111000"), ("00100111", "10100101"),
+    ("10100101", "11000110"), ("00001111", "11000011"),
+]
+
+
+def test_renderers_match_the_dict_based_reference_beyond_the_golden_range():
+    kinds = set()
+    for mu, nu in RENDER_PAIRS:
+        pzs = enumerate_puzzles(parse_word(mu), parse_word(nu))
+        assert pzs
+        for pz in pzs:
+            kinds.update(r.kind for _, r in pz.rhombi)
+            assert ascii_render(pz) == _reference_ascii(pz)
+            assert svg_render(pz) == _reference_svg(pz)
+    assert {"equivariant", "topk"} <= kinds

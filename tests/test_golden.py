@@ -8,14 +8,23 @@ pair with n <= 5 for `coeff --json` (four theories) and
 `puzzles --render ascii`, and every pair with n <= 4 for plain `coeff`
 (four theories), `trace --json` and plain `trace`.
 
+The `puzzles-svg` groups gate `board.svg_render` through the library,
+as `puzzles --render svg` writes files: for each n <= 5 they hash the SVG
+of every puzzle of every pair.
+
 The `validate-path` groups gate `board.validate_path` alone: for each
 n <= 5 they hash its messages on every initial path, every path state
 reachable from a valid one, and every relabelling of one step of those
 paths to another of 0, 1, R and K.
 
-Rewrite the digests only when an output change is intended:
+`--write` records the digest of every group missing from golden.json and
+leaves the others alone:
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+It first recomputes every recorded group; if any differs from its digest,
+it lists those groups and exits 1 without writing.  To accept an intended
+output change, delete that group's entry from golden.json, then write.
 """
 import contextlib
 import hashlib
@@ -26,9 +35,9 @@ import sys
 
 import pytest
 
-from puzzlecalc.board import PuzzlePath, Step, initial_path, validate_path
+from puzzlecalc.board import PuzzlePath, Step, initial_path, svg_render, validate_path
 from puzzlecalc.cli import main
-from puzzlecalc.filling import reachable
+from puzzlecalc.filling import enumerate_puzzles, reachable
 from puzzlecalc.words import all_words
 
 DIGESTS = pathlib.Path(__file__).with_name("golden.json")
@@ -41,6 +50,7 @@ def _groups():
         for t in THEORIES:
             yield f"coeff-json/{t}/{n}", cli_digest, (n, ["coeff", "--theory", t, "--json"])
         yield f"puzzles-ascii/-/{n}", cli_digest, (n, ["puzzles", "--render", "ascii"])
+        yield f"puzzles-svg/-/{n}", svg_digest, (n,)
         yield f"validate-path/-/{n}", validate_path_digest, (n,)
     for n in range(1, 5):
         for t in THEORIES:
@@ -49,26 +59,37 @@ def _groups():
         yield f"trace-text/-/{n}", cli_digest, (n, ["trace"])
 
 
-def cli_digest(n: int, argv: list[str]) -> str:
-    h = hashlib.sha256()
+def _pairs(n: int):
     for k in range(n + 1):
         for mu in all_words(n, k):
             for nu in all_words(n, k):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    rc = main(argv + ["--mu", str(mu), "--nu", str(nu)])
-                h.update(f"{mu} {nu} {rc}\n{out.getvalue()}{err.getvalue()}".encode())
+                yield mu, nu
+
+
+def cli_digest(n: int, argv: list[str]) -> str:
+    h = hashlib.sha256()
+    for mu, nu in _pairs(n):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv + ["--mu", str(mu), "--nu", str(nu)])
+        h.update(f"{mu} {nu} {rc}\n{out.getvalue()}{err.getvalue()}".encode())
+    return h.hexdigest()
+
+
+def svg_digest(n: int) -> str:
+    h = hashlib.sha256()
+    for mu, nu in _pairs(n):
+        for pz in enumerate_puzzles(mu, nu):
+            h.update(f"{mu} {nu} {pz.lam}\n{svg_render(pz)}\n".encode())
     return h.hexdigest()
 
 
 def _paths(n: int) -> set[tuple[Step, ...]]:
     """Every initial path of length n and every state reachable from a valid one."""
     seen = set()
-    for k in range(n + 1):
-        for mu in all_words(n, k):
-            for nu in all_words(n, k):
-                seen.add(initial_path(mu, nu).steps)
-                seen.update(reachable(mu, nu))
+    for mu, nu in _pairs(n):
+        seen.add(initial_path(mu, nu).steps)
+        seen.update(reachable(mu, nu))
     return seen
 
 
@@ -100,6 +121,15 @@ def test_output_matches_golden_digest(group):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_golden.py --write")
-    doc = {name: fn(*args) for name, (fn, args) in sorted(GROUPS.items())}
+    doc = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    changed = [name for name, want in sorted(doc.items())
+               if name in GROUPS and GROUPS[name][0](*GROUPS[name][1]) != want]
+    if changed:
+        print("digest changed, nothing written (delete a group's entry to accept its new output):")
+        for name in changed:
+            print(f"  {name}")
+        sys.exit(1)
+    new = {name: fn(*args) for name, (fn, args) in sorted(GROUPS.items()) if name not in doc}
+    doc.update(new)
     DIGESTS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(doc)} digests to {DIGESTS}")
+    print(f"wrote {len(new)} new digests to {DIGESTS}")

@@ -80,6 +80,42 @@ def test_essential_conditions_filters_vacuous():
     assert essential_conditions(d) == [(1, 2, 1)]
 
 
+def _essential_set_by_scanning(d):
+    """essential_set as it was first written: survives scans every dot."""
+    n = d.n
+    dot_rows = {i for i, _ in d.dots}
+    dot_cols = {j for _, j in d.dots}
+
+    def survives(i, j):
+        if not (1 <= i <= j <= n):
+            return False
+        if i not in dot_rows or j not in dot_cols:
+            return False
+        for (a, b) in d.dots:
+            if b == j and a < i:  # strictly south of dot (a, j)
+                return False
+            if a == i and b > j:  # strictly west of dot (i, b)
+                return False
+        return True
+
+    cells = set()
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            if survives(i, j) and not survives(i - 1, j) and not survives(i, j + 1):
+                cells.add((i, j))
+    return frozenset(cells)
+
+
+def test_essential_set_matches_the_scanning_reference_up_to_n6():
+    count = 0
+    for n in range(1, 7):
+        for size in range(n + 1):
+            for d in all_dotsets(n, size):
+                assert essential_set(d) == _essential_set_by_scanning(d), d
+                count += 1
+    assert count == 1154
+
+
 @given(dotsets)
 def test_essential_subset_of_cells(d):
     n = d.n
