@@ -80,9 +80,6 @@ class PuzzlePath:
                 return idx
         return None
 
-    def is_final(self) -> bool:
-        return self.kink_index() is None
-
 
 def initial_path(mu: Word, nu: Word) -> PuzzlePath:
     """Down the NE boundary reading mu, then west along the bottom against nu."""
@@ -100,7 +97,7 @@ def final_path_word(p: PuzzlePath) -> Word:
     Read the NW boundary word off a final path: position q of the word is
     the label at depth n + 1 - q, i.e. the path is read from the bottom up.
     """
-    if not p.is_final():
+    if p.kink_index() is not None:
         raise ValueError("path still has SE steps")
     return Word(tuple(int(s.label) for s in reversed(p.steps)))
 
@@ -305,17 +302,6 @@ class Puzzle:
 
     def count(self, kind: str) -> int:
         return sum(1 for _, r in self.rhombi if r.kind == kind)
-
-
-def read_boundary(pz: Puzzle) -> tuple[Word, Word, Word]:
-    """(lambda, mu, nu) of a completed puzzle; errors if positions are missing."""
-    n = pz.n
-    want_rhombi = {(i, j) for i in range(1, n) for j in range(i + 1, n + 1)}
-    if {pos for pos, _ in pz.rhombi} != want_rhombi:
-        raise ValueError("incomplete puzzle: missing rhombus placements")
-    if {c for c, _ in pz.bottoms} != set(range(1, n + 1)):
-        raise ValueError("incomplete puzzle: missing bottom triangles")
-    return pz.lam, pz.mu, pz.nu
 
 
 class _Layout(NamedTuple):

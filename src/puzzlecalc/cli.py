@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
 
 from .board import ascii_render, svg_render
 from .filling import FORCED, InvariantError, Theory, branch_weight, count_puzzles, \
-    enumerate_puzzles, structure_constants, trace
+    enumerate_puzzles, structure_constants, trace_rows
 from .intervalrank import DotSet, covers, envelope, essential_set, fixed_point_in, \
     format_dots, parse_dots, rank_from_dots
 from .oracle import UnknownSuiteError, verify_suite
@@ -91,42 +92,19 @@ def cmd_puzzles(args) -> int:
     return 0
 
 
-def _trace_rows(root):
-    """
-    Every node of the trace tree in preorder, as (depth, node, weights):
-    weights is the rendered weight, per theory, of the interesting branch
-    that led to node, or None at the root and after a forced piece.  The
-    walk keeps its own stack, as a tree is as deep as its puzzles have
-    pieces, n(n+1)/2.
-    """
-    stack = [(0, root)]
-    while stack:
-        depth, node = stack.pop()
-        via = node.via
-        weights = None
-        if via is not None and via.kind not in FORCED:
-            weights = {t.value: render(branch_weight(t, via, node.path.n)) for t in Theory}
-        yield depth, node, weights
-        stack.extend((depth + 1, c) for c in reversed(node.children))
+def _weights(node) -> dict | None:
+    # per theory, the rendered weight of the interesting branch that led here
+    via = node.via
+    if via is None or via.kind in FORCED:
+        return None
+    return {t.value: render(branch_weight(t, via, node.path.n)) for t in Theory}
 
 
-def _trace_text(root) -> str:
-    lines = []
-    for depth, node, weights in _trace_rows(root):
-        cond_s = ", ".join(f"({i},{j}) r<={b}" for i, j, b in node.essential) or "none"
-        line = (f"{'  ' * depth}{node.branch or 'root'} @ {node.pos}  codim={node.codim}"
-                f"  essential: {cond_s}")
-        if weights is not None:
-            line += "  weight: " + ", ".join(f"{t}={w}" for t, w in weights.items())
-        lines.append(line)
-    return "\n".join(lines)
-
-
-def _trace_json(root) -> dict:
+def _trace_json(rows) -> dict:
     # spine[d] is the children list of the last node met at depth d, which
     # in preorder is the parent of the next node at depth d + 1
     spine: list[list] = [[]]
-    for depth, node, weights in _trace_rows(root):
+    for depth, node in rows:
         doc = {
             "branch": node.branch,
             "position": str(node.pos),
@@ -135,6 +113,7 @@ def _trace_json(root) -> dict:
             "essential": node.essential,
             "children": [],
         }
+        weights = _weights(node)
         if weights is not None:
             doc["weight"] = weights
         del spine[depth + 1:]
@@ -145,8 +124,9 @@ def _trace_json(root) -> dict:
 
 # trace --json nests two JSON levels per piece of a puzzle, n(n+1) + 4 in
 # all: 934 at n = 30.  Python's json module writes and reads no deeper than
-# sys.getrecursionlimit() (1000 by default) less its caller's frames.  Plain
-# trace has no depth limit.
+# sys.getrecursionlimit() (1000 by default) less its caller's frames, so a
+# deep enough caller gets an error line even below this bound.  Plain trace
+# has no depth limit.
 MAX_TRACE_JSON_N = 30
 
 
@@ -155,15 +135,28 @@ def cmd_trace(args) -> int:
     if args.json and mu.n > MAX_TRACE_JSON_N:
         raise InputError(f"trace --json takes words of length at most {MAX_TRACE_JSON_N}, "
                          f"got {mu.n}")
+    rows = trace_rows(mu, nu)
     try:
-        root = trace(mu, nu)
+        first = next(rows)
     except ValueError as exc:  # the unreachable pair; other failures raise InvariantError
         raise InputError(str(exc)) from exc
+    rows = itertools.chain([first], rows)
     if args.json:
-        doc = {"n": mu.n, "k": mu.k, "mu": str(mu), "nu": str(nu), "tree": _trace_json(root)}
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        print(_trace_text(root))
+        doc = {"n": mu.n, "k": mu.k, "mu": str(mu), "nu": str(nu), "tree": _trace_json(rows)}
+        try:
+            text = json.dumps(doc, sort_keys=True)
+        except RecursionError as exc:  # from a caller deep in the stack
+            raise InputError(f"trace --json: {exc}") from exc
+        print(text)
+        return 0
+    for depth, node in rows:
+        cond_s = ", ".join(f"({i},{j}) r<={b}" for i, j, b in node.essential) or "none"
+        line = (f"{'  ' * depth}{node.branch or 'root'} @ {node.pos}  codim={node.codim}"
+                f"  essential: {cond_s}")
+        weights = _weights(node)
+        if weights is not None:
+            line += "  weight: " + ", ".join(f"{t}={w}" for t, w in weights.items())
+        print(line)
     return 0
 
 

@@ -299,6 +299,27 @@ def count_puzzles(theory: Theory, mu: Word, nu: Word) -> int:
     return len(enumerate_puzzles(mu, nu, theory=theory))
 
 
+def runs(mu: Word, nu: Word, prune=frozenset()):
+    """
+    Every run of the boundary pair (mu, nu), as a preorder walk of its tree
+    with branches in order: for each node, (depth, via, path, branches),
+    where via is the branch taken to arrive (None at the root) and branches
+    is legal_branches(path), called exactly once per node.  Only children
+    whose kind is not in prune are visited, so a node whose branches are all
+    pruned is not a leaf.  An unreachable pair yields nothing.
+    """
+    p = initial_path(mu, nu)
+    if not is_valid(p):
+        return
+    stack: list[tuple[int, Branch | None, PuzzlePath]] = [(0, None, p)]
+    while stack:
+        depth, via, path = stack.pop()
+        branches = legal_branches(path)
+        yield depth, via, path, branches
+        stack.extend((depth + 1, br, q) for br, q in reversed(branches)
+                     if br.kind not in prune)
+
+
 def enumerate_puzzles(mu: Word, nu: Word, lam: Word | None = None,
                       theory: Theory | None = None) -> list[Puzzle]:
     """
@@ -306,25 +327,22 @@ def enumerate_puzzles(mu: Word, nu: Word, lam: Word | None = None,
     boundary word lam, pruned to branches of nonzero weight when a theory
     is given.  Each puzzle is assembled from the pieces its run placed.
     """
-    p = initial_path(mu, nu)
-    if not is_valid(p):
-        return []
-    prune = _PRUNED[theory] if theory is not None else set()
+    prune = _PRUNED[theory] if theory is not None else frozenset()
     out = []
-    # a run's branches so far, newest first, as a chain (branch, rest)
-    stack: list[tuple[PuzzlePath, tuple | None]] = [(p, None)]
-    while stack:
-        path, chain = stack.pop()
-        branches = legal_branches(path)
+    run: list[Branch] = []   # the branches of the current run, root first
+    words: dict[tuple, Word] = {}   # final word per final state
+    for depth, via, path, branches in runs(mu, nu, prune):
+        if depth:
+            del run[depth - 1:]
+            run.append(via)
         if branches:
-            stack.extend((q, (br, chain)) for br, q in reversed(branches)
-                         if br.kind not in prune)
             continue
-        word = final_path_word(path)
+        word = words.get(path.steps)
+        if word is None:
+            word = words[path.steps] = final_path_word(path)
         if lam is None or word == lam:
             rhombi, bottoms = [], []
-            while chain is not None:
-                br, chain = chain
+            for br in run:
                 (bottoms if br.kind == "triangle" else rhombi).append(br.placed)
             rhombi.sort()
             bottoms.sort()
@@ -360,35 +378,37 @@ class TraceNode:
         return self.via.kind if self.via is not None else None
 
 
-def trace(mu: Word, nu: Word) -> TraceNode:
+def trace_rows(mu: Word, nu: Word):
     """
-    The full degeneration tree for (mu, nu), annotated geometrically.  An
-    unreachable pair raises ValueError; a reached state that cannot be
+    The degeneration tree of (mu, nu) in preorder, as (depth, TraceNode)
+    with no children linked, annotated geometrically.  An unreachable pair
+    raises ValueError before the first row; a reached state that cannot be
     annotated raises InvariantError.
     """
     from .pinkdots import path_codim, path_to_rank
 
-    p = initial_path(mu, nu)
-    bad = validate_path(p)
+    bad = validate_path(initial_path(mu, nu))
     if bad:
         raise ValueError(f"no runs for this boundary pair: {bad}")
-
-    def node(path, via):
+    for depth, via, path, _ in runs(mu, nu):
         # path is valid here, so a failure to annotate it is a bug
         try:
             d, r = path_to_rank(path)
-            return TraceNode(path, next_fill_position(path), via, d,
+            node = TraceNode(path, next_fill_position(path), via, d,
                              essential_conditions(d, r), path_codim(path))
         except ValueError as exc:
             steps = " ".join(s.dir + s.label for s in path.steps)
             raise InvariantError(f"cannot annotate the state {steps}: {exc}") from exc
+        yield depth, node
 
-    root = node(p, None)
-    stack = [(root, p)]
-    while stack:
-        tn, path = stack.pop()
-        for br, q in legal_branches(path):
-            child = node(q, br)
-            tn.children.append(child)
-            stack.append((child, q))
-    return root
+
+def trace(mu: Word, nu: Word) -> TraceNode:
+    """The full degeneration tree for (mu, nu): trace_rows, linked."""
+    # spine[d] is the last node met at depth d: the parent of the next row
+    spine: list[TraceNode] = []
+    for depth, node in trace_rows(mu, nu):
+        del spine[depth:]
+        if spine:
+            spine[-1].children.append(node)
+        spine.append(node)
+    return spine[0]

@@ -138,7 +138,7 @@ def _suite_pinkdots(max_n: int, report: Report):
                 if len(d.dots) != n - mu.k:
                     bad.append(f"{mu}/{nu}: {len(d.dots)} dots, expected {n - mu.k}")
                 for br, q in branches:
-                    if br.kind in ("triangle", "boring") and dots[q.steps] != d:
+                    if br.kind in filling.FORCED and dots[q.steps] != d:
                         bad.append(f"{mu}/{nu}: forced step at {br.pos} moved the dots")
     report.record("pinkdots", not bad, "; ".join(bad[:3]))
 

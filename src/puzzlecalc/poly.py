@@ -164,9 +164,6 @@ class _Sparse:
     def constant_term(self) -> int:
         return self._coeffs.get((0,) * self.n, 0)
 
-    def sum_of_coefficients(self) -> int:
-        return sum(self._coeffs.values())
-
     def __repr__(self):
         return f"{type(self).__name__}({self.n}, {list(self.terms)})"
 
@@ -211,7 +208,7 @@ class LPoly(_Sparse):
 
 def eval_at_one(p: LPoly | Poly) -> int:
     """Specialize every y_i to 0 in an LPoly (so E(e) -> 1), summing coefficients."""
-    return p.sum_of_coefficients()
+    return sum(p._coeffs.values())
 
 
 def y_to_zero(p: Poly) -> int:

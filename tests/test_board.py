@@ -2,7 +2,7 @@ import pytest
 
 from puzzlecalc.board import (STEP, FillPos, PuzzlePath, Step, ascii_render,
                               fill_site, final_path_word, initial_path, is_valid,
-                              next_fill_position, read_boundary, svg_render,
+                              next_fill_position, svg_render,
                               validate_path)
 from puzzlecalc.filling import enumerate_puzzles, reachable
 from puzzlecalc.words import all_words, parse_word
@@ -65,15 +65,6 @@ def test_next_fill_position_initial():
 def test_kink_index_is_last_se():
     p = initial_path(parse_word("01"), parse_word("10"))
     assert p.kink_index() == 1
-
-
-def test_read_boundary_round_trip():
-    mu = parse_word("0101")
-    nu = parse_word("1010")
-    for pz in enumerate_puzzles(mu, nu):
-        lam, m2, n2 = read_boundary(pz)
-        assert (str(m2), str(n2)) == ("0101", "1010")
-        assert lam == pz.lam
 
 
 def test_ascii_render_has_row_per_depth():

@@ -149,6 +149,42 @@ def test_trace_json_depth_limit(capsys):
     assert str(n) in err
 
 
+def test_trace_json_from_a_deep_caller(capsys):
+    # the widest accepted word from 60 frames down: json runs out of stack,
+    # which is one error line, not a traceback
+    word = "0" * 15 + "1" * 15
+
+    def deep(frames):
+        if frames:
+            return deep(frames - 1)
+        return main(["trace", "--mu", word, "--nu", word, "--json"])
+
+    code, out, err = deep(60), *capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_plain_trace_streams_its_rows(monkeypatch):
+    # the root's row is written before any child's branches are derived
+    calls, calls_at_write = [], []
+    legal_branches = puzzlecalc.filling.legal_branches
+
+    def counted(p):
+        calls.append(p)
+        return legal_branches(p)
+
+    class Stdout(io.StringIO):
+        def write(self, text):
+            calls_at_write.append(len(calls))
+            return super().write(text)
+
+    monkeypatch.setattr(puzzlecalc.filling, "legal_branches", counted)
+    with contextlib.redirect_stdout(Stdout()) as out:
+        assert main(["trace", "--mu", "010101", "--nu", "101010"]) == 0
+    assert calls_at_write[0] == 1
+    assert len(calls) == len(out.getvalue().splitlines()) > 1
+
+
 def test_trace_invalid_pair(capsys):
     code, _, err = run(capsys, "trace", "--mu", "100", "--nu", "010")
     assert code == 1

@@ -2,9 +2,9 @@ import pytest
 
 from puzzlecalc import filling
 from puzzlecalc.board import FillPos, initial_path
-from puzzlecalc.filling import (InvariantError, Theory, count_puzzles,
+from puzzlecalc.filling import (_PRUNED, InvariantError, Theory, count_puzzles,
                                 enumerate_puzzles, legal_branches,
-                                puzzle_degree_balance, reachable,
+                                puzzle_degree_balance, reachable, runs,
                                 structure_constants, trace)
 from puzzlecalc.poly import LPoly, Poly, eval_at_one
 from puzzlecalc.words import all_words, parse_word
@@ -115,11 +115,9 @@ def test_enumerate_with_lambda_filter():
     assert len(one_triangle_only) == 1
 
 
-def _tree_states(node):
-    """The steps of every node of a trace tree."""
-    yield node.path.steps
-    for child in node.children:
-        yield from _tree_states(child)
+def _tree_states(mu, nu):
+    """The steps of every node of the run tree of (mu, nu)."""
+    return {path.steps for _, _, path, _ in runs(mu, nu)}
 
 
 def test_reachable_puts_children_before_parents():
@@ -141,10 +139,35 @@ def test_reachable_is_the_tree_walk_deduplicated():
             with pytest.raises(ValueError, match="no runs"):
                 trace(mu, nu)
             continue
-        assert set(states) == set(_tree_states(trace(mu, nu)))
+        assert set(states) == _tree_states(mu, nu)
         visits += len(states)
     assert visits == 5709
     assert reachable(parse_word("1100"), parse_word("0011")) == {}
+
+
+def _preorder(node):
+    """(steps, via) of every node of a trace tree, in preorder."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node.path.steps, node.via
+        stack.extend(reversed(node.children))
+
+
+def test_runs_is_the_trace_tree_in_preorder():
+    nodes = 0
+    for mu, nu in _pairs(5):
+        walk = [(path.steps, via) for _, via, path, _ in runs(mu, nu)]
+        if not walk:
+            with pytest.raises(ValueError, match="no runs"):
+                trace(mu, nu)
+            continue
+        assert walk == list(_preorder(trace(mu, nu)))
+        nodes += len(walk)
+        for theory in Theory:
+            leaves = sum(1 for *_, branches in runs(mu, nu, _PRUNED[theory]) if not branches)
+            assert leaves == count_puzzles(theory, mu, nu)
+    assert nodes == 8201
 
 
 def test_pruned_kinds_are_those_of_zero_weight_at_every_window():

@@ -52,11 +52,11 @@ def _groups():
         yield f"puzzles-ascii/-/{n}", cli_digest, (n, ["puzzles", "--render", "ascii"])
         yield f"puzzles-svg/-/{n}", svg_digest, (n,)
         yield f"validate-path/-/{n}", validate_path_digest, (n,)
+        yield f"trace-json/-/{n}", cli_digest, (n, ["trace", "--json"])
+        yield f"trace-text/-/{n}", cli_digest, (n, ["trace"])
     for n in range(1, 5):
         for t in THEORIES:
             yield f"coeff-text/{t}/{n}", cli_digest, (n, ["coeff", "--theory", t])
-        yield f"trace-json/-/{n}", cli_digest, (n, ["trace", "--json"])
-        yield f"trace-text/-/{n}", cli_digest, (n, ["trace"])
 
 
 def _pairs(n: int):

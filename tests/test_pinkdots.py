@@ -1,5 +1,5 @@
 from puzzlecalc.board import initial_path, is_valid
-from puzzlecalc.filling import reachable, trace
+from puzzlecalc.filling import reachable, trace_rows
 from puzzlecalc.intervalrank import dots_from_rank, envelope, envelope_codim, rank_from_dots
 from puzzlecalc.pinkdots import path_codim, path_to_rank, place_rays
 from puzzlecalc.words import all_words
@@ -14,18 +14,18 @@ def _valid_pairs(n):
 
 
 def _all_paths(mu, nu):
-    root = trace(mu, nu)
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node.children)
+    """Every node of the trace of (mu, nu), with its parent (None at the root)."""
+    spine = []
+    for depth, node in trace_rows(mu, nu):
+        del spine[depth:]
+        yield (spine[-1] if spine else None), node
+        spine.append(node)
 
 
 def test_dot_count_is_n_minus_k():
     for n in range(1, 5):
         for mu, nu in _valid_pairs(n):
-            for node in _all_paths(mu, nu):
+            for _, node in _all_paths(mu, nu):
                 assert len(node.dots.dots) == n - mu.k
 
 
@@ -42,16 +42,15 @@ def test_rays_balance():
 def test_boring_steps_preserve_dots():
     for n in range(1, 5):
         for mu, nu in _valid_pairs(n):
-            for node in _all_paths(mu, nu):
-                for child in node.children:
-                    if child.branch in ("boring", "triangle"):
-                        assert child.dots == node.dots
+            for parent, node in _all_paths(mu, nu):
+                if node.branch in ("boring", "triangle"):
+                    assert node.dots == parent.dots
 
 
 def test_codim_formula_matches_dot_geometry():
     for n in range(1, 6):
         for mu, nu in _valid_pairs(n):
-            for node in _all_paths(mu, nu):
+            for _, node in _all_paths(mu, nu):
                 assert path_codim(node.path) == envelope_codim(node.dots)
 
 
