@@ -9,11 +9,11 @@ from .board import (Puzzle, PuzzlePath, Step, ascii_render, final_path_word,
                     validate_path)
 from .filling import (Theory, branch_weight, enumerate_puzzles, legal_branches,
                       reachable, runs, structure_constants, trace, trace_rows)
-from .intervalrank import (DotSet, IntervalRankMatrix, SpanTable, covers,
-                           dots_from_rank, envelope, envelope_codim,
-                           essential_conditions, essential_set, fixed_point_in,
-                           format_dots, irm_min, matching_exists, parse_dots,
-                           rank_from_dots, rank_of_matrix, window_ranks)
+from .intervalrank import (DotSet, IntervalRankMatrix, covers, dots_from_rank,
+                           envelope, envelope_codim, essential_conditions,
+                           essential_set, fixed_point_in, format_dots, irm_min,
+                           matching_exists, parse_dots, rank_from_dots,
+                           rank_of_matrix)
 from .oracle import Report, lr_oracle, verify_suite
 from .pinkdots import path_codim, path_to_rank, place_rays
 from .poly import (LPoly, Poly, eval_at_one, lowest_form, parse, render,

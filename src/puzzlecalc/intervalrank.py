@@ -365,121 +365,6 @@ def rank_of_matrix(m, p: int | None = None) -> int:
     return rank
 
 
-class SpanTable:
-    """
-    The subspaces of GF(p)^k met so far, numbered in the order they appear.
-
-    Span 0 is the zero subspace.  Each span is stored once, keyed by its
-    reduced row echelon basis, with its dimension in dim[s].  A column (a
-    tuple of k integers) is first mapped to the number of the line it spans
-    (0 for a zero column), and each span keeps a dict from a line's number
-    to the span of the two together.  A pair not yet in that dict costs one
-    exact elimination; after that the step is a lookup.  Over GF(5) with
-    k <= 3 there are at most 64 spans, so nearly every step is a lookup.
-    """
-
-    def __init__(self, p: int, k: int):
-        self.p = p
-        self.k = k
-        self.dim = [0]
-        self._basis = [()]  # per span: ((pivot, row), ...) in pivot order
-        self._number = {(): 0}  # basis -> span
-        self._join = [{}]  # per span: line -> span of the two together
-        self._line = {}  # column -> the line it spans (0 for a zero column)
-
-    def __len__(self) -> int:
-        return len(self.dim)
-
-    def _store(self, basis) -> int:
-        """The number of the span with this basis, numbering it if new."""
-        s = self._number.get(basis)
-        if s is None:
-            s = self._number[basis] = len(self.dim)
-            self._basis.append(basis)
-            self.dim.append(len(basis))
-            self._join.append({})
-        return s
-
-    def _unit(self, v):
-        """(pivot, v scaled to 1 there) for the first nonzero entry of v, or None."""
-        p = self.p
-        for piv, x in enumerate(v):
-            if x:
-                inv = pow(x, -1, p)
-                return piv, tuple(y * inv % p for y in v)
-        return None
-
-    def _line_of(self, col) -> int:
-        """Number the line col spans, and remember it for col."""
-        u = self._unit([x % self.p for x in col])
-        line = self._line[col] = 0 if u is None else self._store((u,))
-        return line
-
-    def _extend(self, s: int, line: int) -> int:
-        """The span of span s and a line, found by one elimination and stored."""
-        p = self.p
-        basis = self._basis[s]
-        t = s
-        if line:
-            ((_, v),) = self._basis[line]
-            for piv, b in basis:
-                f = v[piv]
-                if f:
-                    v = [(x - f * y) % p for x, y in zip(v, b)]
-            u = self._unit(v)
-            if u is not None:
-                piv, v = u
-                rows = [(q, b if not b[piv] else
-                         tuple((x - b[piv] * y) % p for x, y in zip(b, v)))
-                        for q, b in basis]
-                t = self._store(tuple(sorted(rows + [u])))
-        self._join[s][line] = t
-        return t
-
-    def window_ranks(self, m, n: int) -> list[int]:
-        """
-        GF(p) rank of columns i..j of the k x n matrix m for every window
-        1 <= i <= j <= n, in lexicographic (i, j) order.
-
-        One walk per start column i: each further column j moves the span
-        of columns i..j-1 to that of i..j, whose dimension is the window's
-        rank.  Once the span is all of GF(p)^k, every later window from i
-        has rank k.
-        """
-        k = self.k
-        if len(m) != k:
-            raise ValueError(f"matrix has {len(m)} rows; the table holds spans in GF({self.p})^{k}")
-        for row in m:
-            if len(row) != n:
-                raise ValueError(f"matrix row {list(row)} has length {len(row)}, expected {n}")
-        lines = []
-        for col in zip(*m):
-            line = self._line.get(col)
-            lines.append(self._line_of(col) if line is None else line)
-        dim, join = self.dim, self._join
-        out = []
-        for i in range(n):
-            s = 0
-            for j in range(i, n):
-                if dim[s] == k:
-                    out.extend([k] * (n - j))
-                    break
-                line = lines[j]
-                t = join[s].get(line)
-                s = self._extend(s, line) if t is None else t
-                out.append(dim[s])
-        return out
-
-
-def window_ranks(m, n: int, p: int) -> list[int]:
-    """
-    GF(p) rank of columns i..j of the k x n matrix m for every window
-    1 <= i <= j <= n, in lexicographic (i, j) order, from a fresh
-    SpanTable.  Callers with many matrices of one shape share a table.
-    """
-    return SpanTable(p, len(m)).window_ranks(m, n)
-
-
 def all_dotsets(n: int, size: int) -> list[DotSet]:
     """Every DotSet of the given cardinality, deterministically ordered."""
     cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]

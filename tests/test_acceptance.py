@@ -105,9 +105,9 @@ def test_criterion_7_geometry_dictionary():
 
 def test_criterion_8_hall_and_essential():
     ok1, d1 = _suite_ok(lambda r: oracle._suite_hall(6, r))
-    ok2, d2 = _suite_ok(lambda r: oracle._suite_essential(4, 0, r, samples=1000))
-    _verdict(8, "Hall equivalence exhaustive n<=6; essential bounds on 1000 "
-             "random matrices per dot set", ok1 and ok2,
+    ok2, d2 = _suite_ok(lambda r: oracle._suite_essential(6, r))
+    _verdict(8, "Hall equivalence exhaustive n<=6; essential bounds derived "
+             "to imply every window bound for every matrix, n<=6", ok1 and ok2,
              "; ".join(filter(None, [d1, d2])))
 
 

@@ -3,14 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from puzzlecalc.intervalrank import (DotSet, SpanTable, all_dotsets, bruhat_leq,
-                                     covers, dots_from_rank, envelope,
-                                     envelope_codim, essential_conditions,
-                                     essential_set, fixed_point_in, format_dots,
-                                     irm_min, is_valid_rank_matrix,
-                                     matching_exists, parse_dots,
-                                     rank_from_dots, rank_of_matrix,
-                                     window_ranks)
+from puzzlecalc.intervalrank import (DotSet, all_dotsets, bruhat_leq, covers,
+                                     dots_from_rank, envelope, envelope_codim,
+                                     essential_conditions, essential_set,
+                                     fixed_point_in, format_dots, irm_min,
+                                     is_valid_rank_matrix, matching_exists,
+                                     parse_dots, rank_from_dots,
+                                     rank_of_matrix)
 from puzzlecalc.words import all_words
 
 
@@ -173,78 +172,33 @@ def test_rank_of_matrix_prime_field():
     assert rank_of_matrix([[5, 0], [0, 1]]) == 2
 
 
-@st.composite
-def _matrices(draw):
-    """A k x n integer matrix (k <= 5, n <= 6) with entries outside 0..p-1,
-    sometimes all zero or with some columns repeating others."""
-    k = draw(st.integers(0, 5))
-    n = draw(st.integers(1, 6))
-    m = [draw(st.lists(st.integers(-7, 12), min_size=n, max_size=n))
-         for _ in range(k)]
-    shape = draw(st.sampled_from(["random", "zero", "repeated"]))
-    if shape == "zero":
-        m = [[0] * n for _ in range(k)]
-    elif shape == "repeated":
-        src = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-        m = [[row[c] for c in src] for row in m]
-    return m, n
-
-
 @settings(max_examples=300, deadline=None)
-@given(_matrices(), st.sampled_from([2, 3, 5, 7]))
-def test_window_ranks_match_rank_of_matrix(mn, p):
-    m, n = mn
-    windows = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    assert window_ranks(m, n, p) == [
-        rank_of_matrix([row[i - 1:j] for row in m], p) for (i, j) in windows]
+@given(dotsets, st.sampled_from([2, 3, 5]), st.randoms(use_true_random=False))
+def test_essential_bounds_imply_every_window_bound(d, p, rng):
+    # a k x n matrix over GF(p) whose column j is, for each dot (i, j), a
+    # combination of columns i..j-1 meets every window bound; with one
+    # column redrawn, meeting the essential bounds must still imply them all
+    n, k = d.n, d.n - len(d.dots)
+    row_of = {j: i for i, j in d.dots}
+    cols = []
+    for j in range(1, n + 1):
+        if j in row_of:
+            span = cols[row_of[j] - 1:j - 1]
+            coeffs = [rng.randrange(p) for _ in span]
+            cols.append([sum(c * col[t] for c, col in zip(coeffs, span)) % p
+                         for t in range(k)])
+        else:
+            cols.append([rng.randrange(p) for _ in range(k)])
+    r = rank_from_dots(d)
 
+    def meets(bounds):
+        return all(rank_of_matrix(list(zip(*cols[i - 1:j])), p) <= b
+                   for i, j, b in bounds)
 
-def test_window_ranks_examples():
-    assert window_ranks([], 3, 5) == [0] * 6
-    # columns 1 and 2 agree mod 5; column 3 is independent of them
-    assert window_ranks([[1, 6, 0], [2, 7, 1]], 3, 5) == [1, 1, 2, 1, 2, 1]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 4), st.integers(1, 5), st.sampled_from([2, 3, 5]),
-       st.data())
-def test_shared_span_table_matches_rank_of_matrix(k, n, p, data):
-    # one table serves every matrix; what earlier matrices left in it must
-    # not change a later matrix's ranks
-    ms = data.draw(st.lists(
-        st.lists(st.lists(st.integers(-3, 8), min_size=n, max_size=n),
-                 min_size=k, max_size=k),
-        min_size=1, max_size=12))
-    table = SpanTable(p, k)
-    windows = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    for m in ms:
-        assert table.window_ranks(m, n) == [
-            rank_of_matrix([row[i - 1:j] for row in m], p) for (i, j) in windows]
-
-
-def test_span_table_counts_the_subspaces():
-    # GF(5)^3 has 1 + 31 + 31 + 1 = 64 subspaces; random matrices meet them
-    # all, and none twice
-    rng = random.Random(0)
-    table = SpanTable(5, 3)
-    for _ in range(300):
-        table.window_ranks([[rng.randrange(5) for _ in range(4)] for _ in range(3)], 4)
-    assert len(table) == 64
-
-
-def test_window_ranks_rejects_ragged_rows():
-    with pytest.raises(ValueError, match="length 2, expected 3"):
-        window_ranks([[1, 2, 3], [4, 5]], 3, 5)
-    with pytest.raises(ValueError, match="length 4, expected 3"):
-        window_ranks([[1, 2, 3, 4], [4, 5, 6]], 3, 5)
-
-
-def test_span_table_rejects_a_wrong_row_count():
-    table = SpanTable(5, 2)
-    with pytest.raises(ValueError, match="3 rows"):
-        table.window_ranks([[1, 2], [3, 4], [0, 1]], 2)
-    with pytest.raises(ValueError, match="1 rows"):
-        table.window_ranks([[1, 2]], 2)
+    assert meets(r.entries())
+    cols[rng.randrange(n)] = [rng.randrange(p) for _ in range(k)]
+    if meets(essential_conditions(d, r)):
+        assert meets(r.entries())
 
 
 def test_all_dotsets_counts():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from puzzlecalc import intervalrank, oracle, pinkdots
+from puzzlecalc.cli import main
 from puzzlecalc.intervalrank import DotSet
 from puzzlecalc.oracle import (Report, _suite_dictionary, _suite_essential,
                                _suite_pinkdots, lr_count, lr_oracle, verify_suite)
@@ -64,16 +65,24 @@ def test_report_formatting():
 
 
 def test_verify_suite_small():
-    rep = verify_suite(3, seed=0)
+    rep = verify_suite(3)
     assert rep.ok, str(rep)
     names = [s for s, _, _ in rep.results]
     assert len(names) == len(set(names)) == 10
 
 
-def test_verify_suite_subset_and_seed_stability():
-    a = verify_suite(3, seed=7, suites=["hall", "essential"])
-    b = verify_suite(3, seed=7, suites=["hall", "essential"])
+def test_verify_suite_subset_and_seed_stability(capsys):
+    # no suite draws random numbers: a run repeats itself, and the CLI's
+    # --seed changes nothing
+    a = verify_suite(3, suites=["hall", "essential"])
+    b = verify_suite(3, suites=["hall", "essential"])
     assert a.to_json() == b.to_json()
+    outs = []
+    for seed in ("0", "7"):
+        assert main(["verify", "--max-n", "3", "--suite", "essential",
+                     "--seed", seed, "--json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_verify_suite_times_each_suite_in_text_only():
@@ -98,8 +107,8 @@ def test_unknown_suite_is_refused_before_any_suite_runs(monkeypatch):
 
 def test_essential_suite_catches_a_missing_cell(monkeypatch):
     # without its largest cell the essential set no longer implies every
-    # window bound, and the random matrices must show it; the detail names
-    # the first failing matrix, so it also pins the draws and their ranks
+    # window bound, and the derivation must show it; the detail names each
+    # dot set's first window whose bound it cannot derive
     real = intervalrank.essential_set
 
     def drop_largest(d):
@@ -108,9 +117,9 @@ def test_essential_suite_catches_a_missing_cell(monkeypatch):
 
     monkeypatch.setattr(intervalrank, "essential_set", drop_largest)
     report = Report()
-    _suite_essential(3, 0, report, samples=200)
+    _suite_essential(3, report)
     assert report.results == [
-        ("essential", False, "n=2 1,1 matrix [[1, 3]]; n=2 2,2 matrix [[2, 4]]")]
+        ("essential", False, "n=2 1,1 window [1,1]; n=2 2,2 window [2,2]")]
 
 
 def test_dictionary_suite_catches_a_wrong_codimension(monkeypatch):
