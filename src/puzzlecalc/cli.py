@@ -100,41 +100,31 @@ def _weights(node) -> dict | None:
     return {t.value: render(branch_weight(t, via, node.path.n)) for t in Theory}
 
 
-def _trace_json(rows) -> dict:
-    # spine[d] is the children list of the last node met at depth d, which
-    # in preorder is the parent of the next node at depth d + 1
-    spine: list[list] = [[]]
+def _write_trace_json(head: dict, rows) -> None:
+    # json.dumps({**head, "tree": tree}, sort_keys=True), written as the rows
+    # arrive.  "tree" sorts after head's keys and "children" second in a
+    # node, so a node opens as {"branch": ..., "children": [ and closing[d]
+    # holds the text that ends the open node at depth d: "], " and its
+    # remaining keys.
+    write = sys.stdout.write
+    write(json.dumps(head, sort_keys=True)[:-1] + ', "tree": ')
+    closing: list[str] = []
     for depth, node in rows:
-        doc = {
-            "branch": node.branch,
-            "position": str(node.pos),
-            "dots": format_dots(node.dots),
-            "codim": node.codim,
-            "essential": node.essential,
-            "children": [],
-        }
+        if depth < len(closing):  # a sibling: end it and its open descendants
+            write("".join(reversed(closing[depth:])) + ", ")
+            del closing[depth:]
+        rest = {"position": str(node.pos), "dots": format_dots(node.dots),
+                "codim": node.codim, "essential": node.essential}
         weights = _weights(node)
         if weights is not None:
-            doc["weight"] = weights
-        del spine[depth + 1:]
-        spine[depth].append(doc)
-        spine.append(doc["children"])
-    return spine[0][0]
-
-
-# trace --json nests two JSON levels per piece of a puzzle, n(n+1) + 4 in
-# all: 934 at n = 30.  Python's json module writes and reads no deeper than
-# sys.getrecursionlimit() (1000 by default) less its caller's frames, so a
-# deep enough caller gets an error line even below this bound.  Plain trace
-# has no depth limit.
-MAX_TRACE_JSON_N = 30
+            rest["weight"] = weights
+        write('{"branch": ' + json.dumps(node.branch) + ', "children": [')
+        closing.append("], " + json.dumps(rest, sort_keys=True)[1:])
+    write("".join(reversed(closing)) + "}\n")
 
 
 def cmd_trace(args) -> int:
     mu, nu = _pair(args.mu, args.nu)
-    if args.json and mu.n > MAX_TRACE_JSON_N:
-        raise InputError(f"trace --json takes words of length at most {MAX_TRACE_JSON_N}, "
-                         f"got {mu.n}")
     rows = trace_rows(mu, nu)
     try:
         first = next(rows)
@@ -142,12 +132,7 @@ def cmd_trace(args) -> int:
         raise InputError(str(exc)) from exc
     rows = itertools.chain([first], rows)
     if args.json:
-        doc = {"n": mu.n, "k": mu.k, "mu": str(mu), "nu": str(nu), "tree": _trace_json(rows)}
-        try:
-            text = json.dumps(doc, sort_keys=True)
-        except RecursionError as exc:  # from a caller deep in the stack
-            raise InputError(f"trace --json: {exc}") from exc
-        print(text)
+        _write_trace_json({"n": mu.n, "k": mu.k, "mu": str(mu), "nu": str(nu)}, rows)
         return 0
     for depth, node in rows:
         cond_s = ", ".join(f"({i},{j}) r<={b}" for i, j, b in node.essential) or "none"

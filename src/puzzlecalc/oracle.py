@@ -263,12 +263,10 @@ def _suite_commute(max_n: int, report: Report):
     report.record("commute", not bad, "; ".join(bad[:3]))
 
 
-def _suite_lr(max_n: int, report: Report, max_k: int | None = None):
+def _suite_lr(max_n: int, report: Report):
     bad = []
     for n in range(1, max_n + 1):
         for k in range(0, n + 1):
-            if max_k is not None and k > max_k:
-                continue
             ws = all_words(n, k)
             for mu in ws:
                 for nu in ws:

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import puzzlecalc
-from puzzlecalc import cli
 from puzzlecalc.cli import main
 from puzzlecalc.oracle import _SUITES
 
@@ -134,38 +133,45 @@ def test_plain_trace_has_no_depth_limit(capsys, half):
     assert lines[-1].startswith("  " * (len(lines) - 1) + "triangle @ done")
 
 
-def test_trace_json_depth_limit(capsys):
-    # the deepest accepted tree reads back; one size more is one error line
-    n = cli.MAX_TRACE_JSON_N
-    word = "0" * (n // 2) + "1" * (n - n // 2)
-    code, out, _ = run(capsys, "trace", "--mu", word, "--nu", word, "--json")
-    assert code == 0
-    assert json.loads(out)["n"] == n
-    word = "0" * 15 + "1" * 16
-    assert len(word) > n
+def test_trace_json_has_no_depth_limit(capsys):
+    # the one-run tree of n=46 nests two JSON levels per piece, 2166 in all:
+    # it is written without recursion and reads back with a raised limit
+    word = "0" * 23 + "1" * 23
     code, out, err = run(capsys, "trace", "--mu", word, "--nu", word, "--json")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert str(n) in err
+    assert (code, err) == (0, "")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:
+        node = json.loads(out)["tree"]
+    finally:
+        sys.setrecursionlimit(limit)
+    depth = 0
+    while node["children"]:
+        (node,) = node["children"]
+        depth += 1
+    assert depth == 23 * 47 == 1081
+    assert node["position"] == "done"
 
 
 def test_trace_json_from_a_deep_caller(capsys):
-    # the widest accepted word from 60 frames down: json runs out of stack,
-    # which is one error line, not a traceback
+    # from 60 frames down, the n=30 word writes what a top-level call writes
     word = "0" * 15 + "1" * 15
+    argv = ["trace", "--mu", word, "--nu", word, "--json"]
 
     def deep(frames):
         if frames:
             return deep(frames - 1)
-        return main(["trace", "--mu", word, "--nu", word, "--json"])
+        return main(argv)
 
     code, out, err = deep(60), *capsys.readouterr()
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv) == (0, out, "")
 
 
-def test_plain_trace_streams_its_rows(monkeypatch):
-    # the root's row is written before any child's branches are derived
+@pytest.mark.parametrize("form", [[], ["--json"]], ids=["plain", "json"])
+def test_trace_streams_its_rows(monkeypatch, form):
+    # each row is written before the next row's branches are derived, the
+    # root's after one legal_branches call
     calls, calls_at_write = [], []
     legal_branches = puzzlecalc.filling.legal_branches
 
@@ -179,10 +185,11 @@ def test_plain_trace_streams_its_rows(monkeypatch):
             return super().write(text)
 
     monkeypatch.setattr(puzzlecalc.filling, "legal_branches", counted)
-    with contextlib.redirect_stdout(Stdout()) as out:
-        assert main(["trace", "--mu", "010101", "--nu", "101010"]) == 0
+    with contextlib.redirect_stdout(Stdout()):
+        assert main(["trace", "--mu", "010101", "--nu", "101010", *form]) == 0
     assert calls_at_write[0] == 1
-    assert len(calls) == len(out.getvalue().splitlines()) > 1
+    assert sorted(set(calls_at_write)) == list(range(1, len(calls) + 1))
+    assert len(calls) > 1
 
 
 def test_trace_invalid_pair(capsys):
@@ -202,6 +209,33 @@ def test_trace_annotation_failure_is_an_invariant_violation(capsys, monkeypatch)
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("internal invariant violation: ")
+
+
+@pytest.mark.parametrize("form", [[], ["--json"]], ids=["plain", "json"])
+def test_trace_failure_after_the_root_keeps_the_rows_written(capsys, monkeypatch, form):
+    # the fourth row cannot be annotated: the first three stay on stdout
+    argv = ["trace", "--mu", "0101", "--nu", "1010", *form]
+    _, full, _ = run(capsys, *argv)
+    pair_dots, calls = puzzlecalc.pinkdots.pair_dots, []
+
+    def fourth_fails(p, rays):
+        calls.append(p)
+        if len(calls) == 4:
+            raise ValueError("unbalanced rays")
+        return pair_dots(p, rays)
+
+    monkeypatch.setattr(puzzlecalc.pinkdots, "pair_dots", fourth_fails)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal invariant violation: ")
+    if not form:
+        assert out.splitlines() == full.splitlines()[:3]
+        return
+    # the first four rows are a chain, so no node was closed before the
+    # fourth: the text written is the document up to where the fourth opens
+    opened = [i for i in range(len(full)) if full.startswith('{"branch": ', i)]
+    assert out == full[:opened[3]]
 
 
 def test_rank_essential(capsys):
