@@ -230,12 +230,25 @@ class FillPos:
         return "done"
 
 
+@lru_cache(maxsize=None)
+def rhombus_pos(i: int, j: int) -> FillPos:
+    """The position of the rhombus at window (i, j), built once."""
+    return FillPos("rhombus", i=i, j=j)
+
+
+@lru_cache(maxsize=None)
+def bottom_pos(c: int) -> FillPos:
+    """The position of bottom triangle c, built once."""
+    return FillPos("bottom", c=c)
+
+
 def fill_site(p: PuzzlePath) -> tuple[int, FillPos] | None:
     """
     The kink (the index of the last SE step) and the position the next
     piece occupies, or None once the path is final.  One pass over the
     steps, building no vertex list; a non-final path that leaves the board
-    raises ValueError, as vertices() would.
+    raises ValueError, as vertices() would.  Positions are shared: equal
+    sites hold the same FillPos.
     """
     n = p.n
     a = b = 0
@@ -261,8 +274,8 @@ def fill_site(p: PuzzlePath) -> tuple[int, FillPos] | None:
     # a path that ends at v(n, 0) cannot end with its kink, and the step
     # after the last SE step is SW or W
     if p.steps[kink + 1].dir == "W":
-        return kink, FillPos("bottom", c=kb)
-    return kink, FillPos("rhombus", i=kb, j=kb + n - ka)
+        return kink, bottom_pos(kb)
+    return kink, rhombus_pos(kb, kb + n - ka)
 
 
 def next_fill_position(p: PuzzlePath) -> FillPos:

@@ -256,6 +256,17 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.fn(args)
+    except BrokenPipeError:
+        # the reader closed stdout early (say, `| head`): not bad input.  Point
+        # stdout at the null device, so that the final flush stays silent.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return 0
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 0
     except (WordError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

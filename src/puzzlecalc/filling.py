@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 from .board import (STEP, FillPos, Puzzle, PuzzlePath, RhombusPlacement,
-                    TrianglePlacement, fill_site, final_path_word, initial_path,
-                    is_valid, next_fill_position, validate_path)
+                    TrianglePlacement, bottom_pos, fill_site, final_path_word,
+                    initial_path, is_valid, next_fill_position, rhombus_pos,
+                    validate_path)
 from .intervalrank import DotSet, essential_conditions
 from .poly import LPoly, Poly
 from .words import Word, inversions
@@ -72,6 +72,20 @@ INTERESTING = (
     ("topk", ("1", "K"), None),
 )
 
+# every piece the engine places, built once and shared by all branches that
+# place it, with the steps it puts on the path: per TRIANGLE key the new SW
+# step and the triangle, per BORING key the new SW and SE steps and the
+# rhombus, and per interesting kind its kind, steps and rhombus
+_TRIANGLE_PIECES = {key: (STEP["SW", left], TrianglePlacement(*key, left))
+                    for key, left in TRIANGLE.items()}
+_BORING_PIECES = {key: (STEP["SW", upper], STEP["SE", lower],
+                        RhombusPlacement("boring", key, (upper, lower), mid))
+                  for key, (upper, lower, mid) in BORING.items()}
+_INTERESTING_PIECES = tuple(
+    (kind, STEP["SW", upper], STEP["SE", lower],
+     RhombusPlacement(kind, ("1", "0"), (upper, lower), mid))
+    for kind, (upper, lower), mid in INTERESTING)
+
 
 class InvariantError(RuntimeError):
     """An internal invariant of the degeneration failed: a bug, not bad input."""
@@ -82,25 +96,15 @@ class Branch:
     kind: str                 # "triangle", "boring", or an interesting kind
     pos: FillPos
     piece: RhombusPlacement | TrianglePlacement | None = None
+    # the entry this branch adds to a Puzzle: ((i, j), piece) in its rhombi,
+    # (c, piece) in its bottoms; built with the branch, so that every puzzle
+    # through it shares one entry
+    placed: tuple = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def placed(self) -> tuple:
-        """The entry this branch adds to a Puzzle: ((i, j), piece) in its
-        rhombi, (c, piece) in its bottoms.  Cached, so that every puzzle
-        through this branch shares one entry."""
-        if self.kind == "triangle":
-            return self.pos.c, self.piece
-        return (self.pos.i, self.pos.j), self.piece
-
-
-def _apply_rhombus(p: PuzzlePath, kink: int, upper: str, lower: str) -> PuzzlePath:
-    s = p.steps
-    return PuzzlePath(p.n, s[:kink] + (STEP["SW", upper], STEP["SE", lower]) + s[kink + 2:])
-
-
-def _apply_triangle(p: PuzzlePath, kink: int, left: str) -> PuzzlePath:
-    s = p.steps
-    return PuzzlePath(p.n, s[:kink] + (STEP["SW", left],) + s[kink + 2:])
+    def __post_init__(self):
+        pos = self.pos
+        object.__setattr__(self, "placed", (pos.c, self.piece) if self.kind == "triangle"
+                           else ((pos.i, pos.j), self.piece))
 
 
 class _Successors:
@@ -111,15 +115,21 @@ class _Successors:
     an initial path (the only paths with no SW step, so 2n steps), or on a
     board of another size, starts a new pair and drops the old rows: the
     table holds at most one pair's state graph.
+
+    Beside the rows, sites maps each child of a derived state to its fill
+    site (what fill_site would give), as the parent computed it; the
+    child's own derivation takes it from there.
     """
 
     def __init__(self):
         self.n = 0
         self.rows: dict[tuple, tuple[tuple[Branch, PuzzlePath], ...]] = {}
+        self.sites: dict[tuple, tuple[int, FillPos] | None] = {}
 
     def clear(self):
         self.n = 0
         self.rows.clear()
+        self.sites.clear()
 
 
 _successors = _Successors()
@@ -137,47 +147,70 @@ def legal_branches(p: PuzzlePath) -> tuple[tuple[Branch, PuzzlePath], ...]:
         out = table.rows.get(p.steps)
         if out is not None:
             return out
-    out = _derive_branches(p)
     if p.n != table.n or len(p.steps) == 2 * p.n:
-        table.rows.clear()
+        table.clear()
         table.n = p.n
+    # False marks a path no parent has derived: the initial path, or one
+    # passed in from outside (None is the site of a final path)
+    site = table.sites.pop(p.steps, False)
+    if site is False:
+        site = fill_site(p)
+    out, child_site = _derive_branches(p, site)
     table.rows[p.steps] = out
+    sites = table.sites
+    for _, q in out:
+        sites[q.steps] = child_site
     return out
 
 
-def _derive_branches(p: PuzzlePath) -> tuple[tuple[Branch, PuzzlePath], ...]:
-    site = fill_site(p)
+def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
+                     ) -> tuple[tuple[tuple[Branch, PuzzlePath], ...], tuple[int, FillPos] | None]:
+    """
+    The branches of p, whose fill site is site, and the fill site that all
+    of its children share.  A rhombus at the kink k leaves the child's kink
+    at k + 1, before step k + 2 of p; a triangle leaves it at the last SE
+    step before k, or makes the child final.
+    """
     if site is None:
-        return ()
+        return (), None
     kink, pos = site
-    klabel = p.steps[kink].label
+    s = p.steps
+    klabel = s[kink].label
     if pos.kind == "bottom":
-        blabel = p.steps[kink + 1].label
-        key = (klabel, blabel)
-        if key not in TRIANGLE:
+        key = (klabel, s[kink + 1].label)
+        if key not in _TRIANGLE_PIECES:
             raise InvariantError(f"unfillable bottom triangle {key} at {pos}")
-        q = _apply_triangle(p, kink, TRIANGLE[key])
+        left, piece = _TRIANGLE_PIECES[key]
+        q = PuzzlePath(p.n, s[:kink] + (left,) + s[kink + 2:])
         if not is_valid(q):
             raise InvariantError(f"forced triangle at {pos} broke the path: {validate_path(q)}")
-        return ((Branch("triangle", pos, TrianglePlacement(klabel, blabel, TRIANGLE[key])), q),)
+        # the steps between the child's kink and the new SW step are all SW,
+        # so the child's rhombus sits k - m rows above the bottom
+        m = kink - 1
+        while m >= 0 and s[m].dir != "SE":
+            m -= 1
+        c = pos.c
+        return ((Branch("triangle", pos, piece), q),), \
+            None if m < 0 else (m, rhombus_pos(c - 1, c - 1 + kink - m))
 
-    slabel = p.steps[kink + 1].label
-    key = (klabel, slabel)
-    if key in BORING:
-        upper, lower, mid = BORING[key]
-        q = _apply_rhombus(p, kink, upper, lower)
+    i, j = pos.i, pos.j
+    child_site = (kink + 1, bottom_pos(i) if s[kink + 2].dir == "W"
+                  else rhombus_pos(i, j - 1))
+    head, tail = s[:kink], s[kink + 2:]
+    key = (klabel, s[kink + 1].label)
+    if key in _BORING_PIECES:
+        upper, lower, piece = _BORING_PIECES[key]
+        q = PuzzlePath(p.n, head + (upper, lower) + tail)
         if not is_valid(q):
             raise InvariantError(f"forced rhombus at {pos} broke the path: {validate_path(q)}")
-        piece = RhombusPlacement("boring", key, (upper, lower), mid)
-        return ((Branch("boring", pos, piece), q),)
+        return ((Branch("boring", pos, piece), q),), child_site
     if key != ("1", "0"):
         raise InvariantError(f"unfillable rhombus {key} at {pos}")
 
     out = []
-    for kind, (upper, lower), mid in INTERESTING:
-        q = _apply_rhombus(p, kink, upper, lower)
+    for kind, upper, lower, piece in _INTERESTING_PIECES:
+        q = PuzzlePath(p.n, head + (upper, lower) + tail)
         if is_valid(q):
-            piece = RhombusPlacement(kind, key, (upper, lower), mid)
             out.append((Branch(kind, pos, piece), q))
         elif kind == "equivariant":
             raise InvariantError(
@@ -187,7 +220,7 @@ def _derive_branches(p: PuzzlePath) -> tuple[tuple[Branch, PuzzlePath], ...]:
         raise InvariantError(f"no shift continuation at {pos}")
     if ("topk" in kinds) != ({"shift0", "shift1"} <= kinds):
         raise InvariantError(f"topk legality out of step with the shifts at {pos}")
-    return tuple(out)
+    return tuple(out), child_site
 
 
 def branch_weight(theory: Theory, branch: Branch, n: int):
@@ -316,8 +349,13 @@ def runs(mu: Word, nu: Word, prune=frozenset()):
         depth, via, path = stack.pop()
         branches = legal_branches(path)
         yield depth, via, path, branches
-        stack.extend((depth + 1, br, q) for br, q in reversed(branches)
-                     if br.kind not in prune)
+        if len(branches) == 1:
+            br, q = branches[0]
+            if br.kind not in prune:
+                stack.append((depth + 1, br, q))
+        elif branches:
+            stack.extend((depth + 1, br, q) for br, q in reversed(branches)
+                         if br.kind not in prune)
 
 
 def enumerate_puzzles(mu: Word, nu: Word, lam: Word | None = None,

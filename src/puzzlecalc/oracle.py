@@ -250,11 +250,17 @@ def _suite_specialize(max_n: int, report: Report):
 
 
 def _suite_commute(max_n: int, report: Report):
+    theories = (filling.Theory.H, filling.Theory.HT, filling.Theory.K)
+    # per theory and n, every pair's expansion; a pair's three expansions
+    # are computed back to back, so that its state graph is derived once
+    tables = {t: [{} for _ in range(max_n)] for t in theories}
+    for n in range(1, max_n + 1):
+        for mu, nu in _word_pairs(n):
+            for t in theories:
+                tables[t][n - 1][str(mu), str(nu)] = filling.structure_constants(t, mu, nu)
     bad = []
-    for t in (filling.Theory.H, filling.Theory.HT, filling.Theory.K):
-        for n in range(1, max_n + 1):
-            table = {(str(mu), str(nu)): filling.structure_constants(t, mu, nu)
-                     for mu, nu in _word_pairs(n)}
+    for t in theories:
+        for table in tables[t]:
             for (mu_s, nu_s), coeffs in table.items():
                 for lam_s, c in coeffs.items():
                     other = table[lam_s, nu_s].get(mu_s)

@@ -106,6 +106,21 @@ def test_puzzles_out_is_a_file(tmp_path, capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_reader_closing_the_pipe_early_is_not_an_error():
+    # like `| head -1`: the 3,239 rendered puzzles far outrun a pipe's buffer
+    src = str(pathlib.Path(puzzlecalc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["puzzles", "--mu", "01101100", "--nu", "11001100", "--render", "ascii"]
+    with subprocess.Popen([sys.executable, "-m", "puzzlecalc.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"3239 puzzles\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert err == b""
+
+
 def test_trace_text(capsys):
     code, out, _ = run(capsys, "trace", "--mu", "010", "--nu", "100")
     assert code == 0

@@ -1,7 +1,7 @@
 import pytest
 
 from puzzlecalc import filling
-from puzzlecalc.board import FillPos, initial_path
+from puzzlecalc.board import FillPos, fill_site, initial_path
 from puzzlecalc.filling import (_PRUNED, InvariantError, Theory, count_puzzles,
                                 enumerate_puzzles, legal_branches,
                                 puzzle_degree_balance, reachable, runs,
@@ -212,6 +212,41 @@ def test_warm_and_cold_branches_agree():
             assert legal_branches(path) == warm
             states += 1
     assert states == 5709
+
+
+def test_parent_computed_sites_match_fill_site(monkeypatch):
+    # unpruned, so every pruned graph is a subgraph of the one checked here
+    derive = filling._derive_branches
+    used = []
+
+    def recording(p, site):
+        used.append((p, site))
+        return derive(p, site)
+
+    monkeypatch.setattr(filling, "_derive_branches", recording)
+    derivations = 0
+    for mu, nu in _pairs(6):
+        filling._successors.clear()
+        reachable(mu, nu)
+        for p, site in used:
+            assert site == fill_site(p), p
+        derivations += len(used)
+        used.clear()
+    assert derivations == 37785
+
+
+def test_branches_share_their_pieces():
+    pieces = {}
+    for mu, nu in _pairs(5):
+        for _, branches in reachable(mu, nu).values():
+            for br, _ in branches:
+                piece = br.piece
+                labels = (piece.diag, piece.base) if br.kind == "triangle" else piece.right
+                assert pieces.setdefault((br.kind, labels), piece) is piece
+                at = br.pos.c if br.kind == "triangle" else (br.pos.i, br.pos.j)
+                assert br.placed == (at, piece)
+    # 4 triangles, 9 forced rhombi and the 4 interesting ones
+    assert len(pieces) == 17
 
 
 def test_table_holds_one_pair():

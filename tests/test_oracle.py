@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from puzzlecalc import intervalrank, oracle, pinkdots
+from puzzlecalc import filling, intervalrank, oracle, pinkdots
 from puzzlecalc.cli import main
 from puzzlecalc.intervalrank import DotSet
-from puzzlecalc.oracle import (Report, _suite_dictionary, _suite_essential,
-                               _suite_pinkdots, lr_count, lr_oracle, verify_suite)
+from puzzlecalc.oracle import (Report, _suite_commute, _suite_dictionary,
+                               _suite_essential, _suite_pinkdots, lr_count, lr_oracle,
+                               verify_suite)
 from puzzlecalc.words import parse_word
 
 
@@ -120,6 +121,21 @@ def test_essential_suite_catches_a_missing_cell(monkeypatch):
     _suite_essential(3, report)
     assert report.results == [
         ("essential", False, "n=2 1,1 window [1,1]; n=2 2,2 window [2,2]")]
+
+
+def test_commute_reports_mismatches_theory_by_theory(monkeypatch):
+    # asymmetric expansions for H at n = 3 and H_T at n = 2: H's come first,
+    # although the pairs are expanded n by n
+    def lopsided(t, mu, nu):
+        if (t, mu.n) in ((filling.Theory.H, 3), (filling.Theory.HT, 2)):
+            return {str(nu): f"{t.value}:{mu}"}
+        return {}
+
+    monkeypatch.setattr(filling, "structure_constants", lopsided)
+    report = Report()
+    _suite_commute(3, report)
+    assert report.results == [("commute", False, "h 010,001->010: h:001 vs None; "
+                               "h 100,001->100: h:001 vs None; h 001,010->001: h:010 vs None")]
 
 
 def test_dictionary_suite_catches_a_wrong_codimension(monkeypatch):
