@@ -17,13 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 
 from .board import (STEP, FillPos, Puzzle, PuzzlePath, RhombusPlacement,
                     TrianglePlacement, bottom_pos, fill_site, final_path_word,
                     initial_path, is_valid, next_fill_position, rhombus_pos,
                     validate_path)
 from .intervalrank import DotSet, essential_conditions
-from .poly import LPoly, Poly
+from .poly import LPoly, Poly, sum_of
 from .words import Word, inversions
 
 
@@ -226,13 +227,20 @@ def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
 def branch_weight(theory: Theory, branch: Branch, n: int):
     """
     Weight of one branch at rhombus window (i, j), as a Poly (cohomology)
-    or LPoly (K-theory).  Forced pieces weigh 1 in every theory.
+    or LPoly (K-theory).  Forced pieces weigh 1 in every theory.  Each
+    weight is built once per (theory, kind, i, j, n) and shared, which is
+    safe because values are immutable.
     """
+    pos = branch.pos
+    return _weight(theory, branch.kind, pos.i, pos.j, n)
+
+
+@cache
+def _weight(theory: Theory, kind: str, i: int, j: int, n: int):
     coh = not theory.k_theory
     one = Poly.const(n, 1) if coh else LPoly.const(n, 1)
-    if branch.kind in FORCED:
+    if kind in FORCED:
         return one
-    i, j = branch.pos.i, branch.pos.j
 
     def e_ij(coef=1):
         exp = [0] * n
@@ -240,7 +248,7 @@ def branch_weight(theory: Theory, branch: Branch, n: int):
         exp[j - 1] -= 1
         return LPoly.exp(n, exp, coef)
 
-    if branch.kind == "equivariant":
+    if kind == "equivariant":
         if theory == Theory.H:
             return Poly.zero(n)
         if theory == Theory.HT:
@@ -248,15 +256,15 @@ def branch_weight(theory: Theory, branch: Branch, n: int):
         if theory == Theory.K:
             return LPoly.zero(n)
         return LPoly.const(n, 1) - e_ij()
-    if branch.kind in ("shift0", "shift1"):
+    if kind in ("shift0", "shift1"):
         return e_ij() if theory == Theory.KT else one
-    if branch.kind == "topk":
+    if kind == "topk":
         if theory == Theory.H or theory == Theory.HT:
             return Poly.zero(n) if coh else LPoly.zero(n)
         if theory == Theory.K:
             return LPoly.const(n, -1)
         return e_ij(-1)
-    raise ValueError(branch.kind)
+    raise ValueError(kind)
 
 
 # per theory, the interesting kinds that branch_weight makes zero: runs
@@ -288,10 +296,12 @@ def reachable(mu: Word, nu: Word, prune=frozenset()) -> dict:
             out[path.steps] = (path, branches)
         elif path.steps not in out:
             branches = legal_branches(path)
-            if prune:
+            if prune and (len(branches) > 1 or branches and branches[0][0].kind in prune):
                 branches = tuple((br, q) for br, q in branches if br.kind not in prune)
             stack.append((path, branches))
-            stack.extend((q, None) for _, q in branches if q.steps not in out)
+            for _, q in branches:
+                if q.steps not in out:
+                    stack.append((q, None))
     return out
 
 
@@ -302,28 +312,39 @@ def structure_constants(theory: Theory, mu: Word, nu: Word) -> dict:
     boundary pair yields the empty dict.
 
     A fold over the reachable states, children before parents: a state's
-    value maps each final word to the sum, in branch order, of the branch
-    weight times the child's value.  Forced pieces weigh 1 and are not
-    multiplied in; cancelled coefficients are dropped only at the root.
+    value maps each final word to the sum of the branch weight times the
+    child's value over its branches, each word's products added into one
+    dict.  Forced pieces weigh 1 and are not multiplied in: a forced state
+    shares its child's dict.  A child's value is dropped once its last
+    parent has read it; cancelled coefficients are dropped only at the root.
     """
     n = mu.n
     one = LPoly.const(n, 1) if theory.k_theory else Poly.const(n, 1)
     states = reachable(mu, nu, _PRUNED[theory])
     if not states:
         return {}
+    # per state, the parent that reads its value last: states come children
+    # before parents, so that is the last one met
+    last = {q.steps: steps for steps, (_, branches) in states.items() for _, q in branches}
     value: dict[tuple, dict[str, object]] = {}
     for steps, (path, branches) in states.items():
         if not branches:
             value[steps] = {str(final_path_word(path)): one}
         elif branches[0][0].kind in FORCED:
-            value[steps] = value[branches[0][1].steps]
+            child = branches[0][1].steps
+            value[steps] = value.pop(child) if last[child] is steps else value[child]
         else:
-            acc: dict[str, object] = {}
+            parts: dict[str, list] = {}
             for br, q in branches:
                 w = branch_weight(theory, br, n)
-                for lam, c in value[q.steps].items():
-                    acc[lam] = acc[lam] + w * c if lam in acc else w * c
-            value[steps] = acc
+                child = q.steps
+                for lam, c in (value.pop(child) if last[child] is steps
+                               else value[child]).items():
+                    if lam in parts:
+                        parts[lam].append(w * c)
+                    else:
+                        parts[lam] = [w * c]
+            value[steps] = {lam: sum_of(ps) for lam, ps in parts.items()}
     root = value[next(reversed(states))]
     return {lam: c for lam, c in root.items() if not c.is_zero()}
 

@@ -4,19 +4,26 @@ Exact sparse polynomial arithmetic over the integers.
 Two flavours share one representation: Poly is an ordinary polynomial in
 y_1..y_n, and LPoly is a Laurent-style exponential sum whose monomial
 E(e_1,..,e_n) stands for exp(e_1 y_1 + ... + e_n y_n).  All coefficients are
-Python ints.  A value is stored as a dict from exponent tuple to coefficient
-with no zero coefficients, so equal values have equal dicts; the canonical
-graded order of the terms is built only when something reads it (rendering,
+Python ints.  A value is stored as a dict from packed monomial key (one int
+per exponent vector, see _Layout) to coefficient with no zero coefficients,
+so equal values have equal dicts; the canonical graded order of the terms is
+the keys' integer order, sorted only when something reads it (rendering,
 JSON, repr, hash).
 """
 
 from __future__ import annotations
 
 import re
+import struct
+from functools import cache
 from math import factorial
-from operator import add, neg
 
 _set = object.__setattr__
+
+# each exponent takes one 16-bit digit of a key, so |e_i| <= LIMIT
+_WIDTH = 16
+_OFF = 1 << (_WIDTH - 1)
+LIMIT = _OFF - 1
 
 
 class PolyError(ValueError):
@@ -31,45 +38,90 @@ def _gen_binomial(a: int, m: int) -> int:
     return num // factorial(m)
 
 
-def _graded_key(term):
-    # total degree first, then the larger exponent vector first
-    exp = term[0]
-    return (sum(exp), tuple(map(neg, exp)))
+class _Layout:
+    """
+    The packed keys of arity n.  The monomial with exponents e is the int
+
+        sum(e) * 2^(16n) + sum_i (_OFF - e_i) * 2^(16(n - i)),
+
+    the total degree above one 16-bit digit per variable, e_1 in the most
+    significant one.  Every digit lies in [1, 2^16) while |e_i| <= LIMIT,
+    so integer order is graded order (lower total degree first, then the
+    larger exponent vector first), and the key of a product of monomials is
+    k1 + k2 - offset, where offset is the key of the constant monomial.
+    """
+
+    __slots__ = ("shift", "offset", "twice", "mask", "nbytes", "struct")
+
+    def __init__(self, n: int):
+        self.shift = _WIDTH * n
+        self.offset = sum(_OFF << (_WIDTH * i) for i in range(n))
+        self.twice = 2 * self.offset
+        self.mask = (1 << self.shift) - 1
+        self.nbytes = 2 * n
+        self.struct = struct.Struct(f">{n}h")
+
+    def key(self, exp: tuple) -> int:
+        # the 16-bit two's complements of e, XORed with offset, are the
+        # digits _OFF + e_i; twice minus them is _OFF - e_i
+        v = int.from_bytes(self.struct.pack(*exp), "big") ^ self.offset
+        return (sum(exp) << self.shift) + self.twice - v
+
+    def exps(self, keys) -> list[tuple]:
+        # the inverse of key, one C-level unpack per key
+        twice, mask, off, nbytes = self.twice, self.mask, self.offset, self.nbytes
+        unpack = self.struct.unpack
+        return [unpack(((twice - (k & mask)) ^ off).to_bytes(nbytes, "big")) for k in keys]
+
+
+# one layout per arity, built on first use
+_layout = cache(_Layout)
 
 
 class _Sparse:
     """
     Shared machinery for Poly and LPoly.  Immutable by convention.
 
-    The value lives in a dict from exponent tuple to nonzero coefficient;
-    the ring operations combine these dicts directly and never sort.
-    `terms`, the canonical tuple of (exp, coef) pairs in graded order, is
-    built on first use and cached.
+    The value lives in a dict from packed key to nonzero coefficient; the
+    ring operations combine these dicts directly and never sort.  `terms`,
+    the canonical tuple of (exp, coef) pairs in graded order, is built on
+    first use and cached.  _bound bounds every |e_i| of the value: `*` adds
+    the operands' bounds and raises PolyError before any digit could leave
+    its range.
     """
 
-    __slots__ = ("n", "_coeffs", "_terms")
+    __slots__ = ("n", "_coeffs", "_bound", "_terms")
     _allow_negative = False
 
     def __init__(self, n: int, terms=None):
+        lay = _layout(n)
         d = {}
+        bound = 0
         for exp, coef in (terms or {}).items() if isinstance(terms, dict) else (terms or []):
             exp = tuple(exp)
             if len(exp) != n:
                 raise PolyError(f"exponent {exp} has wrong arity for n={n}")
             if not self._allow_negative and any(e < 0 for e in exp):
                 raise PolyError(f"negative exponent {exp} in non-Laurent polynomial")
-            d[exp] = d.get(exp, 0) + coef
+            b = max(map(abs, exp), default=0)
+            if b > LIMIT:
+                raise PolyError(f"exponent {exp} outside [-{LIMIT}, {LIMIT}]")
+            bound = max(bound, b)
+            key = lay.key(exp)
+            d[key] = d.get(key, 0) + coef
         _set(self, "n", n)
-        _set(self, "_coeffs", {e: c for e, c in d.items() if c != 0})
+        _set(self, "_coeffs", {k: c for k, c in d.items() if c != 0})
+        _set(self, "_bound", bound)
         _set(self, "_terms", None)
 
     @classmethod
-    def _wrap(cls, n: int, coeffs: dict):
-        # the ring operations' constructor: coeffs already has arity-n
-        # exponents valid for cls and no zero coefficients
+    def _wrap(cls, n: int, coeffs: dict, bound: int):
+        # the ring operations' constructor: coeffs already has arity-n keys
+        # valid for cls, no zero coefficients and exponents within bound
         self = object.__new__(cls)
         _set(self, "n", n)
         _set(self, "_coeffs", coeffs)
+        _set(self, "_bound", bound)
         _set(self, "_terms", None)
         return self
 
@@ -80,7 +132,8 @@ class _Sparse:
     def terms(self) -> tuple:
         t = self._terms
         if t is None:
-            t = tuple(sorted(self._coeffs.items(), key=_graded_key))
+            keys = sorted(self._coeffs)
+            t = tuple(zip(_layout(self.n).exps(keys), map(self._coeffs.__getitem__, keys)))
             _set(self, "_terms", t)
         return t
 
@@ -107,19 +160,19 @@ class _Sparse:
     def _plus(self, other, sign: int):
         self._check(other)
         out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            c = out.get(e, 0) + sign * c
+        for k, c in other._coeffs.items():
+            c = out.get(k, 0) + sign * c
             if c:
-                out[e] = c
+                out[k] = c
             else:
-                del out[e]
-        return self._wrap(self.n, out)
+                del out[k]
+        return self._wrap(self.n, out, max(self._bound, other._bound))
 
     def __add__(self, other):
         return self._plus(other, 1)
 
     def __neg__(self):
-        return self._wrap(self.n, {e: -c for e, c in self._coeffs.items()})
+        return self._wrap(self.n, {k: -c for k, c in self._coeffs.items()}, self._bound)
 
     def __sub__(self, other):
         return self._plus(other, -1)
@@ -129,25 +182,32 @@ class _Sparse:
             if other == 1:
                 return self
             if other == 0:
-                return self._wrap(self.n, {})
-            return self._wrap(self.n, {e: c * other for e, c in self._coeffs.items()})
+                return self._wrap(self.n, {}, 0)
+            return self._wrap(self.n, {k: c * other for k, c in self._coeffs.items()},
+                              self._bound)
         self._check(other)
+        bound = self._bound + other._bound
+        if bound > LIMIT:
+            raise PolyError(f"a product's exponents could leave [-{LIMIT}, {LIMIT}]")
         small, big = ((self, other) if len(self._coeffs) <= len(other._coeffs)
                       else (other, self))
+        off = _layout(self.n).offset
         if len(small._coeffs) == 1:
-            # a monomial times big: exponents stay distinct, nothing cancels
-            (e1, c1), = small._coeffs.items()
-            if c1 == 1 and not any(e1):
+            # a monomial times big: keys stay distinct, nothing cancels
+            (k1, c1), = small._coeffs.items()
+            if c1 == 1 and k1 == off:
                 return big
-            return self._wrap(self.n, {tuple(map(add, e1, e2)): c1 * c2
-                                       for e2, c2 in big._coeffs.items()})
+            k1 -= off
+            return self._wrap(self.n, {k1 + k2: c1 * c2 for k2, c2 in big._coeffs.items()},
+                              bound)
         out = {}
         get = out.get
-        for e1, c1 in small._coeffs.items():
-            for e2, c2 in big._coeffs.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
-        return self._wrap(self.n, {e: c for e, c in out.items() if c})
+        for k1, c1 in small._coeffs.items():
+            k1 -= off
+            for k2, c2 in big._coeffs.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return self._wrap(self.n, {k: c for k, c in out.items() if c}, bound)
 
     __rmul__ = __mul__
 
@@ -162,7 +222,7 @@ class _Sparse:
         return not self._coeffs
 
     def constant_term(self) -> int:
-        return self._coeffs.get((0,) * self.n, 0)
+        return self._coeffs.get(_layout(self.n).offset, 0)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.n}, {list(self.terms)})"
@@ -193,7 +253,9 @@ class Poly(_Sparse):
         return cls.monomial(n, tuple(1 if j == i - 1 else 0 for j in range(n)))
 
     def degree_component(self, d: int) -> "Poly":
-        return Poly._wrap(self.n, {e: c for e, c in self._coeffs.items() if sum(e) == d})
+        shift = _layout(self.n).shift
+        return Poly._wrap(self.n, {k: c for k, c in self._coeffs.items() if k >> shift == d},
+                          self._bound)
 
 
 class LPoly(_Sparse):
@@ -204,6 +266,31 @@ class LPoly(_Sparse):
     @classmethod
     def exp(cls, n: int, exp, coef: int = 1):
         return cls.monomial(n, exp, coef)
+
+
+def sum_of(values):
+    """
+    The sum of a nonempty sequence of values of one type and arity.  The
+    largest is copied once and the others are added into that copy, so a
+    long sum builds no intermediate values.
+    """
+    first = values[0]
+    if len(values) == 1:
+        return first
+    sizes = [len(v._coeffs) for v in values]
+    big = sizes.index(max(sizes))
+    out = dict(values[big]._coeffs)
+    get = out.get
+    bound = 0
+    for i, v in enumerate(values):
+        first._check(v)
+        bound = max(bound, v._bound)
+        if i != big:
+            for k, c in v._coeffs.items():
+                out[k] = get(k, 0) + c
+    if 0 in out.values():
+        out = {k: c for k, c in out.items() if c}
+    return first._wrap(first.n, out, bound)
 
 
 def eval_at_one(p: LPoly | Poly) -> int:

@@ -1,8 +1,10 @@
+from operator import add, neg
+
 import pytest
 from hypothesis import given, strategies as st
 
-from puzzlecalc.poly import (LPoly, Poly, PolyError, eval_at_one, lowest_form,
-                             parse, render, y_to_zero)
+from puzzlecalc.poly import (LIMIT, LPoly, Poly, PolyError, eval_at_one, lowest_form,
+                             parse, render, sum_of, y_to_zero)
 
 
 N = 3
@@ -162,3 +164,158 @@ def test_cancelled_products_keep_no_zero_terms(a, b):
 def test_constructor_rejects_wrong_arity():
     with pytest.raises(PolyError):
         LPoly(2, [((1, 0, 0), 1)])
+
+
+# -- packed keys against the tuple-keyed reference ----------------------------
+
+class _RefSparse:
+    """
+    The tuple-keyed core the packed keys replaced, kept as the reference:
+    a dict from exponent tuple to nonzero coefficient, sorted by
+    (total degree, negated exponents) when read.
+    """
+
+    def __init__(self, n, terms):
+        d = {}
+        for exp, coef in terms:
+            d[tuple(exp)] = d.get(tuple(exp), 0) + coef
+        self.n = n
+        self.coeffs = {e: c for e, c in d.items() if c}
+
+    @classmethod
+    def _wrap(cls, n, coeffs):
+        return cls(n, coeffs.items())
+
+    @property
+    def terms(self):
+        return tuple(sorted(self.coeffs.items(),
+                            key=lambda t: (sum(t[0]), tuple(map(neg, t[0])))))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, 0) + sign * c
+        return self._wrap(self.n, out)
+
+    def __neg__(self):
+        return self._wrap(self.n, {e: -c for e, c in self.coeffs.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self._wrap(self.n, {e: c * other for e, c in self.coeffs.items()})
+        out = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return self._wrap(self.n, out)
+
+    def __eq__(self, other):
+        return other.n == self.n and other.coeffs == self.coeffs
+
+    def __hash__(self):
+        return hash((self.name, self.n, self.terms))
+
+    def constant_term(self):
+        return self.coeffs.get((0,) * self.n, 0)
+
+    def degree_component(self, d):
+        return self._wrap(self.n, {e: c for e, c in self.coeffs.items() if sum(e) == d})
+
+    def eval_at_one(self):
+        return sum(self.coeffs.values())
+
+    def to_json(self):
+        return [{"coef": c, "exp": list(e)} for e, c in self.terms]
+
+    def render(self):
+        if not self.coeffs:
+            return "0"
+        out = []
+        for exp, coef in self.terms:
+            if not any(exp):
+                out.append(str(coef))
+            elif self.name == "LPoly":
+                out.append(f"{coef}*E({','.join(map(str, exp))})")
+            else:
+                out.append(f"{coef}*" + "*".join(
+                    f"y{i + 1}" + (f"^{e}" if e > 1 else "")
+                    for i, e in enumerate(exp) if e))
+        return " + ".join(out)
+
+
+class _RefPoly(_RefSparse):
+    name = "Poly"
+
+
+class _RefLPoly(_RefSparse):
+    name = "LPoly"
+
+
+def _agree(p, ref, parts=True):
+    # every reading of a value (and of its homogeneous parts) matches the
+    # reference's
+    assert p.terms == ref.terms
+    assert p.to_json() == ref.to_json()
+    assert render(p) == ref.render()
+    assert hash(p) == hash(ref)
+    assert p.constant_term() == ref.constant_term()
+    assert eval_at_one(p) == ref.eval_at_one()
+    if parts and isinstance(p, Poly):
+        for d in {sum(e) for e, _ in ref.terms} | {0}:
+            _agree(p.degree_component(d), ref.degree_component(d), parts=False)
+
+
+# small exponents, where products collide and cancel, and wide ones, up to
+# half the digit range so that one product of two still fits
+_HALF = LIMIT // 2
+_pexp = st.one_of(st.integers(0, 2), st.integers(0, _HALF))
+_lexp = st.one_of(st.integers(-2, 2), st.integers(-_HALF, _HALF))
+_term_lists = {
+    Poly: st.lists(st.tuples(st.tuples(*[_pexp] * N), coefs), max_size=6),
+    LPoly: st.lists(st.tuples(st.tuples(*[_lexp] * N), coefs), max_size=6),
+}
+_REF = {Poly: _RefPoly, LPoly: _RefLPoly}
+
+
+@pytest.mark.parametrize("cls", [Poly, LPoly])
+@given(data=st.data())
+def test_packed_keys_match_the_tuple_keyed_reference(cls, data):
+    ta, tb = data.draw(_term_lists[cls]), data.draw(_term_lists[cls])
+    m = data.draw(st.integers(-3, 3))
+    a, b = cls(N, ta), cls(N, tb)
+    ra, rb = _REF[cls](N, ta), _REF[cls](N, tb)
+    for p, ref in ((a, ra), (b, rb), (a + b, ra + rb), (a - b, ra - rb), (-a, -ra),
+                   (a * b, ra * rb), (b * a, ra * rb), (a * m, ra * m), (m * a, ra * m),
+                   (sum_of([a, b, a * m]), ra + rb + ra * m)):
+        _agree(p, ref)
+    assert (a == b) == (ra == rb)
+
+
+def test_constructor_rejects_exponents_outside_the_digit_range():
+    for cls, e in ((Poly, LIMIT + 1), (LPoly, LIMIT + 1), (LPoly, -LIMIT - 1)):
+        with pytest.raises(PolyError):
+            cls(2, [((0, e), 1)])
+    # the extremes themselves are kept and read back
+    assert LPoly(2, [((LIMIT, -LIMIT), 3)]).terms == (((LIMIT, -LIMIT), 3),)
+    assert Poly.from_json(2, [{"coef": 1, "exp": [0, LIMIT]}]).to_json() == \
+        [{"coef": 1, "exp": [0, LIMIT]}]
+
+
+@pytest.mark.parametrize("base, exp", [(Poly.y(2, 1), (1, 0)),
+                                       (LPoly.exp(2, (1, -1)), (1, -1))])
+def test_repeated_squaring_raises_at_the_first_overflowing_product(base, exp):
+    # 2^14 fits a digit (LIMIT = 2^15 - 1); the next square would not, and
+    # must raise rather than carry into the neighbouring digit
+    p = base
+    for step in range(1, 15):
+        p = p * p
+        assert p.terms == ((tuple(e << step for e in exp), 1),)
+    with pytest.raises(PolyError):
+        p * p
