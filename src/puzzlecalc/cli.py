@@ -21,7 +21,7 @@ from .filling import FORCED, InvariantError, Theory, branch_weight, count_puzzle
 from .intervalrank import DotSet, covers, envelope, essential_set, fixed_point_in, \
     format_dots, parse_dots, rank_from_dots
 from .oracle import UnknownSuiteError, verify_suite
-from .poly import coefficients_to_json, render
+from .poly import json_text, render
 from .words import Word, WordError, all_words, parse_word
 
 
@@ -46,20 +46,19 @@ def cmd_coeff(args) -> int:
     mu, nu = _pair(args.mu, args.nu)
     theory = Theory(args.theory)
     coeffs = structure_constants(theory, mu, nu)
-    if args.json:
-        doc = {
-            "n": mu.n,
-            "k": mu.k,
-            "mu": str(mu),
-            "nu": str(nu),
-            "theory": theory.value,
-            "coefficients": coefficients_to_json(coeffs),
-            "puzzle_count": count_puzzles(theory, mu, nu),
-        }
-        print(json.dumps(doc, sort_keys=True))
-    else:
+    write = sys.stdout.write
+    if not args.json:
         for lam in sorted(coeffs):
-            print(f"{lam}: {render(coeffs[lam])}")
+            write(f"{lam}: {render(coeffs[lam])}\n")
+        return 0
+    # json.dumps(doc, sort_keys=True), one coefficient at a time ("coefficients" sorts
+    # first); the rest, count included, is built before any write: a failure writes nothing
+    rest = json.dumps({"n": mu.n, "k": mu.k, "mu": str(mu), "nu": str(nu), "theory": theory.value,
+                       "puzzle_count": count_puzzles(theory, mu, nu)}, sort_keys=True)
+    write('{"coefficients": {')
+    for i, lam in enumerate(sorted(coeffs)):
+        write(f'{", " if i else ""}"{lam}": {json_text(coeffs[lam])}')
+    write("}, " + rest[1:] + "\n")
     return 0
 
 

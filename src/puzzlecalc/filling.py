@@ -24,7 +24,7 @@ from .board import (STEP, FillPos, Puzzle, PuzzlePath, RhombusPlacement,
                     initial_path, is_valid, next_fill_position, rhombus_pos,
                     validate_path)
 from .intervalrank import DotSet, essential_conditions
-from .poly import LPoly, Poly, sum_of
+from .poly import LPoly, Poly, sum_of_products
 from .words import Word, inversions
 
 
@@ -313,10 +313,11 @@ def structure_constants(theory: Theory, mu: Word, nu: Word) -> dict:
 
     A fold over the reachable states, children before parents: a state's
     value maps each final word to the sum of the branch weight times the
-    child's value over its branches, each word's products added into one
-    dict.  Forced pieces weigh 1 and are not multiplied in: a forced state
-    shares its child's dict.  A child's value is dropped once its last
-    parent has read it; cancelled coefficients are dropped only at the root.
+    child's value over its branches, each weight's shifted copies of the
+    children added into one dict per word.  Forced pieces weigh 1 and are
+    not multiplied in: a forced state shares its child's dict.  A child's
+    value is dropped once its last parent has read it; cancelled
+    coefficients are dropped only at the root.
     """
     n = mu.n
     one = LPoly.const(n, 1) if theory.k_theory else Poly.const(n, 1)
@@ -340,11 +341,8 @@ def structure_constants(theory: Theory, mu: Word, nu: Word) -> dict:
                 child = q.steps
                 for lam, c in (value.pop(child) if last[child] is steps
                                else value[child]).items():
-                    if lam in parts:
-                        parts[lam].append(w * c)
-                    else:
-                        parts[lam] = [w * c]
-            value[steps] = {lam: sum_of(ps) for lam, ps in parts.items()}
+                    parts.setdefault(lam, []).append((w, c))
+            value[steps] = {lam: sum_of_products(ps) for lam, ps in parts.items()}
     root = value[next(reversed(states))]
     return {lam: c for lam, c in root.items() if not c.is_zero()}
 

@@ -7,8 +7,8 @@ E(e_1,..,e_n) stands for exp(e_1 y_1 + ... + e_n y_n).  All coefficients are
 Python ints.  A value is stored as a dict from packed monomial key (one int
 per exponent vector, see _Layout) to coefficient with no zero coefficients,
 so equal values have equal dicts; the canonical graded order of the terms is
-the keys' integer order, sorted only when something reads it (rendering,
-JSON, repr, hash).
+the keys' integer order, sorted only when something reads the terms
+(`terms`, `render`, `json_text`), and decoded afresh for each read.
 """
 
 from __future__ import annotations
@@ -67,12 +67,6 @@ class _Layout:
         v = int.from_bytes(self.struct.pack(*exp), "big") ^ self.offset
         return (sum(exp) << self.shift) + self.twice - v
 
-    def exps(self, keys) -> list[tuple]:
-        # the inverse of key, one C-level unpack per key
-        twice, mask, off, nbytes = self.twice, self.mask, self.offset, self.nbytes
-        unpack = self.struct.unpack
-        return [unpack(((twice - (k & mask)) ^ off).to_bytes(nbytes, "big")) for k in keys]
-
 
 # one layout per arity, built on first use
 _layout = cache(_Layout)
@@ -83,14 +77,13 @@ class _Sparse:
     Shared machinery for Poly and LPoly.  Immutable by convention.
 
     The value lives in a dict from packed key to nonzero coefficient; the
-    ring operations combine these dicts directly and never sort.  `terms`,
-    the canonical tuple of (exp, coef) pairs in graded order, is built on
-    first use and cached.  _bound bounds every |e_i| of the value: `*` adds
-    the operands' bounds and raises PolyError before any digit could leave
-    its range.
+    ring operations combine these dicts directly and never sort.  `terms`
+    is the canonical tuple of (exp, coef) pairs in graded order.  _bound
+    bounds every |e_i| of the value: `*` adds the operands' bounds and
+    raises PolyError before any digit could leave its range.
     """
 
-    __slots__ = ("n", "_coeffs", "_bound", "_terms")
+    __slots__ = ("n", "_coeffs", "_bound")
     _allow_negative = False
 
     def __init__(self, n: int, terms=None):
@@ -112,7 +105,6 @@ class _Sparse:
         _set(self, "n", n)
         _set(self, "_coeffs", {k: c for k, c in d.items() if c != 0})
         _set(self, "_bound", bound)
-        _set(self, "_terms", None)
 
     @classmethod
     def _wrap(cls, n: int, coeffs: dict, bound: int):
@@ -122,20 +114,24 @@ class _Sparse:
         _set(self, "n", n)
         _set(self, "_coeffs", coeffs)
         _set(self, "_bound", bound)
-        _set(self, "_terms", None)
         return self
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
 
+    def _items(self):
+        # (key, exp, coef) per term in graded order, decoded afresh: the
+        # inverse of _Layout.key, one C-level unpack per key
+        lay = _layout(self.n)
+        twice, mask, off, nbytes, unpack = (lay.twice, lay.mask, lay.offset, lay.nbytes,
+                                            lay.struct.unpack)
+        keys = sorted(self._coeffs)
+        return zip(keys, [unpack(((twice - (k & mask)) ^ off).to_bytes(nbytes, "big"))
+                          for k in keys], map(self._coeffs.__getitem__, keys))
+
     @property
     def terms(self) -> tuple:
-        t = self._terms
-        if t is None:
-            keys = sorted(self._coeffs)
-            t = tuple(zip(_layout(self.n).exps(keys), map(self._coeffs.__getitem__, keys)))
-            _set(self, "_terms", t)
-        return t
+        return tuple((e, c) for _, e, c in self._items())
 
     # -- constructors ------------------------------------------------------
 
@@ -192,22 +188,9 @@ class _Sparse:
         small, big = ((self, other) if len(self._coeffs) <= len(other._coeffs)
                       else (other, self))
         off = _layout(self.n).offset
-        if len(small._coeffs) == 1:
-            # a monomial times big: keys stay distinct, nothing cancels
-            (k1, c1), = small._coeffs.items()
-            if c1 == 1 and k1 == off:
-                return big
-            k1 -= off
-            return self._wrap(self.n, {k1 + k2: c1 * c2 for k2, c2 in big._coeffs.items()},
-                              bound)
-        out = {}
-        get = out.get
-        for k1, c1 in small._coeffs.items():
-            k1 -= off
-            for k2, c2 in big._coeffs.items():
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        return self._wrap(self.n, {k: c for k, c in out.items() if c}, bound)
+        if len(small._coeffs) == 1 and small._coeffs.get(off) == 1:
+            return big
+        return self._wrap(self.n, _accumulate(((small, big),), off), bound)
 
     __rmul__ = __mul__
 
@@ -231,9 +214,6 @@ class _Sparse:
         return render(self)
 
     # -- serialization -----------------------------------------------------
-
-    def to_json(self):
-        return [{"coef": c, "exp": list(e)} for e, c in self.terms]
 
     @classmethod
     def from_json(cls, n: int, data):
@@ -268,29 +248,51 @@ class LPoly(_Sparse):
         return cls.monomial(n, exp, coef)
 
 
-def sum_of(values):
+def sum_of_products(pairs):
     """
-    The sum of a nonempty sequence of values of one type and arity.  The
-    largest is copied once and the others are added into that copy, so a
-    long sum builds no intermediate values.
+    sum(w * c for w, c in pairs), for a nonempty list of pairs of values of
+    one type and arity whose w have few terms, built as one dict from a copy
+    of the largest c.  A lone pair is its product: a lone (1, c) is c.
     """
-    first = values[0]
-    if len(values) == 1:
-        return first
-    sizes = [len(v._coeffs) for v in values]
-    big = sizes.index(max(sizes))
-    out = dict(values[big]._coeffs)
-    get = out.get
+    if len(pairs) == 1:
+        w, c = pairs[0]
+        return w * c
+    first = pairs[0][0]
     bound = 0
-    for i, v in enumerate(values):
-        first._check(v)
-        bound = max(bound, v._bound)
-        if i != big:
-            for k, c in v._coeffs.items():
-                out[k] = get(k, 0) + c
+    for w, c in pairs:
+        first._check(w)
+        first._check(c)
+        bound = max(bound, w._bound + c._bound)
+    if bound > LIMIT:
+        raise PolyError(f"a product's exponents could leave [-{LIMIT}, {LIMIT}]")
+    pairs = sorted(pairs, key=lambda pair: -len(pair[1]._coeffs))
+    return first._wrap(first.n, _accumulate(pairs, _layout(first.n).offset), bound)
+
+
+def _accumulate(pairs, off: int) -> dict:
+    # the coefficients of sum(w * c for w, c in pairs), checked by the
+    # caller: the first term of the first w starts the dict (a copy of c, or
+    # its shifted copy), and every later term adds its shifted copy of its c
+    # in place, so no product is built
+    out = {}
+    for w, c in pairs:
+        cs = c._coeffs
+        for k1, c1 in w._coeffs.items():
+            k1 -= off
+            if not out:
+                out = dict(cs) if c1 == 1 and not k1 else \
+                    {k1 + k2: c1 * c2 for k2, c2 in cs.items()}
+                get = out.get
+            elif c1 == 1 and not k1:
+                for k, c2 in cs.items():
+                    out[k] = get(k, 0) + c2
+            else:
+                for k2, c2 in cs.items():
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
     if 0 in out.values():
         out = {k: c for k, c in out.items() if c}
-    return first._wrap(first.n, out, bound)
+    return out
 
 
 def eval_at_one(p: LPoly | Poly) -> int:
@@ -346,28 +348,26 @@ def lowest_form(p: LPoly, d: int) -> Poly:
 
 # -- text form -------------------------------------------------------------
 
-def _render_term(exp, coef, laurent: bool) -> str:
-    if laurent:
-        if all(e == 0 for e in exp):
-            return str(coef)
-        return f"{coef}*E({','.join(str(e) for e in exp)})"
-    if all(e == 0 for e in exp):
-        return str(coef)
-    factors = []
-    for i, e in enumerate(exp):
-        if e == 1:
-            factors.append(f"y{i + 1}")
-        elif e > 1:
-            factors.append(f"y{i + 1}^{e}")
-    return f"{coef}*" + "*".join(factors)
-
-
 def render(p: Poly | LPoly) -> str:
     """Canonical text form; terms in graded order, '0' for the zero element."""
     if p.is_zero():
         return "0"
-    laurent = isinstance(p, LPoly)
-    return " + ".join(_render_term(e, c, laurent) for e, c in p.terms)
+    off = _layout(p.n).offset
+    if isinstance(p, LPoly):
+        tmpl = "%d*E(" + ",".join(["%d"] * p.n) + ")"
+        return " + ".join([str(c) if k == off else tmpl % (c, *e) for k, e, c in p._items()])
+    return " + ".join([str(c) if k == off else f"{c}*" + "*".join(
+        f"y{i}" if e == 1 else f"y{i}^{e}" for i, e in enumerate(exp, 1) if e)
+        for k, exp, c in p._items()])
+
+
+def json_text(p: Poly | LPoly) -> str:
+    """
+    json.dumps of p's terms as [{"coef": c, "exp": [e_1, ..]}, ..] with
+    sorted keys, formatted straight from the packed keys.
+    """
+    tmpl = '{"coef": %d, "exp": [' + ", ".join(["%d"] * p.n) + "]}"
+    return "[" + ", ".join([tmpl % (c, *e) for _, e, c in p._items()]) + "]"
 
 
 _TERM_RE = re.compile(r"^(-?\d+)(?:\*(.+))?$")
@@ -409,7 +409,3 @@ def parse(s: str, n: int, laurent: bool = False) -> Poly | LPoly:
                 exp[i - 1] += int(vm.group(2) or 1)
             terms.append((tuple(exp), coef))
     return cls(n, terms)
-
-
-def coefficients_to_json(coeffs: dict) -> dict:
-    return {lam: p.to_json() for lam, p in coeffs.items()}

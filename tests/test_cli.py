@@ -54,6 +54,32 @@ def test_coeff_json_round_trip(capsys):
     assert doc["coefficients"]["0101"] == [{"coef": -1, "exp": [1, 0, 0, -1]}]
 
 
+@pytest.mark.parametrize("error, code", [("invariant", 2), ("poly", None)])
+def test_coeff_json_fails_before_the_first_byte(capsys, monkeypatch, error, code):
+    # the count is taken before anything is written: a failure in it leaves
+    # stdout empty (an uncaught PolyError exits 1 with its traceback)
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if error == "invariant":
+            raise puzzlecalc.filling.InvariantError("broken count")
+        raise puzzlecalc.poly.PolyError("broken count")
+
+    monkeypatch.setattr(puzzlecalc.cli, "count_puzzles", failing)
+    argv = ["coeff", "--theory", "kt", "--mu", "0101", "--nu", "1010", "--json"]
+    if code is None:
+        with pytest.raises(puzzlecalc.poly.PolyError):
+            main(argv)
+        out, err = capsys.readouterr()
+    else:
+        code_, out, err = run(capsys, *argv)
+        assert code_ == code
+        assert err == "internal invariant violation: broken count\n"
+    assert out == ""
+    assert len(calls) == 1
+
+
 def test_coeff_bad_word(capsys):
     code, _, err = run(capsys, "coeff", "--theory", "h",
                        "--mu", "01x1", "--nu", "1010")
@@ -117,6 +143,24 @@ def test_reader_closing_the_pipe_early_is_not_an_error():
         assert proc.stdout.readline() == b"3239 puzzles\n"
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert err == b""
+
+
+@pytest.mark.parametrize("form", [[], ["--json"]], ids=["plain", "json"])
+def test_reader_closing_coeff_output_early_is_not_an_error(form):
+    # coeff writes the n = 10 expansion (5.5 MB, or 10 MB in JSON) in many
+    # writes: those after the reader has gone must not fail the command
+    src = str(pathlib.Path(puzzlecalc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["coeff", "--theory", "ht", "--mu", "0110100110", "--nu", "1100110010", *form]
+    with subprocess.Popen([sys.executable, "-m", "puzzlecalc.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert head.startswith(b'{"coefficients": {"' if form else b"0")
     assert proc.returncode == 0, err
     assert err == b""
 

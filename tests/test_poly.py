@@ -1,10 +1,14 @@
+import json
 from operator import add, neg
 
 import pytest
 from hypothesis import given, strategies as st
 
-from puzzlecalc.poly import (LIMIT, LPoly, Poly, PolyError, eval_at_one, lowest_form,
-                             parse, render, sum_of, y_to_zero)
+from puzzlecalc.poly import (LIMIT, LPoly, Poly, PolyError, eval_at_one, json_text,
+                             lowest_form, parse, render, sum_of_products, y_to_zero)
+from puzzlecalc.cli import main
+from puzzlecalc.filling import Theory, count_puzzles, structure_constants
+from puzzlecalc.words import all_words
 
 
 N = 3
@@ -67,12 +71,12 @@ def test_render_parse_round_trip_laurent(p):
 
 @given(polys)
 def test_json_round_trip(p):
-    assert Poly.from_json(N, p.to_json()) == p
+    assert Poly.from_json(N, json.loads(json_text(p))) == p
 
 
 @given(lpolys)
 def test_json_round_trip_laurent(p):
-    assert LPoly.from_json(N, p.to_json()) == p
+    assert LPoly.from_json(N, json.loads(json_text(p))) == p
 
 
 def test_eval_at_one():
@@ -134,7 +138,7 @@ def test_a_value_has_one_canonical_form(cls, operands, data):
         assert p == a * b
         assert p.terms == (a * b).terms
         assert hash(p) == hash(a * b)
-        assert p.to_json() == (a * b).to_json()
+        assert json_text(p) == json_text(a * b)
 
 
 @given(st.one_of(polys, lpolys), st.one_of(polys, lpolys))
@@ -231,9 +235,6 @@ class _RefSparse:
     def eval_at_one(self):
         return sum(self.coeffs.values())
 
-    def to_json(self):
-        return [{"coef": c, "exp": list(e)} for e, c in self.terms]
-
     def render(self):
         if not self.coeffs:
             return "0"
@@ -258,11 +259,17 @@ class _RefLPoly(_RefSparse):
     name = "LPoly"
 
 
+def _ref_json(p):
+    # a value's terms as coeff --json wrote them when it built the document
+    # as dicts and passed it to json.dumps
+    return json.dumps([{"coef": c, "exp": list(e)} for e, c in p.terms], sort_keys=True)
+
+
 def _agree(p, ref, parts=True):
     # every reading of a value (and of its homogeneous parts) matches the
     # reference's
     assert p.terms == ref.terms
-    assert p.to_json() == ref.to_json()
+    assert json_text(p) == _ref_json(ref)
     assert render(p) == ref.render()
     assert hash(p) == hash(ref)
     assert p.constant_term() == ref.constant_term()
@@ -293,7 +300,8 @@ def test_packed_keys_match_the_tuple_keyed_reference(cls, data):
     ra, rb = _REF[cls](N, ta), _REF[cls](N, tb)
     for p, ref in ((a, ra), (b, rb), (a + b, ra + rb), (a - b, ra - rb), (-a, -ra),
                    (a * b, ra * rb), (b * a, ra * rb), (a * m, ra * m), (m * a, ra * m),
-                   (sum_of([a, b, a * m]), ra + rb + ra * m)):
+                   (sum_of_products([(cls.const(N, 1), a), (cls.const(N, 1), b),
+                                     (cls.const(N, m), a)]), ra + rb + ra * m)):
         _agree(p, ref)
     assert (a == b) == (ra == rb)
 
@@ -304,8 +312,7 @@ def test_constructor_rejects_exponents_outside_the_digit_range():
             cls(2, [((0, e), 1)])
     # the extremes themselves are kept and read back
     assert LPoly(2, [((LIMIT, -LIMIT), 3)]).terms == (((LIMIT, -LIMIT), 3),)
-    assert Poly.from_json(2, [{"coef": 1, "exp": [0, LIMIT]}]).to_json() == \
-        [{"coef": 1, "exp": [0, LIMIT]}]
+    assert Poly.from_json(2, [{"coef": 1, "exp": [0, LIMIT]}]).terms == (((0, LIMIT), 1),)
 
 
 @pytest.mark.parametrize("base, exp", [(Poly.y(2, 1), (1, 0)),
@@ -319,3 +326,127 @@ def test_repeated_squaring_raises_at_the_first_overflowing_product(base, exp):
         assert p.terms == ((tuple(e << step for e in exp), 1),)
     with pytest.raises(PolyError):
         p * p
+
+
+# -- the output encoders against the reference ------------------------------
+
+@pytest.mark.parametrize("p", [
+    Poly(2, [((0, LIMIT), 1), ((LIMIT, 0), -2), ((0, 0), 3)]),
+    LPoly(3, [((LIMIT, -LIMIT, 0), 5), ((-LIMIT, 0, LIMIT), -1), ((0, 0, 0), -7)]),
+    LPoly(2, [((-LIMIT, -LIMIT), 1), ((LIMIT, LIMIT), 1)]),
+    Poly(3, [((1, 0, 2), 2**64 + 1), ((0, 0, 0), -(2**70)), ((0, 1, 0), 1)]),
+    LPoly(2, [((1, -1), -(2**65)), ((0, 0), 2**64)]),
+    Poly(4, [((0, 1, 0, 0), -1), ((1, 0, 0, 0), -3), ((0, 0, 0, 4), -12)]),
+    Poly(1, [((3,), 1)]),
+    Poly.zero(3), LPoly.zero(2), Poly.const(2, -3), LPoly.const(1, 0),
+], ids=lambda p: f"{type(p).__name__}-{len(p.terms)}")
+def test_encoders_match_the_reference_on_extreme_values(p):
+    assert json_text(p) == _ref_json(p)
+    assert render(p) == _REF[type(p)](p.n, p.terms).render()
+    assert type(p).from_json(p.n, json.loads(json_text(p))) == p
+    assert parse(render(p), p.n, laurent=isinstance(p, LPoly)) == p
+
+
+@pytest.mark.parametrize("theory", list(Theory))
+def test_coeff_output_is_the_reference_encoding(theory, capsys):
+    # both forms of coeff on every pair up to n = 4, the unreachable ones
+    # (an empty expansion) included, against the whole document built from
+    # terms and passed to json.dumps, and the reference text
+    for n in range(1, 5):
+        for k in range(n + 1):
+            for mu in all_words(n, k):
+                for nu in all_words(n, k):
+                    coeffs = structure_constants(theory, mu, nu)
+                    doc = {"n": n, "k": k, "mu": str(mu), "nu": str(nu), "theory": theory.value,
+                           "coefficients": {lam: json.loads(_ref_json(p))
+                                            for lam, p in coeffs.items()},
+                           "puzzle_count": count_puzzles(theory, mu, nu)}
+                    text = "".join(f"{lam}: {_REF[type(p)](n, p.terms).render()}\n"
+                                   for lam, p in sorted(coeffs.items()))
+                    argv = ["coeff", "--theory", theory.value, "--mu", str(mu), "--nu", str(nu)]
+                    assert main(argv + ["--json"]) == 0
+                    assert capsys.readouterr().out == json.dumps(doc, sort_keys=True) + "\n"
+                    assert main(argv) == 0
+                    assert capsys.readouterr().out == text
+
+
+# -- the fold's fused sum of products ------------------------------------------
+
+# weights like the branch weights: a few terms with small exponents
+_weights = {
+    Poly: st.lists(st.tuples(st.tuples(*[st.integers(0, 1)] * N), coefs), min_size=1, max_size=2),
+    LPoly: st.lists(st.tuples(st.tuples(*[st.integers(-1, 1)] * N), coefs), min_size=1,
+                    max_size=2),
+}
+
+
+@pytest.mark.parametrize("cls", [Poly, LPoly])
+@given(data=st.data())
+def test_sum_of_products_is_the_sum_of_the_products(cls, data):
+    pairs = data.draw(st.lists(st.tuples(_weights[cls].map(lambda t: cls(N, t)),
+                                         _term_lists[cls].map(lambda t: cls(N, t))),
+                               min_size=1, max_size=4))
+    # a unit weight, and a pair that cancels another, as the fold meets them
+    if data.draw(st.booleans()):
+        pairs.append((cls.const(N, 1), pairs[0][1]))
+    if data.draw(st.booleans()):
+        pairs.append((-pairs[0][0], pairs[0][1]))
+    total = cls.zero(N)
+    for w, c in pairs:
+        total = total + w * c
+    got = sum_of_products(pairs)
+    assert got == total
+    assert got.terms == total.terms
+    assert 0 not in got._coeffs.values()
+
+
+def test_sum_of_products_cancels_to_the_zero_element():
+    w, c = LPoly.const(2, 1) - LPoly.exp(2, (1, -1)), LPoly(2, [((0, 3), 2), ((-1, 1), 1)])
+    z = sum_of_products([(w, c), (-w, c), (LPoly.exp(2, (1, -1)), c - c)])
+    assert z.is_zero() and z._coeffs == {}
+
+
+@pytest.mark.parametrize("c", [Poly(2, [((1, 0), 3), ((0, 2), -1)]), Poly.y(2, 2), Poly.zero(2)])
+def test_sum_of_products_of_a_lone_unit_pair_is_the_child(c):
+    assert sum_of_products([(Poly.const(2, 1), c)]) == c
+    if not c.is_zero():
+        assert sum_of_products([(Poly.const(2, 1), c)]) is c
+
+
+class _Untouchable(dict):
+    # a term dict that may be measured but not read
+    def items(self):
+        raise AssertionError("a product was started")
+
+    __iter__ = keys = values = items
+
+
+def test_sum_of_products_checks_the_bound_before_multiplying():
+    def value(exp):
+        return LPoly._wrap(2, _Untouchable({LPoly.monomial(2, exp)._coeffs.popitem()[0]: 1}),
+                           max(map(abs, exp)))
+
+    half = LIMIT // 2 + 1
+    ok = (value((1, 0)), value((0, 1)))
+    for pairs in ([ok, (value((half, 0)), value((half, 0)))],
+                  [(value((0, -half)), value((0, -half))), ok],
+                  [(value((0, LIMIT)), value((1, 0)))]):
+        with pytest.raises(PolyError):
+            sum_of_products(pairs)
+    # at the bound itself the sum is formed
+    top = LPoly.exp(2, (LIMIT - 1, 0))
+    assert sum_of_products([(LPoly.exp(2, (1, 0)), top), (LPoly.const(2, 1), top)]) == \
+        LPoly(2, [((LIMIT, 0), 1), ((LIMIT - 1, 0), 1)])
+
+
+@pytest.mark.parametrize("pairs", [
+    [(Poly.const(2, 1), Poly.y(2, 1)), (LPoly.const(2, 1), LPoly.exp(2, (1, 0)))],
+    [(Poly.const(2, 1), Poly.y(2, 1)), (Poly.const(2, 1), LPoly.exp(2, (1, 0)))],
+    [(Poly.const(2, 1), Poly.y(2, 1)), (Poly.const(3, 1), Poly.y(3, 1))],
+    [(Poly.y(2, 1), Poly.y(2, 1)), (Poly.const(2, 1), Poly.y(3, 1))],
+    [(Poly.const(2, 1), LPoly.exp(2, (1, 0)))],
+    [(Poly.y(2, 1), Poly.y(3, 1))],
+], ids=["type", "type-in-pair", "arity", "arity-in-pair", "lone-type", "lone-arity"])
+def test_sum_of_products_rejects_mixed_operands(pairs):
+    with pytest.raises(PolyError):
+        sum_of_products(pairs)
