@@ -121,6 +121,10 @@ def validate_path(p: PuzzlePath) -> list[str]:
     A path that leaves the board gets a single "geometry" message instead.
     One pass over the steps tracks the vertex, the rule-4 counts and the
     first step of each rule 5-7 kind after the latest SE step.
+
+    This is the spec.  The engine runs it once on each path that no parent
+    derived, and checks a derived child only where its piece changed the
+    path (filling._child_is_valid, which tests hold equal to this).
     """
     n, steps = p.n, p.steps
     bad: list[str] = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 
-from .board import (STEP, FillPos, Puzzle, PuzzlePath, RhombusPlacement,
+from .board import (STEP, FillPos, Puzzle, PuzzlePath, RhombusPlacement, Step,
                     TrianglePlacement, bottom_pos, fill_site, final_path_word,
                     initial_path, is_valid, next_fill_position, rhombus_pos,
                     validate_path)
@@ -77,13 +77,13 @@ INTERESTING = (
 # place it, with the steps it puts on the path: per TRIANGLE key the new SW
 # step and the triangle, per BORING key the new SW and SE steps and the
 # rhombus, and per interesting kind its kind, steps and rhombus
-_TRIANGLE_PIECES = {key: (STEP["SW", left], TrianglePlacement(*key, left))
+_TRIANGLE_PIECES = {key: ((STEP["SW", left],), TrianglePlacement(*key, left))
                     for key, left in TRIANGLE.items()}
-_BORING_PIECES = {key: (STEP["SW", upper], STEP["SE", lower],
+_BORING_PIECES = {key: ((STEP["SW", upper], STEP["SE", lower]),
                         RhombusPlacement("boring", key, (upper, lower), mid))
                   for key, (upper, lower, mid) in BORING.items()}
 _INTERESTING_PIECES = tuple(
-    (kind, STEP["SW", upper], STEP["SE", lower],
+    (kind, (STEP["SW", upper], STEP["SE", lower]),
      RhombusPlacement(kind, ("1", "0"), (upper, lower), mid))
     for kind, (upper, lower), mid in INTERESTING)
 
@@ -140,8 +140,10 @@ def legal_branches(p: PuzzlePath) -> tuple[tuple[Branch, PuzzlePath], ...]:
     """
     The continuations of a valid, non-final path, in deterministic order:
     the forced one, or (interesting case) equivariant, shift0, shift1, topk.
-    Each branch carries the piece it places; a broken invariant raises
-    InvariantError, and is raised again on the next call.
+    Each branch carries the piece it places.  A path no parent derived must
+    pass validate_path, or raises ValueError; a derived one passed
+    _child_is_valid.  A broken invariant raises InvariantError, and is
+    raised again on the next call.
     """
     table = _successors
     if p.n == table.n:
@@ -155,6 +157,9 @@ def legal_branches(p: PuzzlePath) -> tuple[tuple[Branch, PuzzlePath], ...]:
     # passed in from outside (None is the site of a final path)
     site = table.sites.pop(p.steps, False)
     if site is False:
+        bad = validate_path(p)
+        if bad:
+            raise ValueError(f"invalid path: {'; '.join(bad)}")
         site = fill_site(p)
     out, child_site = _derive_branches(p, site)
     table.rows[p.steps] = out
@@ -164,33 +169,76 @@ def legal_branches(p: PuzzlePath) -> tuple[tuple[Branch, PuzzlePath], ...]:
     return out
 
 
+def _after_kink(steps: tuple[Step, ...], start: int) -> tuple[bool, bool, bool]:
+    """
+    What rules 5-7 read of the SW and bottom steps after a kink,
+    steps[start:]: whether a SW 1 and a bottom 1 come before the first SW R
+    or bottom 0, and whether there is one.
+    """
+    sw1 = w1 = False
+    for idx in range(start, len(steps)):
+        d, label = steps[idx]
+        if label == "1":
+            if d == "SW":
+                sw1 = True
+            else:
+                w1 = True
+        elif label == ("R" if d == "SW" else "0"):
+            return sw1, w1, True
+    return sw1, w1, False
+
+
+def _child_is_valid(kink: str, after: tuple[bool, bool, bool]) -> bool:
+    """
+    Whether a child of a valid path, not final, is valid, given its kink
+    label and the _after_kink of the steps after that kink.  validate_path
+    is the spec, and tests hold the two equal on every candidate child with
+    n <= 6.  The child differs from its parent only where the piece went,
+    so only rules 5-7 can fail:
+    - the end point stays put, and rule 3 can only lose bottom 0s;
+    - every piece balances rule 4, and replaces the parent's kink, its only
+      K step, by steps with no K off the child's kink (rule 2);
+    - the new SW step lies on the boundary only when the parent's kink was
+      its only SE step; rule 4 then allows a SW R there only under a new
+      kink 0 with no SW R or bottom 0 after it, which rule 6 rejects
+      (rule 1).
+    """
+    if kink == "1":
+        return True
+    sw1, w1, ray = after
+    if kink == "R":
+        return sw1 or w1
+    return ray and not w1 and (kink == "0" or sw1)
+
+
 def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
                      ) -> tuple[tuple[tuple[Branch, PuzzlePath], ...], tuple[int, FillPos] | None]:
     """
-    The branches of p, whose fill site is site, and the fill site that all
-    of its children share.  A rhombus at the kink k leaves the child's kink
-    at k + 1, before step k + 2 of p; a triangle leaves it at the last SE
-    step before k, or makes the child final.
+    The branches of the valid path p, whose fill site is site, and the fill
+    site that all of its children share.  Each candidate child is checked
+    by _child_is_valid; the steps after the child's kink are scanned once,
+    as the four interesting candidates share them.  A rhombus at the kink k
+    leaves the child's kink at k + 1, before step k + 2 of p; a triangle
+    leaves it at the last SE step before k, or makes the child final.
     """
     if site is None:
         return (), None
     kink, pos = site
     s = p.steps
-    klabel = s[kink].label
+    key = (s[kink].label, s[kink + 1].label)
     if pos.kind == "bottom":
-        key = (klabel, s[kink + 1].label)
         if key not in _TRIANGLE_PIECES:
             raise InvariantError(f"unfillable bottom triangle {key} at {pos}")
-        left, piece = _TRIANGLE_PIECES[key]
-        q = PuzzlePath(p.n, s[:kink] + (left,) + s[kink + 2:])
-        if not is_valid(q):
-            raise InvariantError(f"forced triangle at {pos} broke the path: {validate_path(q)}")
+        new, piece = _TRIANGLE_PIECES[key]
+        q = PuzzlePath(p.n, s[:kink] + new + s[kink + 2:])
         # the steps between the child's kink and the new SW step are all SW,
         # so the child's rhombus sits k - m rows above the bottom
         m = kink - 1
         while m >= 0 and s[m].dir != "SE":
             m -= 1
         c = pos.c
+        if m >= 0 and not _child_is_valid(s[m].label, _after_kink(q.steps, m + 1)):
+            raise InvariantError(f"forced triangle at {pos} broke the path: {validate_path(q)}")
         return ((Branch("triangle", pos, piece), q),), \
             None if m < 0 else (m, rhombus_pos(c - 1, c - 1 + kink - m))
 
@@ -198,30 +246,28 @@ def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
     child_site = (kink + 1, bottom_pos(i) if s[kink + 2].dir == "W"
                   else rhombus_pos(i, j - 1))
     head, tail = s[:kink], s[kink + 2:]
-    key = (klabel, s[kink + 1].label)
+    after = _after_kink(s, kink + 2)
     if key in _BORING_PIECES:
-        upper, lower, piece = _BORING_PIECES[key]
-        q = PuzzlePath(p.n, head + (upper, lower) + tail)
-        if not is_valid(q):
+        new, piece = _BORING_PIECES[key]
+        q = PuzzlePath(p.n, head + new + tail)
+        if not _child_is_valid(new[1].label, after):
             raise InvariantError(f"forced rhombus at {pos} broke the path: {validate_path(q)}")
         return ((Branch("boring", pos, piece), q),), child_site
     if key != ("1", "0"):
         raise InvariantError(f"unfillable rhombus {key} at {pos}")
 
-    out = []
-    for kind, upper, lower, piece in _INTERESTING_PIECES:
-        q = PuzzlePath(p.n, head + (upper, lower) + tail)
-        if is_valid(q):
-            out.append((Branch(kind, pos, piece), q))
-        elif kind == "equivariant":
-            raise InvariantError(
-                f"equivariant continuation at {pos} broke the path: {validate_path(q)}")
-    kinds = {b.kind for b, _ in out}
-    if not kinds & {"shift0", "shift1"}:
+    ok = [_child_is_valid(new[1].label, after) for _, new, _ in _INTERESTING_PIECES]
+    equivariant, shift0, shift1, topk = ok
+    if not equivariant:
+        q = PuzzlePath(p.n, head + _INTERESTING_PIECES[0][1] + tail)
+        raise InvariantError(
+            f"equivariant continuation at {pos} broke the path: {validate_path(q)}")
+    if not (shift0 or shift1):
         raise InvariantError(f"no shift continuation at {pos}")
-    if ("topk" in kinds) != ({"shift0", "shift1"} <= kinds):
+    if topk != (shift0 and shift1):
         raise InvariantError(f"topk legality out of step with the shifts at {pos}")
-    return tuple(out), child_site
+    return tuple((Branch(kind, pos, piece), PuzzlePath(p.n, head + new + tail))
+                 for keep, (kind, new, piece) in zip(ok, _INTERESTING_PIECES) if keep), child_site
 
 
 def branch_weight(theory: Theory, branch: Branch, n: int):

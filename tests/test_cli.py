@@ -509,10 +509,10 @@ _BROKEN_INVARIANT = textwrap.dedent("""
     from puzzlecalc.board import initial_path
     from puzzlecalc.words import parse_word
 
-    # only the starting path passes the validity check, so the first piece
-    # placed breaks the path
+    # the starting path is valid, but every child fails the engine's check,
+    # so the first piece placed breaks the path
     start = initial_path(parse_word("0101"), parse_word("1010"))
-    filling.is_valid = lambda q: q == start
+    filling._child_is_valid = lambda *args: False
     try:
         filling.legal_branches(start)
         print("returned")

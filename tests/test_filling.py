@@ -1,7 +1,9 @@
+from collections import Counter
+
 import pytest
 
 from puzzlecalc import filling
-from puzzlecalc.board import FillPos, fill_site, initial_path
+from puzzlecalc.board import STEP, FillPos, PuzzlePath, fill_site, initial_path, is_valid
 from puzzlecalc.filling import (_PRUNED, InvariantError, Theory, count_puzzles,
                                 enumerate_puzzles, legal_branches,
                                 puzzle_degree_balance, reachable, runs,
@@ -235,6 +237,51 @@ def test_parent_computed_sites_match_fill_site(monkeypatch):
     assert derivations == 37785
 
 
+def test_local_check_is_validate_path():
+    # every candidate child of every reachable state with n <= 6, the forced
+    # one or all four interesting ones: the engine keeps it iff it is valid
+    # (every rejected one is interesting: no forced child of these states
+    # breaks the path)
+    verdicts = Counter()
+    for mu, nu in _pairs(6):
+        for p, _ in reachable(mu, nu).values():
+            site = fill_site(p)
+            if site is None:
+                continue
+            kink, pos = site
+            s = p.steps
+            key = (s[kink].label, s[kink + 1].label)
+            if pos.kind == "bottom":
+                news = [filling._TRIANGLE_PIECES[key][0]]
+            elif key in filling._BORING_PIECES:
+                news = [filling._BORING_PIECES[key][0]]
+            else:
+                news = [new for _, new, _ in filling._INTERESTING_PIECES]
+            kept = {q.steps for _, q in filling._derive_branches(p, site)[0]}
+            for new in news:
+                steps = s[:kink] + new + s[kink + 2:]
+                assert (steps in kept) == is_valid(PuzzlePath(p.n, steps)), steps
+                verdicts[steps in kept] += 1
+    assert verdicts == {True: 40184, False: 9074}
+
+
+def test_invalid_path_from_outside_is_refused():
+    # a path shorter than an initial one leaves the table of (MU, NU) in place
+    mid = next(path for path, _ in reachable(MU, NU).values()
+               if len(path.steps) < 8 and any(s.dir == "SW" for s in path.steps))
+    idx = next(idx for idx, s in enumerate(mid.steps) if s.dir == "SW")
+    bad = PuzzlePath(4, mid.steps[:idx] + (STEP["SW", "K"],) + mid.steps[idx + 1:])
+    rows, sites = dict(filling._successors.rows), dict(filling._successors.sites)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="invalid path: .*K on non-kink step"):
+            legal_branches(bad)
+    assert filling._successors.rows == rows and filling._successors.sites == sites
+    # an invalid initial path starts a new table, and stores nothing in it
+    with pytest.raises(ValueError, match="invalid path"):
+        legal_branches(initial_path(parse_word("1100"), parse_word("0011")))
+    assert not filling._successors.rows and not filling._successors.sites
+
+
 def test_branches_share_their_pieces():
     pieces = {}
     for mu, nu in _pairs(5):
@@ -271,7 +318,7 @@ def test_table_holds_one_pair():
 def test_invariant_error_is_not_cached(monkeypatch):
     start = initial_path(MU, NU)
     filling._successors.clear()
-    monkeypatch.setattr(filling, "is_valid", lambda q: False)
+    monkeypatch.setattr(filling, "_child_is_valid", lambda *args: False)
     for _ in range(2):
         with pytest.raises(InvariantError):
             legal_branches(start)
