@@ -15,7 +15,7 @@ from .intervalrank import (DotSet, IntervalRankMatrix, covers, dots_from_rank,
                            matching_exists, parse_dots, rank_from_dots,
                            rank_of_matrix)
 from .oracle import Report, lr_oracle, verify_suite
-from .pinkdots import path_codim, path_to_rank, place_rays
+from .pinkdots import path_codim, path_dots, path_to_rank
 from .poly import (LPoly, Poly, eval_at_one, lowest_form, parse, render,
                    y_to_zero)
 from .words import Word, all_words, inversions, parse_word, reverse, word_to_partition

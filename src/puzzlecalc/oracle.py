@@ -132,7 +132,7 @@ def _suite_pinkdots(max_n: int, report: Report):
             # children come first, so each state's dots are computed once
             dots = {}
             for path, branches in filling.reachable(mu, nu).values():
-                d = dots[path.steps] = pinkdots.path_to_rank(path)[0]
+                d = dots[path.steps] = pinkdots.path_dots(path)
                 if len(d.dots) != n - mu.k:
                     bad.append(f"{mu}/{nu}: {len(d.dots)} dots, expected {n - mu.k}")
                 for br, q in branches:
@@ -145,21 +145,23 @@ def _suite_dictionary(max_n: int, report: Report):
     bad = []
     for n in range(1, max_n + 1):
         for mu, nu in _word_pairs(n):
-            # children come first, so each state's ranks are computed once
-            ranks = {}
+            # children come first, so each state's dots are computed once;
+            # rank matrices only for the K child's triple, the one reader
+            dots = {}
             for path, branches in filling.reachable(mu, nu).values():
-                d, _ = ranks[path.steps] = pinkdots.path_to_rank(path)
+                d = dots[path.steps] = pinkdots.path_dots(path)
                 if pinkdots.path_codim(path) != ir.envelope_codim(d):
                     bad.append(f"{mu}/{nu}: codim mismatch on {path.steps}")
-                kinds = {br.kind: ranks[q.steps] for br, q in branches}
+                kinds = {br.kind: dots[q.steps] for br, q in branches}
                 if "equivariant" in kinds:
-                    dsw, _ = kinds["equivariant"]
+                    dsw = kinds["equivariant"]
                     for kind in ("shift0", "shift1"):
-                        if kind in kinds and dsw not in ir.covers(kinds[kind][0]):
+                        if kind in kinds and dsw not in ir.covers(kinds[kind]):
                             bad.append(
                                 f"{mu}/{nu}: sweep does not cover the {kind} child")
                     if "topk" in kinds:
-                        r0, r1, rk = (kinds[kind][1] for kind in ("shift0", "shift1", "topk"))
+                        r0, r1, rk = (ir.rank_from_dots(kinds[kind])
+                                      for kind in ("shift0", "shift1", "topk"))
                         if ir.irm_min(r0, r1) != rk:
                             bad.append(f"{mu}/{nu}: irm_min of shifts is not the K child")
     report.record("dictionary", not bad, "; ".join(bad[:3]))
@@ -292,13 +294,13 @@ def _suite_boundary(max_n: int, report: Report):
             p = initial_path(mu, nu)
             if not is_valid(p):
                 continue
-            d, _ = pinkdots.path_to_rank(p)
+            d = pinkdots.path_dots(p)
             env = ir.envelope(d)
             if env != (mu, nu) or ir.envelope_codim(d) != 0:
                 bad.append(f"initial {mu}/{nu}: envelope {env[0]}/{env[1]}")
         for k in range(n + 1):
             for lam in all_words(n, k):
-                d, _ = pinkdots.path_to_rank(_final_path(lam))
+                d = pinkdots.path_dots(_final_path(lam))
                 zeros = [pp for pp in range(1, n + 1) if lam[pp] == 0]
                 want = frozenset((t + 1, z) for t, z in enumerate(zeros))
                 if d.dots != want:

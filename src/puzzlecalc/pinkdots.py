@@ -10,133 +10,96 @@ stratum the path tracks through the degeneration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .board import PuzzlePath, validate_path
 from .intervalrank import DotSet, IntervalRankMatrix, rank_from_dots
 
 
-@dataclass(frozen=True)
-class Ray:
-    direction: str   # "SW", "NW", "SE", "NE"
-    coord: int       # i for SW/NE rays, j for NW/SE rays
-    source: int      # step index, or -1 for an off-path bottom edge
-
-
-def place_rays(p: PuzzlePath) -> list[Ray]:
+def path_dots(p: PuzzlePath) -> DotSet:
     """
-    All rays of a valid path.
+    The dots of a valid path: one pass over its steps places the rays, then
+    they are paired.  Raises ValueError on an invalid path, or when the
+    rays do not pair up.
 
-    Left of the path: every SE 0 sends a ray SW (coordinate i); every SW R
-    and bottom 0 sends a ray NW (coordinate j); a kink R or K additionally
-    puts a NW ray on the first SW 1 (or bottom 1) after it.  Right of the
-    path: every SW 0 sends a ray SE; a kink 1 with a SW 0 above it sends a
-    ray NE; off-path bottom edges just right of the path supply the
-    remaining NE rays.
+    Rays, left of the path: every SE 0 sends a ray SW (coordinate i); every
+    SW R and bottom 0 sends a ray NW (coordinate j); a kink R or K
+    additionally sends a SW ray and puts a NW ray on the first SW 1 (or
+    bottom 1) after it.  Right of the path: every SW 0 sends a ray SE; a
+    kink 1 with a SW 0 above it sends a ray NE; off-path bottom edges just
+    right of the path supply the remaining NE rays.
+
+    Pairing, the unique non-crossing one: the kink's ray is resolved first.
+    A kink 0 or R pairs with the first NW ray strictly below it along the
+    path; a kink K skips that ray and takes the second; a kink 1 pairs its
+    NE ray with the SE ray of the nearest SW 0 above it.  Everything
+    remaining is paired off by sorting both sides of each left/right family
+    by their coordinate.
+
+    Each family's coordinates are listed in path order, so the rays after
+    the kink, or above it, are a slice of their list.
     """
-    n = p.n
-    verts = p.vertices()
-    kink = p.kink_index()
-    rays = []
-    for idx, s in enumerate(p.steps):
-        a0, b0 = verts[idx]
-        a1, b1 = verts[idx + 1]
-        if s.dir == "SE" and s.label == "0":
-            rays.append(Ray("SW", b1, idx))
-        elif s.dir == "SW":
-            j = b0 + n - a0
-            if s.label == "R":
-                rays.append(Ray("NW", j, idx))
-            elif s.label == "0":
-                rays.append(Ray("SE", j, idx))
-        elif s.dir == "W" and s.label == "0":
-            rays.append(Ray("NW", b0, idx))
-
-    if kink is not None:
-        klabel = p.steps[kink].label
-        _, kb = verts[kink + 1]
-        if klabel in ("R", "K"):
-            rays.append(Ray("SW", kb, kink))
-            for idx in range(kink + 1, len(p.steps)):
-                s = p.steps[idx]
-                if s.label == "1":
-                    a0, b0 = verts[idx]
-                    j = b0 + n - a0 if s.dir == "SW" else b0
-                    rays.append(Ray("NW", j, idx))
-                    break
-            else:
-                raise ValueError("kink R/K with no 1 below it")
-        elif klabel == "1":
-            if any(s.dir == "SW" and s.label == "0" for s in p.steps[:kink]):
-                rays.append(Ray("NE", kb, kink))
-
-    n_se = sum(1 for r in rays if r.direction == "SE")
-    n_ne = sum(1 for r in rays if r.direction == "NE")
-    west = [verts[idx][1] for idx, s in enumerate(p.steps) if s.dir == "W"]
-    c_max = max(west) if west else 0
-    for c in range(c_max + 1, c_max + 1 + (n_se - n_ne)):
-        rays.append(Ray("NE", c, -1))
-    return rays
-
-
-def pair_dots(p: PuzzlePath, rays: list[Ray]) -> DotSet:
-    """
-    The unique non-crossing pairing of the rays.
-
-    The kink's ray is resolved first: a kink 0 or R pairs with the first NW
-    ray strictly below it along the path; a kink K skips that ray and takes
-    the second; a kink 1 pairs its NE ray with the SE ray of the nearest
-    SW 0 above it.  Everything remaining is paired off by sorting both sides
-    of each left/right family by their coordinate.
-    """
-    kink = p.kink_index()
-    klabel = p.steps[kink].label if kink is not None else None
-    sw = [r for r in rays if r.direction == "SW"]
-    nw = [r for r in rays if r.direction == "NW"]
-    ne = [r for r in rays if r.direction == "NE"]
-    se = [r for r in rays if r.direction == "SE"]
-    dots = []
-
-    if kink is not None and klabel in ("0", "R", "K"):
-        kray = next(r for r in sw if r.source == kink)
-        below = sorted((r for r in nw if r.source > kink), key=lambda r: r.source)
-        want = 2 if klabel == "K" else 1
-        if len(below) < want:
-            raise ValueError(f"kink {klabel} lacks a NW ray partner below")
-        partner = below[want - 1]
-        dots.append((kray.coord, partner.coord))
-        sw.remove(kray)
-        nw.remove(partner)
-    elif kink is not None and klabel == "1":
-        kray = [r for r in ne if r.source == kink]
-        if kray:
-            above = sorted((r for r in se if r.source < kink), key=lambda r: r.source)
-            if not above:
-                raise ValueError("kink 1 has a NE ray but no SE ray above")
-            partner = above[-1]
-            dots.append((kray[0].coord, partner.coord))
-            ne.remove(kray[0])
-            se.remove(partner)
-
-    for left, right in ((sw, nw), (ne, se)):
-        if len(left) != len(right):
-            raise ValueError(
-                f"unbalanced rays: {len(left)} vs {len(right)} on one side")
-        for a, b in zip(sorted(r.coord for r in left),
-                        sorted(r.coord for r in right)):
-            dots.append((a, b))
-
-    for (i, j) in dots:
-        if i > j:
-            raise ValueError(f"dot ({i},{j}) below the diagonal")
-    return DotSet(p.n, frozenset(dots))
-
-
-def path_to_rank(p: PuzzlePath) -> tuple[DotSet, IntervalRankMatrix]:
     bad = validate_path(p)
     if bad:
         raise ValueError(f"invalid path: {bad}")
-    d = pair_dots(p, place_rays(p))
+    n = p.n
+    sw, nw, se = [], [], []  # ray coordinates in path order
+    a = b = 0
+    west = 0  # the largest bottom edge on the path
+    # the latest SE step (the kink once the pass ends): its label, its
+    # coordinate i, and how many NW and SE rays come before it
+    kink = None
+    one = None  # the first 1 after it: (how many NW rays come before, its coordinate)
+    for d, label in p.steps:
+        if d == "SE":
+            a += 1
+            b += 1
+            if label == "0":
+                sw.append(b)
+            kink, ki, nw_above, se_above, one = label, b, len(nw), len(se), None
+        elif d == "SW":
+            j = b + n - a
+            a += 1
+            if label == "R":
+                nw.append(j)
+            elif label == "0":
+                se.append(j)
+            elif label == "1" and one is None:
+                one = len(nw), j
+        else:
+            west = max(west, b)
+            if label == "0":
+                nw.append(b)
+            elif label == "1" and one is None:
+                one = len(nw), b
+            b -= 1
+
+    dots = []
+    if kink in ("0", "R", "K"):
+        if kink == "0":
+            sw.pop()  # the kink's own ray
+        elif one is None:
+            raise ValueError("kink R/K with no 1 below it")
+        else:
+            nw.insert(*one)  # the NW ray on the first 1, in path order
+        at = nw_above + (kink == "K")
+        if at >= len(nw):
+            raise ValueError(f"kink {kink} lacks a NW ray partner below")
+        dots.append((ki, nw.pop(at)))
+    elif kink == "1" and se_above:
+        dots.append((ki, se.pop(se_above - 1)))
+
+    if len(sw) != len(nw):
+        raise ValueError(f"unbalanced rays: {len(sw)} vs {len(nw)} on one side")
+    dots += zip(sorted(sw), sorted(nw))
+    # the remaining NE rays come off the bottom edges just right of the path
+    dots += zip(range(west + 1, west + 1 + len(se)), sorted(se))
+    for (i, j) in dots:
+        if i > j:
+            raise ValueError(f"dot ({i},{j}) below the diagonal")
+    return DotSet(n, frozenset(dots))
+
+
+def path_to_rank(p: PuzzlePath) -> tuple[DotSet, IntervalRankMatrix]:
+    d = path_dots(p)
     return d, rank_from_dots(d)
 
 

@@ -30,14 +30,6 @@ class PolyError(ValueError):
     pass
 
 
-def _gen_binomial(a: int, m: int) -> int:
-    # binomial coefficient C(a, m) for any integer a (negative included)
-    num = 1
-    for t in range(m):
-        num *= a - t
-    return num // factorial(m)
-
-
 class _Layout:
     """
     The packed keys of arity n.  The monomial with exponents e is the int
@@ -309,41 +301,35 @@ def lowest_form(p: LPoly, d: int) -> Poly:
     """
     Lowest-degree behaviour of an exponential sum near y = 0.
 
-    Substitutes exp(y_i) ~ 1 + y_i, expands up to total degree d, and returns
-    the degree-d homogeneous component as a Poly.  Raises PolyError if any
-    component of degree below d survives, since callers rely on p vanishing
-    to order d.
+    E(e) = exp(e.y), so the degree-m part of p is sum_e c_e (e.y)^m / m!.
+    Returns the degree-d part as a Poly.  Raises PolyError if a part of
+    degree below d is nonzero, since callers rely on p vanishing to order d.
+    Substituting exp(y_i) ~ 1 + y_i instead is a change of coordinates
+    tangent to the identity, so it gives the same order and lowest form.
     """
     if d < 0:
         raise PolyError("lowest_form degree must be >= 0")
     n = p.n
-    acc = {}
-    for exp, coef in p.terms:
-        # expand prod_i (1 + z_i)^{exp_i} truncated at total degree d
-        partial = {(0,) * n: coef}
-        for i, a in enumerate(exp):
-            if a == 0:
-                continue
-            nxt = {}
-            for mono, c in partial.items():
-                room = d - sum(mono)
-                for m in range(room + 1):
-                    b = _gen_binomial(a, m)
-                    if b == 0:
-                        continue
-                    e2 = list(mono)
-                    e2[i] += m
-                    e2 = tuple(e2)
-                    nxt[e2] = nxt.get(e2, 0) + c * b
-            partial = nxt
-        for mono, c in partial.items():
-            acc[mono] = acc.get(mono, 0) + c
-    low = Poly(n, list(acc.items()))
-    for e, c in low.terms:
-        if sum(e) < d:
-            raise PolyError(
-                f"expected vanishing to order {d}, found degree-{sum(e)} term {c}*{e}")
-    return low.degree_component(d)
+    one = Poly.const(n, 1)
+    units = [tuple(int(t == i) for t in range(n)) for i in range(n)]
+    parts = [Poly.zero(n)] * (d + 1)  # parts[m] = sum_e c_e (e.y)^m
+    terms = p.terms
+    # sixteen terms at a time, so that only their powers are held
+    for at in range(0, len(terms), 16):
+        block = terms[at:at + 16]
+        forms = [Poly(n, [(units[i], a) for i, a in enumerate(e) if a]) for e, _ in block]
+        powers = [Poly.const(n, c) for _, c in block]
+        for m in range(d + 1):
+            parts[m] += sum_of_products([(one, q) for q in powers])
+            if m < d:
+                powers = [q * form for q, form in zip(powers, forms)]
+    for m, part in enumerate(parts[:d]):
+        if not part.is_zero():
+            e, c = part.terms[0]
+            raise PolyError(f"expected vanishing to order {d}, "
+                            f"found degree-{m} term {c // factorial(m)}*{e}")
+    f = factorial(d)
+    return Poly._wrap(n, {k: c // f for k, c in parts[d]._coeffs.items()}, parts[d]._bound)
 
 
 # -- text form -------------------------------------------------------------

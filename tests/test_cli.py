@@ -259,10 +259,10 @@ def test_trace_invalid_pair(capsys):
 def test_trace_annotation_failure_is_an_invariant_violation(capsys, monkeypatch):
     # the pair is reachable, so failing to pair a state's rays is a bug,
     # not bad input
-    def unbalanced(p, rays):
+    def unbalanced(p):
         raise ValueError("unbalanced rays")
 
-    monkeypatch.setattr(puzzlecalc.pinkdots, "pair_dots", unbalanced)
+    monkeypatch.setattr(puzzlecalc.pinkdots, "path_dots", unbalanced)
     code, out, err = run(capsys, "trace", "--mu", "0101", "--nu", "1010")
     assert code == 2
     assert out == ""
@@ -275,15 +275,15 @@ def test_trace_failure_after_the_root_keeps_the_rows_written(capsys, monkeypatch
     # the fourth row cannot be annotated: the first three stay on stdout
     argv = ["trace", "--mu", "0101", "--nu", "1010", *form]
     _, full, _ = run(capsys, *argv)
-    pair_dots, calls = puzzlecalc.pinkdots.pair_dots, []
+    path_dots, calls = puzzlecalc.pinkdots.path_dots, []
 
-    def fourth_fails(p, rays):
+    def fourth_fails(p):
         calls.append(p)
         if len(calls) == 4:
             raise ValueError("unbalanced rays")
-        return pair_dots(p, rays)
+        return path_dots(p)
 
-    monkeypatch.setattr(puzzlecalc.pinkdots, "pair_dots", fourth_fails)
+    monkeypatch.setattr(puzzlecalc.pinkdots, "path_dots", fourth_fails)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert len(err.splitlines()) == 1

@@ -38,6 +38,8 @@ import pytest
 from puzzlecalc.board import PuzzlePath, Step, initial_path, svg_render, validate_path
 from puzzlecalc.cli import main
 from puzzlecalc.filling import enumerate_puzzles, reachable
+from puzzlecalc.intervalrank import format_dots
+from puzzlecalc.pinkdots import path_to_rank
 from puzzlecalc.words import all_words
 
 DIGESTS = pathlib.Path(__file__).with_name("golden.json")
@@ -52,6 +54,7 @@ def _groups():
         yield f"puzzles-ascii/-/{n}", cli_digest, (n, ["puzzles", "--render", "ascii"])
         yield f"puzzles-svg/-/{n}", svg_digest, (n,)
         yield f"validate-path/-/{n}", validate_path_digest, (n,)
+        yield f"path-dots/-/{n}", path_dots_digest, (n,)
         yield f"trace-json/-/{n}", cli_digest, (n, ["trace", "--json"])
         yield f"trace-text/-/{n}", cli_digest, (n, ["trace"])
     for n in range(1, 5):
@@ -105,6 +108,16 @@ def validate_path_digest(n: int) -> str:
     for steps in sorted(paths, key=lambda st: [(s.dir, s.label) for s in st]):
         bad = validate_path(PuzzlePath(n, steps))
         h.update((" ".join(s.dir + s.label for s in steps) + " | " + "; ".join(bad) + "\n").encode())
+    return h.hexdigest()
+
+
+def path_dots_digest(n: int) -> str:
+    h = hashlib.sha256()
+    for mu, nu in _pairs(n):
+        for steps, (path, _) in sorted(reachable(mu, nu).items(),
+                                       key=lambda item: [(s.dir, s.label) for s in item[0]]):
+            d = format_dots(path_to_rank(path)[0])
+            h.update(f"{mu} {nu} {' '.join(s.dir + s.label for s in steps)} | {d}\n".encode())
     return h.hexdigest()
 
 

@@ -151,15 +151,15 @@ def test_dictionary_suite_catches_a_wrong_codimension(monkeypatch):
 def test_pinkdots_suite_catches_a_forced_step_that_moves_the_dots(monkeypatch):
     # mirror the dots of every path with an odd number of steps: the count
     # is kept, but a forced triangle (one step fewer) now moves them
-    real = pinkdots.path_to_rank
+    real = pinkdots.path_dots
 
     def mirrored(p):
-        d, r = real(p)
+        d = real(p)
         if len(p.steps) % 2:
             d = DotSet(d.n, frozenset((d.n + 1 - j, d.n + 1 - i) for i, j in d.dots))
-        return d, r
+        return d
 
-    monkeypatch.setattr(pinkdots, "path_to_rank", mirrored)
+    monkeypatch.setattr(pinkdots, "path_dots", mirrored)
     report = Report()
     _suite_pinkdots(3, report)
     suite, ok, detail = report.results[0]

@@ -1,7 +1,7 @@
 from puzzlecalc.board import initial_path, is_valid
 from puzzlecalc.filling import reachable, trace_rows
 from puzzlecalc.intervalrank import dots_from_rank, envelope, envelope_codim, rank_from_dots
-from puzzlecalc.pinkdots import path_codim, path_to_rank, place_rays
+from puzzlecalc.pinkdots import path_codim, path_to_rank
 from puzzlecalc.words import all_words
 
 
@@ -27,16 +27,6 @@ def test_dot_count_is_n_minus_k():
         for mu, nu in _valid_pairs(n):
             for _, node in _all_paths(mu, nu):
                 assert len(node.dots.dots) == n - mu.k
-
-
-def test_rays_balance():
-    # every dot consumes one ray from each of two families
-    for n in range(1, 5):
-        for mu, nu in _valid_pairs(n):
-            p = initial_path(mu, nu)
-            rays = place_rays(p)
-            d, _ = path_to_rank(p)
-            assert len(rays) >= len(d.dots)
 
 
 def test_boring_steps_preserve_dots():

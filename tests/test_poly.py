@@ -1,5 +1,5 @@
 import json
-from operator import add, neg
+from operator import add, mul, neg
 
 import pytest
 from hypothesis import given, strategies as st
@@ -115,6 +115,21 @@ def test_lowest_form_consistency(p, d):
         return
     if d == 0:
         assert low == Poly.const(N, eval_at_one(p))
+
+
+# coefficients summing to 0 vanish to order >= 1, and a product of two such
+# to order >= 2, so lowest_form succeeds above degree 0 too
+balanced = lpolys.map(lambda p: p - LPoly.const(N, eval_at_one(p)))
+vanishing = st.one_of(lpolys, balanced, st.builds(mul, balanced, balanced))
+
+
+@given(vanishing, vanishing, st.integers(0, 2), st.integers(0, 2))
+def test_lowest_form_is_multiplicative(p, q, d1, d2):
+    try:
+        low_p, low_q = lowest_form(p, d1), lowest_form(q, d2)
+    except PolyError:
+        return
+    assert lowest_form(p * q, d1 + d2) == low_p * low_q
 
 
 # -- one value, one canonical form -----------------------------------------
