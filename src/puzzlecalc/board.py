@@ -73,13 +73,6 @@ class PuzzlePath:
             raise ValueError(f"path ends at v({a},{b}), not v({self.n},0)")
         return out
 
-    def kink_index(self) -> int | None:
-        """Index of the last SE step, None once the path is final."""
-        for idx in range(len(self.steps) - 1, -1, -1):
-            if self.steps[idx].dir == "SE":
-                return idx
-        return None
-
 
 def initial_path(mu: Word, nu: Word) -> PuzzlePath:
     """Down the NE boundary reading mu, then west along the bottom against nu."""
@@ -97,7 +90,7 @@ def final_path_word(p: PuzzlePath) -> Word:
     Read the NW boundary word off a final path: position q of the word is
     the label at depth n + 1 - q, i.e. the path is read from the bottom up.
     """
-    if p.kink_index() is not None:
+    if "SE" in [s.dir for s in p.steps]:
         raise ValueError("path still has SE steps")
     return Word(tuple(int(s.label) for s in reversed(p.steps)))
 

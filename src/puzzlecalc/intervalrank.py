@@ -11,7 +11,6 @@ spans of a k x n matrix, and the closure order is entrywise comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .words import Word
@@ -339,12 +338,11 @@ def envelope_codim(d: DotSet) -> int:
 
 # -- exact matrix rank -----------------------------------------------------
 
-def rank_of_matrix(m, p: int | None = None) -> int:
-    """Rank of an integer matrix, over Q (p None) or over GF(p)."""
-    rows = [[Fraction(x) if p is None else x % p for x in row] for row in m]
+def rank_of_matrix(m, p: int) -> int:
+    """Rank of an integer matrix over GF(p), p prime."""
+    rows = [[x % p for x in row] for row in m]
     rank = 0
     ncols = len(rows[0]) if rows else 0
-    col = 0
     for col in range(ncols):
         pivot = None
         for r in range(rank, len(rows)):
@@ -354,13 +352,12 @@ def rank_of_matrix(m, p: int | None = None) -> int:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = (1 / rows[rank][col]) if p is None else pow(int(rows[rank][col]), -1, p)
+        inv = pow(rows[rank][col], -1, p)
         for r in range(len(rows)):
             if r != rank and rows[r][col] != 0:
                 factor = rows[r][col] * inv
                 for c in range(col, ncols):
-                    val = rows[r][c] - factor * rows[rank][c]
-                    rows[r][c] = val if p is None else val % p
+                    rows[r][c] = (rows[r][c] - factor * rows[rank][c]) % p
         rank += 1
     return rank
 

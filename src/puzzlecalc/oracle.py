@@ -341,7 +341,8 @@ class UnknownSuiteError(ValueError):
 def verify_suite(max_n: int, suites=None) -> Report:
     """
     Run the named invariant sweeps (all by default) up to size max_n, timing
-    each.  Every name is checked before any sweep runs.
+    each.  Every name is checked before any sweep runs.  A sweep that raises
+    fails, with the exception as its detail, and the next one still runs.
     """
     names = list(_SUITES) if suites is None else list(suites)
     unknown = [name for name in names if name not in _SUITES]
@@ -351,6 +352,9 @@ def verify_suite(max_n: int, suites=None) -> Report:
     report = Report()
     for name in names:
         t0 = time.perf_counter()
-        globals()[f"_suite_{name}"](max_n, report)
+        try:
+            globals()[f"_suite_{name}"](max_n, report)
+        except Exception as exc:
+            report.record(name, False, f"raised {type(exc).__name__}: {exc}")
         report.times.append((name, time.perf_counter() - t0))
     return report

@@ -106,66 +106,47 @@ def path_to_rank(p: PuzzlePath) -> tuple[DotSet, IntervalRankMatrix]:
 def path_codim(p: PuzzlePath) -> int:
     """
     Codimension of the path's stratum inside its Richardson envelope,
-    computed purely from label counts along the path.
+    computed purely from label counts along the path, in one pass; it reads
+    no dots, so it checks envelope_codim of path_dots independently.
 
     Base: pairs of a SW R occurring before a SW 0.  Kink corrections:
+      no kink: nothing added;
       kink 1 with a SW 0 above: SW 0s below the kink (the last SW 0 above
         is consumed by the kink's own dot, so its base pairs drop out);
       kink 1 without: nothing added;
-      kink 0: SW Rs above the kink, plus SW 0s below the first bottom 0
-        below the kink when that precedes any SW R (a SW R cut is consumed
-        by the kink's dot and its base pairs cancel);
-      kink R: SW Rs above the kink, plus SW 0s below the first 1 below it;
+      kink 0: SW Rs above the kink;
+      kink R: SW Rs above the kink, plus SW 0s after the first 1 below it;
       kink K: as for R, plus one for the crossing at the skipped ray.
+
+    A kink 0 would also count the SW 0s below the first bottom 0 below it,
+    but on a valid path there are none: a W step needs a == n, and a SW or
+    SE step after it would leave row n for good, so the path could not end
+    at v(n, 0).  Only W steps follow a W step.
     """
-    steps = p.steps
-    kink = p.kink_index()
-
-    base = 0
-    rs = 0
-    for s in steps:
-        if s.dir == "SW":
-            if s.label == "R":
+    base = rs = zs = 0  # the base pairs; the SW Rs and SW 0s so far
+    kink = None
+    # below the latest SE step: the SW 0s after its first 1, and whether
+    # that 1 has come
+    late_zeros = 0
+    one = False
+    for d, label in p.steps:
+        if d == "SE":
+            kink, r_above, z_above = label, rs, zs
+            late_zeros = 0
+            one = False
+        elif label == "1":
+            one = True
+        elif d == "SW":
+            if label == "R":
                 rs += 1
-            elif s.label == "0":
+            elif label == "0":
                 base += rs
-    if kink is None:
-        return base
-
-    klabel = steps[kink].label
-    above = steps[:kink]
-    below = steps[kink + 1:]
-    r_above = sum(1 for s in above if s.dir == "SW" and s.label == "R")
-    extra = 0
-    if klabel == "1":
-        last_zero = None
-        for idx, s in enumerate(above):
-            if s.dir == "SW" and s.label == "0":
-                last_zero = idx
-        if last_zero is not None:
-            extra += sum(1 for s in below if s.dir == "SW" and s.label == "0")
-    elif klabel == "0":
-        extra += r_above
-        cut = None
-        cut_is_bottom = False
-        for idx, s in enumerate(below):
-            if s.dir == "SW" and s.label == "R":
-                cut = idx
-                break
-            if s.dir == "W" and s.label == "0":
-                cut, cut_is_bottom = idx, True
-                break
-        if cut is not None and cut_is_bottom:
-            extra += sum(1 for s in below[cut + 1:] if s.dir == "SW" and s.label == "0")
-    elif klabel in ("R", "K"):
-        extra += r_above
-        cut = None
-        for idx, s in enumerate(below):
-            if s.label == "1":
-                cut = idx
-                break
-        if cut is not None:
-            extra += sum(1 for s in below[cut + 1:] if s.dir == "SW" and s.label == "0")
-        if klabel == "K":
-            extra += 1
-    return base + extra
+                zs += 1
+                late_zeros += one
+    if kink == "1":
+        return base + zs - z_above if z_above else base
+    if kink == "0":
+        return base + r_above
+    if kink in ("R", "K"):
+        return base + r_above + late_zeros + (kink == "K")
+    return base

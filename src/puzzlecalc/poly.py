@@ -224,11 +224,6 @@ class Poly(_Sparse):
             raise PolyError(f"variable index {i} out of range for n={n}")
         return cls.monomial(n, tuple(1 if j == i - 1 else 0 for j in range(n)))
 
-    def degree_component(self, d: int) -> "Poly":
-        shift = _layout(self.n).shift
-        return Poly._wrap(self.n, {k: c for k, c in self._coeffs.items() if k >> shift == d},
-                          self._bound)
-
 
 class LPoly(_Sparse):
     """Integer combination of exponentials E(e) = exp(sum_i e_i y_i)."""

@@ -49,6 +49,11 @@ def test_validate_rejects_unbalanced_leading_run():
 def test_final_path_word_reads_bottom_up():
     p = PuzzlePath(3, (Step("SW", "0"), Step("SW", "1"), Step("SW", "0")))
     assert str(final_path_word(p)) == "010"
+    # an SE step anywhere, not only last, means the path is not final
+    for steps in [(Step("SE", "0"), Step("SW", "1"), Step("W", "0")),
+                  (Step("SW", "0"), Step("SE", "1"), Step("W", "0"))]:
+        with pytest.raises(ValueError, match="still has SE steps"):
+            final_path_word(PuzzlePath(2, steps))
 
 
 def test_final_path_has_no_fill_position():
@@ -60,11 +65,6 @@ def test_next_fill_position_initial():
     p = initial_path(parse_word("0101"), parse_word("1010"))
     pos = next_fill_position(p)
     assert pos.kind == "bottom" and pos.c == 4
-
-
-def test_kink_index_is_last_se():
-    p = initial_path(parse_word("01"), parse_word("10"))
-    assert p.kink_index() == 1
 
 
 def test_ascii_render_has_row_per_depth():
@@ -112,9 +112,15 @@ def test_step_repr_is_unchanged():
     assert repr(STEP["W", "1"]) == "Step(dir='W', label='1')"
 
 
+def _last_se(p: PuzzlePath) -> int | None:
+    """Index of the last SE step (the kink), None once the path is final."""
+    se = [idx for idx, s in enumerate(p.steps) if s.dir == "SE"]
+    return se[-1] if se else None
+
+
 def _position_by_vertices(p: PuzzlePath) -> FillPos:
     """next_fill_position the slow way, from the whole vertex list."""
-    kink = p.kink_index()
+    kink = _last_se(p)
     if kink is None:
         return FillPos("done")
     a, b = p.vertices()[kink + 1]
@@ -136,7 +142,7 @@ def test_fill_position_matches_the_vertex_list_on_reachable_states():
                 site = fill_site(path)
                 assert (site is None) == (want.kind == "done")
                 if site is not None:
-                    assert site == (path.kink_index(), want)
+                    assert site == (_last_se(path), want)
     assert len(seen) == 1915
 
 

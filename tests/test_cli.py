@@ -382,6 +382,29 @@ def test_verify_unknown_suite(capsys):
     assert err.startswith("error: unknown suite(s): nope") and len(err.splitlines()) == 1
 
 
+def test_verify_suite_that_raises_is_a_failed_suite(capsys, monkeypatch):
+    # a check that raises fails its suite (exit 2, no traceback), is still
+    # timed, and the suites after it still run
+    from puzzlecalc import pinkdots
+
+    def broken(p):
+        raise ValueError("no dots today")
+
+    monkeypatch.setattr(pinkdots, "path_dots", broken)
+    argv = ("verify", "--max-n", "2", "--suite", "pinkdots", "--suite", "hall")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (2, "")
+    lines = out.splitlines()
+    assert lines[:2] == ["FAIL pinkdots: raised ValueError: no dots today", "PASS hall"]
+    assert [line.split(":")[0] for line in lines[2:4]] == ["time pinkdots", "time hall"]
+    assert lines[-1] == "FAILED"
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (2, "")
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert [(s["suite"], s["ok"]) for s in doc["suites"]] == [("pinkdots", False), ("hall", True)]
+
+
 @pytest.mark.parametrize("argv", [
     ["rank", "dots", "--n", "0"],
     ["rank", "essential", "--n", "-2"],

@@ -4,9 +4,10 @@ Refactor gate: the CLI's output on a fixed corpus must not change.
 Each (subcommand, theory, n) group runs the CLI on every (mu, nu) pair of
 length n and hashes the exit codes, stdout and stderr into one sha256,
 which must match the digest recorded in golden.json.  The corpus is every
-pair with n <= 5 for `coeff --json` (four theories) and
-`puzzles --render ascii`, and every pair with n <= 4 for plain `coeff`
-(four theories), `trace --json` and plain `trace`.
+pair with n <= 5 for `coeff --json` (four theories),
+`puzzles --render ascii`, `trace --json` and plain `trace` (which print
+every node's codimension), and every pair with n <= 4 for plain `coeff`
+(four theories).
 
 The `puzzles-svg` groups gate `board.svg_render` through the library,
 as `puzzles --render svg` writes files: for each n <= 5 they hash the SVG
@@ -16,6 +17,9 @@ The `validate-path` groups gate `board.validate_path` alone: for each
 n <= 5 they hash its messages on every initial path, every path state
 reachable from a valid one, and every relabelling of one step of those
 paths to another of 0, 1, R and K.
+
+The `path-dots` groups gate `pinkdots.path_dots` alone: for each n <= 5
+they hash the dots of every path state reachable from each pair.
 
 `--write` records the digest of every group missing from golden.json and
 leaves the others alone:

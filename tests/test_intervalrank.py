@@ -166,10 +166,8 @@ def test_irm_min_of_comparable_is_lower():
 
 
 def test_rank_of_matrix_prime_field():
-    assert rank_of_matrix([[1, 2], [2, 4]]) == 1
     assert rank_of_matrix([[1, 2], [2, 4]], p=5) == 1
     assert rank_of_matrix([[5, 0], [0, 1]], p=5) == 1
-    assert rank_of_matrix([[5, 0], [0, 1]]) == 2
 
 
 @settings(max_examples=300, deadline=None)

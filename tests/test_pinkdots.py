@@ -1,7 +1,9 @@
-from puzzlecalc.board import initial_path, is_valid
+from collections import Counter
+
+from puzzlecalc.board import STEP, PuzzlePath, initial_path, is_valid
 from puzzlecalc.filling import reachable, trace_rows
 from puzzlecalc.intervalrank import dots_from_rank, envelope, envelope_codim, rank_from_dots
-from puzzlecalc.pinkdots import path_codim, path_to_rank
+from puzzlecalc.pinkdots import path_codim, path_dots, path_to_rank
 from puzzlecalc.words import all_words
 
 
@@ -42,6 +44,28 @@ def test_codim_formula_matches_dot_geometry():
         for mu, nu in _valid_pairs(n):
             for _, node in _all_paths(mu, nu):
                 assert path_codim(node.path) == envelope_codim(node.dots)
+
+
+def test_codim_formula_matches_dot_geometry_off_the_reachable_states():
+    # valid paths one relabelled step away from a reachable state (initial
+    # paths included) that no pair reaches: the formula and the dots must
+    # still agree there
+    reached = {}
+    for n in range(1, 6):
+        for mu, nu in _valid_pairs(n):
+            for steps, (path, _) in reachable(mu, nu).items():
+                reached[steps] = path
+    unreached = {}
+    for steps, path in reached.items():
+        for idx, s in enumerate(steps):
+            for label in "01RK":
+                other = steps[:idx] + (STEP[s.dir, label],) + steps[idx + 1:]
+                if other not in reached and is_valid(PuzzlePath(path.n, other)):
+                    unreached[other] = PuzzlePath(path.n, other)
+    assert sorted(Counter(q.n for q in unreached.values()).items()) == [
+        (2, 1), (3, 6), (4, 29), (5, 130)]
+    for q in unreached.values():
+        assert path_codim(q) == envelope_codim(path_dots(q)), q.steps
 
 
 def test_initial_path_envelope_is_boundary_pair():
