@@ -28,25 +28,36 @@ Label = str
 class Step(namedtuple("Step", "dir label")):
     """
     One edge of a path: its direction ("SE", "SW" or "W") and its label.
-    A tuple, so that a path's steps hash and compare in C; the engine
-    builds paths from the twelve interned instances in STEP.
+    There are twelve steps, interned in STEP: Step(dir, label) returns the
+    one instance, and so do _replace, _make, copy, deepcopy and unpickling,
+    which all go through __new__.  A step hashes by identity, so hashing a
+    path's steps tuple reads pointers.  Equality and order are a tuple's,
+    but a plain tuple equal to a step does not hash like it, so a dict
+    keyed by steps must be looked up with steps.
     """
     __slots__ = ()
+    __hash__ = object.__hash__
 
     def __new__(cls, dir: str, label: Label):
+        try:
+            return STEP[dir, label]
+        except (KeyError, TypeError):
+            pass
         if dir not in ("SE", "SW", "W"):
             raise ValueError(f"bad direction {dir!r}")
-        if label not in ("0", "1", "R", "K"):
-            raise ValueError(f"bad label {label!r}")
-        return super().__new__(cls, dir, label)
+        raise ValueError(f"bad label {label!r}")
 
     @classmethod
     def _make(cls, iterable):
         # _replace goes through _make, so it validates too
         return cls(*iterable)
 
+    def __reduce__(self):
+        # pickle protocols 0 and 1 would otherwise rebuild the tuple directly
+        return Step, tuple(self)
 
-STEP = {(d, label): Step(d, label)
+
+STEP = {(d, label): tuple.__new__(Step, (d, label))
         for d in ("SE", "SW", "W") for label in ("0", "1", "R", "K")}
 
 

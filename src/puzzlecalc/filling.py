@@ -75,17 +75,22 @@ INTERESTING = (
 
 # every piece the engine places, built once and shared by all branches that
 # place it, with the steps it puts on the path: per TRIANGLE key the new SW
-# step and the triangle, per BORING key the new SW and SE steps and the
-# rhombus, and per interesting kind its kind, steps and rhombus
-_TRIANGLE_PIECES = {key: ((STEP["SW", left],), TrianglePlacement(*key, left))
+# step, the triangle and its branches by c, per BORING key the new SW and SE
+# steps, the rhombus and its branches by window (i, j), and per interesting
+# kind its kind, steps and rhombus, whose branches _INTERESTING_BRANCHES
+# holds four to a window; each branch is built the first time its piece is
+# placed at its position, so there are at most 4n + 13 n(n - 1) / 2 of them
+# for the largest board size n met
+_TRIANGLE_PIECES = {key: ((STEP["SW", left],), TrianglePlacement(*key, left), {})
                     for key, left in TRIANGLE.items()}
 _BORING_PIECES = {key: ((STEP["SW", upper], STEP["SE", lower]),
-                        RhombusPlacement("boring", key, (upper, lower), mid))
+                        RhombusPlacement("boring", key, (upper, lower), mid), {})
                   for key, (upper, lower, mid) in BORING.items()}
 _INTERESTING_PIECES = tuple(
     (kind, (STEP["SW", upper], STEP["SE", lower]),
      RhombusPlacement(kind, ("1", "0"), (upper, lower), mid))
     for kind, (upper, lower), mid in INTERESTING)
+_INTERESTING_BRANCHES: dict[tuple[int, int], tuple[Branch, ...]] = {}
 
 
 class InvariantError(RuntimeError):
@@ -94,6 +99,12 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class Branch:
+    """
+    One continuation of a path state: the kind of piece, where it goes and
+    the piece itself.  The engine builds each branch once per (kind,
+    position, piece) and shares it (see _TRIANGLE_PIECES), but a branch
+    built anew compares equal to it.
+    """
     kind: str                 # "triangle", "boring", or an interesting kind
     pos: FillPos
     piece: RhombusPlacement | TrianglePlacement | None = None
@@ -229,7 +240,7 @@ def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
     if pos.kind == "bottom":
         if key not in _TRIANGLE_PIECES:
             raise InvariantError(f"unfillable bottom triangle {key} at {pos}")
-        new, piece = _TRIANGLE_PIECES[key]
+        new, piece, made = _TRIANGLE_PIECES[key]
         q = PuzzlePath(p.n, s[:kink] + new + s[kink + 2:])
         # the steps between the child's kink and the new SW step are all SW,
         # so the child's rhombus sits k - m rows above the bottom
@@ -239,7 +250,8 @@ def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
         c = pos.c
         if m >= 0 and not _child_is_valid(s[m].label, _after_kink(q.steps, m + 1)):
             raise InvariantError(f"forced triangle at {pos} broke the path: {validate_path(q)}")
-        return ((Branch("triangle", pos, piece), q),), \
+        br = made.get(c) or made.setdefault(c, Branch("triangle", pos, piece))
+        return ((br, q),), \
             None if m < 0 else (m, rhombus_pos(c - 1, c - 1 + kink - m))
 
     i, j = pos.i, pos.j
@@ -248,11 +260,12 @@ def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
     head, tail = s[:kink], s[kink + 2:]
     after = _after_kink(s, kink + 2)
     if key in _BORING_PIECES:
-        new, piece = _BORING_PIECES[key]
+        new, piece, made = _BORING_PIECES[key]
         q = PuzzlePath(p.n, head + new + tail)
         if not _child_is_valid(new[1].label, after):
             raise InvariantError(f"forced rhombus at {pos} broke the path: {validate_path(q)}")
-        return ((Branch("boring", pos, piece), q),), child_site
+        br = made.get((i, j)) or made.setdefault((i, j), Branch("boring", pos, piece))
+        return ((br, q),), child_site
     if key != ("1", "0"):
         raise InvariantError(f"unfillable rhombus {key} at {pos}")
 
@@ -266,8 +279,10 @@ def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
         raise InvariantError(f"no shift continuation at {pos}")
     if topk != (shift0 and shift1):
         raise InvariantError(f"topk legality out of step with the shifts at {pos}")
-    return tuple((Branch(kind, pos, piece), PuzzlePath(p.n, head + new + tail))
-                 for keep, (kind, new, piece) in zip(ok, _INTERESTING_PIECES) if keep), child_site
+    made = _INTERESTING_BRANCHES.get((i, j)) or _INTERESTING_BRANCHES.setdefault(
+        (i, j), tuple(Branch(kind, pos, piece) for kind, _, piece in _INTERESTING_PIECES))
+    return tuple((br, PuzzlePath(p.n, head + new + tail))
+                 for keep, br, (_, new, _) in zip(ok, made, _INTERESTING_PIECES) if keep), child_site
 
 
 def branch_weight(theory: Theory, branch: Branch, n: int):

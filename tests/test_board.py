@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from puzzlecalc.board import (STEP, FillPos, PuzzlePath, Step, ascii_render,
@@ -96,14 +99,22 @@ def test_step_rejects_bad_direction_or_label():
 
 
 def test_interned_step_equals_a_fresh_one():
+    # every way of making a step returns the interned one, which hashes by
+    # identity, while equality and order stay a tuple's
     assert len(STEP) == 12
     for (d, label), s in STEP.items():
-        fresh = Step(d, label)
-        assert s == fresh and hash(s) == hash(fresh)
-        assert (s.dir, s.label) == (d, label)
+        assert Step(d, label) is s and Step._make([d, label]) is s
+        assert copy.copy(s) is s and copy.deepcopy(s) is s
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(s, protocol)) is s
+        for other in ("0", "1", "R", "K"):
+            assert s._replace(label=other) is STEP[d, other]
+        assert hash(s) == object.__hash__(s)
+        assert (s.dir, s.label) == s == (d, label) < s + ("~",)
     fresh_path = initial_path(parse_word("01"), parse_word("10")).steps
     assert fresh_path == (Step("SE", "0"), Step("SE", "1"), Step("W", "0"), Step("W", "1"))
     assert hash(fresh_path) == hash(tuple(Step(s.dir, s.label) for s in fresh_path))
+    assert all(a is b for a, b in zip(copy.deepcopy(fresh_path), fresh_path))
 
 
 def test_step_repr_is_unchanged():

@@ -1,9 +1,12 @@
+import copy
+import pickle
 from collections import Counter
 
 import pytest
 
 from puzzlecalc import filling
-from puzzlecalc.board import STEP, FillPos, PuzzlePath, fill_site, initial_path, is_valid
+from puzzlecalc.board import (STEP, FillPos, PuzzlePath, Step, fill_site, initial_path,
+                              is_valid)
 from puzzlecalc.filling import (_PRUNED, InvariantError, Theory, count_puzzles,
                                 enumerate_puzzles, legal_branches,
                                 puzzle_degree_balance, reachable, runs,
@@ -283,7 +286,8 @@ def test_invalid_path_from_outside_is_refused():
 
 
 def test_branches_share_their_pieces():
-    pieces = {}
+    # and equal branches are one object, equal to one built anew
+    pieces, seen = {}, {}
     for mu, nu in _pairs(5):
         for _, branches in reachable(mu, nu).values():
             for br, _ in branches:
@@ -292,8 +296,20 @@ def test_branches_share_their_pieces():
                 assert pieces.setdefault((br.kind, labels), piece) is piece
                 at = br.pos.c if br.kind == "triangle" else (br.pos.i, br.pos.j)
                 assert br.placed == (at, piece)
+                assert seen.setdefault(br, br) is br
+                fresh = filling.Branch(br.kind, br.pos, br.piece)
+                assert fresh == br and fresh.placed == br.placed
     # 4 triangles, 9 forced rhombi and the 4 interesting ones
     assert len(pieces) == 17
+    assert len(seen) == 109
+    # one branch per piece and position: 4 triangles at c = 1..n, 13 rhombi
+    # at 1 <= i < j <= n, for the largest n met by any test so far
+    made = [br for *_, by_pos in (*filling._TRIANGLE_PIECES.values(),
+                                  *filling._BORING_PIECES.values())
+            for br in by_pos.values()]
+    made += [br for four in filling._INTERESTING_BRANCHES.values() for br in four]
+    n = max(max(br.pos.c, br.pos.j) for br in made)
+    assert len(set(map(id, made))) == len(made) <= 4 * n + 13 * n * (n - 1) // 2
 
 
 def test_table_holds_one_pair():
@@ -325,3 +341,28 @@ def test_invariant_error_is_not_cached(monkeypatch):
     assert start.steps not in filling._successors.rows
     monkeypatch.undo()
     assert legal_branches(start)
+
+
+def test_a_path_rebuilt_from_fresh_steps_hits_the_table():
+    # steps are interned, so a path rebuilt from new Step calls, copied or
+    # unpickled keys the same row as the walk's own path
+    for path, branches in reachable(MU, NU).values():
+        fresh = PuzzlePath(path.n, tuple(Step(s.dir, s.label) for s in path.steps))
+        assert legal_branches(fresh) is branches
+        assert legal_branches(copy.deepcopy(path)) is branches
+        assert legal_branches(pickle.loads(pickle.dumps(path))) is branches
+
+
+def test_k_theory_constants_sum_to_one():
+    # the Euler characteristic: a Schubert class and a nonempty Richardson
+    # variety both push forward to 1, so summed over lambda the K and K_T
+    # structure constants of a reachable pair are the constant 1
+    checks = 0
+    for mu, nu in _pairs(5):
+        for theory in (Theory.K, Theory.KT):
+            coeffs = structure_constants(theory, mu, nu)
+            if coeffs:
+                total = sum(coeffs.values(), LPoly.zero(mu.n))
+                assert total == LPoly.const(mu.n, 1), (theory, mu, nu, total)
+                checks += 1
+    assert checks == 390
