@@ -3,8 +3,8 @@ Batch command line front end.
 
 Subcommands: coeff (structure constants), puzzles (enumerate / render),
 trace (annotated degeneration tree), rank (interval-rank utilities),
-verify (invariant sweeps).  Exit codes: 0 success, 1 bad input,
-2 internal invariant violation.
+verify (invariant sweeps).  Exit codes: 0 success, 1 bad input or out of
+memory, 2 internal invariant violation.
 """
 from __future__ import annotations
 
@@ -65,7 +65,9 @@ def cmd_coeff(args) -> int:
 def cmd_puzzles(args) -> int:
     mu, nu = _pair(args.mu, args.nu)
     lam = parse_word(args.lam, n=mu.n, k=mu.k) if args.lam else None
-    to_files = args.render is not None and (args.render == "svg" or args.out is not None)
+    if args.out is not None and args.render is None:
+        raise InputError("--out needs --render")
+    to_files = args.render == "svg" or args.out is not None
     outdir = args.out or "."
     if to_files:
         # before any output, so that a bad --out leaves stdout empty
@@ -164,6 +166,8 @@ def cmd_rank(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     op = args.op
+    if args.word is not None and op != "fixed-points":
+        raise InputError(f"--word applies to fixed-points, not {op}")
     if op == "dots":
         print(rank_from_dots(d))
     elif op == "essential":
@@ -178,7 +182,7 @@ def cmd_rank(args) -> int:
         print(f"lambda={lam} mu={mu}")
     elif op == "fixed-points":
         k = d.n - len(d.dots)
-        if args.word:
+        if args.word is not None:
             w = parse_word(args.word, n=d.n, k=k)
             print(f"{w}: {'in' if fixed_point_in(d, w) else 'out'}")
         else:
@@ -268,6 +272,9 @@ def main(argv=None) -> int:
         return 0
     except (WordError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     except InvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)

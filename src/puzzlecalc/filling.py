@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
+from typing import NamedTuple
 
 from .board import (STEP, FillPos, Puzzle, PuzzlePath, RhombusPlacement, Step,
                     TrianglePlacement, bottom_pos, fill_site, final_path_word,
@@ -65,32 +66,21 @@ TRIANGLE = {
 # the kinds of the forced pieces, which weigh 1 in every theory
 FORCED = ("triangle", "boring")
 
-# the four continuations of the interesting configuration (kink 1, SW 0)
+# the four continuations of the interesting configuration (kink 1, SW 0), in
+# branch order: the new upper SW and kink labels, the horizontal mid edge,
+# and the weight in each theory, written (a, b) for a + b·Y, where Y is
+# y_j - y_i in cohomology and E(e_i - e_j) in K-theory at window (i, j)
 INTERESTING = (
-    ("equivariant", ("0", "1"), None),
-    ("shift0", ("R", "0"), "0"),
-    ("shift1", ("1", "R"), "1"),
-    ("topk", ("1", "K"), None),
+    # kind          new         mid   H       H_T     K        K_T
+    ("equivariant", ("0", "1"), None, (0, 0), (0, 1), (0, 0),  (1, -1)),
+    ("shift0",      ("R", "0"), "0",  (1, 0), (1, 0), (1, 0),  (0, 1)),
+    ("shift1",      ("1", "R"), "1",  (1, 0), (1, 0), (1, 0),  (0, 1)),
+    ("topk",        ("1", "K"), None, (0, 0), (0, 0), (-1, 0), (0, -1)),
 )
 
-# every piece the engine places, built once and shared by all branches that
-# place it, with the steps it puts on the path: per TRIANGLE key the new SW
-# step, the triangle and its branches by c, per BORING key the new SW and SE
-# steps, the rhombus and its branches by window (i, j), and per interesting
-# kind its kind, steps and rhombus, whose branches _INTERESTING_BRANCHES
-# holds four to a window; each branch is built the first time its piece is
-# placed at its position, so there are at most 4n + 13 n(n - 1) / 2 of them
-# for the largest board size n met
-_TRIANGLE_PIECES = {key: ((STEP["SW", left],), TrianglePlacement(*key, left), {})
-                    for key, left in TRIANGLE.items()}
-_BORING_PIECES = {key: ((STEP["SW", upper], STEP["SE", lower]),
-                        RhombusPlacement("boring", key, (upper, lower), mid), {})
-                  for key, (upper, lower, mid) in BORING.items()}
-_INTERESTING_PIECES = tuple(
-    (kind, (STEP["SW", upper], STEP["SE", lower]),
-     RhombusPlacement(kind, ("1", "0"), (upper, lower), mid))
-    for kind, (upper, lower), mid in INTERESTING)
-_INTERESTING_BRANCHES: dict[tuple[int, int], tuple[Branch, ...]] = {}
+# per (theory, kind), its weight (a, b) as above: forced pieces weigh 1
+_WEIGHT = {(t, kind): (1, 0) for t in Theory for kind in FORCED} | {
+    (t, kind): cell for kind, _, _, *cells in INTERESTING for t, cell in zip(Theory, cells)}
 
 
 class InvariantError(RuntimeError):
@@ -102,7 +92,7 @@ class Branch:
     """
     One continuation of a path state: the kind of piece, where it goes and
     the piece itself.  The engine builds each branch once per (kind,
-    position, piece) and shares it (see _TRIANGLE_PIECES), but a branch
+    position, piece) and shares it (see _PIECES), but a branch
     built anew compares equal to it.
     """
     kind: str                 # "triangle", "boring", or an interesting kind
@@ -117,6 +107,38 @@ class Branch:
         pos = self.pos
         object.__setattr__(self, "placed", (pos.c, self.piece) if self.kind == "triangle"
                            else ((pos.i, pos.j), self.piece))
+
+
+class _Piece(NamedTuple):
+    """One of the 17 pieces: its kind, the steps that replace the kink and the
+    step after it, its placement, and its branches by position, c or (i, j)."""
+    kind: str
+    new: tuple[Step, ...]
+    placement: RhombusPlacement | TrianglePlacement
+    made: dict
+
+    def branch(self, pos: FillPos, at) -> Branch:
+        made = self.made
+        return made.get(at) or made.setdefault(at, Branch(self.kind, pos, self.placement))
+
+
+def _rhombus(kind, right, upper, lower, mid):
+    return _Piece(kind, (STEP["SW", upper], STEP["SE", lower]),
+                  RhombusPlacement(kind, right, (upper, lower), mid), {})
+
+
+# the puzzle rule: the pieces that fit at the kink, in branch order, keyed by
+# the steps (s[kink], s[kink + 1]), which hash by identity; the step after
+# the kink is W exactly at a bottom site, so the key picks the site kind too.
+# A branch is built the first time its piece goes to its position, so at most
+# 4n + 13n(n - 1)/2 of them exist for the largest board size n met.
+_PIECES = {(STEP["SE", kink], STEP["W", base]):
+           (_Piece("triangle", (STEP["SW", left],), TrianglePlacement(kink, base, left), {}),)
+           for (kink, base), left in TRIANGLE.items()}
+_PIECES |= {(STEP["SE", kink], STEP["SW", sw]): (_rhombus("boring", (kink, sw), *new),)
+            for (kink, sw), new in BORING.items()}
+_PIECES[STEP["SE", "1"], STEP["SW", "0"]] = tuple(
+    _rhombus(kind, ("1", "0"), *new, mid) for kind, new, mid, *_ in INTERESTING)
 
 
 class _Successors:
@@ -236,12 +258,14 @@ def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
         return (), None
     kink, pos = site
     s = p.steps
-    key = (s[kink].label, s[kink + 1].label)
+    pieces = _PIECES.get((s[kink], s[kink + 1]))
+    if pieces is None:
+        shape = "bottom triangle" if pos.kind == "bottom" else "rhombus"
+        raise InvariantError(f"unfillable {shape} {(s[kink].label, s[kink + 1].label)} at {pos}")
+    head, tail = s[:kink], s[kink + 2:]
     if pos.kind == "bottom":
-        if key not in _TRIANGLE_PIECES:
-            raise InvariantError(f"unfillable bottom triangle {key} at {pos}")
-        new, piece, made = _TRIANGLE_PIECES[key]
-        q = PuzzlePath(p.n, s[:kink] + new + s[kink + 2:])
+        (piece,) = pieces
+        q = PuzzlePath(p.n, head + piece.new + tail)
         # the steps between the child's kink and the new SW step are all SW,
         # so the child's rhombus sits k - m rows above the bottom
         m = kink - 1
@@ -250,89 +274,56 @@ def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
         c = pos.c
         if m >= 0 and not _child_is_valid(s[m].label, _after_kink(q.steps, m + 1)):
             raise InvariantError(f"forced triangle at {pos} broke the path: {validate_path(q)}")
-        br = made.get(c) or made.setdefault(c, Branch("triangle", pos, piece))
-        return ((br, q),), \
+        return ((piece.branch(pos, c), q),), \
             None if m < 0 else (m, rhombus_pos(c - 1, c - 1 + kink - m))
 
     i, j = pos.i, pos.j
     child_site = (kink + 1, bottom_pos(i) if s[kink + 2].dir == "W"
                   else rhombus_pos(i, j - 1))
-    head, tail = s[:kink], s[kink + 2:]
     after = _after_kink(s, kink + 2)
-    if key in _BORING_PIECES:
-        new, piece, made = _BORING_PIECES[key]
-        q = PuzzlePath(p.n, head + new + tail)
-        if not _child_is_valid(new[1].label, after):
+    if len(pieces) == 1:
+        (piece,) = pieces
+        q = PuzzlePath(p.n, head + piece.new + tail)
+        if not _child_is_valid(piece.new[1].label, after):
             raise InvariantError(f"forced rhombus at {pos} broke the path: {validate_path(q)}")
-        br = made.get((i, j)) or made.setdefault((i, j), Branch("boring", pos, piece))
-        return ((br, q),), child_site
-    if key != ("1", "0"):
-        raise InvariantError(f"unfillable rhombus {key} at {pos}")
+        return ((piece.branch(pos, (i, j)), q),), child_site
 
-    ok = [_child_is_valid(new[1].label, after) for _, new, _ in _INTERESTING_PIECES]
+    ok = [_child_is_valid(piece.new[1].label, after) for piece in pieces]
     equivariant, shift0, shift1, topk = ok
     if not equivariant:
-        q = PuzzlePath(p.n, head + _INTERESTING_PIECES[0][1] + tail)
+        q = PuzzlePath(p.n, head + pieces[0].new + tail)
         raise InvariantError(
             f"equivariant continuation at {pos} broke the path: {validate_path(q)}")
     if not (shift0 or shift1):
         raise InvariantError(f"no shift continuation at {pos}")
     if topk != (shift0 and shift1):
         raise InvariantError(f"topk legality out of step with the shifts at {pos}")
-    made = _INTERESTING_BRANCHES.get((i, j)) or _INTERESTING_BRANCHES.setdefault(
-        (i, j), tuple(Branch(kind, pos, piece) for kind, _, piece in _INTERESTING_PIECES))
-    return tuple((br, PuzzlePath(p.n, head + new + tail))
-                 for keep, br, (_, new, _) in zip(ok, made, _INTERESTING_PIECES) if keep), child_site
+    return tuple((piece.branch(pos, (i, j)), PuzzlePath(p.n, head + piece.new + tail))
+                 for keep, piece in zip(ok, pieces) if keep), child_site
 
 
 def branch_weight(theory: Theory, branch: Branch, n: int):
     """
-    Weight of one branch at rhombus window (i, j), as a Poly (cohomology)
-    or LPoly (K-theory).  Forced pieces weigh 1 in every theory.  Each
-    weight is built once per (theory, kind, i, j, n) and shared, which is
-    safe because values are immutable.
+    Weight of one branch at window (i, j), its kind's cell of the table, as
+    a Poly (cohomology) or LPoly (K-theory), built once per (theory, kind,
+    i, j, n) and shared, which is safe because values are immutable.
     """
-    pos = branch.pos
-    return _weight(theory, branch.kind, pos.i, pos.j, n)
+    return _weight(theory, branch.kind, branch.pos.i, branch.pos.j, n)
 
 
 @cache
 def _weight(theory: Theory, kind: str, i: int, j: int, n: int):
-    coh = not theory.k_theory
-    one = Poly.const(n, 1) if coh else LPoly.const(n, 1)
-    if kind in FORCED:
-        return one
-
-    def e_ij(coef=1):
-        exp = [0] * n
-        exp[i - 1] += 1
-        exp[j - 1] -= 1
-        return LPoly.exp(n, exp, coef)
-
-    if kind == "equivariant":
-        if theory == Theory.H:
-            return Poly.zero(n)
-        if theory == Theory.HT:
-            return Poly.y(n, j) - Poly.y(n, i)
-        if theory == Theory.K:
-            return LPoly.zero(n)
-        return LPoly.const(n, 1) - e_ij()
-    if kind in ("shift0", "shift1"):
-        return e_ij() if theory == Theory.KT else one
-    if kind == "topk":
-        if theory == Theory.H or theory == Theory.HT:
-            return Poly.zero(n) if coh else LPoly.zero(n)
-        if theory == Theory.K:
-            return LPoly.const(n, -1)
-        return e_ij(-1)
-    raise ValueError(kind)
+    a, b = _WEIGHT[theory, kind]
+    ring = LPoly if theory.k_theory else Poly
+    if not b:
+        return ring.const(n, a)
+    y = (LPoly.exp(n, [(k == i) - (k == j) for k in range(1, n + 1)]) if theory.k_theory
+         else Poly.y(n, j) - Poly.y(n, i))
+    return ring.const(n, a) + y * b
 
 
-# per theory, the interesting kinds that branch_weight makes zero: runs
-# through them contribute nothing, so the walks leave them out (whether a
-# weight vanishes does not depend on the window it sits at)
-_PRUNED = {t: frozenset(kind for kind, _, _ in INTERESTING
-                        if branch_weight(t, Branch(kind, FillPos("rhombus", 1, 2)), 2).is_zero())
+# per theory, the kinds of zero weight, whose runs the walks leave out
+_PRUNED = {t: frozenset(kind for kind, *_ in INTERESTING if _WEIGHT[t, kind] == (0, 0))
            for t in Theory}
 
 

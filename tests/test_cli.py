@@ -446,6 +446,10 @@ def test_verify_suite_that_raises_is_a_failed_suite(capsys, monkeypatch):
     [],
     ["rank", "dots", "--n", "3", "--dots", "1,x"],
     ["rank", "dots", "--n", "3", "--dots", "1,2;1,2"],
+    # options that the command would otherwise ignore
+    ["puzzles", "--mu", "0101", "--nu", "1010", "--out", "never-made"],
+    ["rank", "essential", "--n", "3", "--dots", "1,2", "--word", "01"],
+    ["rank", "fixed-points", "--n", "2", "--dots", "1,1", "--word", ""],
 ])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -453,6 +457,19 @@ def test_bad_input_is_one_error_line(capsys, argv):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["coeff", "--theory", "kt", "--mu", "0101", "--nu", "1010", "--json"],
+     "structure_constants"),
+    (["puzzles", "--mu", "0101", "--nu", "1010", "--render", "ascii"], "enumerate_puzzles"),
+])
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch, argv, target):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(puzzlecalc.cli, target, exhausted)
+    assert run(capsys, *argv) == (1, "", "error: out of memory\n")
 
 
 # -- fuzzing the command line ---------------------------------------------

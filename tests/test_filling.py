@@ -176,13 +176,13 @@ def test_runs_is_the_trace_tree_in_preorder():
 
 
 def test_pruned_kinds_are_those_of_zero_weight_at_every_window():
-    # _PRUNED probes one window; a kind's weight vanishes at all or at none
+    # _PRUNED reads the weight table's zero cells, which are zero at every window
     assert filling._PRUNED[Theory.H] == {"equivariant", "topk"}
     for theory, prune in filling._PRUNED.items():
         for n in range(2, 6):
             for i in range(1, n):
                 for j in range(i + 1, n + 1):
-                    for kind, _, _ in filling.INTERESTING:
+                    for kind, *_ in filling.INTERESTING:
                         br = filling.Branch(kind, FillPos("rhombus", i, j))
                         assert filling.branch_weight(theory, br, n).is_zero() == (kind in prune)
 
@@ -251,18 +251,11 @@ def test_local_check_is_validate_path():
             site = fill_site(p)
             if site is None:
                 continue
-            kink, pos = site
+            kink = site[0]
             s = p.steps
-            key = (s[kink].label, s[kink + 1].label)
-            if pos.kind == "bottom":
-                news = [filling._TRIANGLE_PIECES[key][0]]
-            elif key in filling._BORING_PIECES:
-                news = [filling._BORING_PIECES[key][0]]
-            else:
-                news = [new for _, new, _ in filling._INTERESTING_PIECES]
             kept = {q.steps for _, q in filling._derive_branches(p, site)[0]}
-            for new in news:
-                steps = s[:kink] + new + s[kink + 2:]
+            for piece in filling._PIECES[s[kink], s[kink + 1]]:
+                steps = s[:kink] + piece.new + s[kink + 2:]
                 assert (steps in kept) == is_valid(PuzzlePath(p.n, steps)), steps
                 verdicts[steps in kept] += 1
     assert verdicts == {True: 40184, False: 9074}
@@ -301,13 +294,12 @@ def test_branches_share_their_pieces():
                 assert fresh == br and fresh.placed == br.placed
     # 4 triangles, 9 forced rhombi and the 4 interesting ones
     assert len(pieces) == 17
+    assert sum(map(len, filling._PIECES.values())) == 17
     assert len(seen) == 109
     # one branch per piece and position: 4 triangles at c = 1..n, 13 rhombi
     # at 1 <= i < j <= n, for the largest n met by any test so far
-    made = [br for *_, by_pos in (*filling._TRIANGLE_PIECES.values(),
-                                  *filling._BORING_PIECES.values())
-            for br in by_pos.values()]
-    made += [br for four in filling._INTERESTING_BRANCHES.values() for br in four]
+    made = [br for row in filling._PIECES.values() for piece in row
+            for br in piece.made.values()]
     n = max(max(br.pos.c, br.pos.j) for br in made)
     assert len(set(map(id, made))) == len(made) <= 4 * n + 13 * n * (n - 1) // 2
 
@@ -366,3 +358,56 @@ def test_k_theory_constants_sum_to_one():
                 assert total == LPoly.const(mu.n, 1), (theory, mu, nu, total)
                 checks += 1
     assert checks == 390
+
+
+def _dual_word(w: str) -> str:
+    # w*: the reverse of w's complement
+    return "".join("1" if b == "0" else "0" for b in reversed(w))
+
+
+def _dual_value(c):
+    # y_i -> -y_{n+1-i} in cohomology, E(e) -> E(-reversed e) in K-theory
+    if isinstance(c, LPoly):
+        return LPoly(c.n, [(tuple(-e for e in reversed(exp)), coef) for exp, coef in c.terms])
+    return Poly(c.n, [(tuple(reversed(exp)), (-1) ** sum(exp) * coef) for exp, coef in c.terms])
+
+
+def _is_self_dual(theory, mu, nu) -> bool:
+    # Gr(k, n) = Gr(n - k, n): c_{mu* nu*}^{lam*} is c_{mu nu}^lam in the dual variables
+    dual = structure_constants(theory, parse_word(_dual_word(str(mu))),
+                               parse_word(_dual_word(str(nu))))
+    return dual == {_dual_word(lam): _dual_value(c)
+                    for lam, c in structure_constants(theory, mu, nu).items()}
+
+
+def test_structure_constants_are_self_dual():
+    checks = 0
+    for mu, nu in _pairs(5):
+        for theory in Theory:
+            assert _is_self_dual(theory, mu, nu), (theory, mu, nu)
+            checks += 1
+    assert checks == 1400
+
+
+@pytest.mark.parametrize("wrong, failures", [
+    # a K_T shift0 weight of 1 (the Euler sum test catches it too)
+    ("shift0", 91),
+    # every E of the K_T table replaced by 1 - E + E^2: the weights of a
+    # state still sum to 1, so only duality and the specialisations see it
+    ("square", 120),
+])
+def test_duality_rejects_a_wrong_kt_weight(monkeypatch, wrong, failures):
+    weight = filling.branch_weight
+
+    def mutated(theory, br, n):
+        if theory != Theory.KT or br.kind in filling.FORCED:
+            return weight(theory, br, n)
+        if wrong == "shift0":
+            return LPoly.const(n, 1) if br.kind == "shift0" else weight(theory, br, n)
+        a, b = filling._WEIGHT[theory, br.kind]
+        i, j = br.pos.i, br.pos.j
+        e = LPoly.exp(n, [(k == i) - (k == j) for k in range(1, n + 1)])
+        return LPoly.const(n, a) + (LPoly.const(n, 1) - e + e * e) * b
+
+    monkeypatch.setattr(filling, "branch_weight", mutated)
+    assert sum(not _is_self_dual(Theory.KT, mu, nu) for mu, nu in _pairs(5)) == failures
