@@ -28,15 +28,12 @@ Label = str
 class Step(namedtuple("Step", "dir label")):
     """
     One edge of a path: its direction ("SE", "SW" or "W") and its label.
-    There are twelve steps, interned in STEP: Step(dir, label) returns the
-    one instance, and so do _replace, _make, copy, deepcopy and unpickling,
-    which all go through __new__.  A step hashes by identity, so hashing a
-    path's steps tuple reads pointers.  Equality and order are a tuple's,
-    but a plain tuple equal to a step does not hash like it, so a dict
-    keyed by steps must be looked up with steps.
+    There are twelve steps, in STEP: Step(dir, label) returns one of them or
+    raises ValueError, and _replace goes through it too.  The engine keeps
+    a path as a key of step codes (see PuzzlePath) and builds steps only
+    for readers of PuzzlePath.steps.
     """
     __slots__ = ()
-    __hash__ = object.__hash__
 
     def __new__(cls, dir: str, label: Label):
         try:
@@ -52,37 +49,63 @@ class Step(namedtuple("Step", "dir label")):
         # _replace goes through _make, so it validates too
         return cls(*iterable)
 
-    def __reduce__(self):
-        # pickle protocols 0 and 1 would otherwise rebuild the tuple directly
-        return Step, tuple(self)
-
 
 STEP = {(d, label): tuple.__new__(Step, (d, label))
         for d in ("SE", "SW", "W") for label in ("0", "1", "R", "K")}
+# a step's code is its index here: SE steps are codes 0-3, SW steps 4-7 and
+# W steps 8-11, each range in label order 0, 1, R, K, so a code's last two
+# bits are its label's index in "01RK", and a SE step's code is that index
+STEPS = tuple(STEP.values())
+SE_0, SE_1, SE_R, SE_K, SW_0, SW_1, SW_R, SW_K, W_0, W_1, W_R, W_K = range(12)
+_CODE = {s: code for code, s in enumerate(STEPS)}
 
 
-@dataclass(frozen=True)
+def steps_key(steps) -> bytes:
+    """The codes of steps, one byte each."""
+    return bytes(map(_CODE.__getitem__, steps))
+
+
 class PuzzlePath:
-    n: int
-    steps: tuple[Step, ...]
+    """
+    A lattice path across the size-n board, held as its key: one byte per
+    step, the step's code.  Keys hash and slice in C and cache their hash,
+    so the engine keys its tables by them.  steps decodes the key.  A path
+    is a value: equal paths have equal n and keys, and nothing changes one.
+    """
+    __slots__ = ("n", "key")
 
-    def vertices(self) -> list[tuple[int, int]]:
-        """Start vertex of each step, plus the final vertex."""
-        out = [(0, 0)]
-        a, b = 0, 0
-        for s in self.steps:
-            if s.dir == "SE":
-                a, b = a + 1, b + 1
-            elif s.dir == "SW":
-                a, b = a + 1, b
-            else:
-                if a != self.n or b < 1:
-                    raise ValueError("west step off the bottom row")
-                b -= 1
-            out.append((a, b))
-        if (a, b) != (self.n, 0):
-            raise ValueError(f"path ends at v({a},{b}), not v({self.n},0)")
-        return out
+    def __init__(self, n: int, steps):
+        self.n = n
+        self.key = steps_key(steps)
+
+    @property
+    def steps(self) -> tuple[Step, ...]:
+        return tuple(map(STEPS.__getitem__, self.key))
+
+    def __eq__(self, other):
+        if not isinstance(other, PuzzlePath):
+            return NotImplemented
+        return self.n == other.n and self.key == other.key
+
+    def __hash__(self):
+        return hash((self.n, self.key))
+
+    def __repr__(self):
+        return f"PuzzlePath(n={self.n!r}, steps={self.steps!r})"
+
+    def __reduce__(self):
+        return path_from_key, (self.n, self.key)
+
+
+_new = object.__new__
+
+
+def path_from_key(n: int, key: bytes) -> PuzzlePath:
+    """The path of size n with this key; it sets the two slots and runs no __init__."""
+    p = _new(PuzzlePath)
+    p.n = n
+    p.key = key
+    return p
 
 
 def initial_path(mu: Word, nu: Word) -> PuzzlePath:
@@ -91,9 +114,8 @@ def initial_path(mu: Word, nu: Word) -> PuzzlePath:
         raise ValueError("word lengths differ")
     if mu.k != nu.k:
         raise ValueError("words have different numbers of 1s")
-    steps = [STEP["SE", str(b)] for b in mu.bits]
-    steps += [STEP["W", str(b)] for b in reversed(nu.bits)]
-    return PuzzlePath(mu.n, tuple(steps))
+    return path_from_key(mu.n, bytes([SE_0 + b for b in mu.bits]
+                                     + [W_0 + b for b in reversed(nu.bits)]))
 
 
 def final_path_word(p: PuzzlePath) -> Word:
@@ -101,9 +123,12 @@ def final_path_word(p: PuzzlePath) -> Word:
     Read the NW boundary word off a final path: position q of the word is
     the label at depth n + 1 - q, i.e. the path is read from the bottom up.
     """
-    if "SE" in [s.dir for s in p.steps]:
+    key = p.key
+    if min(key, default=SW_0) < SW_0:
         raise ValueError("path still has SE steps")
-    return Word(tuple(int(s.label) for s in reversed(p.steps)))
+    # a label's index in "01RK" is its code's last two bits, and the word
+    # refuses an R or K
+    return Word(tuple(code & 3 for code in reversed(key)))
 
 
 def validate_path(p: PuzzlePath) -> list[str]:
@@ -130,7 +155,7 @@ def validate_path(p: PuzzlePath) -> list[str]:
     derived, and checks a derived child only where its piece changed the
     path (filling._child_is_valid, which tests hold equal to this).
     """
-    n, steps = p.n, p.steps
+    n, key = p.n, p.key
     bad: list[str] = []
     a = b = 0
     lead = 0  # length of the leading run of SE steps
@@ -139,9 +164,8 @@ def validate_path(p: PuzzlePath) -> list[str]:
     se0 = swr = w0 = 0
     # since the latest SE step: the first SW R or bottom 0, SW 1, bottom 1
     ray = sw1 = w1 = None
-    for idx, s in enumerate(steps):
-        d, label = s.dir, s.label
-        if d == "SE":
+    for idx, code in enumerate(key):
+        if code < SW_0:
             if k_at is not None:
                 bad.insert(k_at, f"2: K on non-kink step {kink}")
                 k_at = None
@@ -152,32 +176,33 @@ def validate_path(p: PuzzlePath) -> list[str]:
                 lead += 1
             kink = idx
             ray = sw1 = w1 = None
-            if label == "0":
+            if code == SE_0:
                 se0 += 1
-        elif d == "SW":
+        elif code < W_0:
             on_boundary = b == 0
             a += 1
-            if label == "R":
+            if code == SW_R:
                 swr += 1
                 if ray is None:
                     ray = idx
-            elif label == "1" and sw1 is None:
+            elif code == SW_1 and sw1 is None:
                 sw1 = idx
         else:
             if a != n or b < 1:
                 return ["geometry: west step off the bottom row"]
             on_boundary = True
             b -= 1
-            if label == "0":
+            if code == W_0:
                 w0 += 1
                 if ray is None:
                     ray = idx
-            elif label == "1" and w1 is None:
+            elif code == W_1 and w1 is None:
                 w1 = idx
-        if on_boundary and label != "0" and label != "1":
-            bad.append(f"1: boundary step {idx} carries {label}")
-        if label == "K":
-            if d == "SE":
+        # a code's last two bits are its label's index in "01RK"
+        if on_boundary and code & 2:  # R or K
+            bad.append(f"1: boundary step {idx} carries {STEPS[code].label}")
+        if code & 3 == 3:  # K
+            if code == SE_K:
                 k_at = len(bad)
             else:
                 bad.append(f"2: K on non-kink step {idx}")
@@ -186,10 +211,9 @@ def validate_path(p: PuzzlePath) -> list[str]:
 
     head_zeros = tail_zeros = 0
     for t in range(1, lead + 1):
-        if steps[t - 1].label == "0":
+        if key[t - 1] == SE_0:
             head_zeros += 1
-        s = steps[-t]
-        if s.dir == "W" and s.label == "0":
+        if key[-t] == W_0:
             tail_zeros += 1
         if head_zeros < tail_zeros:
             bad.append(f"3: first {t} SE steps have {head_zeros} 0s "
@@ -200,16 +224,16 @@ def validate_path(p: PuzzlePath) -> list[str]:
         bad.append(f"4: #SE0={se0} but #SWR+#W0={swr + w0}")
 
     if kink is not None:
-        klabel = steps[kink].label
+        kink_code = key[kink]
         # bottom steps come last on the board, so the first 1 is a SW 1 if any
         one = sw1 if sw1 is not None else w1
-        if klabel in ("R", "K"):
+        if kink_code in (SE_R, SE_K):
             if one is None or (ray is not None and ray < one):
                 bad.append("5: no 1 after the kink before an R or bottom 0")
-        if klabel in ("0", "K"):
+        if kink_code in (SE_0, SE_K):
             if ray is None or (w1 is not None and w1 < ray):
                 bad.append("6: no R or bottom 0 after the kink before a bottom 1")
-        if klabel == "K":
+        if kink_code == SE_K:
             if sw1 is None or ray is None or not (sw1 < ray):
                 bad.append("7: kink K needs a SW 1 strictly before an R or bottom 0")
             elif w1 is not None and w1 < ray:
@@ -254,20 +278,20 @@ def fill_site(p: PuzzlePath) -> tuple[int, FillPos] | None:
     """
     The kink (the index of the last SE step) and the position the next
     piece occupies, or None once the path is final.  One pass over the
-    steps, building no vertex list; a non-final path that leaves the board
-    raises ValueError, as vertices() would.  Positions are shared: equal
-    sites hold the same FillPos.
+    key, building no vertex list; a non-final path that leaves the board
+    raises ValueError.  Positions are shared: equal sites hold the same
+    FillPos.
     """
     n = p.n
     a = b = 0
     kink = None
     off = False
-    for idx, (d, _) in enumerate(p.steps):
-        if d == "SE":
+    for idx, code in enumerate(p.key):
+        if code < SW_0:
             a += 1
             b += 1
             kink, ka, kb = idx, a, b
-        elif d == "SW":
+        elif code < W_0:
             a += 1
         elif a != n or b < 1:
             off = True
@@ -281,7 +305,7 @@ def fill_site(p: PuzzlePath) -> tuple[int, FillPos] | None:
         raise ValueError(f"path ends at v({a},{b}), not v({n},0)")
     # a path that ends at v(n, 0) cannot end with its kink, and the step
     # after the last SE step is SW or W
-    if p.steps[kink + 1].dir == "W":
+    if p.key[kink + 1] >= W_0:
         return kink, bottom_pos(kb)
     return kink, rhombus_pos(kb, kb + n - ka)
 

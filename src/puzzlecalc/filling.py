@@ -20,10 +20,10 @@ from enum import Enum
 from functools import cache
 from typing import NamedTuple
 
-from .board import (STEP, FillPos, Puzzle, PuzzlePath, RhombusPlacement, Step,
-                    TrianglePlacement, bottom_pos, fill_site, final_path_word,
-                    initial_path, is_valid, next_fill_position, rhombus_pos,
-                    validate_path)
+from .board import (SE_0, SE_1, SE_R, STEP, STEPS, SW_0, SW_1, SW_R, W_0, W_1, FillPos, Puzzle,
+                    PuzzlePath, RhombusPlacement, TrianglePlacement, bottom_pos,
+                    fill_site, final_path_word, initial_path, next_fill_position,
+                    path_from_key, rhombus_pos, steps_key, validate_path)
 from .intervalrank import DotSet, essential_conditions
 from .poly import LPoly, Poly, sum_of_products
 from .words import Word, inversions
@@ -102,18 +102,26 @@ class Branch:
     # (c, piece) in its bottoms; built with the branch, so that every puzzle
     # through it shares one entry
     placed: tuple = field(init=False, repr=False, compare=False)
+    # its index in enumerate_puzzles' list of a run's entries, whatever n is:
+    # the window's colex index (j - 1)(j - 2)/2 + i - 1, or -c for a triangle
+    slot: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = self.pos
-        object.__setattr__(self, "placed", (pos.c, self.piece) if self.kind == "triangle"
-                           else ((pos.i, pos.j), self.piece))
+        if self.kind == "triangle":
+            placed, slot = (pos.c, self.piece), -pos.c
+        else:
+            placed, slot = ((pos.i, pos.j), self.piece), (pos.j - 1) * (pos.j - 2) // 2 + pos.i - 1
+        object.__setattr__(self, "placed", placed)
+        object.__setattr__(self, "slot", slot)
 
 
 class _Piece(NamedTuple):
-    """One of the 17 pieces: its kind, the steps that replace the kink and the
-    step after it, its placement, and its branches by position, c or (i, j)."""
+    """One of the 17 pieces: its kind, the key of the steps that replace the
+    kink and the step after it, its placement, and its branches by
+    position, c or (i, j)."""
     kind: str
-    new: tuple[Step, ...]
+    new: bytes
     placement: RhombusPlacement | TrianglePlacement
     made: dict
 
@@ -123,42 +131,47 @@ class _Piece(NamedTuple):
 
 
 def _rhombus(kind, right, upper, lower, mid):
-    return _Piece(kind, (STEP["SW", upper], STEP["SE", lower]),
+    return _Piece(kind, steps_key((STEP["SW", upper], STEP["SE", lower])),
                   RhombusPlacement(kind, right, (upper, lower), mid), {})
 
 
 # the puzzle rule: the pieces that fit at the kink, in branch order, keyed by
-# the steps (s[kink], s[kink + 1]), which hash by identity; the step after
-# the kink is W exactly at a bottom site, so the key picks the site kind too.
+# the key's two bytes at the kink, key[kink:kink + 2]; the step after the
+# kink is W exactly at a bottom site, so the key picks the site kind too.
 # A branch is built the first time its piece goes to its position, so at most
 # 4n + 13n(n - 1)/2 of them exist for the largest board size n met.
-_PIECES = {(STEP["SE", kink], STEP["W", base]):
-           (_Piece("triangle", (STEP["SW", left],), TrianglePlacement(kink, base, left), {}),)
+_PIECES = {steps_key((STEP["SE", kink], STEP["W", base])):
+           (_Piece("triangle", steps_key((STEP["SW", left],)),
+                   TrianglePlacement(kink, base, left), {}),)
            for (kink, base), left in TRIANGLE.items()}
-_PIECES |= {(STEP["SE", kink], STEP["SW", sw]): (_rhombus("boring", (kink, sw), *new),)
+_PIECES |= {steps_key((STEP["SE", kink], STEP["SW", sw])): (_rhombus("boring", (kink, sw), *new),)
             for (kink, sw), new in BORING.items()}
-_PIECES[STEP["SE", "1"], STEP["SW", "0"]] = tuple(
+_PIECES[steps_key((STEP["SE", "1"], STEP["SW", "0"]))] = tuple(
     _rhombus(kind, ("1", "0"), *new, mid) for kind, new, mid, *_ in INTERESTING)
+# the codes of the four SW steps: a head with these stripped ends in its last SE step
+_SW_CODES = bytes(range(SW_0, W_0))
 
 
 class _Successors:
     """
     The branches of every path state met since the walk of the current
-    boundary pair began, keyed by steps.  Branches are a function of the
-    path alone, so a hit returns what a fresh derivation would.  A miss on
-    an initial path (the only paths with no SW step, so 2n steps), or on a
-    board of another size, starts a new pair and drops the old rows: the
-    table holds at most one pair's state graph.
+    boundary pair began, keyed by the path's key.  Branches are a function
+    of the path alone, so a hit returns what a fresh derivation would.  A
+    row is a tuple of (branch, child) pairs, which the walks push as they
+    are.  A miss on an initial path (the only paths with no SW step, so 2n
+    steps), or on a board of another size, starts a new pair and drops the
+    old rows: the table holds at most one pair's state graph.
 
-    Beside the rows, sites maps each child of a derived state to its fill
-    site (what fill_site would give), as the parent computed it; the
-    child's own derivation takes it from there.
+    Beside the rows, sites maps the key of each child of a derived state to
+    its fill site (what fill_site would give), as the parent computed it,
+    and the key of an initial path that _walk_start validated to its own;
+    the path's derivation takes it from there.
     """
 
     def __init__(self):
         self.n = 0
-        self.rows: dict[tuple, tuple[tuple[Branch, PuzzlePath], ...]] = {}
-        self.sites: dict[tuple, tuple[int, FillPos] | None] = {}
+        self.rows: dict[bytes, tuple[tuple[Branch, PuzzlePath], ...]] = {}
+        self.sites: dict[bytes, tuple[int, FillPos] | None] = {}
 
     def clear(self):
         self.n = 0
@@ -174,57 +187,74 @@ def legal_branches(p: PuzzlePath) -> tuple[tuple[Branch, PuzzlePath], ...]:
     The continuations of a valid, non-final path, in deterministic order:
     the forced one, or (interesting case) equivariant, shift0, shift1, topk.
     Each branch carries the piece it places.  A path no parent derived must
-    pass validate_path, or raises ValueError; a derived one passed
-    _child_is_valid.  A broken invariant raises InvariantError, and is
-    raised again on the next call.
+    pass validate_path, or raises ValueError, unless a walk validated it
+    (_walk_start); a derived one passed _child_is_valid.  A broken invariant
+    raises InvariantError, and is raised again on the next call.
     """
     table = _successors
+    key = p.key
     if p.n == table.n:
-        out = table.rows.get(p.steps)
+        out = table.rows.get(key)
         if out is not None:
             return out
-    if p.n != table.n or len(p.steps) == 2 * p.n:
-        table.clear()
-        table.n = p.n
-    # False marks a path no parent has derived: the initial path, or one
-    # passed in from outside (None is the site of a final path)
-    site = table.sites.pop(p.steps, False)
+        # False marks a path that neither a parent nor a walk has checked:
+        # one passed in from outside (None is the site of a final path)
+        site = table.sites.pop(key, False)
+    else:
+        site = False
     if site is False:
+        if p.n != table.n or len(key) == 2 * p.n:
+            table.clear()
+            table.n = p.n
         bad = validate_path(p)
         if bad:
             raise ValueError(f"invalid path: {'; '.join(bad)}")
         site = fill_site(p)
     out, child_site = _derive_branches(p, site)
-    table.rows[p.steps] = out
+    table.rows[key] = out
     sites = table.sites
     for _, q in out:
-        sites[q.steps] = child_site
+        sites[q.key] = child_site
     return out
 
 
-def _after_kink(steps: tuple[Step, ...], start: int) -> tuple[bool, bool, bool]:
+def _walk_start(mu: Word, nu: Word) -> PuzzlePath | None:
+    """
+    The initial path of (mu, nu) for a walk, or None when it is invalid.
+    Unless the table holds its row, it is validated here and starts the
+    table's pair with its fill site, so legal_branches does not validate it
+    again.
+    """
+    p = initial_path(mu, nu)
+    table = _successors
+    if p.n != table.n or p.key not in table.rows:
+        if validate_path(p):
+            return None
+        table.clear()
+        table.n = p.n
+        table.sites[p.key] = fill_site(p)
+    return p
+
+
+def _after_kink(key: bytes, start: int) -> tuple[bool, bool, bool]:
     """
     What rules 5-7 read of the SW and bottom steps after a kink,
-    steps[start:]: whether a SW 1 and a bottom 1 come before the first SW R
-    or bottom 0, and whether there is one.
+    key[start:]: whether a SW 1 and a bottom 1 come before the first SW R
+    or bottom 0, and whether there is one.  After a kink of a valid path
+    the SW steps all come before the W steps, so a SW R comes first.
     """
-    sw1 = w1 = False
-    for idx in range(start, len(steps)):
-        d, label = steps[idx]
-        if label == "1":
-            if d == "SW":
-                sw1 = True
-            else:
-                w1 = True
-        elif label == ("R" if d == "SW" else "0"):
-            return sw1, w1, True
-    return sw1, w1, False
+    ray = key.find(SW_R, start)
+    if ray < 0:
+        ray = key.find(W_0, start)
+    end = ray if ray >= 0 else len(key)
+    return key.find(SW_1, start, end) >= 0, key.find(W_1, start, end) >= 0, ray >= 0
 
 
-def _child_is_valid(kink: str, after: tuple[bool, bool, bool]) -> bool:
+def _child_is_valid(kink: int, after: tuple[bool, bool, bool]) -> bool:
     """
-    Whether a child of a valid path, not final, is valid, given its kink
-    label and the _after_kink of the steps after that kink.  validate_path
+    Whether a child of a valid path, not final, is valid, given the code of
+    its kink (a SE step's code is its label's index in "01RK") and the
+    _after_kink of the steps after that kink.  validate_path
     is the spec, and tests hold the two equal on every candidate child with
     n <= 6.  The child differs from its parent only where the piece went,
     so only rules 5-7 can fail:
@@ -236,69 +266,70 @@ def _child_is_valid(kink: str, after: tuple[bool, bool, bool]) -> bool:
       kink 0 with no SW R or bottom 0 after it, which rule 6 rejects
       (rule 1).
     """
-    if kink == "1":
+    if kink == SE_1:
         return True
     sw1, w1, ray = after
-    if kink == "R":
+    if kink == SE_R:
         return sw1 or w1
-    return ray and not w1 and (kink == "0" or sw1)
+    return ray and not w1 and (kink == SE_0 or sw1)
 
 
 def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
                      ) -> tuple[tuple[tuple[Branch, PuzzlePath], ...], tuple[int, FillPos] | None]:
     """
     The branches of the valid path p, whose fill site is site, and the fill
-    site that all of its children share.  Each candidate child is checked
-    by _child_is_valid; the steps after the child's kink are scanned once,
-    as the four interesting candidates share them.  A rhombus at the kink k
-    leaves the child's kink at k + 1, before step k + 2 of p; a triangle
-    leaves it at the last SE step before k, or makes the child final.
+    site that all of its children share.  A child's key is p's with the
+    piece in place of the two bytes at the kink.  Each candidate child is
+    checked by _child_is_valid; the steps after the child's kink are
+    scanned once, as the four interesting candidates share them.  A rhombus
+    at the kink k leaves the child's kink at k + 1, before step k + 2 of p;
+    a triangle leaves it at the last SE step before k, or makes the child
+    final.
     """
     if site is None:
         return (), None
     kink, pos = site
-    s = p.steps
-    pieces = _PIECES.get((s[kink], s[kink + 1]))
+    n, key = p.n, p.key
+    pieces = _PIECES.get(key[kink:kink + 2])
     if pieces is None:
         shape = "bottom triangle" if pos.kind == "bottom" else "rhombus"
-        raise InvariantError(f"unfillable {shape} {(s[kink].label, s[kink + 1].label)} at {pos}")
-    head, tail = s[:kink], s[kink + 2:]
+        labels = STEPS[key[kink]].label, STEPS[key[kink + 1]].label
+        raise InvariantError(f"unfillable {shape} {labels} at {pos}")
+    head, tail = key[:kink], key[kink + 2:]
     if pos.kind == "bottom":
         (piece,) = pieces
-        q = PuzzlePath(p.n, head + piece.new + tail)
+        q = path_from_key(n, head + piece.new + tail)
         # the steps between the child's kink and the new SW step are all SW,
         # so the child's rhombus sits k - m rows above the bottom
-        m = kink - 1
-        while m >= 0 and s[m].dir != "SE":
-            m -= 1
+        m = len(head.rstrip(_SW_CODES)) - 1
         c = pos.c
-        if m >= 0 and not _child_is_valid(s[m].label, _after_kink(q.steps, m + 1)):
+        if m >= 0 and not _child_is_valid(key[m], _after_kink(q.key, m + 1)):
             raise InvariantError(f"forced triangle at {pos} broke the path: {validate_path(q)}")
         return ((piece.branch(pos, c), q),), \
             None if m < 0 else (m, rhombus_pos(c - 1, c - 1 + kink - m))
 
     i, j = pos.i, pos.j
-    child_site = (kink + 1, bottom_pos(i) if s[kink + 2].dir == "W"
+    child_site = (kink + 1, bottom_pos(i) if key[kink + 2] >= W_0
                   else rhombus_pos(i, j - 1))
-    after = _after_kink(s, kink + 2)
+    after = _after_kink(key, kink + 2)
     if len(pieces) == 1:
         (piece,) = pieces
-        q = PuzzlePath(p.n, head + piece.new + tail)
-        if not _child_is_valid(piece.new[1].label, after):
+        q = path_from_key(n, head + piece.new + tail)
+        if not _child_is_valid(piece.new[1], after):
             raise InvariantError(f"forced rhombus at {pos} broke the path: {validate_path(q)}")
         return ((piece.branch(pos, (i, j)), q),), child_site
 
-    ok = [_child_is_valid(piece.new[1].label, after) for piece in pieces]
+    ok = [_child_is_valid(piece.new[1], after) for piece in pieces]
     equivariant, shift0, shift1, topk = ok
     if not equivariant:
-        q = PuzzlePath(p.n, head + pieces[0].new + tail)
+        q = path_from_key(n, head + pieces[0].new + tail)
         raise InvariantError(
             f"equivariant continuation at {pos} broke the path: {validate_path(q)}")
     if not (shift0 or shift1):
         raise InvariantError(f"no shift continuation at {pos}")
     if topk != (shift0 and shift1):
         raise InvariantError(f"topk legality out of step with the shifts at {pos}")
-    return tuple((piece.branch(pos, (i, j)), PuzzlePath(p.n, head + piece.new + tail))
+    return tuple((piece.branch(pos, (i, j)), path_from_key(n, head + piece.new + tail))
                  for keep, piece in zip(ok, pieces) if keep), child_site
 
 
@@ -331,28 +362,28 @@ def reachable(mu: Word, nu: Word, prune=frozenset()) -> dict:
     """
     The state graph of the boundary pair (mu, nu): every path state reachable
     from its initial path through branches whose kind is not in prune, keyed
-    by steps and mapped to (path, kept branches), children before parents,
-    so the initial path comes last.  An unreachable pair yields {}.
+    by the path's key and mapped to (path, kept branches), children before
+    parents, so the initial path comes last.  An unreachable pair yields {}.
     legal_branches is called once per distinct state.
     """
-    p = initial_path(mu, nu)
-    if not is_valid(p):
+    p = _walk_start(mu, nu)
+    if p is None:
         return {}
-    out: dict[tuple, tuple[PuzzlePath, tuple]] = {}
+    out: dict[bytes, tuple[PuzzlePath, tuple]] = {}
     # (path, None) asks for the path's children; (path, branches) is popped
     # again once every child is in out
     stack: list[tuple[PuzzlePath, tuple | None]] = [(p, None)]
     while stack:
         path, branches = stack.pop()
         if branches is not None:
-            out[path.steps] = (path, branches)
-        elif path.steps not in out:
+            out[path.key] = (path, branches)
+        elif path.key not in out:
             branches = legal_branches(path)
             if prune and (len(branches) > 1 or branches and branches[0][0].kind in prune):
                 branches = tuple((br, q) for br, q in branches if br.kind not in prune)
             stack.append((path, branches))
             for _, q in branches:
-                if q.steps not in out:
+                if q.key not in out:
                     stack.append((q, None))
     return out
 
@@ -378,23 +409,23 @@ def structure_constants(theory: Theory, mu: Word, nu: Word) -> dict:
         return {}
     # per state, the parent that reads its value last: states come children
     # before parents, so that is the last one met
-    last = {q.steps: steps for steps, (_, branches) in states.items() for _, q in branches}
-    value: dict[tuple, dict[str, object]] = {}
-    for steps, (path, branches) in states.items():
+    last = {q.key: key for key, (_, branches) in states.items() for _, q in branches}
+    value: dict[bytes, dict[str, object]] = {}
+    for key, (path, branches) in states.items():
         if not branches:
-            value[steps] = {str(final_path_word(path)): one}
+            value[key] = {str(final_path_word(path)): one}
         elif branches[0][0].kind in FORCED:
-            child = branches[0][1].steps
-            value[steps] = value.pop(child) if last[child] is steps else value[child]
+            child = branches[0][1].key
+            value[key] = value.pop(child) if last[child] is key else value[child]
         else:
             parts: dict[str, list] = {}
             for br, q in branches:
                 w = branch_weight(theory, br, n)
-                child = q.steps
-                for lam, c in (value.pop(child) if last[child] is steps
+                child = q.key
+                for lam, c in (value.pop(child) if last[child] is key
                                else value[child]).items():
                     parts.setdefault(lam, []).append((w, c))
-            value[steps] = {lam: sum_of_products(ps) for lam, ps in parts.items()}
+            value[key] = {lam: sum_of_products(ps) for lam, ps in parts.items()}
     root = value[next(reversed(states))]
     return {lam: c for lam, c in root.items() if not c.is_zero()}
 
@@ -406,27 +437,27 @@ def count_puzzles(theory: Theory, mu: Word, nu: Word) -> int:
 def runs(mu: Word, nu: Word, prune=frozenset()):
     """
     Every run of the boundary pair (mu, nu), as a preorder walk of its tree
-    with branches in order: for each node, (depth, via, path, branches),
-    where via is the branch taken to arrive (None at the root) and branches
-    is legal_branches(path), called exactly once per node.  Only children
-    whose kind is not in prune are visited, so a node whose branches are all
-    pruned is not a leaf.  An unreachable pair yields nothing.
+    with branches in order: for each node, ((via, path), branches), where
+    via is the branch taken to arrive (None at the root) and branches is
+    legal_branches(path), called exactly once per node.  The stack holds
+    the (branch, child) pairs of those tuples themselves, and no depth.
+    Only children whose kind is not in prune are visited, so a node whose
+    branches are all pruned is not a leaf.  An unreachable pair yields
+    nothing.
     """
-    p = initial_path(mu, nu)
-    if not is_valid(p):
+    p = _walk_start(mu, nu)
+    if p is None:
         return
-    stack: list[tuple[int, Branch | None, PuzzlePath]] = [(0, None, p)]
+    stack: list[tuple[Branch | None, PuzzlePath]] = [(None, p)]
     while stack:
-        depth, via, path = stack.pop()
-        branches = legal_branches(path)
-        yield depth, via, path, branches
+        node = stack.pop()
+        branches = legal_branches(node[1])
+        yield node, branches
         if len(branches) == 1:
-            br, q = branches[0]
-            if br.kind not in prune:
-                stack.append((depth + 1, br, q))
+            if branches[0][0].kind not in prune:
+                stack.append(branches[0])
         elif branches:
-            stack.extend((depth + 1, br, q) for br, q in reversed(branches)
-                         if br.kind not in prune)
+            stack.extend([pair for pair in reversed(branches) if pair[0].kind not in prune])
 
 
 def enumerate_puzzles(mu: Word, nu: Word, lam: Word | None = None,
@@ -434,28 +465,31 @@ def enumerate_puzzles(mu: Word, nu: Word, lam: Word | None = None,
     """
     Every completed puzzle for (mu, nu), optionally restricted to a given
     boundary word lam, pruned to branches of nonzero weight when a theory
-    is given.  Each puzzle is assembled from the pieces its run placed.
+    is given.  Each node writes its branch's entry at the branch's slot of
+    one list; a run fills every slot, so at a leaf the list holds that
+    run's pieces, read off in the order of the Puzzle's tuples.
     """
     prune = _PRUNED[theory] if theory is not None else frozenset()
+    n = mu.n
     out = []
-    run: list[Branch] = []   # the branches of the current run, root first
-    words: dict[tuple, Word] = {}   # final word per final state
-    for depth, via, path, branches in runs(mu, nu, prune):
-        if depth:
-            del run[depth - 1:]
-            run.append(via)
+    grid: list = [None] * (n * (n + 1) // 2)
+    at = grid.__getitem__
+    # the slots of the rhombi by window (i, j) and of the triangles by c
+    rhombus_order = [(j - 1) * (j - 2) // 2 + i - 1
+                     for i in range(1, n) for j in range(i + 1, n + 1)]
+    bottom_order = range(-1, -n - 1, -1)
+    words: dict[bytes, Word] = {}   # final word per final state
+    for (via, path), branches in runs(mu, nu, prune):
+        if via is not None:
+            grid[via.slot] = via.placed
         if branches:
             continue
-        word = words.get(path.steps)
+        word = words.get(path.key)
         if word is None:
-            word = words[path.steps] = final_path_word(path)
+            word = words[path.key] = final_path_word(path)
         if lam is None or word == lam:
-            rhombi, bottoms = [], []
-            for br in run:
-                (bottoms if br.kind == "triangle" else rhombi).append(br.placed)
-            rhombi.sort()
-            bottoms.sort()
-            out.append(Puzzle(mu.n, word, mu, nu, tuple(rhombi), tuple(bottoms)))
+            out.append(Puzzle(n, word, mu, nu, tuple(map(at, rhombus_order)),
+                              tuple(map(at, bottom_order))))
     return out
 
 
@@ -496,10 +530,14 @@ def trace_rows(mu: Word, nu: Word):
     """
     from .pinkdots import path_codim, path_to_rank
 
-    bad = validate_path(initial_path(mu, nu))
-    if bad:
-        raise ValueError(f"no runs for this boundary pair: {bad}")
-    for depth, via, path, _ in runs(mu, nu):
+    # per open node on the way down, its children not yet met: a node's
+    # depth is the number of open nodes above it
+    pending: list[int] = []
+    depth = None
+    for (via, path), branches in runs(mu, nu):
+        depth = len(pending)
+        if pending:
+            pending[-1] -= 1
         # path is valid here, so a failure to annotate it is a bug
         try:
             d, r = path_to_rank(path)
@@ -509,6 +547,12 @@ def trace_rows(mu: Word, nu: Word):
             steps = " ".join(s.dir + s.label for s in path.steps)
             raise InvariantError(f"cannot annotate the state {steps}: {exc}") from exc
         yield depth, node
+        if branches:
+            pending.append(len(branches))
+        while pending and not pending[-1]:
+            pending.pop()
+    if depth is None:  # runs yields nothing for an unreachable pair
+        raise ValueError(f"no runs for this boundary pair: {validate_path(initial_path(mu, nu))}")
 
 
 def trace(mu: Word, nu: Word) -> TraceNode:

@@ -132,11 +132,11 @@ def _suite_pinkdots(max_n: int, report: Report):
             # children come first, so each state's dots are computed once
             dots = {}
             for path, branches in filling.reachable(mu, nu).values():
-                d = dots[path.steps] = pinkdots.path_dots(path)
+                d = dots[path.key] = pinkdots.path_dots(path)
                 if len(d.dots) != n - mu.k:
                     bad.append(f"{mu}/{nu}: {len(d.dots)} dots, expected {n - mu.k}")
                 for br, q in branches:
-                    if br.kind in filling.FORCED and dots[q.steps] != d:
+                    if br.kind in filling.FORCED and dots[q.key] != d:
                         bad.append(f"{mu}/{nu}: forced step at {br.pos} moved the dots")
     report.record("pinkdots", not bad, "; ".join(bad[:3]))
 
@@ -149,10 +149,10 @@ def _suite_dictionary(max_n: int, report: Report):
             # rank matrices only for the K child's triple, the one reader
             dots = {}
             for path, branches in filling.reachable(mu, nu).values():
-                d = dots[path.steps] = pinkdots.path_dots(path)
+                d = dots[path.key] = pinkdots.path_dots(path)
                 if pinkdots.path_codim(path) != ir.envelope_codim(d):
                     bad.append(f"{mu}/{nu}: codim mismatch on {path.steps}")
-                kinds = {br.kind: dots[q.steps] for br, q in branches}
+                kinds = {br.kind: dots[q.key] for br, q in branches}
                 if "equivariant" in kinds:
                     dsw = kinds["equivariant"]
                     for kind in ("shift0", "shift1"):
@@ -341,10 +341,11 @@ class UnknownSuiteError(ValueError):
 def verify_suite(max_n: int, suites=None) -> Report:
     """
     Run the named invariant sweeps (all by default) up to size max_n, timing
-    each.  Every name is checked before any sweep runs.  A sweep that raises
-    fails, with the exception as its detail, and the next one still runs.
+    each.  Every name is checked before any sweep runs, and a name given
+    twice runs once, where it was first given.  A sweep that raises fails,
+    with the exception as its detail, and the next one still runs.
     """
-    names = list(_SUITES) if suites is None else list(suites)
+    names = list(_SUITES) if suites is None else list(dict.fromkeys(suites))
     unknown = [name for name in names if name not in _SUITES]
     if unknown:
         raise UnknownSuiteError(f"unknown suite(s): {', '.join(unknown)}; "

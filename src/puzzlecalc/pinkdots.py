@@ -10,7 +10,8 @@ stratum the path tracks through the degeneration.
 
 from __future__ import annotations
 
-from .board import PuzzlePath, validate_path
+from .board import (SE_0, SE_1, SE_K, SE_R, STEPS, SW_0, SW_1, SW_R, W_0, W_1, PuzzlePath,
+                    validate_path)
 from .intervalrank import DotSet, IntervalRankMatrix, rank_from_dots
 
 
@@ -44,47 +45,47 @@ def path_dots(p: PuzzlePath) -> DotSet:
     sw, nw, se = [], [], []  # ray coordinates in path order
     a = b = 0
     west = 0  # the largest bottom edge on the path
-    # the latest SE step (the kink once the pass ends): its label, its
+    # the latest SE step (the kink once the pass ends): its code, its
     # coordinate i, and how many NW and SE rays come before it
     kink = None
     one = None  # the first 1 after it: (how many NW rays come before, its coordinate)
-    for d, label in p.steps:
-        if d == "SE":
+    for code in p.key:
+        if code < SW_0:
             a += 1
             b += 1
-            if label == "0":
+            if code == SE_0:
                 sw.append(b)
-            kink, ki, nw_above, se_above, one = label, b, len(nw), len(se), None
-        elif d == "SW":
+            kink, ki, nw_above, se_above, one = code, b, len(nw), len(se), None
+        elif code < W_0:
             j = b + n - a
             a += 1
-            if label == "R":
+            if code == SW_R:
                 nw.append(j)
-            elif label == "0":
+            elif code == SW_0:
                 se.append(j)
-            elif label == "1" and one is None:
+            elif code == SW_1 and one is None:
                 one = len(nw), j
         else:
             west = max(west, b)
-            if label == "0":
+            if code == W_0:
                 nw.append(b)
-            elif label == "1" and one is None:
+            elif code == W_1 and one is None:
                 one = len(nw), b
             b -= 1
 
     dots = []
-    if kink in ("0", "R", "K"):
-        if kink == "0":
+    if kink in (SE_0, SE_R, SE_K):
+        if kink == SE_0:
             sw.pop()  # the kink's own ray
         elif one is None:
             raise ValueError("kink R/K with no 1 below it")
         else:
             nw.insert(*one)  # the NW ray on the first 1, in path order
-        at = nw_above + (kink == "K")
+        at = nw_above + (kink == SE_K)
         if at >= len(nw):
-            raise ValueError(f"kink {kink} lacks a NW ray partner below")
+            raise ValueError(f"kink {STEPS[kink].label} lacks a NW ray partner below")
         dots.append((ki, nw.pop(at)))
-    elif kink == "1" and se_above:
+    elif kink == SE_1 and se_above:
         dots.append((ki, se.pop(se_above - 1)))
 
     if len(sw) != len(nw):
@@ -129,24 +130,23 @@ def path_codim(p: PuzzlePath) -> int:
     # that 1 has come
     late_zeros = 0
     one = False
-    for d, label in p.steps:
-        if d == "SE":
-            kink, r_above, z_above = label, rs, zs
+    for code in p.key:
+        if code < SW_0:
+            kink, r_above, z_above = code, rs, zs
             late_zeros = 0
             one = False
-        elif label == "1":
+        elif code == SW_1 or code == W_1:
             one = True
-        elif d == "SW":
-            if label == "R":
-                rs += 1
-            elif label == "0":
-                base += rs
-                zs += 1
-                late_zeros += one
-    if kink == "1":
+        elif code == SW_R:
+            rs += 1
+        elif code == SW_0:
+            base += rs
+            zs += 1
+            late_zeros += one
+    if kink == SE_1:
         return base + zs - z_above if z_above else base
-    if kink == "0":
+    if kink == SE_0:
         return base + r_above
-    if kink in ("R", "K"):
-        return base + r_above + late_zeros + (kink == "K")
+    if kink in (SE_R, SE_K):
+        return base + r_above + late_zeros + (kink == SE_K)
     return base

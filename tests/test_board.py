@@ -5,7 +5,7 @@ import pytest
 
 from puzzlecalc.board import (STEP, FillPos, PuzzlePath, Step, ascii_render,
                               fill_site, final_path_word, initial_path, is_valid,
-                              next_fill_position, svg_render,
+                              next_fill_position, path_from_key, steps_key, svg_render,
                               validate_path)
 from puzzlecalc.filling import enumerate_puzzles, reachable
 from puzzlecalc.words import all_words, parse_word
@@ -99,22 +99,37 @@ def test_step_rejects_bad_direction_or_label():
 
 
 def test_interned_step_equals_a_fresh_one():
-    # every way of making a step returns the interned one, which hashes by
-    # identity, while equality and order stay a tuple's
+    # Step, _make, _replace, copy and deepcopy return the one step in STEP;
+    # unpickling returns an equal one; equality, order and hash are a tuple's
     assert len(STEP) == 12
     for (d, label), s in STEP.items():
         assert Step(d, label) is s and Step._make([d, label]) is s
         assert copy.copy(s) is s and copy.deepcopy(s) is s
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            assert pickle.loads(pickle.dumps(s, protocol)) is s
+            assert pickle.loads(pickle.dumps(s, protocol)) == s
         for other in ("0", "1", "R", "K"):
             assert s._replace(label=other) is STEP[d, other]
-        assert hash(s) == object.__hash__(s)
+        assert hash(s) == hash((d, label))
         assert (s.dir, s.label) == s == (d, label) < s + ("~",)
     fresh_path = initial_path(parse_word("01"), parse_word("10")).steps
     assert fresh_path == (Step("SE", "0"), Step("SE", "1"), Step("W", "0"), Step("W", "1"))
     assert hash(fresh_path) == hash(tuple(Step(s.dir, s.label) for s in fresh_path))
     assert all(a is b for a, b in zip(copy.deepcopy(fresh_path), fresh_path))
+
+
+def test_keys_round_trip_on_reachable_states():
+    # a key decodes to the steps in STEP, and the steps encode to the key
+    states = 0
+    for n in range(1, 6):
+        for mu, nu in _pairs(n):
+            for key, (p, _) in reachable(mu, nu).items():
+                steps = p.steps
+                assert all(s is STEP[s] for s in steps)
+                assert steps_key(steps) == p.key == key and len(steps) == len(key)
+                assert PuzzlePath(p.n, steps) == p == path_from_key(p.n, key)
+                assert hash(PuzzlePath(p.n, steps)) == hash(p)
+                states += 1
+    assert states == 5709
 
 
 def test_step_repr_is_unchanged():
@@ -129,12 +144,31 @@ def _last_se(p: PuzzlePath) -> int | None:
     return se[-1] if se else None
 
 
+def _vertices(p: PuzzlePath) -> list[tuple[int, int]]:
+    """Start vertex of each step, plus the final vertex."""
+    out = [(0, 0)]
+    a, b = 0, 0
+    for s in p.steps:
+        if s.dir == "SE":
+            a, b = a + 1, b + 1
+        elif s.dir == "SW":
+            a, b = a + 1, b
+        else:
+            if a != p.n or b < 1:
+                raise ValueError("west step off the bottom row")
+            b -= 1
+        out.append((a, b))
+    if (a, b) != (p.n, 0):
+        raise ValueError(f"path ends at v({a},{b}), not v({p.n},0)")
+    return out
+
+
 def _position_by_vertices(p: PuzzlePath) -> FillPos:
     """next_fill_position the slow way, from the whole vertex list."""
     kink = _last_se(p)
     if kink is None:
         return FillPos("done")
-    a, b = p.vertices()[kink + 1]
+    a, b = _vertices(p)[kink + 1]
     if p.steps[kink + 1].dir == "W":
         return FillPos("bottom", c=b)
     return FillPos("rhombus", i=b, j=b + p.n - a)

@@ -171,8 +171,8 @@ def test_reader_closing_coeff_output_early_is_not_an_error(form):
     ["puzzles", "--mu", "011010", "--nu", "110100", "--render", "ascii"],
 ], ids=["coeff", "puzzles"])
 def test_output_does_not_depend_on_hash_order(capsys, argv):
-    # steps hash by identity and strings by PYTHONHASHSEED, so set and dict
-    # hash order changes from one process to the next; the output must not
+    # strings and bytes hash by PYTHONHASHSEED, so set and dict hash order
+    # changes from one process to the next; the output must not
     src = str(pathlib.Path(puzzlecalc.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -398,6 +398,18 @@ def test_reused_parser_keeps_no_state_between_calls(capsys):
     assert code == 0 and [s["suite"] for s in json.loads(out)["suites"]] == list(_SUITES)
     code, out, _ = run(capsys, "coeff", "--theory", "h", "--mu", "0101", "--nu", "1010")
     assert code == 0 and out.splitlines() == ["0110: 1", "1001: 1"]
+
+
+def test_verify_runs_a_repeated_suite_once(capsys):
+    # each named suite runs, prints and is timed once, in the order it was first given
+    argv = ("verify", "--max-n", "2", "--suite", "lr", "--suite", "hall", "--suite", "lr")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["PASS lr", "PASS hall"]
+    assert [line.split(":")[0] for line in lines[2:]] == ["time lr", "time hall", "OK"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and [s["suite"] for s in json.loads(out)["suites"]] == ["lr", "hall"]
 
 
 def test_verify_unknown_suite(capsys):

@@ -5,12 +5,12 @@ from collections import Counter
 import pytest
 
 from puzzlecalc import filling
-from puzzlecalc.board import (STEP, FillPos, PuzzlePath, Step, fill_site, initial_path,
-                              is_valid)
+from puzzlecalc.board import (STEP, FillPos, Puzzle, PuzzlePath, Step, fill_site,
+                              final_path_word, initial_path, is_valid, path_from_key)
 from puzzlecalc.filling import (_PRUNED, InvariantError, Theory, count_puzzles,
                                 enumerate_puzzles, legal_branches,
                                 puzzle_degree_balance, reachable, runs,
-                                structure_constants, trace)
+                                structure_constants, trace, trace_rows)
 from puzzlecalc.poly import LPoly, Poly, eval_at_one
 from puzzlecalc.words import all_words, parse_word
 
@@ -121,19 +121,19 @@ def test_enumerate_with_lambda_filter():
 
 
 def _tree_states(mu, nu):
-    """The steps of every node of the run tree of (mu, nu)."""
-    return {path.steps for _, _, path, _ in runs(mu, nu)}
+    """The key of every node of the run tree of (mu, nu)."""
+    return {path.key for (_, path), _ in runs(mu, nu)}
 
 
 def test_reachable_puts_children_before_parents():
     for mu, nu in _pairs(5):
         states = reachable(mu, nu)
-        order = {steps: idx for idx, steps in enumerate(states)}
-        for steps, (path, branches) in states.items():
-            assert path.steps == steps
-            assert all(order[q.steps] < order[steps] for _, q in branches)
+        order = {key: idx for idx, key in enumerate(states)}
+        for key, (path, branches) in states.items():
+            assert path.key == key
+            assert all(order[q.key] < order[key] for _, q in branches)
         if states:
-            assert next(reversed(states)) == initial_path(mu, nu).steps
+            assert next(reversed(states)) == initial_path(mu, nu).key
 
 
 def test_reachable_is_the_tree_walk_deduplicated():
@@ -151,18 +151,18 @@ def test_reachable_is_the_tree_walk_deduplicated():
 
 
 def _preorder(node):
-    """(steps, via) of every node of a trace tree, in preorder."""
+    """(key, via) of every node of a trace tree, in preorder."""
     stack = [node]
     while stack:
         node = stack.pop()
-        yield node.path.steps, node.via
+        yield node.path.key, node.via
         stack.extend(reversed(node.children))
 
 
 def test_runs_is_the_trace_tree_in_preorder():
     nodes = 0
     for mu, nu in _pairs(5):
-        walk = [(path.steps, via) for _, via, path, _ in runs(mu, nu)]
+        walk = [(path.key, via) for (via, path), _ in runs(mu, nu)]
         if not walk:
             with pytest.raises(ValueError, match="no runs"):
                 trace(mu, nu)
@@ -170,9 +170,96 @@ def test_runs_is_the_trace_tree_in_preorder():
         assert walk == list(_preorder(trace(mu, nu)))
         nodes += len(walk)
         for theory in Theory:
-            leaves = sum(1 for *_, branches in runs(mu, nu, _PRUNED[theory]) if not branches)
+            leaves = sum(1 for _, branches in runs(mu, nu, _PRUNED[theory]) if not branches)
             assert leaves == count_puzzles(theory, mu, nu)
     assert nodes == 8201
+
+
+def _puzzles_the_old_way(mu, nu, prune):
+    """Every puzzle of (mu, nu), by a recursive walk whose leaves split their
+    run's entries by kind and sort them."""
+    out = []
+
+    def walk(path, run):
+        branches = legal_branches(path)
+        if not branches:
+            rhombi = sorted(br.placed for br in run if br.kind != "triangle")
+            bottoms = sorted(br.placed for br in run if br.kind == "triangle")
+            out.append(Puzzle(mu.n, final_path_word(path), mu, nu, tuple(rhombi), tuple(bottoms)))
+        for br, q in branches:
+            if br.kind not in prune:
+                walk(q, run + [br])
+
+    p = initial_path(mu, nu)
+    if is_valid(p):
+        walk(p, [])
+    return out
+
+
+def test_puzzles_from_slots_are_the_sorted_runs():
+    puzzles = 0
+    for mu, nu in _pairs(5):
+        for theory in (None, *Theory):
+            prune = _PRUNED[theory] if theory is not None else frozenset()
+            got = enumerate_puzzles(mu, nu, theory=theory)
+            assert got == _puzzles_the_old_way(mu, nu, prune), (mu, nu, theory)
+            puzzles += len(got)
+    assert puzzles == 3886
+
+
+def _depths(mu, nu):
+    """(depth, key) of every node of the run tree of (mu, nu), in preorder,
+    by a recursive walk."""
+    out = []
+
+    def walk(path, depth):
+        out.append((depth, path.key))
+        for _, q in legal_branches(path):
+            walk(q, depth + 1)
+
+    walk(initial_path(mu, nu), 0)
+    return out
+
+
+def test_trace_rows_depths_are_the_recursive_walks():
+    nodes = 0
+    for mu, nu in _pairs(5):
+        if is_valid(initial_path(mu, nu)):
+            rows = [(depth, node.path.key) for depth, node in trace_rows(mu, nu)]
+            assert rows == _depths(mu, nu)
+            nodes += len(rows)
+    assert nodes == 8201
+
+
+def test_a_walk_validates_its_initial_path_once(monkeypatch):
+    # a walk on a cold table validates the initial path once, and a second
+    # walk of the same pair finds it in the table; an unreachable pair still
+    # gives {}, nothing, or trace's ValueError
+    validate = filling.validate_path
+    calls = []
+
+    def counted(p):
+        calls.append(p.key)
+        return validate(p)
+
+    monkeypatch.setattr(filling, "validate_path", counted)
+    walks = {"reachable": reachable, "runs": lambda mu, nu: list(runs(mu, nu)),
+             "trace_rows": lambda mu, nu: list(trace_rows(mu, nu))}
+    for mu, nu in _pairs(4):
+        start = initial_path(mu, nu)
+        for name, walk in walks.items():
+            filling._successors.clear()
+            calls.clear()
+            if not is_valid(start):
+                if name == "trace_rows":
+                    with pytest.raises(ValueError, match="no runs for this boundary pair"):
+                        walk(mu, nu)
+                else:
+                    assert not walk(mu, nu) and calls == [start.key]
+                continue
+            assert walk(mu, nu) and calls == [start.key], name
+            walk(mu, nu)
+            assert calls == [start.key], name
 
 
 def test_pruned_kinds_are_those_of_zero_weight_at_every_window():
@@ -194,13 +281,13 @@ def test_pruned_graph_is_reached_through_kept_branches():
             # parents come before children in reverse, so one pass marks
             # every state reached from the initial path through kept branches
             kept = {next(reversed(full))} if full else set()
-            for steps in reversed(full):
-                if steps in kept:
-                    kept.update(q.steps for br, q in full[steps][1] if br.kind not in prune)
+            for key in reversed(full):
+                if key in kept:
+                    kept.update(q.key for br, q in full[key][1] if br.kind not in prune)
             pruned = reachable(mu, nu, prune)
             assert set(pruned) == kept
-            for steps, (_, branches) in pruned.items():
-                assert branches == tuple((br, q) for br, q in full[steps][1]
+            for key, (_, branches) in pruned.items():
+                assert branches == tuple((br, q) for br, q in full[key][1]
                                          if br.kind not in prune)
 
 
@@ -252,12 +339,13 @@ def test_local_check_is_validate_path():
             if site is None:
                 continue
             kink = site[0]
-            s = p.steps
-            kept = {q.steps for _, q in filling._derive_branches(p, site)[0]}
-            for piece in filling._PIECES[s[kink], s[kink + 1]]:
-                steps = s[:kink] + piece.new + s[kink + 2:]
-                assert (steps in kept) == is_valid(PuzzlePath(p.n, steps)), steps
-                verdicts[steps in kept] += 1
+            key = p.key
+            kept = {q.key for _, q in filling._derive_branches(p, site)[0]}
+            for piece in filling._PIECES[key[kink:kink + 2]]:
+                child = key[:kink] + piece.new + key[kink + 2:]
+                q = path_from_key(p.n, child)
+                assert (child in kept) == is_valid(q), q
+                verdicts[child in kept] += 1
     assert verdicts == {True: 40184, False: 9074}
 
 
@@ -320,7 +408,7 @@ def test_table_holds_one_pair():
     mid = next(path for path, _ in reachable(MU, NU).values() if len(path.steps) < 8)
     enumerate_puzzles(*a)
     legal_branches(mid)
-    assert set(filling._successors.rows) == {mid.steps}
+    assert set(filling._successors.rows) == {mid.key}
 
 
 def test_invariant_error_is_not_cached(monkeypatch):
@@ -330,19 +418,22 @@ def test_invariant_error_is_not_cached(monkeypatch):
     for _ in range(2):
         with pytest.raises(InvariantError):
             legal_branches(start)
-    assert start.steps not in filling._successors.rows
+    assert start.key not in filling._successors.rows
     monkeypatch.undo()
     assert legal_branches(start)
 
 
 def test_a_path_rebuilt_from_fresh_steps_hits_the_table():
-    # steps are interned, so a path rebuilt from new Step calls, copied or
-    # unpickled keys the same row as the walk's own path
+    # a path rebuilt from new Step calls or from plain tuples, copied or
+    # unpickled has the walk's key, so it keys the same row
     for path, branches in reachable(MU, NU).values():
         fresh = PuzzlePath(path.n, tuple(Step(s.dir, s.label) for s in path.steps))
         assert legal_branches(fresh) is branches
+        plain = PuzzlePath(path.n, [(s.dir, s.label) for s in path.steps])
+        assert plain.key == path.key and legal_branches(plain) is branches
         assert legal_branches(copy.deepcopy(path)) is branches
-        assert legal_branches(pickle.loads(pickle.dumps(path))) is branches
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert legal_branches(pickle.loads(pickle.dumps(path, protocol))) is branches
 
 
 def test_k_theory_constants_sum_to_one():

@@ -39,7 +39,8 @@ import sys
 
 import pytest
 
-from puzzlecalc.board import PuzzlePath, Step, initial_path, svg_render, validate_path
+from puzzlecalc.board import (PuzzlePath, Step, initial_path, path_from_key, svg_render,
+                              validate_path)
 from puzzlecalc.cli import main
 from puzzlecalc.filling import enumerate_puzzles, reachable
 from puzzlecalc.intervalrank import format_dots
@@ -91,18 +92,19 @@ def svg_digest(n: int) -> str:
     return h.hexdigest()
 
 
-def _paths(n: int) -> set[tuple[Step, ...]]:
-    """Every initial path of length n and every state reachable from a valid one."""
+def _paths(n: int) -> set[bytes]:
+    """The key of every initial path of length n and of every state reachable from a valid one."""
     seen = set()
     for mu, nu in _pairs(n):
-        seen.add(initial_path(mu, nu).steps)
+        seen.add(initial_path(mu, nu).key)
         seen.update(reachable(mu, nu))
     return seen
 
 
 def validate_path_digest(n: int) -> str:
     paths = set()
-    for steps in _paths(n):
+    for key in _paths(n):
+        steps = path_from_key(n, key).steps
         paths.add(steps)
         for idx, s in enumerate(steps):
             for label in LABELS:
@@ -118,10 +120,10 @@ def validate_path_digest(n: int) -> str:
 def path_dots_digest(n: int) -> str:
     h = hashlib.sha256()
     for mu, nu in _pairs(n):
-        for steps, (path, _) in sorted(reachable(mu, nu).items(),
-                                       key=lambda item: [(s.dir, s.label) for s in item[0]]):
+        for path, _ in sorted(reachable(mu, nu).values(),
+                              key=lambda item: [(s.dir, s.label) for s in item[0].steps]):
             d = format_dots(path_to_rank(path)[0])
-            h.update(f"{mu} {nu} {' '.join(s.dir + s.label for s in steps)} | {d}\n".encode())
+            h.update(f"{mu} {nu} {' '.join(s.dir + s.label for s in path.steps)} | {d}\n".encode())
     return h.hexdigest()
 
 

@@ -1,6 +1,6 @@
 from collections import Counter
 
-from puzzlecalc.board import STEP, PuzzlePath, initial_path, is_valid
+from puzzlecalc.board import initial_path, is_valid, path_from_key
 from puzzlecalc.filling import reachable, trace_rows
 from puzzlecalc.intervalrank import dots_from_rank, envelope, envelope_codim, rank_from_dots
 from puzzlecalc.pinkdots import path_codim, path_dots, path_to_rank
@@ -53,19 +53,21 @@ def test_codim_formula_matches_dot_geometry_off_the_reachable_states():
     reached = {}
     for n in range(1, 6):
         for mu, nu in _valid_pairs(n):
-            for steps, (path, _) in reachable(mu, nu).items():
-                reached[steps] = path
+            reached.update(reachable(mu, nu))
     unreached = {}
-    for steps, path in reached.items():
-        for idx, s in enumerate(steps):
-            for label in "01RK":
-                other = steps[:idx] + (STEP[s.dir, label],) + steps[idx + 1:]
-                if other not in reached and is_valid(PuzzlePath(path.n, other)):
-                    unreached[other] = PuzzlePath(path.n, other)
+    for key, (path, _) in reached.items():
+        for idx, code in enumerate(key):
+            # the step's direction with each label: a code's last two bits
+            # are its label's index in "01RK"
+            for other_code in range(code - code % 4, code - code % 4 + 4):
+                other = key[:idx] + bytes([other_code]) + key[idx + 1:]
+                q = path_from_key(path.n, other)
+                if other not in reached and is_valid(q):
+                    unreached[other] = q
     assert sorted(Counter(q.n for q in unreached.values()).items()) == [
         (2, 1), (3, 6), (4, 29), (5, 130)]
     for q in unreached.values():
-        assert path_codim(q) == envelope_codim(path_dots(q)), q.steps
+        assert path_codim(q) == envelope_codim(path_dots(q)), q
 
 
 def test_initial_path_envelope_is_boundary_pair():
