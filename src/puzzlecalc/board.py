@@ -357,11 +357,10 @@ class _Layout(NamedTuple):
     keys: tuple[tuple[str, int, int], ...]   # ("H"|"SE"|"SW", a, b) per slot
     template: str   # the ASCII text with one {} per slot
     mu: tuple[int, ...]   # the NE boundary edges, mu[1..n]
-    lam: tuple[int, ...]   # the NW boundary edges, lam[1..n]
     nu: tuple[int, ...]   # the bottom edges, nu[1..n]
-    # window (i, j) -> its left /, left \\, right \\, right / and mid edges
-    rhombus: dict[tuple[int, int], tuple[int, int, int, int, int]]
-    bottom: dict[int, tuple[int, int]]   # triangle c -> its / and \\ edges
+    # window (i, j) -> its left /, left \\ and mid edges
+    rhombus: dict[tuple[int, int], tuple[int, int, int]]
+    bottom: dict[int, int]   # triangle c -> its / edge
 
 
 @lru_cache(maxsize=None)
@@ -390,16 +389,14 @@ def _layout(n: int) -> _Layout:
             # the rhombus occupying window (i, j): upper vertex row a with
             # j = i + n - a, columns b = i - 1 (left side) and b = i (right side)
             a = i + n - j
-            rhombus[i, j] = (at["SW", a - 1, i - 1], at["SE", a, i - 1],
-                             at["SE", a - 1, i - 1], at["SW", a, i], at["H", a, i])
+            rhombus[i, j] = (at["SW", a - 1, i - 1], at["SE", a, i - 1], at["H", a, i])
     return _Layout(
         keys=tuple(keys),
         template="\n".join(lines),
         mu=tuple(at["SE", d - 1, d - 1] for d in range(1, n + 1)),
-        lam=tuple(at["SW", n - q, 0] for q in range(1, n + 1)),
         nu=tuple(at["H", n, c] for c in range(1, n + 1)),
         rhombus=rhombus,
-        bottom={c: (at["SW", n - 1, c - 1], at["SE", n - 1, c - 1]) for c in range(1, n + 1)},
+        bottom={c: at["SW", n - 1, c - 1] for c in range(1, n + 1)},
     )
 
 
@@ -410,24 +407,22 @@ def _edge_labels(pz: Puzzle) -> list[Label | None]:
     """
     Label of every edge in the board, in slot order, reconstructed from the
     boundary and the placements; None on the mid edge of a piece that has
-    none.
+    none.  Each edge is written once, as a mu or nu letter or as an edge a
+    piece places (a rhombus's left pair and mid edge, a triangle's left).
     """
     lay = _layout(pz.n)
     labels: list[Label | None] = [None] * len(lay.keys)
-    for word, slots in ((pz.mu, lay.mu), (pz.lam, lay.lam), (pz.nu, lay.nu)):
+    for word, slots in ((pz.mu, lay.mu), (pz.nu, lay.nu)):
         for s, bit in zip(slots, word.bits):
             labels[s] = _BIT[bit]
     rhombus = lay.rhombus
     for pos, r in pz.rhombi:
-        left_sw, left_se, right_se, right_sw, mid = rhombus[pos]
+        left_sw, left_se, mid = rhombus[pos]
         labels[left_sw], labels[left_se] = r.left
-        labels[right_se], labels[right_sw] = r.right
         labels[mid] = r.mid
     bottom = lay.bottom
     for c, t in pz.bottoms:
-        left, diag = bottom[c]
-        labels[left] = t.left
-        labels[diag] = t.diag
+        labels[bottom[c]] = t.left
     return labels
 
 
@@ -468,13 +463,12 @@ def svg_render(pz: Puzzle) -> str:
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{n * s + 20:.0f}" '
              f'height="{n * h + 20:.0f}" font-size="12" text-anchor="middle">']
-    for pos, r in sorted(pz.rhombi):
+    for (i, j), r in sorted(pz.rhombi):
         fill = _PIECE_FILL.get(r.kind)
         if fill:
-            _, left_se, right_se, right_sw, _ = lay.rhombus[pos]
-            top, right = ends(right_se)
-            bottom, left = ends(right_sw)[1], ends(left_se)[0]
-            poly = " ".join(f"{x:.1f},{y:.1f}" for x, y in map(xy, (top, right, bottom, left)))
+            a = i + n - j   # window (i, j): upper vertex row a, columns i - 1 and i
+            corners = ((a - 1, i - 1), (a, i), (a + 1, i), (a, i - 1))
+            poly = " ".join(f"{x:.1f},{y:.1f}" for x, y in map(xy, corners))
             parts.append(f'<polygon points="{poly}" fill="{fill}" stroke="none"/>')
     labels = _edge_labels(pz)
     for slot in sorted(range(len(labels)), key=lay.keys.__getitem__):

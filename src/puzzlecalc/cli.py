@@ -146,9 +146,9 @@ def cmd_trace(args) -> int:
     return 0
 
 
-# verify's cost grows steeply with --max-n: the ten suites take about 1.6 s
-# together at 5 and about 21 s at 6 (specialize 15 s of it), peaking at
-# about 24 MB RSS, on a 2-core x86 box
+# verify's cost grows steeply with --max-n: the ten suites take about 1.2 s
+# together at 5 and about 9 s at 6 (specialize 3.4 s of it), peaking at
+# about 18 and 21 MB RSS, on a 2-core x86 box
 MAX_VERIFY_N = 6
 
 # rank fixed-points tests every word with n - #dots ones, C(n, n/2) at worst:

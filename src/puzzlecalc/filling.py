@@ -22,9 +22,10 @@ from typing import NamedTuple
 
 from .board import (SE_0, SE_1, SE_R, STEP, STEPS, SW_0, SW_1, SW_R, W_0, W_1, FillPos, Puzzle,
                     PuzzlePath, RhombusPlacement, TrianglePlacement, bottom_pos,
-                    fill_site, final_path_word, initial_path, next_fill_position,
-                    path_from_key, rhombus_pos, steps_key, validate_path)
+                    fill_site, final_path_word, initial_path, path_from_key, rhombus_pos,
+                    steps_key, validate_path)
 from .intervalrank import DotSet, essential_conditions
+from .pinkdots import path_codim, path_to_rank
 from .poly import LPoly, Poly, sum_of_products
 from .words import Word, inversions
 
@@ -528,8 +529,6 @@ def trace_rows(mu: Word, nu: Word):
     raises ValueError before the first row; a reached state that cannot be
     annotated raises InvariantError.
     """
-    from .pinkdots import path_codim, path_to_rank
-
     # per open node on the way down, its children not yet met: a node's
     # depth is the number of open nodes above it
     pending: list[int] = []
@@ -538,11 +537,11 @@ def trace_rows(mu: Word, nu: Word):
         depth = len(pending)
         if pending:
             pending[-1] -= 1
+        pos = branches[0][0].pos if branches else FillPos("done")
         # path is valid here, so a failure to annotate it is a bug
         try:
             d, r = path_to_rank(path)
-            node = TraceNode(path, next_fill_position(path), via, d,
-                             essential_conditions(d, r), path_codim(path))
+            node = TraceNode(path, pos, via, d, essential_conditions(d, r), path_codim(path))
         except ValueError as exc:
             steps = " ".join(s.dir + s.label for s in path.steps)
             raise InvariantError(f"cannot annotate the state {steps}: {exc}") from exc

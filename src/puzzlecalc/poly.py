@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 import struct
 from functools import cache
-from math import factorial
 
 _set = object.__setattr__
 
@@ -296,35 +295,41 @@ def lowest_form(p: LPoly, d: int) -> Poly:
     """
     Lowest-degree behaviour of an exponential sum near y = 0.
 
-    E(e) = exp(e.y), so the degree-m part of p is sum_e c_e (e.y)^m / m!.
-    Returns the degree-d part as a Poly.  Raises PolyError if a part of
-    degree below d is nonzero, since callers rely on p vanishing to order d.
-    Substituting exp(y_i) ~ 1 + y_i instead is a change of coordinates
-    tangent to the identity, so it gives the same order and lowest form.
+    E(e) = exp(e.y), so the coefficient of y^a in the degree-|a| part of p
+    is the moment sum_e c_e e^a / a!.  Returns the degree-d part as a Poly.
+    Raises PolyError if a part of degree below d is nonzero, since callers
+    rely on p vanishing to order d.  Substituting exp(y_i) ~ 1 + y_i instead
+    is a change of coordinates tangent to the identity, so it gives the same
+    order and lowest form.  One depth-first pass meets each a with |a| <= d
+    once, a child raising one exponent at an index no lower than its
+    parent's, and an a whose terms c_e e^a are all zero is not descended.
     """
     if d < 0:
         raise PolyError("lowest_form degree must be >= 0")
-    n = p.n
-    one = Poly.const(n, 1)
-    units = [tuple(int(t == i) for t in range(n)) for i in range(n)]
-    parts = [Poly.zero(n)] * (d + 1)  # parts[m] = sum_e c_e (e.y)^m
-    terms = p.terms
-    # sixteen terms at a time, so that only their powers are held
-    for at in range(0, len(terms), 16):
-        block = terms[at:at + 16]
-        forms = [Poly(n, [(units[i], a) for i, a in enumerate(e) if a]) for e, _ in block]
-        powers = [Poly.const(n, c) for _, c in block]
-        for m in range(d + 1):
-            parts[m] += sum_of_products([(one, q) for q in powers])
-            if m < d:
-                powers = [q * form for q, form in zip(powers, forms)]
-    for m, part in enumerate(parts[:d]):
-        if not part.is_zero():
-            e, c = part.terms[0]
-            raise PolyError(f"expected vanishing to order {d}, "
-                            f"found degree-{m} term {c // factorial(m)}*{e}")
-    f = factorial(d)
-    return Poly._wrap(n, {k: c // f for k, c in parts[d]._coeffs.items()}, parts[d]._bound)
+    n, terms = p.n, p.terms
+    cols = [[e[i] for e, _ in terms] for i in range(n)]
+    low, out = None, []  # low: (m, a, sum) of the first nonzero term below degree d
+    # (a, |a|, a!, first index a child may raise, [c_e e^a per term])
+    stack = [((0,) * n, 0, 1, 0, [c for _, c in terms])]
+    while stack:
+        a, m, fact, first, vals = stack.pop()
+        s = sum(vals)
+        if m == d:
+            if s:
+                out.append((a, s // fact))
+            continue
+        # graded order: lowest degree first, then the largest exponents
+        if s and (low is None or (m, low[1]) < (low[0], a)):
+            low = (m, a, s // fact)
+        for i in range(first, n):
+            child = [v * e for v, e in zip(vals, cols[i])]
+            if any(child):
+                ai = a[i] + 1
+                stack.append((a[:i] + (ai,) + a[i + 1:], m + 1, fact * ai, i, child))
+    if low is not None:
+        m, a, c = low
+        raise PolyError(f"expected vanishing to order {d}, found degree-{m} term {c}*{a}")
+    return Poly(n, out)
 
 
 # -- text form -------------------------------------------------------------

@@ -1,14 +1,17 @@
+import builtins
 import json
+from math import factorial
 from operator import add, mul, neg
 
 import pytest
 from hypothesis import given, strategies as st
 
+from puzzlecalc import poly
 from puzzlecalc.poly import (LIMIT, LPoly, Poly, PolyError, eval_at_one, json_text,
                              lowest_form, parse, render, sum_of_products, y_to_zero)
 from puzzlecalc.cli import main
 from puzzlecalc.filling import Theory, count_puzzles, structure_constants
-from puzzlecalc.words import all_words
+from puzzlecalc.words import Word, all_words, inversions
 
 
 N = 3
@@ -130,6 +133,95 @@ def test_lowest_form_is_multiplicative(p, q, d1, d2):
     except PolyError:
         return
     assert lowest_form(p * q, d1 + d2) == low_p * low_q
+
+
+# -- lowest_form against ring arithmetic -------------------------------------
+
+def _ref_lowest_form(p, d):
+    # the ring-arithmetic form kept as the reference: the degree-m part of
+    # p is sum_e c_e (e.y)^m / m!, built from Poly powers of each e.y
+    if d < 0:
+        raise PolyError("lowest_form degree must be >= 0")
+    n = p.n
+    one = Poly.const(n, 1)
+    units = [tuple(int(t == i) for t in range(n)) for i in range(n)]
+    parts = [Poly.zero(n)] * (d + 1)  # parts[m] = sum_e c_e (e.y)^m
+    terms = p.terms
+    # sixteen terms at a time, so that only their powers are held
+    for at in range(0, len(terms), 16):
+        block = terms[at:at + 16]
+        forms = [Poly(n, [(units[i], a) for i, a in enumerate(e) if a]) for e, _ in block]
+        powers = [Poly.const(n, c) for _, c in block]
+        for m in range(d + 1):
+            parts[m] += sum_of_products([(one, q) for q in powers])
+            if m < d:
+                powers = [q * form for q, form in zip(powers, forms)]
+    for m, part in enumerate(parts[:d]):
+        if not part.is_zero():
+            e, c = part.terms[0]
+            raise PolyError(f"expected vanishing to order {d}, "
+                            f"found degree-{m} term {c // factorial(m)}*{e}")
+    f = factorial(d)
+    return Poly(n, [(e, c // f) for e, c in parts[d].terms])
+
+
+def _outcome(f, p, d):
+    # a value, or the PolyError it raised
+    try:
+        return f(p, d)
+    except PolyError as exc:
+        return str(exc)
+
+
+def test_lowest_form_matches_the_reference_on_every_kt_coefficient():
+    # at the degree specialize reads it and one above, where a nonzero
+    # lowest form must raise
+    nonzero = 0
+    for n in range(1, 6):
+        for k in range(n + 1):
+            for mu in all_words(n, k):
+                for nu in all_words(n, k):
+                    for lam, c in structure_constants(Theory.KT, mu, nu).items():
+                        d = inversions(Word(tuple(map(int, lam)))) + inversions(mu) \
+                            - inversions(nu)
+                        if d < 0:
+                            continue
+                        low = _outcome(lowest_form, c, d)
+                        assert low == _outcome(_ref_lowest_form, c, d)
+                        assert _outcome(lowest_form, c, d + 1) == \
+                            _outcome(_ref_lowest_form, c, d + 1)
+                        if isinstance(low, Poly) and not low.is_zero():
+                            nonzero += 1
+                            with pytest.raises(PolyError):
+                                lowest_form(c, d + 1)
+    assert nonzero
+
+
+@given(st.one_of(lpolys, vanishing), st.integers(0, 4))
+def test_lowest_form_matches_the_reference(p, d):
+    assert _outcome(lowest_form, p, d) == _outcome(_ref_lowest_form, p, d)
+
+
+def test_lowest_form_visits_only_the_support(monkeypatch):
+    # (1 - E(e_1 - e_12))^10 vanishes to order 10 with lowest form
+    # (y_12 - y_1)^10; the 66 exponents on y_1 and y_12 of degree <= 10
+    # are summed, not the 646,646 on all twelve variables
+    n = 12
+    q = LPoly.const(n, 1) - LPoly.exp(n, (1,) + (0,) * 10 + (-1,))
+    p = LPoly.const(n, 1)
+    for _ in range(10):
+        p = p * q
+    sums = []
+    monkeypatch.setattr(poly, "sum", lambda xs: sums.append(1) or builtins.sum(xs),
+                        raising=False)
+    low = lowest_form(p, 10)
+    monkeypatch.undo()
+    y = Poly.y(n, 12) - Poly.y(n, 1)
+    expected = Poly.const(n, 1)
+    for _ in range(10):
+        expected = expected * y
+    assert low == expected
+    assert len(sums) < 200
 
 
 # -- one value, one canonical form -----------------------------------------
