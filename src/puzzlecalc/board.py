@@ -65,18 +65,28 @@ def steps_key(steps) -> bytes:
     return bytes(map(_CODE.__getitem__, steps))
 
 
+# the site of a path that the engine has not checked (None is a final path's)
+UNCHECKED = object()
+
+
 class PuzzlePath:
     """
     A lattice path across the size-n board, held as its key: one byte per
     step, the step's code.  Keys hash and slice in C and cache their hash,
     so the engine keys its tables by them.  steps decodes the key.  A path
     is a value: equal paths have equal n and keys, and nothing changes one.
+
+    site is the path's fill_site when the engine checked the path as it
+    built it (a child its parent derived, or a walk's initial path), and
+    UNCHECKED otherwise.  Equality, hashing, repr and pickling ignore it, so
+    a path built any other way, unpickled or copied is UNCHECKED.
     """
-    __slots__ = ("n", "key")
+    __slots__ = ("n", "key", "site")
 
     def __init__(self, n: int, steps):
         self.n = n
         self.key = steps_key(steps)
+        self.site = UNCHECKED
 
     @property
     def steps(self) -> tuple[Step, ...]:
@@ -100,11 +110,15 @@ class PuzzlePath:
 _new = object.__new__
 
 
-def path_from_key(n: int, key: bytes) -> PuzzlePath:
-    """The path of size n with this key; it sets the two slots and runs no __init__."""
+def path_from_key(n: int, key: bytes, site=UNCHECKED) -> PuzzlePath:
+    """
+    The path of size n with this key; it sets the slots and runs no __init__.
+    Only a caller that knows the path valid passes its fill_site as site.
+    """
     p = _new(PuzzlePath)
     p.n = n
     p.key = key
+    p.site = site
     return p
 
 
@@ -116,6 +130,11 @@ def initial_path(mu: Word, nu: Word) -> PuzzlePath:
         raise ValueError("words have different numbers of 1s")
     return path_from_key(mu.n, bytes([SE_0 + b for b in mu.bits]
                                      + [W_0 + b for b in reversed(nu.bits)]))
+
+
+def final_path(lam: Word) -> PuzzlePath:
+    """Down the NW boundary, reading lam from the bottom up: final_path_word's inverse."""
+    return path_from_key(lam.n, bytes([SW_0 + b for b in reversed(lam.bits)]))
 
 
 def final_path_word(p: PuzzlePath) -> Word:

@@ -4,7 +4,7 @@ Batch command line front end.
 Subcommands: coeff (structure constants), puzzles (enumerate / render),
 trace (annotated degeneration tree), rank (interval-rank utilities),
 verify (invariant sweeps).  Exit codes: 0 success, 1 bad input or out of
-memory, 2 internal invariant violation.
+memory, 2 internal invariant violation or a failed verify sweep.
 """
 from __future__ import annotations
 

@@ -20,10 +20,10 @@ from enum import Enum
 from functools import cache
 from typing import NamedTuple
 
-from .board import (SE_0, SE_1, SE_R, STEP, STEPS, SW_0, SW_1, SW_R, W_0, W_1, FillPos, Puzzle,
-                    PuzzlePath, RhombusPlacement, TrianglePlacement, bottom_pos,
-                    fill_site, final_path_word, initial_path, path_from_key, rhombus_pos,
-                    steps_key, validate_path)
+from .board import (SE_0, SE_1, SE_R, STEP, STEPS, SW_0, SW_1, SW_R, UNCHECKED, W_0, W_1,
+                    FillPos, Puzzle, PuzzlePath, RhombusPlacement, TrianglePlacement,
+                    bottom_pos, fill_site, final_path_word, initial_path, path_from_key,
+                    rhombus_pos, steps_key, validate_path)
 from .intervalrank import DotSet, essential_conditions
 from .pinkdots import path_codim, path_to_rank
 from .poly import LPoly, Poly, sum_of_products
@@ -162,22 +162,15 @@ class _Successors:
     are.  A miss on an initial path (the only paths with no SW step, so 2n
     steps), or on a board of another size, starts a new pair and drops the
     old rows: the table holds at most one pair's state graph.
-
-    Beside the rows, sites maps the key of each child of a derived state to
-    its fill site (what fill_site would give), as the parent computed it,
-    and the key of an initial path that _walk_start validated to its own;
-    the path's derivation takes it from there.
     """
 
     def __init__(self):
         self.n = 0
         self.rows: dict[bytes, tuple[tuple[Branch, PuzzlePath], ...]] = {}
-        self.sites: dict[bytes, tuple[int, FillPos] | None] = {}
 
     def clear(self):
         self.n = 0
         self.rows.clear()
-        self.sites.clear()
 
 
 _successors = _Successors()
@@ -187,10 +180,11 @@ def legal_branches(p: PuzzlePath) -> tuple[tuple[Branch, PuzzlePath], ...]:
     """
     The continuations of a valid, non-final path, in deterministic order:
     the forced one, or (interesting case) equivariant, shift0, shift1, topk.
-    Each branch carries the piece it places.  A path no parent derived must
-    pass validate_path, or raises ValueError, unless a walk validated it
-    (_walk_start); a derived one passed _child_is_valid.  A broken invariant
-    raises InvariantError, and is raised again on the next call.
+    Each branch carries the piece it places.  A path whose site is
+    UNCHECKED must pass validate_path, or raises ValueError; one that a
+    parent derived (which passed _child_is_valid) or a walk validated
+    (_walk_start) carries its fill site.  A broken invariant raises
+    InvariantError, and is raised again on the next call.
     """
     table = _successors
     key = p.key
@@ -198,43 +192,32 @@ def legal_branches(p: PuzzlePath) -> tuple[tuple[Branch, PuzzlePath], ...]:
         out = table.rows.get(key)
         if out is not None:
             return out
-        # False marks a path that neither a parent nor a walk has checked:
-        # one passed in from outside (None is the site of a final path)
-        site = table.sites.pop(key, False)
-    else:
-        site = False
-    if site is False:
-        if p.n != table.n or len(key) == 2 * p.n:
-            table.clear()
-            table.n = p.n
+    if p.n != table.n or len(key) == 2 * p.n:
+        table.clear()
+        table.n = p.n
+    site = p.site
+    if site is UNCHECKED:
         bad = validate_path(p)
         if bad:
             raise ValueError(f"invalid path: {'; '.join(bad)}")
         site = fill_site(p)
-    out, child_site = _derive_branches(p, site)
-    table.rows[key] = out
-    sites = table.sites
-    for _, q in out:
-        sites[q.key] = child_site
+    out = table.rows[key] = _derive_branches(p, site)
     return out
 
 
 def _walk_start(mu: Word, nu: Word) -> PuzzlePath | None:
     """
     The initial path of (mu, nu) for a walk, or None when it is invalid.
-    Unless the table holds its row, it is validated here and starts the
-    table's pair with its fill site, so legal_branches does not validate it
-    again.
+    Unless the table holds its row, it is validated here and built with its
+    fill site, so legal_branches does not validate it again.
     """
     p = initial_path(mu, nu)
     table = _successors
-    if p.n != table.n or p.key not in table.rows:
-        if validate_path(p):
-            return None
-        table.clear()
-        table.n = p.n
-        table.sites[p.key] = fill_site(p)
-    return p
+    if p.n == table.n and p.key in table.rows:
+        return p
+    if validate_path(p):
+        return None
+    return path_from_key(p.n, p.key, fill_site(p))
 
 
 def _after_kink(key: bytes, start: int) -> tuple[bool, bool, bool]:
@@ -276,19 +259,20 @@ def _child_is_valid(kink: int, after: tuple[bool, bool, bool]) -> bool:
 
 
 def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
-                     ) -> tuple[tuple[tuple[Branch, PuzzlePath], ...], tuple[int, FillPos] | None]:
+                     ) -> tuple[tuple[Branch, PuzzlePath], ...]:
     """
-    The branches of the valid path p, whose fill site is site, and the fill
-    site that all of its children share.  A child's key is p's with the
-    piece in place of the two bytes at the kink.  Each candidate child is
-    checked by _child_is_valid; the steps after the child's kink are
-    scanned once, as the four interesting candidates share them.  A rhombus
+    The branches of the valid path p, whose fill site is site.  A child's
+    key is p's with the piece in place of the two bytes at the kink, and
+    its site is the fill site that all of p's children share.  Each
+    candidate child is checked by _child_is_valid; the steps after the
+    child's kink are scanned once, as the four interesting candidates
+    share them.  A rhombus
     at the kink k leaves the child's kink at k + 1, before step k + 2 of p;
     a triangle leaves it at the last SE step before k, or makes the child
     final.
     """
     if site is None:
-        return (), None
+        return ()
     kink, pos = site
     n, key = p.n, p.key
     pieces = _PIECES.get(key[kink:kink + 2])
@@ -299,15 +283,15 @@ def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
     head, tail = key[:kink], key[kink + 2:]
     if pos.kind == "bottom":
         (piece,) = pieces
-        q = path_from_key(n, head + piece.new + tail)
         # the steps between the child's kink and the new SW step are all SW,
         # so the child's rhombus sits k - m rows above the bottom
         m = len(head.rstrip(_SW_CODES)) - 1
         c = pos.c
+        q = path_from_key(n, head + piece.new + tail,
+                          None if m < 0 else (m, rhombus_pos(c - 1, c - 1 + kink - m)))
         if m >= 0 and not _child_is_valid(key[m], _after_kink(q.key, m + 1)):
             raise InvariantError(f"forced triangle at {pos} broke the path: {validate_path(q)}")
-        return ((piece.branch(pos, c), q),), \
-            None if m < 0 else (m, rhombus_pos(c - 1, c - 1 + kink - m))
+        return ((piece.branch(pos, c), q),)
 
     i, j = pos.i, pos.j
     child_site = (kink + 1, bottom_pos(i) if key[kink + 2] >= W_0
@@ -315,10 +299,10 @@ def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
     after = _after_kink(key, kink + 2)
     if len(pieces) == 1:
         (piece,) = pieces
-        q = path_from_key(n, head + piece.new + tail)
+        q = path_from_key(n, head + piece.new + tail, child_site)
         if not _child_is_valid(piece.new[1], after):
             raise InvariantError(f"forced rhombus at {pos} broke the path: {validate_path(q)}")
-        return ((piece.branch(pos, (i, j)), q),), child_site
+        return ((piece.branch(pos, (i, j)), q),)
 
     ok = [_child_is_valid(piece.new[1], after) for piece in pieces]
     equivariant, shift0, shift1, topk = ok
@@ -330,8 +314,8 @@ def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
         raise InvariantError(f"no shift continuation at {pos}")
     if topk != (shift0 and shift1):
         raise InvariantError(f"topk legality out of step with the shifts at {pos}")
-    return tuple((piece.branch(pos, (i, j)), path_from_key(n, head + piece.new + tail))
-                 for keep, piece in zip(ok, pieces) if keep), child_site
+    return tuple((piece.branch(pos, (i, j)), path_from_key(n, head + piece.new + tail, child_site))
+                 for keep, piece in zip(ok, pieces) if keep)
 
 
 def branch_weight(theory: Theory, branch: Branch, n: int):
@@ -432,6 +416,10 @@ def structure_constants(theory: Theory, mu: Word, nu: Word) -> dict:
 
 
 def count_puzzles(theory: Theory, mu: Word, nu: Word) -> int:
+    """
+    The number of puzzles of (mu, nu) whose weight in the theory is
+    nonzero: len(enumerate_puzzles(mu, nu, theory=theory)).
+    """
     return len(enumerate_puzzles(mu, nu, theory=theory))
 
 

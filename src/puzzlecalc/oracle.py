@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import filling, intervalrank as ir, pinkdots
-from .board import PuzzlePath, Step, initial_path, is_valid
+from .board import final_path, initial_path, is_valid
 from .poly import LPoly, Poly, eval_at_one, lowest_form, y_to_zero
 from .words import Word, all_words, inversions, word_to_partition
 
@@ -119,10 +119,6 @@ def _word_pairs(n):
         for mu in ws:
             for nu in ws:
                 yield mu, nu
-
-
-def _final_path(lam: Word) -> PuzzlePath:
-    return PuzzlePath(lam.n, tuple(Step("SW", str(b)) for b in reversed(lam.bits)))
 
 
 def _suite_pinkdots(max_n: int, report: Report):
@@ -300,7 +296,7 @@ def _suite_boundary(max_n: int, report: Report):
                 bad.append(f"initial {mu}/{nu}: envelope {env[0]}/{env[1]}")
         for k in range(n + 1):
             for lam in all_words(n, k):
-                d = pinkdots.path_dots(_final_path(lam))
+                d = pinkdots.path_dots(final_path(lam))
                 zeros = [pp for pp in range(1, n + 1) if lam[pp] == 0]
                 want = frozenset((t + 1, z) for t, z in enumerate(zeros))
                 if d.dots != want:

@@ -7,6 +7,7 @@ indexing is recovered by counting, for each 1, the 0s strictly to its right.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 
 class WordError(ValueError):
@@ -96,19 +97,12 @@ def reverse(w: Word) -> Word:
 
 
 def all_words(n: int, k: int) -> list[Word]:
-    """All length-n words with k ones, in lexicographic order."""
-    out = []
-
-    def rec(prefix, ones_left):
-        pos = len(prefix)
-        if pos == n:
-            if ones_left == 0:
-                out.append(Word(tuple(prefix)))
-            return
-        if n - pos >= ones_left:
-            rec(prefix + [0], ones_left)
-        if ones_left > 0:
-            rec(prefix + [1], ones_left - 1)
-
-    rec([], k)
-    return out
+    """
+    All length-n words with k ones, in lexicographic order, which is the
+    lexicographic order of the positions of their 0s; none for k outside
+    [0, n].
+    """
+    if not 0 <= k <= n:
+        return []
+    return [Word(tuple(int(p not in zeros) for p in range(n)))
+            for zeros in combinations(range(n), n - k)]

@@ -4,7 +4,7 @@ import pickle
 import pytest
 
 from puzzlecalc.board import (STEP, FillPos, PuzzlePath, Step, ascii_render,
-                              fill_site, final_path_word, initial_path, is_valid,
+                              fill_site, final_path, final_path_word, initial_path, is_valid,
                               next_fill_position, path_from_key, steps_key, svg_render,
                               validate_path)
 from puzzlecalc.filling import enumerate_puzzles, reachable
@@ -57,6 +57,13 @@ def test_final_path_word_reads_bottom_up():
                   (Step("SW", "0"), Step("SE", "1"), Step("W", "0"))]:
         with pytest.raises(ValueError, match="still has SE steps"):
             final_path_word(PuzzlePath(2, steps))
+    # final_path is its inverse, and builds a path with no fill site
+    assert final_path(parse_word("010")) == p
+    for n in range(7):
+        for k in range(n + 1):
+            for lam in all_words(n, k):
+                assert final_path_word(final_path(lam)) == lam
+                assert fill_site(final_path(lam)) is None
 
 
 def test_final_path_has_no_fill_position():

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from puzzlecalc import filling
-from puzzlecalc.board import (STEP, FillPos, Puzzle, PuzzlePath, Step, fill_site,
+from puzzlecalc.board import (STEP, UNCHECKED, FillPos, Puzzle, PuzzlePath, Step, fill_site,
                               final_path_word, initial_path, is_valid, path_from_key)
 from puzzlecalc.filling import (_PRUNED, InvariantError, Theory, count_puzzles,
                                 enumerate_puzzles, legal_branches,
@@ -306,25 +306,18 @@ def test_warm_and_cold_branches_agree():
     assert states == 5709
 
 
-def test_parent_computed_sites_match_fill_site(monkeypatch):
-    # unpruned, so every pruned graph is a subgraph of the one checked here
-    derive = filling._derive_branches
-    used = []
-
-    def recording(p, site):
-        used.append((p, site))
-        return derive(p, site)
-
-    monkeypatch.setattr(filling, "_derive_branches", recording)
-    derivations = 0
+def test_parent_computed_sites_match_fill_site():
+    # unpruned, so every pruned graph is a subgraph of the one checked here;
+    # on a cold table the initial path carries the site _walk_start gave it
+    children = 0
     for mu, nu in _pairs(6):
         filling._successors.clear()
-        reachable(mu, nu)
-        for p, site in used:
-            assert site == fill_site(p), p
-        derivations += len(used)
-        used.clear()
-    assert derivations == 37785
+        for p, branches in reachable(mu, nu).values():
+            assert p.site == fill_site(p), p
+            for _, q in branches:
+                assert q.site == fill_site(q), q
+            children += len(branches)
+    assert children == 40184
 
 
 def test_local_check_is_validate_path():
@@ -340,7 +333,7 @@ def test_local_check_is_validate_path():
                 continue
             kink = site[0]
             key = p.key
-            kept = {q.key for _, q in filling._derive_branches(p, site)[0]}
+            kept = {q.key for _, q in filling._derive_branches(p, site)}
             for piece in filling._PIECES[key[kink:kink + 2]]:
                 child = key[:kink] + piece.new + key[kink + 2:]
                 q = path_from_key(p.n, child)
@@ -355,15 +348,15 @@ def test_invalid_path_from_outside_is_refused():
                if len(path.steps) < 8 and any(s.dir == "SW" for s in path.steps))
     idx = next(idx for idx, s in enumerate(mid.steps) if s.dir == "SW")
     bad = PuzzlePath(4, mid.steps[:idx] + (STEP["SW", "K"],) + mid.steps[idx + 1:])
-    rows, sites = dict(filling._successors.rows), dict(filling._successors.sites)
+    rows = dict(filling._successors.rows)
     for _ in range(2):
         with pytest.raises(ValueError, match="invalid path: .*K on non-kink step"):
             legal_branches(bad)
-    assert filling._successors.rows == rows and filling._successors.sites == sites
+    assert filling._successors.rows == rows
     # an invalid initial path starts a new table, and stores nothing in it
     with pytest.raises(ValueError, match="invalid path"):
         legal_branches(initial_path(parse_word("1100"), parse_word("0011")))
-    assert not filling._successors.rows and not filling._successors.sites
+    assert not filling._successors.rows
 
 
 def test_branches_share_their_pieces():
@@ -434,6 +427,37 @@ def test_a_path_rebuilt_from_fresh_steps_hits_the_table():
         assert legal_branches(copy.deepcopy(path)) is branches
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert legal_branches(pickle.loads(pickle.dumps(path, protocol))) is branches
+
+
+def test_a_path_checked_by_the_walk_equals_an_unchecked_one(monkeypatch):
+    # the site slot is not part of the value: a path built from steps,
+    # copied or unpickled equals and hashes as the walk's, and is UNCHECKED,
+    # so on a miss it is validated once; the walk's own path is not
+    filling._successors.clear()
+    states = reachable(MU, NU)
+    validate = filling.validate_path
+    calls = []
+
+    def counted(p):
+        calls.append(p.key)
+        return validate(p)
+
+    monkeypatch.setattr(filling, "validate_path", counted)
+    for path, branches in states.values():
+        assert path.site is not UNCHECKED
+        copies = [PuzzlePath(path.n, path.steps), copy.copy(path), copy.deepcopy(path)]
+        copies += [pickle.loads(pickle.dumps(path, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for q in copies:
+            assert q == path and hash(q) == hash(path) and repr(q) == repr(path)
+            assert q.site is UNCHECKED
+        filling._successors.clear()
+        assert legal_branches(path) == branches and not calls
+        filling._successors.clear()
+        for q in copies:
+            assert legal_branches(q) == branches
+        assert calls == [path.key]
+        calls.clear()
 
 
 def test_k_theory_constants_sum_to_one():

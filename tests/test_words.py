@@ -75,3 +75,8 @@ def test_all_words_is_exhaustive_and_sorted(nk):
     assert len(set(ws)) == len(ws)
     assert [str(w) for w in ws] == sorted(str(w) for w in ws)
     assert all(w.n == n and w.k == k for w in ws)
+
+
+def test_all_words_is_empty_for_k_outside_0_to_n():
+    assert all(all_words(n, k) == [] for n in range(8) for k in (-1, n + 1))
+    assert all_words(0, 0) == [Word(())]
