@@ -146,8 +146,8 @@ def cmd_trace(args) -> int:
     return 0
 
 
-# verify's cost grows steeply with --max-n: the ten suites take about 1.2 s
-# together at 5 and about 9 s at 6 (specialize 3.4 s of it), peaking at
+# verify's cost grows steeply with --max-n: the ten suites take about 0.9 s
+# together at 5 and about 4.5 s at 6 (specialize 2 s of it), peaking at
 # about 18 and 21 MB RSS, on a 2-core x86 box
 MAX_VERIFY_N = 6
 

@@ -9,8 +9,8 @@ that puzzle's contribution to a structure constant, in any of four theories:
 ordinary or torus-equivariant cohomology, and ordinary or torus-equivariant
 K-theory.  The class of a partly filled puzzle depends on its path alone, so
 structure constants are summed once per distinct path state rather than once
-per run, and a state's continuations are derived and checked once per
-boundary pair.
+per run, and a state's continuations are derived and checked once per walk,
+which may serve many boundary pairs and theories.
 """
 
 from __future__ import annotations
@@ -343,55 +343,83 @@ _PRUNED = {t: frozenset(kind for kind, *_ in INTERESTING if _WEIGHT[t, kind] == 
            for t in Theory}
 
 
+def graph(pairs, prune=frozenset()) -> tuple[dict, list]:
+    """
+    The union of the state graphs of the boundary pairs: every path state
+    reachable from a pair's initial path through branches whose kind is not
+    in prune, keyed by the path's key and mapped to (path, kept branches),
+    children before parents; and per pair, the key of its initial path, or
+    None when the pair is unreachable.  One walk serves every pair, so
+    legal_branches is called once per distinct state.  An initial path is
+    no state's child.  A key holds n steps that are not W, so boards of
+    different sizes share no key.
+    """
+    out: dict[bytes, tuple[PuzzlePath, tuple]] = {}
+    roots: list[bytes | None] = []
+    for mu, nu in pairs:
+        p = _walk_start(mu, nu)
+        roots.append(None if p is None else p.key)
+        # (path, None) asks for the path's children; (path, branches) is
+        # popped again once every child is in out
+        stack: list[tuple[PuzzlePath, tuple | None]] = [] if p is None else [(p, None)]
+        while stack:
+            path, branches = stack.pop()
+            if branches is not None:
+                out[path.key] = (path, branches)
+            elif path.key not in out:
+                branches = legal_branches(path)
+                if prune and (len(branches) > 1 or branches and branches[0][0].kind in prune):
+                    branches = tuple((br, q) for br, q in branches if br.kind not in prune)
+                stack.append((path, branches))
+                for _, q in branches:
+                    if q.key not in out:
+                        stack.append((q, None))
+    return out, roots
+
+
 def reachable(mu: Word, nu: Word, prune=frozenset()) -> dict:
     """
-    The state graph of the boundary pair (mu, nu): every path state reachable
-    from its initial path through branches whose kind is not in prune, keyed
-    by the path's key and mapped to (path, kept branches), children before
-    parents, so the initial path comes last.  An unreachable pair yields {}.
-    legal_branches is called once per distinct state.
+    The state graph of the boundary pair (mu, nu), the graph of it alone:
+    the initial path comes last, and an unreachable pair yields {}.
     """
-    p = _walk_start(mu, nu)
-    if p is None:
-        return {}
-    out: dict[bytes, tuple[PuzzlePath, tuple]] = {}
-    # (path, None) asks for the path's children; (path, branches) is popped
-    # again once every child is in out
-    stack: list[tuple[PuzzlePath, tuple | None]] = [(p, None)]
-    while stack:
-        path, branches = stack.pop()
-        if branches is not None:
-            out[path.key] = (path, branches)
-        elif path.key not in out:
-            branches = legal_branches(path)
-            if prune and (len(branches) > 1 or branches and branches[0][0].kind in prune):
-                branches = tuple((br, q) for br, q in branches if br.kind not in prune)
-            stack.append((path, branches))
-            for _, q in branches:
-                if q.key not in out:
-                    stack.append((q, None))
-    return out
+    return graph([(mu, nu)], prune)[0]
 
 
-def structure_constants(theory: Theory, mu: Word, nu: Word) -> dict:
+def _kept(states: dict, roots: list, skip: frozenset) -> dict:
     """
-    All nonzero coefficients of the product expansion for the pair (mu, nu),
-    keyed by the boundary word read off each final path.  An unreachable
-    boundary pair yields the empty dict.
+    The states of the graph reached from the roots through branches whose
+    kind is not in skip, with those branches, in the graph's order.  A lone
+    branch is forced or a shift, which weigh zero in no theory.
+    """
+    if not skip:
+        return states
+    live = {key for key in roots if key is not None}
+    kept = {}
+    for key in reversed(states):  # parents before children
+        if key in live:
+            path, branches = states[key]
+            if len(branches) > 1:
+                branches = tuple([(br, q) for br, q in branches if br.kind not in skip])
+            live.update([q.key for _, q in branches])
+            kept[key] = path, branches
+    return dict(reversed(kept.items()))
 
-    A fold over the reachable states, children before parents: a state's
-    value maps each final word to the sum of the branch weight times the
-    child's value over its branches, each weight's shifted copies of the
-    children added into one dict per word.  Forced pieces weigh 1 and are
-    not multiplied in: a forced state shares its child's dict.  A child's
-    value is dropped once its last parent has read it; cancelled
-    coefficients are dropped only at the root.
+
+def _fold(theory: Theory, states: dict, roots: list) -> list[dict]:
     """
-    n = mu.n
-    one = LPoly.const(n, 1) if theory.k_theory else Poly.const(n, 1)
-    states = reachable(mu, nu, _PRUNED[theory])
+    Per root, the nonzero coefficients of its value in the theory: a fold
+    over the states, children before parents.  A state's value maps each
+    final word to the sum of the branch weight times the child's value over
+    its branches, each weight's shifted copies of the children added into
+    one dict per word.  Forced pieces weigh 1 and are not multiplied in: a
+    forced state shares its child's dict.  A child's value is dropped once
+    its last parent has read it; a root is no state's child, so its value
+    is read after the loop, and cancelled coefficients are dropped there.
+    """
     if not states:
-        return {}
+        return [{} for _ in roots]
+    n = next(iter(states.values()))[0].n
+    one = LPoly.const(n, 1) if theory.k_theory else Poly.const(n, 1)
     # per state, the parent that reads its value last: states come children
     # before parents, so that is the last one met
     last = {q.key: key for key, (_, branches) in states.items() for _, q in branches}
@@ -411,8 +439,30 @@ def structure_constants(theory: Theory, mu: Word, nu: Word) -> dict:
                                else value[child]).items():
                     parts.setdefault(lam, []).append((w, c))
             value[key] = {lam: sum_of_products(ps) for lam, ps in parts.items()}
-    root = value[next(reversed(states))]
-    return {lam: c for lam, c in root.items() if not c.is_zero()}
+    return [{} if key is None else {lam: c for lam, c in value[key].items() if not c.is_zero()}
+            for key in roots]
+
+
+def table(theories, pairs) -> list[tuple[dict, ...]]:
+    """
+    Per boundary pair, its structure_constants in each of the theories (one
+    or more), in order.  One walk serves every pair and theory: it leaves out only the
+    kinds that weigh zero in every theory, and each theory's fold leaves
+    out its own, folding each distinct state once.
+    """
+    prune = frozenset.intersection(*(_PRUNED[t] for t in theories))
+    states, roots = graph(pairs, prune)
+    return list(zip(*(_fold(t, _kept(states, roots, _PRUNED[t] - prune), roots)
+                      for t in theories)))
+
+
+def structure_constants(theory: Theory, mu: Word, nu: Word) -> dict:
+    """
+    All nonzero coefficients of the product expansion for the pair (mu, nu),
+    keyed by the boundary word read off each final path: the table of the
+    one pair.  An unreachable boundary pair yields the empty dict.
+    """
+    return table((theory,), [(mu, nu)])[0][0]
 
 
 def count_puzzles(theory: Theory, mu: Word, nu: Word) -> int:

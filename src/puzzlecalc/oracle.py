@@ -121,45 +121,58 @@ def _word_pairs(n):
                 yield mu, nu
 
 
+def _pairs_by_k(max_n):
+    """Per (n, k) up to max_n, every pair of words (mu, nu), mu first."""
+    for n in range(1, max_n + 1):
+        for k in range(n + 1):
+            ws = all_words(n, k)
+            yield n, k, [(mu, nu) for mu in ws for nu in ws]
+
+
+def _graphs(max_n):
+    """Per (n, k), the union of every pair's unpruned state graph, and the
+    pink dots of each of its states, computed once per state."""
+    for n, k, pairs in _pairs_by_k(max_n):
+        states = filling.graph(pairs)[0]
+        yield n, k, states, {key: pinkdots.path_dots(path) for key, (path, _) in states.items()}
+
+
+def _where(n, k, path) -> str:
+    return f"n={n} k={k} " + " ".join(s.dir + s.label for s in path.steps)
+
+
 def _suite_pinkdots(max_n: int, report: Report):
     bad = []
-    for n in range(1, max_n + 1):
-        for mu, nu in _word_pairs(n):
-            # children come first, so each state's dots are computed once
-            dots = {}
-            for path, branches in filling.reachable(mu, nu).values():
-                d = dots[path.key] = pinkdots.path_dots(path)
-                if len(d.dots) != n - mu.k:
-                    bad.append(f"{mu}/{nu}: {len(d.dots)} dots, expected {n - mu.k}")
-                for br, q in branches:
-                    if br.kind in filling.FORCED and dots[q.key] != d:
-                        bad.append(f"{mu}/{nu}: forced step at {br.pos} moved the dots")
+    for n, k, states, dots in _graphs(max_n):
+        for key, (path, branches) in states.items():
+            d = dots[key]
+            if len(d.dots) != n - k:
+                bad.append(f"{_where(n, k, path)}: {len(d.dots)} dots, expected {n - k}")
+            for br, q in branches:
+                if br.kind in filling.FORCED and dots[q.key] != d:
+                    bad.append(f"{_where(n, k, path)}: forced step at {br.pos} moved the dots")
     report.record("pinkdots", not bad, "; ".join(bad[:3]))
 
 
 def _suite_dictionary(max_n: int, report: Report):
     bad = []
-    for n in range(1, max_n + 1):
-        for mu, nu in _word_pairs(n):
-            # children come first, so each state's dots are computed once;
+    for n, k, states, dots in _graphs(max_n):
+        for key, (path, branches) in states.items():
+            if pinkdots.path_codim(path) != ir.envelope_codim(dots[key]):
+                bad.append(f"{_where(n, k, path)}: codim mismatch")
             # rank matrices only for the K child's triple, the one reader
-            dots = {}
-            for path, branches in filling.reachable(mu, nu).values():
-                d = dots[path.key] = pinkdots.path_dots(path)
-                if pinkdots.path_codim(path) != ir.envelope_codim(d):
-                    bad.append(f"{mu}/{nu}: codim mismatch on {path.steps}")
-                kinds = {br.kind: dots[q.key] for br, q in branches}
-                if "equivariant" in kinds:
-                    dsw = kinds["equivariant"]
-                    for kind in ("shift0", "shift1"):
-                        if kind in kinds and dsw not in ir.covers(kinds[kind]):
-                            bad.append(
-                                f"{mu}/{nu}: sweep does not cover the {kind} child")
-                    if "topk" in kinds:
-                        r0, r1, rk = (ir.rank_from_dots(kinds[kind])
-                                      for kind in ("shift0", "shift1", "topk"))
-                        if ir.irm_min(r0, r1) != rk:
-                            bad.append(f"{mu}/{nu}: irm_min of shifts is not the K child")
+            kinds = {br.kind: dots[q.key] for br, q in branches}
+            if "equivariant" not in kinds:
+                continue
+            dsw = kinds["equivariant"]
+            for kind in ("shift0", "shift1"):
+                if kind in kinds and dsw not in ir.covers(kinds[kind]):
+                    bad.append(f"{_where(n, k, path)}: sweep does not cover the {kind} child")
+            if "topk" in kinds:
+                r0, r1, rk = (ir.rank_from_dots(kinds[kind])
+                              for kind in ("shift0", "shift1", "topk"))
+                if ir.irm_min(r0, r1) != rk:
+                    bad.append(f"{_where(n, k, path)}: irm_min of shifts is not the K child")
     report.record("dictionary", not bad, "; ".join(bad[:3]))
 
 
@@ -214,12 +227,9 @@ def _suite_essential(max_n: int, report: Report):
 
 def _suite_specialize(max_n: int, report: Report):
     bad = []
-    for n in range(1, max_n + 1):
-        for mu, nu in _word_pairs(n):
-            kt = filling.structure_constants(filling.Theory.KT, mu, nu)
-            k = filling.structure_constants(filling.Theory.K, mu, nu)
-            ht = filling.structure_constants(filling.Theory.HT, mu, nu)
-            h = filling.structure_constants(filling.Theory.H, mu, nu)
+    theories = (filling.Theory.KT, filling.Theory.K, filling.Theory.HT, filling.Theory.H)
+    for n, _, pairs in _pairs_by_k(max_n):
+        for (mu, nu), (kt, k, ht, h) in zip(pairs, filling.table(theories, pairs)):
             lams = set(kt) | set(k) | set(ht) | set(h)
             for lam_s in lams:
                 lam = Word(tuple(int(c) for c in lam_s))
@@ -249,13 +259,13 @@ def _suite_specialize(max_n: int, report: Report):
 
 def _suite_commute(max_n: int, report: Report):
     theories = (filling.Theory.H, filling.Theory.HT, filling.Theory.K)
-    # per theory and n, every pair's expansion; a pair's three expansions
-    # are computed back to back, so that its state graph is derived once
+    # per theory and n, every pair's expansion, from one table per (n, k);
+    # the mismatches are reported theory by theory
     tables = {t: [{} for _ in range(max_n)] for t in theories}
-    for n in range(1, max_n + 1):
-        for mu, nu in _word_pairs(n):
-            for t in theories:
-                tables[t][n - 1][str(mu), str(nu)] = filling.structure_constants(t, mu, nu)
+    for n, _, pairs in _pairs_by_k(max_n):
+        for (mu, nu), row in zip(pairs, filling.table(theories, pairs)):
+            for t, coeffs in zip(theories, row):
+                tables[t][n - 1][str(mu), str(nu)] = coeffs
     bad = []
     for t in theories:
         for table in tables[t]:
@@ -269,17 +279,14 @@ def _suite_commute(max_n: int, report: Report):
 
 def _suite_lr(max_n: int, report: Report):
     bad = []
-    for n in range(1, max_n + 1):
-        for k in range(0, n + 1):
-            ws = all_words(n, k)
-            for mu in ws:
-                for nu in ws:
-                    h = filling.structure_constants(filling.Theory.H, mu, nu)
-                    for lam in ws:
-                        want = lr_oracle(lam, mu, nu)
-                        got = h.get(str(lam), Poly.zero(n)).constant_term()
-                        if want != got:
-                            bad.append(f"{lam}/{mu}/{nu}: puzzle {got} vs LR {want}")
+    for n, k, pairs in _pairs_by_k(max_n):
+        ws = all_words(n, k)
+        for (mu, nu), (h,) in zip(pairs, filling.table((filling.Theory.H,), pairs)):
+            for lam in ws:
+                want = lr_oracle(lam, mu, nu)
+                got = h.get(str(lam), Poly.zero(n)).constant_term()
+                if want != got:
+                    bad.append(f"{lam}/{mu}/{nu}: puzzle {got} vs LR {want}")
     report.record("lr", not bad, "; ".join(bad[:3]))
 
 

@@ -8,9 +8,9 @@ from puzzlecalc import filling
 from puzzlecalc.board import (STEP, UNCHECKED, FillPos, Puzzle, PuzzlePath, Step, fill_site,
                               final_path_word, initial_path, is_valid, path_from_key)
 from puzzlecalc.filling import (_PRUNED, InvariantError, Theory, count_puzzles,
-                                enumerate_puzzles, legal_branches,
+                                enumerate_puzzles, graph, legal_branches,
                                 puzzle_degree_balance, reachable, runs,
-                                structure_constants, trace, trace_rows)
+                                structure_constants, table, trace, trace_rows)
 from puzzlecalc.poly import LPoly, Poly, eval_at_one
 from puzzlecalc.words import all_words, parse_word
 
@@ -149,6 +149,76 @@ def test_reachable_is_the_tree_walk_deduplicated():
     assert visits == 5709
     assert reachable(parse_word("1100"), parse_word("0011")) == {}
 
+
+
+def _pairs_by_k(max_n):
+    """Per (n, k) up to max_n, the list of every pair of words."""
+    for n in range(1, max_n + 1):
+        for k in range(n + 1):
+            ws = all_words(n, k)
+            yield [(mu, nu) for mu in ws for nu in ws]
+
+
+def test_graph_is_the_union_of_the_pairs_graphs(monkeypatch):
+    # one walk over every pair of an (n, k) derives each distinct state
+    # once, and holds each pair's graph, rows included
+    derive = filling._derive_branches
+    derived = []
+
+    def counted(p, site):
+        derived.append(p.key)
+        return derive(p, site)
+
+    monkeypatch.setattr(filling, "_derive_branches", counted)
+    visits = distinct = 0
+    for pairs in _pairs_by_k(6):
+        filling._successors.clear()
+        derived.clear()
+        states, roots = graph(pairs)
+        assert len(derived) == len(states) == len(set(derived))
+        order = {key: idx for idx, key in enumerate(states)}
+        for key, (path, branches) in states.items():
+            assert path.key == key
+            assert all(order[q.key] < order[key] for _, q in branches)
+        union = set()
+        for (mu, nu), root in zip(pairs, roots):
+            alone = reachable(mu, nu)
+            assert root == (next(reversed(alone)) if alone else None)
+            for key, (_, branches) in alone.items():
+                assert states[key][1] == branches
+            visits += len(alone)
+            union.update(alone)
+        assert union == set(states)
+        distinct += len(states)
+        # a theory's fold reads the states its own kinds reach, as its walk would
+        for prune in set(_PRUNED.values()):
+            assert filling._kept(states, roots, prune) == graph(pairs, prune)[0]
+    # over every (n, k) with n <= 6; at n = 6 alone, 32,076 and 5,719
+    assert (visits, distinct) == (37785, 7634)
+
+
+def test_table_is_structure_constants_pair_by_pair():
+    # dict order included, for each theory alone and the tuples the verify
+    # suites ask for; an unreachable pair gives {} in every theory.
+    # (H, K) walks without equivariant branches, and H's fold skips topk too
+    asks = [(t,) for t in Theory] + [(Theory.KT, Theory.K, Theory.HT, Theory.H),
+                                     (Theory.H, Theory.HT, Theory.K), (Theory.H, Theory.K)]
+    unreachable = 0
+    for pairs in _pairs_by_k(5):
+        alone = {t: [list(structure_constants(t, mu, nu).items()) for mu, nu in pairs]
+                 for t in Theory}
+        for theories in asks:
+            rows = table(theories, pairs)
+            assert len(rows) == len(pairs)
+            for idx, row in enumerate(rows):
+                assert [list(coeffs.items()) for coeffs in row] == [alone[t][idx]
+                                                                    for t in theories]
+        for (mu, nu), row in zip(pairs, table(tuple(Theory), pairs)):
+            if not reachable(mu, nu):
+                assert row == ({},) * 4
+                unreachable += 1
+    assert unreachable == 155
+    assert table((Theory.KT,), []) == []
 
 def _preorder(node):
     """(key, via) of every node of a trace tree, in preorder."""

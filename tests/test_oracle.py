@@ -126,12 +126,13 @@ def test_essential_suite_catches_a_missing_cell(monkeypatch):
 def test_commute_reports_mismatches_theory_by_theory(monkeypatch):
     # asymmetric expansions for H at n = 3 and H_T at n = 2: H's come first,
     # although the pairs are expanded n by n
-    def lopsided(t, mu, nu):
-        if (t, mu.n) in ((filling.Theory.H, 3), (filling.Theory.HT, 2)):
-            return {str(nu): f"{t.value}:{mu}"}
-        return {}
+    def lopsided(theories, pairs):
+        return [tuple({str(nu): f"{t.value}:{mu}"}
+                      if (t, mu.n) in ((filling.Theory.H, 3), (filling.Theory.HT, 2)) else {}
+                      for t in theories)
+                for mu, nu in pairs]
 
-    monkeypatch.setattr(filling, "structure_constants", lopsided)
+    monkeypatch.setattr(filling, "table", lopsided)
     report = Report()
     _suite_commute(3, report)
     assert report.results == [("commute", False, "h 010,001->010: h:001 vs None; "
