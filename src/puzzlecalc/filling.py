@@ -151,17 +151,20 @@ _PIECES[steps_key((STEP["SE", "1"], STEP["SW", "0"]))] = tuple(
     _rhombus(kind, ("1", "0"), *new, mid) for kind, new, mid, *_ in INTERESTING)
 # the codes of the four SW steps: a head with these stripped ends in its last SE step
 _SW_CODES = bytes(range(SW_0, W_0))
+# builds a path with no __init__, as path_from_key does
+_new = object.__new__
 
 
 class _Successors:
     """
     The branches of every path state met since the walk of the current
-    boundary pair began, keyed by the path's key.  Branches are a function
-    of the path alone, so a hit returns what a fresh derivation would.  A
-    row is a tuple of (branch, child) pairs, which the walks push as they
-    are.  A miss on an initial path (the only paths with no SW step, so 2n
-    steps), or on a board of another size, starts a new pair and drops the
-    old rows: the table holds at most one pair's state graph.
+    boundary pair began, keyed by the path's key; legal_branches and graph
+    write them.  Branches are a function of the path alone, so a hit
+    returns what a fresh derivation would.  A row is a tuple of (branch,
+    child) pairs, which the walks push as they are.  A miss in
+    legal_branches on an initial path (the only paths with no SW step, so
+    2n steps), or on a board of another size, starts a new pair and drops
+    the old rows: the table holds at most one pair's state graph.
     """
 
     def __init__(self):
@@ -220,28 +223,14 @@ def _walk_start(mu: Word, nu: Word) -> PuzzlePath | None:
     return path_from_key(p.n, p.key, fill_site(p))
 
 
-def _after_kink(key: bytes, start: int) -> tuple[bool, bool, bool]:
-    """
-    What rules 5-7 read of the SW and bottom steps after a kink,
-    key[start:]: whether a SW 1 and a bottom 1 come before the first SW R
-    or bottom 0, and whether there is one.  After a kink of a valid path
-    the SW steps all come before the W steps, so a SW R comes first.
-    """
-    ray = key.find(SW_R, start)
-    if ray < 0:
-        ray = key.find(W_0, start)
-    end = ray if ray >= 0 else len(key)
-    return key.find(SW_1, start, end) >= 0, key.find(W_1, start, end) >= 0, ray >= 0
-
-
-def _child_is_valid(kink: int, after: tuple[bool, bool, bool]) -> bool:
+def _child_is_valid(kink: int, key: bytes, start: int) -> bool:
     """
     Whether a child of a valid path, not final, is valid, given the code of
-    its kink (a SE step's code is its label's index in "01RK") and the
-    _after_kink of the steps after that kink.  validate_path
-    is the spec, and tests hold the two equal on every candidate child with
-    n <= 6.  The child differs from its parent only where the piece went,
-    so only rules 5-7 can fail:
+    its kink (a SE step's code is its label's index in "01RK") and a key
+    whose steps from start on are the child's steps after that kink.
+    validate_path is the spec, and tests hold the two equal on every
+    candidate child with n <= 6.  The child differs from its parent only
+    where the piece went, so only rules 5-7 can fail:
     - the end point stays put, and rule 3 can only lose bottom 0s;
     - every piece balances rule 4, and replaces the parent's kink, its only
       K step, by steps with no K off the child's kink (rule 2);
@@ -249,27 +238,39 @@ def _child_is_valid(kink: int, after: tuple[bool, bool, bool]) -> bool:
       its only SE step; rule 4 then allows a SW R there only under a new
       kink 0 with no SW R or bottom 0 after it, which rule 6 rejects
       (rule 1).
+    Rules 5-7 read the steps after the kink up to the first SW R or bottom
+    0 (the ray); after a kink of a valid path the SW steps all come before
+    the W steps, so a SW R comes first.  A kink 1 needs nothing after it,
+    so the steps are scanned only for the other kinds of kink, and only as
+    far as the kink's rules ask.
     """
     if kink == SE_1:
         return True
-    sw1, w1, ray = after
-    if kink == SE_R:
-        return sw1 or w1
-    return ray and not w1 and (kink == SE_0 or sw1)
+    ray = key.find(SW_R, start)
+    if ray < 0:
+        ray = key.find(W_0, start)
+    if kink == SE_R:  # rule 5: a 1 before the ray, if any
+        end = ray if ray >= 0 else len(key)
+        return key.find(SW_1, start, end) >= 0 or key.find(W_1, start, end) >= 0
+    # rule 6 (kinks 0 and K): a ray, with no bottom 1 before it; rule 7
+    # (kink K): a SW 1 before it too
+    return ray >= 0 and key.find(W_1, start, ray) < 0 and (
+        kink == SE_0 or key.find(SW_1, start, ray) >= 0)
 
 
 def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
                      ) -> tuple[tuple[Branch, PuzzlePath], ...]:
     """
-    The branches of the valid path p, whose fill site is site.  A child's
-    key is p's with the piece in place of the two bytes at the kink, and
-    its site is the fill site that all of p's children share.  Each
-    candidate child is checked by _child_is_valid; the steps after the
-    child's kink are scanned once, as the four interesting candidates
-    share them.  A rhombus
-    at the kink k leaves the child's kink at k + 1, before step k + 2 of p;
-    a triangle leaves it at the last SE step before k, or makes the child
-    final.
+    The branches of the valid path p, whose fill site is site: the forced
+    one, checked first, or the kept ones of the four interesting
+    candidates.  A child's key is p's with the piece in place of the two
+    bytes at the kink, and its site follows from p's: a rhombus at the
+    kink k leaves the child's kink at k + 1, before step k + 2 of p; a
+    triangle leaves it at the last SE step before k, or makes the child
+    final.  Each candidate child is checked by _child_is_valid, which
+    reads the steps after the child's kink; a rhombus leaves them as they
+    are in p.  A forced child and its branch are built in place, and a
+    PuzzlePath is built only for a kept child.
     """
     if site is None:
         return ()
@@ -281,30 +282,33 @@ def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
         labels = STEPS[key[kink]].label, STEPS[key[kink + 1]].label
         raise InvariantError(f"unfillable {shape} {labels} at {pos}")
     head, tail = key[:kink], key[kink + 2:]
-    if pos.kind == "bottom":
-        (piece,) = pieces
-        # the steps between the child's kink and the new SW step are all SW,
-        # so the child's rhombus sits k - m rows above the bottom
-        m = len(head.rstrip(_SW_CODES)) - 1
-        c = pos.c
-        q = path_from_key(n, head + piece.new + tail,
-                          None if m < 0 else (m, rhombus_pos(c - 1, c - 1 + kink - m)))
-        if m >= 0 and not _child_is_valid(key[m], _after_kink(q.key, m + 1)):
-            raise InvariantError(f"forced triangle at {pos} broke the path: {validate_path(q)}")
-        return ((piece.branch(pos, c), q),)
-
-    i, j = pos.i, pos.j
-    child_site = (kink + 1, bottom_pos(i) if key[kink + 2] >= W_0
-                  else rhombus_pos(i, j - 1))
-    after = _after_kink(key, kink + 2)
     if len(pieces) == 1:
         (piece,) = pieces
-        q = path_from_key(n, head + piece.new + tail, child_site)
-        if not _child_is_valid(piece.new[1], after):
-            raise InvariantError(f"forced rhombus at {pos} broke the path: {validate_path(q)}")
-        return ((piece.branch(pos, (i, j)), q),)
+        q = _new(PuzzlePath)
+        q.n = n
+        q.key = child = head + piece.new + tail
+        if pos.kind == "bottom":
+            # the steps between the child's kink and the new SW step are
+            # all SW, so the child's rhombus sits k - m rows above the bottom
+            m = len(head.rstrip(_SW_CODES)) - 1
+            c = at = pos.c
+            if m < 0:
+                q.site = None
+            else:
+                q.site = (m, rhombus_pos(c - 1, c - 1 + kink - m))
+                if not _child_is_valid(key[m], child, m + 1):
+                    raise InvariantError(
+                        f"forced triangle at {pos} broke the path: {validate_path(q)}")
+        else:
+            i, j = at = pos.i, pos.j
+            q.site = (kink + 1, bottom_pos(i) if key[kink + 2] >= W_0 else rhombus_pos(i, j - 1))
+            if not _child_is_valid(piece.new[1], key, kink + 2):
+                raise InvariantError(f"forced rhombus at {pos} broke the path: {validate_path(q)}")
+        return ((piece.made.get(at) or piece.branch(pos, at), q),)
 
-    ok = [_child_is_valid(piece.new[1], after) for piece in pieces]
+    i, j = at = pos.i, pos.j
+    child_site = (kink + 1, bottom_pos(i) if key[kink + 2] >= W_0 else rhombus_pos(i, j - 1))
+    ok = [_child_is_valid(piece.new[1], key, kink + 2) for piece in pieces]
     equivariant, shift0, shift1, topk = ok
     if not equivariant:
         q = path_from_key(n, head + pieces[0].new + tail)
@@ -314,7 +318,7 @@ def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
         raise InvariantError(f"no shift continuation at {pos}")
     if topk != (shift0 and shift1):
         raise InvariantError(f"topk legality out of step with the shifts at {pos}")
-    return tuple((piece.branch(pos, (i, j)), path_from_key(n, head + piece.new + tail, child_site))
+    return tuple((piece.branch(pos, at), path_from_key(n, head + piece.new + tail, child_site))
                  for keep, piece in zip(ok, pieces) if keep)
 
 
@@ -349,31 +353,55 @@ def graph(pairs, prune=frozenset()) -> tuple[dict, list]:
     reachable from a pair's initial path through branches whose kind is not
     in prune, keyed by the path's key and mapped to (path, kept branches),
     children before parents; and per pair, the key of its initial path, or
-    None when the pair is unreachable.  One walk serves every pair, so
-    legal_branches is called once per distinct state.  An initial path is
-    no state's child.  A key holds n steps that are not W, so boards of
-    different sizes share no key.
+    None when the pair is unreachable.  An initial path is no state's
+    child.  A key holds n steps that are not W, so boards of different
+    sizes share no key.
+
+    One walk serves every pair.  Each initial path goes through
+    legal_branches, which validates it and starts the pair's successor
+    table; the walk then reads that table's rows itself and derives each
+    miss with _derive_branches, writing its row, so each distinct state is
+    derived once.  A forced child is followed in a loop, and the chain of
+    forced states is pushed once, with the state that ends it.
     """
     out: dict[bytes, tuple[PuzzlePath, tuple]] = {}
     roots: list[bytes | None] = []
+    rows = _successors.rows
     for mu, nu in pairs:
         p = _walk_start(mu, nu)
         roots.append(None if p is None else p.key)
-        # (path, None) asks for the path's children; (path, branches) is
-        # popped again once every child is in out
-        stack: list[tuple[PuzzlePath, tuple | None]] = [] if p is None else [(p, None)]
+        if p is None or p.key in out:
+            continue
+        legal_branches(p)
+        # a path to walk from, or a chain: the (key, (path, kept branches))
+        # of states that lead each to the next, all forced but the last,
+        # written last first once the paths pushed above it are in out
+        stack: list = [p]
         while stack:
-            path, branches = stack.pop()
-            if branches is not None:
-                out[path.key] = (path, branches)
-            elif path.key not in out:
-                branches = legal_branches(path)
-                if prune and (len(branches) > 1 or branches and branches[0][0].kind in prune):
-                    branches = tuple((br, q) for br, q in branches if br.kind not in prune)
-                stack.append((path, branches))
-                for _, q in branches:
-                    if q.key not in out:
-                        stack.append((q, None))
+            path = stack.pop()
+            if type(path) is list:
+                out.update(reversed(path))
+                continue
+            chain = []
+            key = path.key
+            while key not in out:
+                branches = rows.get(key)
+                if branches is None:
+                    branches = rows[key] = _derive_branches(path, path.site)
+                if len(branches) != 1:
+                    break
+                chain.append((key, (path, branches)))
+                path = branches[0][1]
+                key = path.key
+            else:
+                out.update(reversed(chain))
+                continue
+            # a final or interesting state: its children come first
+            if prune:
+                branches = tuple([(br, q) for br, q in branches if br.kind not in prune])
+            chain.append((key, (path, branches)))
+            stack.append(chain)
+            stack += [q for _, q in branches if q.key not in out]
     return out, roots
 
 
@@ -405,42 +433,70 @@ def _kept(states: dict, roots: list, skip: frozenset) -> dict:
     return dict(reversed(kept.items()))
 
 
-def _fold(theory: Theory, states: dict, roots: list) -> list[dict]:
+def _sum_ints(pairs) -> dict:
+    out: dict[str, int] = {}
+    get = out.get
+    for w, value in pairs:
+        for lam, c in value.items():
+            out[lam] = get(lam, 0) + w * c
+    return out
+
+
+def _sum_polys(pairs) -> dict:
+    # each weight's shifted copies of the children added into one dict per word
+    parts: dict[str, list] = {}
+    for w, value in pairs:
+        for lam, c in value.items():
+            parts.setdefault(lam, []).append((w, c))
+    return {lam: sum_of_products(ps) for lam, ps in parts.items()}
+
+
+def _ring(theory: Theory, n: int) -> tuple:
     """
-    Per root, the nonzero coefficients of its value in the theory: a fold
-    over the states, children before parents.  A state's value maps each
-    final word to the sum of the branch weight times the child's value over
-    its branches, each weight's shifted copies of the children added into
-    one dict per word.  Forced pieces weigh 1 and are not multiplied in: a
-    forced state shares its child's dict.  A child's value is dropped once
-    its last parent has read it; a root is no state's child, so its value
-    is read after the loop, and cancelled coefficients are dropped there.
+    What the theory's fold on the size-n board computes in: (the value of
+    a final state, the weight of a branch, a state's value from the
+    (weight, child value) pairs of its branches, the nonzero coefficients
+    of a root's value).  A value maps each final word to its coefficient.
+    Where every weight is an integer (H and K), coefficients are signed
+    puzzle counts, summed in ints and made constants at the roots;
+    otherwise (H_T and K_T) they are Poly or LPoly values weighed by
+    branch_weight.
     """
-    if not states:
-        return [{} for _ in roots]
-    n = next(iter(states.values()))[0].n
-    one = LPoly.const(n, 1) if theory.k_theory else Poly.const(n, 1)
+    const = (LPoly if theory.k_theory else Poly).const
+    cells = {kind: cell for (t, kind), cell in _WEIGHT.items() if t is theory}
+    if not any(b for _, b in cells.values()):
+        return (1, lambda br: cells[br.kind][0], _sum_ints,
+                lambda value: {lam: const(n, c) for lam, c in value.items() if c})
+    return (const(n, 1), lambda br: branch_weight(theory, br, n), _sum_polys,
+            lambda value: {lam: c for lam, c in value.items() if not c.is_zero()})
+
+
+def _fold(ring: tuple, states: dict, roots: list) -> list[dict]:
+    """
+    Per root, the nonzero coefficients of its value in the ring (see
+    _ring): a fold over the states, children before parents.  A final
+    state's value maps its word to leaf, and an interesting state's is
+    combine of its branches' (weight, child value) pairs.  Forced pieces
+    weigh 1 and are not multiplied in: a forced state shares its child's
+    dict.  A child's value is dropped once its last parent has read it; a
+    root is no state's child, so its value is read after the loop, by
+    coefficients.
+    """
+    leaf, weight, combine, coefficients = ring
     # per state, the parent that reads its value last: states come children
     # before parents, so that is the last one met
     last = {q.key: key for key, (_, branches) in states.items() for _, q in branches}
     value: dict[bytes, dict[str, object]] = {}
     for key, (path, branches) in states.items():
         if not branches:
-            value[key] = {str(final_path_word(path)): one}
+            value[key] = {str(final_path_word(path)): leaf}
         elif branches[0][0].kind in FORCED:
             child = branches[0][1].key
             value[key] = value.pop(child) if last[child] is key else value[child]
         else:
-            parts: dict[str, list] = {}
-            for br, q in branches:
-                w = branch_weight(theory, br, n)
-                child = q.key
-                for lam, c in (value.pop(child) if last[child] is key
-                               else value[child]).items():
-                    parts.setdefault(lam, []).append((w, c))
-            value[key] = {lam: sum_of_products(ps) for lam, ps in parts.items()}
-    return [{} if key is None else {lam: c for lam, c in value[key].items() if not c.is_zero()}
-            for key in roots]
+            value[key] = combine([(weight(br), value.pop(q.key) if last[q.key] is key
+                                   else value[q.key]) for br, q in branches])
+    return [{} if key is None else coefficients(value[key]) for key in roots]
 
 
 def table(theories, pairs) -> list[tuple[dict, ...]]:
@@ -452,7 +508,10 @@ def table(theories, pairs) -> list[tuple[dict, ...]]:
     """
     prune = frozenset.intersection(*(_PRUNED[t] for t in theories))
     states, roots = graph(pairs, prune)
-    return list(zip(*(_fold(t, _kept(states, roots, _PRUNED[t] - prune), roots)
+    if not states:
+        return [tuple({} for _ in theories) for _ in roots]
+    n = next(iter(states.values()))[0].n
+    return list(zip(*(_fold(_ring(t, n), _kept(states, roots, _PRUNED[t] - prune), roots)
                       for t in theories)))
 
 

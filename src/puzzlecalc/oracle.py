@@ -297,7 +297,7 @@ def _suite_boundary(max_n: int, report: Report):
             p = initial_path(mu, nu)
             if not is_valid(p):
                 continue
-            d = pinkdots.path_dots(p)
+            d = pinkdots.valid_path_dots(p)
             env = ir.envelope(d)
             if env != (mu, nu) or ir.envelope_codim(d) != 0:
                 bad.append(f"initial {mu}/{nu}: envelope {env[0]}/{env[1]}")

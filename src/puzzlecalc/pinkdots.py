@@ -17,9 +17,21 @@ from .intervalrank import DotSet, IntervalRankMatrix, rank_from_dots
 
 def path_dots(p: PuzzlePath) -> DotSet:
     """
-    The dots of a valid path: one pass over its steps places the rays, then
-    they are paired.  Raises ValueError on an invalid path, or when the
-    rays do not pair up.
+    The dots of a valid path, valid_path_dots(p) once p has passed
+    validate_path.  Raises ValueError on an invalid path, or when the rays
+    do not pair up.
+    """
+    bad = validate_path(p)
+    if bad:
+        raise ValueError(f"invalid path: {bad}")
+    return valid_path_dots(p)
+
+
+def valid_path_dots(p: PuzzlePath) -> DotSet:
+    """
+    The dots of a path that the caller has validated: one pass over its
+    steps places the rays, then they are paired.  Raises ValueError when
+    the rays do not pair up.
 
     Rays, left of the path: every SE 0 sends a ray SW (coordinate i); every
     SW R and bottom 0 sends a ray NW (coordinate j); a kink R or K
@@ -38,9 +50,6 @@ def path_dots(p: PuzzlePath) -> DotSet:
     Each family's coordinates are listed in path order, so the rays after
     the kink, or above it, are a slice of their list.
     """
-    bad = validate_path(p)
-    if bad:
-        raise ValueError(f"invalid path: {bad}")
     n = p.n
     sw, nw, se = [], [], []  # ray coordinates in path order
     a = b = 0

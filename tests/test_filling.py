@@ -7,11 +7,11 @@ import pytest
 from puzzlecalc import filling
 from puzzlecalc.board import (STEP, UNCHECKED, FillPos, Puzzle, PuzzlePath, Step, fill_site,
                               final_path_word, initial_path, is_valid, path_from_key)
-from puzzlecalc.filling import (_PRUNED, InvariantError, Theory, count_puzzles,
-                                enumerate_puzzles, graph, legal_branches,
+from puzzlecalc.filling import (_PRUNED, InvariantError, Theory, branch_weight,
+                                count_puzzles, enumerate_puzzles, graph, legal_branches,
                                 puzzle_degree_balance, reachable, runs,
                                 structure_constants, table, trace, trace_rows)
-from puzzlecalc.poly import LPoly, Poly, eval_at_one
+from puzzlecalc.poly import LPoly, Poly, eval_at_one, sum_of_products
 from puzzlecalc.words import all_words, parse_word
 
 
@@ -219,6 +219,55 @@ def test_table_is_structure_constants_pair_by_pair():
                 unreachable += 1
     assert unreachable == 155
     assert table((Theory.KT,), []) == []
+
+
+def _polynomial_fold(theory, mu, nu):
+    """
+    The root value of (mu, nu) folded through branch_weight polynomials,
+    every branch's weight multiplied in, cancelled coefficients kept.
+    """
+    states = reachable(mu, nu, _PRUNED[theory])
+    if not states:
+        return {}
+    one = (LPoly if theory.k_theory else Poly).const(mu.n, 1)
+    value = {}
+    for key, (path, branches) in states.items():
+        if not branches:
+            value[key] = {str(final_path_word(path)): one}
+            continue
+        parts = {}
+        for br, q in branches:
+            w = branch_weight(theory, br, mu.n)
+            for lam, c in value[q.key].items():
+                parts.setdefault(lam, []).append((w, c))
+        value[key] = {lam: sum_of_products(ps) for lam, ps in parts.items()}
+    return value[next(reversed(states))]
+
+
+@pytest.mark.parametrize("shift0, cancelled", [(1, 0), (-1, 2)])
+def test_integer_fold_is_the_polynomial_fold(monkeypatch, shift0, cancelled):
+    # H and K fold signed puzzle counts in ints and make constants at the
+    # roots; the reference folds polynomials, as H_T and K_T do.  Dict order
+    # counts.  In the paper's table no coefficient cancels (a K coefficient's
+    # puzzles all have its sign), so a K table where shift0 weighs -1 checks
+    # that both folds drop the same cancelled ones (two, of one pair)
+    monkeypatch.setitem(filling._WEIGHT, (Theory.K, "shift0"), (shift0, 0))
+    filling._weight.cache_clear()
+    dropped = Counter()
+    try:
+        for theory in (Theory.H, Theory.K):
+            for mu, nu in _pairs(6):
+                want = _polynomial_fold(theory, mu, nu)
+                got = structure_constants(theory, mu, nu)
+                assert list(got.items()) == [(lam, c) for lam, c in want.items()
+                                             if not c.is_zero()]
+                assert all(type(c) is type(want[lam]) for lam, c in got.items())
+                dropped[theory] += len(want) - len(got)
+    finally:
+        filling._weight.cache_clear()
+    assert dropped[Theory.H] == 0
+    assert dropped[Theory.K] == cancelled
+
 
 def _preorder(node):
     """(key, via) of every node of a trace tree, in preorder."""
@@ -484,6 +533,53 @@ def test_invariant_error_is_not_cached(monkeypatch):
     assert start.key not in filling._successors.rows
     monkeypatch.undo()
     assert legal_branches(start)
+
+
+def _forced_below_interesting(states, depth):
+    """
+    A forced state at least depth states below an interesting one, along
+    forced pieces, that a forced rhombus reaches from its one parent and
+    that places a forced rhombus itself: (the state's key, its parent's).
+    """
+    parents = Counter(q.key for _, branches in states.values() for _, q in branches)
+    for _, branches in states.values():
+        if len(branches) < 2:
+            continue
+        for _, q in branches:
+            chain = [q.key]
+            while len(states[chain[-1]][1]) == 1:
+                (br, child), = states[chain[-1]][1]
+                below = states[child.key][1]
+                if (len(chain) >= depth and br.kind == "boring" and parents[child.key] == 1
+                        and len(below) == 1 and below[0][0].kind == "boring"):
+                    return child.key, chain[-1]
+                chain.append(child.key)
+    return None
+
+
+def test_invariant_error_below_a_forced_chain(monkeypatch):
+    # the walk follows forced children in a loop: a forced piece that breaks
+    # the path several states below an interesting one raises on every
+    # call, and the state that placed it gets no row.  Only that state's
+    # check sees its own key: a rhombus leaves the steps after the kink as
+    # they are, so the check reads the parent's key
+    found = _forced_below_interesting(reachable(MU, NU), 3)
+    assert found is not None
+    bad, parent = found
+    want = structure_constants(Theory.KT, MU, NU)
+    check = filling._child_is_valid
+    monkeypatch.setattr(filling, "_child_is_valid",
+                        lambda kink, key, start: key != bad and check(kink, key, start))
+    filling._successors.clear()
+    for walk in (lambda: graph([(MU, NU)]), lambda: structure_constants(Theory.KT, MU, NU)):
+        for _ in range(2):
+            with pytest.raises(InvariantError, match="forced rhombus at rhombus"):
+                walk()
+            assert bad not in filling._successors.rows
+            assert parent in filling._successors.rows
+    # the walk resumes on the rows it kept
+    monkeypatch.undo()
+    assert structure_constants(Theory.KT, MU, NU) == want
 
 
 def test_a_path_rebuilt_from_fresh_steps_hits_the_table():

@@ -1,8 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
-from puzzlecalc import filling, intervalrank, oracle, pinkdots
+from puzzlecalc import board, filling, intervalrank, oracle, pinkdots
 from puzzlecalc.cli import main
 from puzzlecalc.intervalrank import DotSet
 from puzzlecalc.oracle import (Report, _suite_commute, _suite_dictionary,
@@ -166,3 +167,21 @@ def test_pinkdots_suite_catches_a_forced_step_that_moves_the_dots(monkeypatch):
     suite, ok, detail = report.results[0]
     assert (suite, ok) == ("pinkdots", False)
     assert "moved the dots" in detail
+
+
+def test_boundary_suite_validates_each_path_once(monkeypatch):
+    # every initial path (valid or not) and every final path, once each
+    validate = board.validate_path
+    calls = Counter()
+
+    def counted(p):
+        calls[p.n, p.key] += 1
+        return validate(p)
+
+    monkeypatch.setattr(board, "validate_path", counted)
+    monkeypatch.setattr(pinkdots, "validate_path", counted)
+    report = Report()
+    oracle._suite_boundary(4, report)
+    assert report.results == [("boundary", True, "")]
+    # 98 pairs of words and 30 final words with n <= 4
+    assert len(calls) == 128 and set(calls.values()) == {1}
