@@ -18,7 +18,7 @@ from .oracle import Report, lr_oracle, verify_suite
 from .pinkdots import path_codim, path_dots, path_to_rank
 from .poly import (LPoly, Poly, eval_at_one, lowest_form, parse, render,
                    y_to_zero)
-from .words import Word, all_words, inversions, parse_word, reverse, word_to_partition
+from .words import Word, all_words, inversions, parse_word, word_to_partition
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -504,8 +504,12 @@ def table(theories, pairs) -> list[tuple[dict, ...]]:
     Per boundary pair, its structure_constants in each of the theories (one
     or more), in order.  One walk serves every pair and theory: it leaves out only the
     kinds that weigh zero in every theory, and each theory's fold leaves
-    out its own, folding each distinct state once.
+    out its own, folding each distinct state once.  Every pair must be of
+    one board size, since each fold computes in that size's ring.
     """
+    sizes = sorted({mu.n for mu, _ in pairs})
+    if len(sizes) > 1:
+        raise ValueError(f"table takes pairs of one board size, got n = {sizes}")
     prune = frozenset.intersection(*(_PRUNED[t] for t in theories))
     states, roots = graph(pairs, prune)
     if not states:

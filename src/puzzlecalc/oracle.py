@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import filling, intervalrank as ir, pinkdots
-from .board import final_path, initial_path, is_valid
+from .board import final_path, final_path_word, initial_path, is_valid
 from .poly import LPoly, Poly, eval_at_one, lowest_form, y_to_zero
 from .words import Word, all_words, inversions, word_to_partition
 
@@ -113,14 +113,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _word_pairs(n):
-    for k in range(n + 1):
-        ws = all_words(n, k)
-        for mu in ws:
-            for nu in ws:
-                yield mu, nu
-
-
 def _pairs_by_k(max_n):
     """Per (n, k) up to max_n, every pair of words (mu, nu), mu first."""
     for n in range(1, max_n + 1):
@@ -177,13 +169,33 @@ def _suite_dictionary(max_n: int, report: Report):
 
 
 def _suite_inversion(max_n: int, report: Report):
+    """The degree bookkeeping of every puzzle, |nu| + #equivariant = |lam| +
+    |mu| + #topk, checked once per state of one unpruned graph per (n, k).
+
+    A state's value below is |lam| + #topk - #equivariant over the run's
+    pieces from that state down: the final word's inversions at a final
+    state, and one value whichever branch a run takes anywhere else.  A
+    pair's root must read |nu| - |mu|.  This is exactly the check on every
+    puzzle: every state lies on a run from some root, and every non-final
+    state has a branch, so a state whose branches disagree gives two puzzles
+    of one pair different values."""
     bad = []
-    for n in range(1, max_n + 1):
-        for mu, nu in _word_pairs(n):
-            for pz in filling.enumerate_puzzles(mu, nu):
-                lhs, rhs = filling.puzzle_degree_balance(pz)
-                if lhs != rhs:
-                    bad.append(f"{pz.lam}/{pz.mu}/{pz.nu}: {lhs} != {rhs}")
+    for n, k, pairs in _pairs_by_k(max_n):
+        states, roots = filling.graph(pairs)
+        below = {}
+        for key, (path, branches) in states.items():
+            if not branches:
+                below[key] = inversions(final_path_word(path))
+                continue
+            values = {below[q.key] + (br.kind == "topk") - (br.kind == "equivariant")
+                      for br, q in branches}
+            if len(values) > 1:
+                bad.append(f"{_where(n, k, path)}: branches give {sorted(values)}")
+            below[key] = min(values)
+        for (mu, nu), root in zip(pairs, roots):
+            want = inversions(nu) - inversions(mu)
+            if root is not None and below[root] != want:
+                bad.append(f"{mu}/{nu}: {below[root]} below the root, expected {want}")
     report.record("inversion", not bad, "; ".join(bad[:3]))
 
 
@@ -292,8 +304,8 @@ def _suite_lr(max_n: int, report: Report):
 
 def _suite_boundary(max_n: int, report: Report):
     bad = []
-    for n in range(1, max_n + 1):
-        for mu, nu in _word_pairs(n):
+    for n, k, pairs in _pairs_by_k(max_n):
+        for mu, nu in pairs:
             p = initial_path(mu, nu)
             if not is_valid(p):
                 continue
@@ -301,15 +313,14 @@ def _suite_boundary(max_n: int, report: Report):
             env = ir.envelope(d)
             if env != (mu, nu) or ir.envelope_codim(d) != 0:
                 bad.append(f"initial {mu}/{nu}: envelope {env[0]}/{env[1]}")
-        for k in range(n + 1):
-            for lam in all_words(n, k):
-                d = pinkdots.path_dots(final_path(lam))
-                zeros = [pp for pp in range(1, n + 1) if lam[pp] == 0]
-                want = frozenset((t + 1, z) for t, z in enumerate(zeros))
-                if d.dots != want:
-                    bad.append(f"final {lam}: dots {sorted(d.dots)}")
-                if any(i != 1 for (i, j, _b) in ir.essential_conditions(d)):
-                    bad.append(f"final {lam}: non-first-row essential condition")
+        for lam in all_words(n, k):
+            d = pinkdots.path_dots(final_path(lam))
+            zeros = [pp for pp in range(1, n + 1) if lam[pp] == 0]
+            want = frozenset((t + 1, z) for t, z in enumerate(zeros))
+            if d.dots != want:
+                bad.append(f"final {lam}: dots {sorted(d.dots)}")
+            if any(i != 1 for (i, j, _b) in ir.essential_conditions(d)):
+                bad.append(f"final {lam}: non-first-row essential condition")
     report.record("boundary", not bad, "; ".join(bad[:3]))
 
 

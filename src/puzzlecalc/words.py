@@ -92,10 +92,6 @@ def word_to_partition(w: Word) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def reverse(w: Word) -> Word:
-    return Word(tuple(reversed(w.bits)))
-
-
 def all_words(n: int, k: int) -> list[Word]:
     """
     All length-n words with k ones, in lexicographic order, which is the

@@ -221,6 +221,15 @@ def test_table_is_structure_constants_pair_by_pair():
     assert table((Theory.KT,), []) == []
 
 
+@pytest.mark.parametrize("theory", list(Theory))
+def test_table_refuses_pairs_of_two_board_sizes(theory):
+    # each fold computes in one board size's ring: the n = 4 pair's
+    # coefficients would come out as arity-2 constants, or raise in H_T
+    pairs = [(parse_word("01"), parse_word("10")), (parse_word("0101"), parse_word("1010"))]
+    with pytest.raises(ValueError, match=r"one board size, got n = \[2, 4\]"):
+        table((theory,), pairs)
+
+
 def _polynomial_fold(theory, mu, nu):
     """
     The root value of (mu, nu) folded through branch_weight polynomials,

@@ -185,3 +185,38 @@ def test_boundary_suite_validates_each_path_once(monkeypatch):
     assert report.results == [("boundary", True, "")]
     # 98 pairs of words and 30 final words with n <= 4
     assert len(calls) == 128 and set(calls.values()) == {1}
+
+
+_INTERESTING = board.steps_key((board.STEP["SE", "1"], board.STEP["SW", "0"]))
+
+
+@pytest.fixture
+def fresh_rows():
+    # the successor table keeps branches derived with the real pieces
+    filling._successors.clear()
+    yield
+    filling._successors.clear()
+
+
+def _topk_as(monkeypatch, piece):
+    equivariant, shift0, shift1, _ = filling._PIECES[_INTERESTING]
+    monkeypatch.setitem(filling._PIECES, _INTERESTING, (equivariant, shift0, shift1, piece))
+    report = Report()
+    oracle._suite_inversion(4, report)
+    return report.results
+
+
+def test_inversion_suite_reads_the_branch_kind(monkeypatch, fresh_rows):
+    # the topk branch reads shift1 but still places the topk piece, so a
+    # count of placement kinds would pass it
+    topk = filling._PIECES[_INTERESTING][3]
+    ((suite, ok, detail),) = _topk_as(monkeypatch, topk._replace(kind="shift1", made={}))
+    assert (suite, ok) == ("inversion", False)
+    assert "branches give" in detail
+
+
+def test_inversion_suite_catches_a_relabelled_topk_piece(monkeypatch, fresh_rows):
+    # the branch and its placement both read shift1
+    ((suite, ok, _),) = _topk_as(monkeypatch,
+                                 filling._rhombus("shift1", ("1", "0"), "1", "K", None))
+    assert (suite, ok) == ("inversion", False)

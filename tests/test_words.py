@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from puzzlecalc.words import (Word, WordError, all_words, inversions,
-                              parse_word, reverse, word_to_partition)
+                              parse_word, word_to_partition)
 
 
 words = st.integers(1, 8).flatmap(
@@ -43,11 +43,6 @@ def test_parse_rejects_wrong_weight():
 @given(words)
 def test_parse_round_trip(w):
     assert parse_word(str(w)) == w
-
-
-@given(words)
-def test_reverse_involution(w):
-    assert reverse(reverse(w)) == w
 
 
 @given(words)
