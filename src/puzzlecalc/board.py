@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .words import Word
 
@@ -370,16 +370,16 @@ class Puzzle:
 
 class _Layout(NamedTuple):
     """
-    The edges of the size-n board, each with a slot number: slots count the
-    edges in the order ascii_render prints them, row by row.
+    The edges of the size-n board, each at its offset in the ascii_render
+    text: every label is one character, written over a placeholder byte.
     """
-    keys: tuple[tuple[str, int, int], ...]   # ("H"|"SE"|"SW", a, b) per slot
-    template: str   # the ASCII text with one {} per slot
-    mu: tuple[int, ...]   # the NE boundary edges, mu[1..n]
-    nu: tuple[int, ...]   # the bottom edges, nu[1..n]
-    # window (i, j) -> its left /, left \\ and mid edges
+    offset: dict[tuple[str, int, int], int]   # ("H"|"SE"|"SW", a, b) -> its offset
+    blank: bytes   # the ASCII text with a placeholder byte per edge
+    mu: tuple[int, ...]   # the offsets of the NE boundary edges, mu[1..n]
+    nu: tuple[int, ...]   # the offsets of the bottom edges, nu[1..n]
+    # window (i, j) -> the offsets of its left /, left \\ and mid edges
     rhombus: dict[tuple[int, int], tuple[int, int, int]]
-    bottom: dict[int, int]   # triangle c -> its / edge
+    bottom: dict[int, int]   # triangle c -> the offset of its / edge
 
 
 @lru_cache(maxsize=None)
@@ -393,7 +393,7 @@ def _layout(n: int) -> _Layout:
 
     def slot(kind, a, b):
         keys.append((kind, a, b))
-        return "{}"
+        return "."
 
     lines = []
     for a in range(1, n + 1):
@@ -401,7 +401,8 @@ def _layout(n: int) -> _Layout:
         lines.append(indent + " ".join(f"/{slot('SW', a - 1, b)} \\{slot('SE', a - 1, b)}"
                                        for b in range(a)))
         lines.append(indent + "  " + "    ".join(f"-{slot('H', a, b)}" for b in range(1, a + 1)))
-    at = {key: s for s, key in enumerate(keys)}
+    blank = "\n".join(lines)
+    at = dict(zip(keys, [idx for idx, ch in enumerate(blank) if ch == "."]))
     rhombus = {}
     for i in range(1, n):
         for j in range(i + 1, n + 1):
@@ -410,8 +411,8 @@ def _layout(n: int) -> _Layout:
             a = i + n - j
             rhombus[i, j] = (at["SW", a - 1, i - 1], at["SE", a, i - 1], at["H", a, i])
     return _Layout(
-        keys=tuple(keys),
-        template="\n".join(lines),
+        offset=at,
+        blank=blank.encode(),
         mu=tuple(at["SE", d - 1, d - 1] for d in range(1, n + 1)),
         nu=tuple(at["H", n, c] for c in range(1, n + 1)),
         rhombus=rhombus,
@@ -419,30 +420,36 @@ def _layout(n: int) -> _Layout:
     )
 
 
-_BIT = ("0", "1")
+def boundary_text(mu: Word, nu: Word) -> bytearray:
+    """The ascii_render text of the pair's board with its NE and bottom labels only."""
+    lay = _layout(mu.n)
+    text = bytearray(lay.blank)
+    for offsets, word in ((lay.mu, mu), (lay.nu, nu)):
+        for off, bit in zip(offsets, word.bits):
+            text[off] = 48 + bit   # "0" or "1"
+    return text
 
 
-def _edge_labels(pz: Puzzle) -> list[Label | None]:
+def placed_bytes(n: int, entries) -> Iterator[tuple[int, int]]:
     """
-    Label of every edge in the board, in slot order, reconstructed from the
-    boundary and the placements; None on the mid edge of a piece that has
-    none.  Each edge is written once, as a mu or nu letter or as an edge a
-    piece places (a rhombus's left pair and mid edge, a triangle's left).
+    The (offset, byte) writes of Puzzle entries (each a Branch.placed) into
+    the ascii_render text of the size-n board: a triangle's / label, or a
+    rhombus's left / and \\ labels and its mid edge, "-" when it has none,
+    so that a text reused from one puzzle to the next keeps no stale label.
     """
-    lay = _layout(pz.n)
-    labels: list[Label | None] = [None] * len(lay.keys)
-    for word, slots in ((pz.mu, lay.mu), (pz.nu, lay.nu)):
-        for s, bit in zip(slots, word.bits):
-            labels[s] = _BIT[bit]
-    rhombus = lay.rhombus
-    for pos, r in pz.rhombi:
-        left_sw, left_se, mid = rhombus[pos]
-        labels[left_sw], labels[left_se] = r.left
-        labels[mid] = r.mid
-    bottom = lay.bottom
-    for c, t in pz.bottoms:
-        labels[bottom[c]] = t.left
-    return labels
+    lay = _layout(n)
+    rhombus, bottom = lay.rhombus, lay.bottom
+    offsets: list[int] = []
+    labels: list[Label] = []
+    for at, piece in entries:
+        if type(at) is int:  # a triangle's c
+            offsets.append(bottom[at])
+            labels.append(piece.left)
+        else:
+            offsets += rhombus[at]
+            labels += piece.left
+            labels.append(piece.mid or "-")
+    return zip(offsets, "".join(labels).encode())
 
 
 def ascii_render(pz: Puzzle) -> str:
@@ -450,8 +457,10 @@ def ascii_render(pz: Puzzle) -> str:
     One text row per board row: the zigzag of / and \\ edge labels, then the
     horizontal edge labels underneath (-- where a piece has no mid edge).
     """
-    return _layout(pz.n).template.format(
-        *["-" if lab is None else lab for lab in _edge_labels(pz)])
+    text = boundary_text(pz.mu, pz.nu)
+    for off, byte in placed_bytes(pz.n, pz.rhombi + pz.bottoms):
+        text[off] = byte
+    return text.decode()
 
 
 _PIECE_FILL = {"equivariant": "#fbb", "topk": "#bbf", "boring": None,
@@ -466,9 +475,8 @@ def svg_render(pz: Puzzle) -> str:
     h = s * 3 ** 0.5 / 2
     lay = _layout(n)
 
-    def ends(slot):
-        # the edge's end points v(a, b), from the upper vertex (a, b) of its key
-        kind, a, b = lay.keys[slot]
+    def ends(kind, a, b):
+        # the edge's end points v(a, b), from its key's upper vertex (a, b)
         if kind == "H":
             return (a, b - 1), (a, b)
         return (a, b), (a + 1, b + 1 if kind == "SE" else b)
@@ -489,12 +497,12 @@ def svg_render(pz: Puzzle) -> str:
             corners = ((a - 1, i - 1), (a, i), (a + 1, i), (a, i - 1))
             poly = " ".join(f"{x:.1f},{y:.1f}" for x, y in map(xy, corners))
             parts.append(f'<polygon points="{poly}" fill="{fill}" stroke="none"/>')
-    labels = _edge_labels(pz)
-    for slot in sorted(range(len(labels)), key=lay.keys.__getitem__):
-        lab = labels[slot]
-        if lab is None:
+    text = ascii_render(pz)
+    for key in sorted(lay.offset):
+        lab = text[lay.offset[key]]
+        if lab == "-":  # a piece with no mid edge
             continue
-        p1, p2 = map(xy, ends(slot))
+        p1, p2 = map(xy, ends(*key))
         parts.append(f'<line x1="{p1[0]:.1f}" y1="{p1[1]:.1f}" '
                      f'x2="{p2[0]:.1f}" y2="{p2[1]:.1f}" stroke="#444"/>')
         mx, my = (p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2

@@ -15,9 +15,9 @@ import json
 import os
 import sys
 
-from .board import ascii_render, svg_render
-from .filling import FORCED, InvariantError, Theory, branch_weight, count_puzzles, \
-    enumerate_puzzles, structure_constants, trace_rows
+from .board import svg_render
+from .filling import FORCED, InvariantError, Theory, ascii_puzzles, branch_weight, \
+    count_puzzles, enumerate_puzzles, puzzle_counts, structure_constants, trace_rows
 from .intervalrank import DotSet, covers, envelope, essential_set, fixed_point_in, \
     format_dots, parse_dots, rank_from_dots
 from .oracle import UnknownSuiteError, verify_suite
@@ -72,24 +72,26 @@ def cmd_puzzles(args) -> int:
     if to_files:
         # before any output, so that a bad --out leaves stdout empty
         os.makedirs(outdir, exist_ok=True)
-    pzs = enumerate_puzzles(mu, nu, lam=lam)
-    print(f"{len(pzs)} puzzles")
+    # the count derives and checks every state, and svg builds every puzzle,
+    # before the first write: a failure leaves stdout empty
+    counts = puzzle_counts(mu, nu)
+    count = sum(counts.values()) if lam is None else counts.get(str(lam), 0)
+    boards = (map(svg_render, enumerate_puzzles(mu, nu, lam=lam)) if args.render == "svg"
+              else ascii_puzzles(mu, nu, lam))
+    print(f"{count} puzzles")
     if args.render is None:
         return 0
     stem = f"puzzle-{mu}-{nu}" + (f"-{lam}" if lam else "")
     if not to_files:
-        for pz in pzs:
-            print()
-            print(ascii_render(pz))
+        write = sys.stdout.write
+        for text in boards:
+            write(f"\n{text}\n")
         return 0
     ext = "svg" if args.render == "svg" else "txt"
-    draw = svg_render if args.render == "svg" else ascii_render
-    for idx, pz in enumerate(pzs):
-        path = os.path.join(outdir, f"{stem}-{idx:03d}.{ext}")
-        with open(path, "w") as fh:
-            fh.write(draw(pz))
-            fh.write("\n")
-    print(f"wrote {len(pzs)} {ext} files to {outdir}")
+    for idx, text in enumerate(boards):
+        with open(os.path.join(outdir, f"{stem}-{idx:03d}.{ext}"), "w") as fh:
+            fh.write(f"{text}\n")
+    print(f"wrote {count} {ext} files to {outdir}")
     return 0
 
 

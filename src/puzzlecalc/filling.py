@@ -22,8 +22,9 @@ from typing import NamedTuple
 
 from .board import (SE_0, SE_1, SE_R, STEP, STEPS, SW_0, SW_1, SW_R, UNCHECKED, W_0, W_1,
                     FillPos, Puzzle, PuzzlePath, RhombusPlacement, TrianglePlacement,
-                    bottom_pos, fill_site, final_path_word, initial_path, path_from_key,
-                    rhombus_pos, steps_key, validate_path)
+                    boundary_text, bottom_pos, fill_site, final_path, final_path_word,
+                    initial_path, path_from_key, placed_bytes, rhombus_pos, steps_key,
+                    validate_path)
 from .intervalrank import DotSet, essential_conditions
 from .pinkdots import path_codim, path_to_rank
 from .poly import LPoly, Poly, sum_of_products
@@ -499,6 +500,19 @@ def _fold(ring: tuple, states: dict, roots: list) -> list[dict]:
     return [{} if key is None else coefficients(value[key]) for key in roots]
 
 
+# the ring of puzzle counts: a final state is one run, and a branch weighs 1
+_COUNTS = (1, lambda br: 1, _sum_ints, dict)
+
+
+def puzzle_counts(mu: Word, nu: Word) -> dict[str, int]:
+    """
+    The number of puzzles of (mu, nu) per final word, folded over the pair's
+    unpruned state graph once per state: {} for an unreachable pair.  Every
+    state is derived and checked here, and left in the successor table.
+    """
+    return _fold(_COUNTS, *graph([(mu, nu)]))[0]
+
+
 def table(theories, pairs) -> list[tuple[dict, ...]]:
     """
     Per boundary pair, its structure_constants in each of the theories (one
@@ -593,6 +607,29 @@ def enumerate_puzzles(mu: Word, nu: Word, lam: Word | None = None,
             out.append(Puzzle(n, word, mu, nu, tuple(map(at, rhombus_order)),
                               tuple(map(at, bottom_order))))
     return out
+
+
+def ascii_puzzles(mu: Word, nu: Word, lam: Word | None = None):
+    """
+    The ascii_render texts of enumerate_puzzles(mu, nu, lam), in order, from
+    one text that each node of runs(mu, nu) writes its branch's bytes into
+    and each leaf on lam's final path yields: memory is the successor table
+    plus one board.  A caller that must fail before its first write walks
+    the graph first (puzzle_counts does), deriving and checking every state.
+    """
+    text = boundary_text(mu, nu)
+    target = None if lam is None else final_path(lam).key
+    # per branch id (branches are built once and kept, see _PIECES), its writes
+    writes: dict[int, list] = {}
+    for (via, path), branches in runs(mu, nu):
+        if via is not None:
+            put = writes.get(id(via))
+            if put is None:
+                put = writes[id(via)] = list(placed_bytes(mu.n, (via.placed,)))
+            for off, byte in put:
+                text[off] = byte
+        if not branches and (target is None or path.key == target):
+            yield text.decode()
 
 
 def puzzle_degree_balance(pz: Puzzle) -> tuple[int, int]:

@@ -7,7 +7,7 @@ from puzzlecalc.board import (STEP, FillPos, PuzzlePath, Step, ascii_render,
                               fill_site, final_path, final_path_word, initial_path, is_valid,
                               next_fill_position, path_from_key, steps_key, svg_render,
                               validate_path)
-from puzzlecalc.filling import enumerate_puzzles, reachable
+from puzzlecalc.filling import ascii_puzzles, enumerate_puzzles, puzzle_counts, reachable
 from puzzlecalc.words import all_words, parse_word
 
 
@@ -312,3 +312,18 @@ def test_renderers_match_the_dict_based_reference_beyond_the_golden_range():
             assert ascii_render(pz) == _reference_ascii(pz)
             assert svg_render(pz) == _reference_svg(pz)
     assert {"equivariant", "topk"} <= kinds
+
+
+def test_the_run_walk_writes_each_rendered_board_and_the_fold_counts_them():
+    # every pair with n <= 5 and the pairs above, unfiltered and for each lam
+    pairs = [pair for n in range(1, 6) for pair in _pairs(n)]
+    pairs += [(parse_word(mu), parse_word(nu)) for mu, nu in RENDER_PAIRS]
+    for mu, nu in pairs:
+        counts = puzzle_counts(mu, nu)
+        boards = [ascii_render(pz) for pz in enumerate_puzzles(mu, nu)]
+        assert list(ascii_puzzles(mu, nu)) == boards, (mu, nu)
+        assert sum(counts.values()) == len(boards)
+        for lam in all_words(mu.n, mu.k):
+            boards = [ascii_render(pz) for pz in enumerate_puzzles(mu, nu, lam)]
+            assert list(ascii_puzzles(mu, nu, lam)) == boards, (mu, nu, lam)
+            assert counts.get(str(lam), 0) == len(boards)

@@ -123,6 +123,41 @@ def test_puzzles_svg_files(tmp_path, capsys):
     assert (tmp_path / files[0]).read_text().startswith("<svg")
 
 
+def test_puzzles_ascii_files_hold_the_printed_boards(tmp_path, capsys):
+    code, out, _ = run(capsys, "puzzles", "--mu", "0101", "--nu", "1010", "--render", "ascii")
+    assert code == 0
+    head, *boards = out.split("\n\n")
+    assert head == "6 puzzles"
+    code, out, _ = run(capsys, "puzzles", "--mu", "0101", "--nu", "1010",
+                       "--render", "ascii", "--out", str(tmp_path))
+    assert code == 0
+    assert out == f"6 puzzles\nwrote 6 txt files to {tmp_path}\n"
+    files = sorted(tmp_path.iterdir())
+    assert [p.name for p in files] == [f"puzzle-0101-1010-{i:03d}.txt" for i in range(6)]
+    assert [p.read_text() for p in files] == [b.rstrip("\n") + "\n" for b in boards]
+
+
+def test_puzzles_failure_leaves_stdout_empty(capsys, monkeypatch):
+    # the last state derived is broken: the count derives every state before
+    # its line, so neither it nor any board is written
+    argv = ["puzzles", "--mu", "0101", "--nu", "1010", "--render", "ascii"]
+    derive, calls, last = puzzlecalc.filling._derive_branches, [], []
+
+    def derive_or_fail(p, site):
+        calls.append(p)
+        if len(calls) in last:
+            raise puzzlecalc.filling.InvariantError("broken state")
+        return derive(p, site)
+
+    monkeypatch.setattr(puzzlecalc.filling, "_derive_branches", derive_or_fail)
+    puzzlecalc.filling._successors.clear()
+    assert run(capsys, *argv)[0] == 0
+    last.append(len(calls))
+    calls.clear()
+    puzzlecalc.filling._successors.clear()
+    assert run(capsys, *argv) == (2, "", "internal invariant violation: broken state\n")
+
+
 def test_puzzles_out_is_a_file(tmp_path, capsys):
     blocker = tmp_path / "a-file"
     blocker.touch()
@@ -474,12 +509,17 @@ def test_bad_input_is_one_error_line(capsys, argv):
 @pytest.mark.parametrize("argv, target", [
     (["coeff", "--theory", "kt", "--mu", "0101", "--nu", "1010", "--json"],
      "structure_constants"),
-    (["puzzles", "--mu", "0101", "--nu", "1010", "--render", "ascii"], "enumerate_puzzles"),
+    # svg builds every puzzle before the first write; ascii boards stream
+    # from the run walk after the count, which comes first
+    (["puzzles", "--mu", "0101", "--nu", "1010", "--render", "svg", "--out", "out"],
+     "enumerate_puzzles"),
+    (["puzzles", "--mu", "0101", "--nu", "1010", "--render", "ascii"], "puzzle_counts"),
 ])
-def test_out_of_memory_is_one_error_line(capsys, monkeypatch, argv, target):
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch, tmp_path, argv, target):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(puzzlecalc.cli, target, exhausted)
     assert run(capsys, *argv) == (1, "", "error: out of memory\n")
 
