@@ -148,9 +148,10 @@ def cmd_trace(args) -> int:
     return 0
 
 
-# verify's cost grows steeply with --max-n: the ten suites take about 0.9 s
-# together at 5 and about 4.5 s at 6 (specialize 2 s of it), peaking at
-# about 18 and 21 MB RSS, on a 2-core x86 box
+# verify's cost grows steeply with --max-n: on a 2-core x86 box the ten
+# suites' time lines sum to about 0.43 s at 5 and 3.7 s at 6 (specialize
+# 1.8 s of it), and the whole process takes about 0.6 s and 18 MB peak RSS
+# at 5, 3.8 s and 21 MB at 6
 MAX_VERIFY_N = 6
 
 # rank fixed-points tests every word with n - #dots ones, C(n, n/2) at worst:

@@ -156,28 +156,12 @@ _SW_CODES = bytes(range(SW_0, W_0))
 _new = object.__new__
 
 
-class _Successors:
-    """
-    The branches of every path state met since the walk of the current
-    boundary pair began, keyed by the path's key; legal_branches and graph
-    write them.  Branches are a function of the path alone, so a hit
-    returns what a fresh derivation would.  A row is a tuple of (branch,
-    child) pairs, which the walks push as they are.  A miss in
-    legal_branches on an initial path (the only paths with no SW step, so
-    2n steps), or on a board of another size, starts a new pair and drops
-    the old rows: the table holds at most one pair's state graph.
-    """
-
-    def __init__(self):
-        self.n = 0
-        self.rows: dict[bytes, tuple[tuple[Branch, PuzzlePath], ...]] = {}
-
-    def clear(self):
-        self.n = 0
-        self.rows.clear()
-
-
-_successors = _Successors()
+# legal_branches' memo: the branches of a path state, keyed by the path's
+# key.  Branches are a function of the path alone, and a key holds n steps
+# that are not W, so keys of different board sizes never collide and a hit
+# returns what a fresh derivation would.  A row is a tuple of (branch,
+# child) pairs, which the walks push as they are.  Only _walk_start drops it.
+_rows: dict[bytes, tuple[tuple[Branch, PuzzlePath], ...]] = {}
 
 
 def legal_branches(p: PuzzlePath) -> tuple[tuple[Branch, PuzzlePath], ...]:
@@ -190,37 +174,33 @@ def legal_branches(p: PuzzlePath) -> tuple[tuple[Branch, PuzzlePath], ...]:
     (_walk_start) carries its fill site.  A broken invariant raises
     InvariantError, and is raised again on the next call.
     """
-    table = _successors
     key = p.key
-    if p.n == table.n:
-        out = table.rows.get(key)
-        if out is not None:
-            return out
-    if p.n != table.n or len(key) == 2 * p.n:
-        table.clear()
-        table.n = p.n
+    out = _rows.get(key)
+    if out is not None:
+        return out
     site = p.site
     if site is UNCHECKED:
         bad = validate_path(p)
         if bad:
             raise ValueError(f"invalid path: {'; '.join(bad)}")
         site = fill_site(p)
-    out = table.rows[key] = _derive_branches(p, site)
+    out = _rows[key] = _derive_branches(p, site)
     return out
 
 
 def _walk_start(mu: Word, nu: Word) -> PuzzlePath | None:
     """
     The initial path of (mu, nu) for a walk, or None when it is invalid.
-    Unless the table holds its row, it is validated here and built with its
-    fill site, so legal_branches does not validate it again.
+    Unless legal_branches' memo holds its row, it is validated here and
+    built with its fill site, so legal_branches does not validate it
+    again, and the memo is dropped first.
     """
     p = initial_path(mu, nu)
-    table = _successors
-    if p.n == table.n and p.key in table.rows:
+    if p.key in _rows:
         return p
     if validate_path(p):
         return None
+    _rows.clear()
     return path_from_key(p.n, p.key, fill_site(p))
 
 
@@ -358,22 +338,18 @@ def graph(pairs, prune=frozenset()) -> tuple[dict, list]:
     child.  A key holds n steps that are not W, so boards of different
     sizes share no key.
 
-    One walk serves every pair.  Each initial path goes through
-    legal_branches, which validates it and starts the pair's successor
-    table; the walk then reads that table's rows itself and derives each
-    miss with _derive_branches, writing its row, so each distinct state is
-    derived once.  A forced child is followed in a loop, and the chain of
-    forced states is pushed once, with the state that ends it.
+    One walk serves every pair, and reads each state's branches from
+    legal_branches, so each distinct state is derived once and kept in its
+    memo.  A forced child is followed in a loop, and the chain of forced
+    states is pushed once, with the state that ends it.
     """
     out: dict[bytes, tuple[PuzzlePath, tuple]] = {}
     roots: list[bytes | None] = []
-    rows = _successors.rows
     for mu, nu in pairs:
         p = _walk_start(mu, nu)
         roots.append(None if p is None else p.key)
         if p is None or p.key in out:
             continue
-        legal_branches(p)
         # a path to walk from, or a chain: the (key, (path, kept branches))
         # of states that lead each to the next, all forced but the last,
         # written last first once the paths pushed above it are in out
@@ -386,9 +362,7 @@ def graph(pairs, prune=frozenset()) -> tuple[dict, list]:
             chain = []
             key = path.key
             while key not in out:
-                branches = rows.get(key)
-                if branches is None:
-                    branches = rows[key] = _derive_branches(path, path.site)
+                branches = legal_branches(path)
                 if len(branches) != 1:
                     break
                 chain.append((key, (path, branches)))
@@ -508,7 +482,7 @@ def puzzle_counts(mu: Word, nu: Word) -> dict[str, int]:
     """
     The number of puzzles of (mu, nu) per final word, folded over the pair's
     unpruned state graph once per state: {} for an unreachable pair.  Every
-    state is derived and checked here, and left in the successor table.
+    state is derived and checked here, and left in legal_branches' memo.
     """
     return _fold(_COUNTS, *graph([(mu, nu)]))[0]
 
@@ -613,9 +587,10 @@ def ascii_puzzles(mu: Word, nu: Word, lam: Word | None = None):
     """
     The ascii_render texts of enumerate_puzzles(mu, nu, lam), in order, from
     one text that each node of runs(mu, nu) writes its branch's bytes into
-    and each leaf on lam's final path yields: memory is the successor table
-    plus one board.  A caller that must fail before its first write walks
-    the graph first (puzzle_counts does), deriving and checking every state.
+    and each leaf on lam's final path yields: memory is legal_branches'
+    memo plus one board.  A caller that must fail before its first write
+    walks the graph first (puzzle_counts does), deriving and checking every
+    state.
     """
     text = boundary_text(mu, nu)
     target = None if lam is None else final_path(lam).key

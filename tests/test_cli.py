@@ -150,11 +150,11 @@ def test_puzzles_failure_leaves_stdout_empty(capsys, monkeypatch):
         return derive(p, site)
 
     monkeypatch.setattr(puzzlecalc.filling, "_derive_branches", derive_or_fail)
-    puzzlecalc.filling._successors.clear()
+    puzzlecalc.filling._rows.clear()
     assert run(capsys, *argv)[0] == 0
     last.append(len(calls))
     calls.clear()
-    puzzlecalc.filling._successors.clear()
+    puzzlecalc.filling._rows.clear()
     assert run(capsys, *argv) == (2, "", "internal invariant violation: broken state\n")
 
 

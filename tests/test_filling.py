@@ -172,7 +172,7 @@ def test_graph_is_the_union_of_the_pairs_graphs(monkeypatch):
     monkeypatch.setattr(filling, "_derive_branches", counted)
     visits = distinct = 0
     for pairs in _pairs_by_k(6):
-        filling._successors.clear()
+        filling._rows.clear()
         derived.clear()
         states, roots = graph(pairs)
         assert len(derived) == len(states) == len(set(derived))
@@ -360,8 +360,8 @@ def test_trace_rows_depths_are_the_recursive_walks():
 
 
 def test_a_walk_validates_its_initial_path_once(monkeypatch):
-    # a walk on a cold table validates the initial path once, and a second
-    # walk of the same pair finds it in the table; an unreachable pair still
+    # a walk on a cold memo validates the initial path once, and a second
+    # walk of the same pair finds it in the memo; an unreachable pair still
     # gives {}, nothing, or trace's ValueError
     validate = filling.validate_path
     calls = []
@@ -376,7 +376,7 @@ def test_a_walk_validates_its_initial_path_once(monkeypatch):
     for mu, nu in _pairs(4):
         start = initial_path(mu, nu)
         for name, walk in walks.items():
-            filling._successors.clear()
+            filling._rows.clear()
             calls.clear()
             if not is_valid(start):
                 if name == "trace_rows":
@@ -422,13 +422,13 @@ def test_pruned_graph_is_reached_through_kept_branches():
 def test_warm_and_cold_branches_agree():
     states = 0
     for mu, nu in _pairs(5):
-        filling._successors.clear()
+        filling._rows.clear()
         walked = reachable(mu, nu)
         for path, first in walked.values():
-            # a second call on a walked state is a table hit
+            # a second call on a walked state is a memo hit
             assert legal_branches(path) is first
         for path, warm in walked.values():
-            filling._successors.clear()
+            filling._rows.clear()
             assert legal_branches(path) == warm
             states += 1
     assert states == 5709
@@ -436,10 +436,10 @@ def test_warm_and_cold_branches_agree():
 
 def test_parent_computed_sites_match_fill_site():
     # unpruned, so every pruned graph is a subgraph of the one checked here;
-    # on a cold table the initial path carries the site _walk_start gave it
+    # on a cold memo the initial path carries the site _walk_start gave it
     children = 0
     for mu, nu in _pairs(6):
-        filling._successors.clear()
+        filling._rows.clear()
         for p, branches in reachable(mu, nu).values():
             assert p.site == fill_site(p), p
             for _, q in branches:
@@ -471,20 +471,23 @@ def test_local_check_is_validate_path():
 
 
 def test_invalid_path_from_outside_is_refused():
-    # a path shorter than an initial one leaves the table of (MU, NU) in place
+    # a path shorter than an initial one leaves the memo of (MU, NU) in place
     mid = next(path for path, _ in reachable(MU, NU).values()
                if len(path.steps) < 8 and any(s.dir == "SW" for s in path.steps))
     idx = next(idx for idx, s in enumerate(mid.steps) if s.dir == "SW")
     bad = PuzzlePath(4, mid.steps[:idx] + (STEP["SW", "K"],) + mid.steps[idx + 1:])
-    rows = dict(filling._successors.rows)
+    rows = dict(filling._rows)
     for _ in range(2):
         with pytest.raises(ValueError, match="invalid path: .*K on non-kink step"):
             legal_branches(bad)
-    assert filling._successors.rows == rows
-    # an invalid initial path starts a new table, and stores nothing in it
+    assert filling._rows == rows
+    # so is an invalid initial path, and a walk from it neither drops nor
+    # writes the memo
+    mu, nu = parse_word("1100"), parse_word("0011")
     with pytest.raises(ValueError, match="invalid path"):
-        legal_branches(initial_path(parse_word("1100"), parse_word("0011")))
-    assert not filling._successors.rows
+        legal_branches(initial_path(mu, nu))
+    assert not list(runs(mu, nu)) and not reachable(mu, nu)
+    assert filling._rows == rows
 
 
 def test_branches_share_their_pieces():
@@ -521,25 +524,68 @@ def test_table_holds_one_pair():
     assert only_a
     for theory in Theory:
         enumerate_puzzles(*a)
-        assert set(filling._successors.rows) == from_a
+        assert set(filling._rows) == from_a
         structure_constants(theory, *b)
         count_puzzles(theory, *b)
-        assert set(filling._successors.rows) <= from_b
-    # a state on a board of another size starts a new table, initial or not
+        assert set(filling._rows) <= from_b
+    # a state of another board size passed from outside joins the memo, and
+    # the next walk from an initial path with no row drops it
     mid = next(path for path, _ in reachable(MU, NU).values() if len(path.steps) < 8)
     enumerate_puzzles(*a)
     legal_branches(mid)
-    assert set(filling._successors.rows) == {mid.key}
+    assert set(filling._rows) == from_a | {mid.key}
+    enumerate_puzzles(*b)
+    assert set(filling._rows) == from_b
+
+
+def test_the_memo_holds_the_pair_coeff_json_walks(monkeypatch):
+    # coeff --json walks the pair twice, structure_constants then
+    # count_puzzles: the memo then holds states of that pair alone, and
+    # the second walk finds every state it visits there.  A walk from an
+    # unreachable pair leaves the memo as it was
+    full = {pair: set(reachable(*pair)) for pair in _pairs(5)}
+    derive = filling._derive_branches
+    derived = []
+
+    def counted(p, site):
+        derived.append(p.key)
+        return derive(p, site)
+
+    monkeypatch.setattr(filling, "_derive_branches", counted)
+    walked = 0
+    for theory in Theory:
+        for pair, states in full.items():
+            before = set(filling._rows)
+            structure_constants(theory, *pair)
+            derived.clear()
+            count_puzzles(theory, *pair)
+            assert not derived
+            memo = set(filling._rows)
+            if states:
+                assert memo and memo <= states
+                walked += 1
+            else:
+                assert memo == before
+    assert walked == 4 * 195
+
+
+def test_no_key_is_reached_at_two_board_sizes():
+    # a key holds n steps that are not W, so the memo needs no board size
+    size = {}
+    for mu, nu in _pairs(6):
+        for key, (path, _) in reachable(mu, nu).items():
+            assert size.setdefault(key, path.n) == path.n
+    assert len(size) == 7634 and set(size.values()) == set(range(1, 7))
 
 
 def test_invariant_error_is_not_cached(monkeypatch):
     start = initial_path(MU, NU)
-    filling._successors.clear()
+    filling._rows.clear()
     monkeypatch.setattr(filling, "_child_is_valid", lambda *args: False)
     for _ in range(2):
         with pytest.raises(InvariantError):
             legal_branches(start)
-    assert start.key not in filling._successors.rows
+    assert start.key not in filling._rows
     monkeypatch.undo()
     assert legal_branches(start)
 
@@ -579,13 +625,13 @@ def test_invariant_error_below_a_forced_chain(monkeypatch):
     check = filling._child_is_valid
     monkeypatch.setattr(filling, "_child_is_valid",
                         lambda kink, key, start: key != bad and check(kink, key, start))
-    filling._successors.clear()
+    filling._rows.clear()
     for walk in (lambda: graph([(MU, NU)]), lambda: structure_constants(Theory.KT, MU, NU)):
         for _ in range(2):
             with pytest.raises(InvariantError, match="forced rhombus at rhombus"):
                 walk()
-            assert bad not in filling._successors.rows
-            assert parent in filling._successors.rows
+            assert bad not in filling._rows
+            assert parent in filling._rows
     # the walk resumes on the rows it kept
     monkeypatch.undo()
     assert structure_constants(Theory.KT, MU, NU) == want
@@ -608,7 +654,7 @@ def test_a_path_checked_by_the_walk_equals_an_unchecked_one(monkeypatch):
     # the site slot is not part of the value: a path built from steps,
     # copied or unpickled equals and hashes as the walk's, and is UNCHECKED,
     # so on a miss it is validated once; the walk's own path is not
-    filling._successors.clear()
+    filling._rows.clear()
     states = reachable(MU, NU)
     validate = filling.validate_path
     calls = []
@@ -626,9 +672,9 @@ def test_a_path_checked_by_the_walk_equals_an_unchecked_one(monkeypatch):
         for q in copies:
             assert q == path and hash(q) == hash(path) and repr(q) == repr(path)
             assert q.site is UNCHECKED
-        filling._successors.clear()
+        filling._rows.clear()
         assert legal_branches(path) == branches and not calls
-        filling._successors.clear()
+        filling._rows.clear()
         for q in copies:
             assert legal_branches(q) == branches
         assert calls == [path.key]

@@ -192,10 +192,10 @@ _INTERESTING = board.steps_key((board.STEP["SE", "1"], board.STEP["SW", "0"]))
 
 @pytest.fixture
 def fresh_rows():
-    # the successor table keeps branches derived with the real pieces
-    filling._successors.clear()
+    # legal_branches' memo keeps branches derived with the real pieces
+    filling._rows.clear()
     yield
-    filling._successors.clear()
+    filling._rows.clear()
 
 
 def _topk_as(monkeypatch, piece):
