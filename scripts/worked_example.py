@@ -6,7 +6,7 @@ then print the puzzle census and the annotated degeneration tree.
 import argparse
 
 from puzzlecalc.cli import main as cli_main
-from puzzlecalc.filling import Theory, enumerate_puzzles, structure_constants
+from puzzlecalc.filling import Theory, puzzle_counts, structure_constants
 from puzzlecalc.poly import render
 from puzzlecalc.words import parse_word
 
@@ -19,9 +19,7 @@ def run(mu_s: str, nu_s: str, show_trace: bool) -> int:
         print(f"[{theory.value}]")
         for lam in sorted(coeffs):
             print(f"  {lam}: {render(coeffs[lam])}")
-    by_lam = {}
-    for pz in enumerate_puzzles(mu, nu):
-        by_lam[str(pz.lam)] = by_lam.get(str(pz.lam), 0) + 1
+    by_lam = puzzle_counts(mu, nu)
     print("[puzzles]")
     for lam in sorted(by_lam):
         print(f"  {lam}: {by_lam[lam]}")

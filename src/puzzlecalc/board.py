@@ -463,14 +463,15 @@ def ascii_render(pz: Puzzle) -> str:
     return text.decode()
 
 
-_PIECE_FILL = {"equivariant": "#fbb", "topk": "#bbf", "boring": None,
-               "shift0": None, "shift1": None}
+# the shading of a rhombus with no mid edge, by its left / and \\ labels: the
+# equivariant piece and the topk one; the forced K pieces (0K, R0) have none
+_PIECE_FILL = {"01": "#fbb", "1K": "#bbf"}
 
 
-def svg_render(pz: Puzzle) -> str:
-    """A simple SVG picture: the triangular grid with edge labels, shaded
-    equivariant and K pieces."""
-    n = pz.n
+def svg_render(text: str) -> str:
+    """A simple SVG picture of an ascii_render text: the triangular grid
+    with edge labels, shaded equivariant and K pieces."""
+    n = len(text.splitlines()) // 2
     s = 60.0
     h = s * 3 ** 0.5 / 2
     lay = _layout(n)
@@ -490,14 +491,13 @@ def svg_render(pz: Puzzle) -> str:
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{n * s + 20:.0f}" '
              f'height="{n * h + 20:.0f}" font-size="12" text-anchor="middle">']
-    for (i, j), r in sorted(pz.rhombi):
-        fill = _PIECE_FILL.get(r.kind)
+    for (i, j), (upper, lower, mid) in lay.rhombus.items():   # (i, j) in order
+        fill = text[mid] == "-" and _PIECE_FILL.get(text[upper] + text[lower])
         if fill:
             a = i + n - j   # window (i, j): upper vertex row a, columns i - 1 and i
             corners = ((a - 1, i - 1), (a, i), (a + 1, i), (a, i - 1))
             poly = " ".join(f"{x:.1f},{y:.1f}" for x, y in map(xy, corners))
             parts.append(f'<polygon points="{poly}" fill="{fill}" stroke="none"/>')
-    text = ascii_render(pz)
     for key in sorted(lay.offset):
         lab = text[lay.offset[key]]
         if lab == "-":  # a piece with no mid edge

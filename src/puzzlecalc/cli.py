@@ -17,7 +17,7 @@ import sys
 
 from .board import svg_render
 from .filling import FORCED, InvariantError, Theory, ascii_puzzles, branch_weight, \
-    count_puzzles, enumerate_puzzles, puzzle_counts, structure_constants, trace_rows
+    count_puzzles, puzzle_counts, structure_constants, trace_rows
 from .intervalrank import DotSet, covers, envelope, essential_set, fixed_point_in, \
     format_dots, parse_dots, rank_from_dots
 from .oracle import UnknownSuiteError, verify_suite
@@ -72,12 +72,12 @@ def cmd_puzzles(args) -> int:
     if to_files:
         # before any output, so that a bad --out leaves stdout empty
         os.makedirs(outdir, exist_ok=True)
-    # the count derives and checks every state, and svg builds every puzzle,
-    # before the first write: a failure leaves stdout empty
+    # the count derives and checks every state before the first write: a
+    # failure leaves stdout empty
     counts = puzzle_counts(mu, nu)
     count = sum(counts.values()) if lam is None else counts.get(str(lam), 0)
-    boards = (map(svg_render, enumerate_puzzles(mu, nu, lam=lam)) if args.render == "svg"
-              else ascii_puzzles(mu, nu, lam))
+    boards = ascii_puzzles(mu, nu, lam)
+    boards = map(svg_render, boards) if args.render == "svg" else boards
     print(f"{count} puzzles")
     if args.render is None:
         return 0

@@ -77,11 +77,11 @@ class _Sparse:
     __slots__ = ("n", "_coeffs", "_bound")
     _allow_negative = False
 
-    def __init__(self, n: int, terms=None):
+    def __init__(self, n: int, terms=()):
         lay = _layout(n)
         d = {}
         bound = 0
-        for exp, coef in (terms or {}).items() if isinstance(terms, dict) else (terms or []):
+        for exp, coef in terms:
             exp = tuple(exp)
             if len(exp) != n:
                 raise PolyError(f"exponent {exp} has wrong arity for n={n}")

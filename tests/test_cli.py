@@ -13,8 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import puzzlecalc
+from puzzlecalc.board import ascii_render, svg_render
 from puzzlecalc.cli import main
+from puzzlecalc.filling import enumerate_puzzles
 from puzzlecalc.oracle import _SUITES
+from puzzlecalc.words import parse_word
 
 
 def run(capsys, *argv):
@@ -115,12 +118,25 @@ def test_puzzles_ascii_render(capsys):
 
 
 def test_puzzles_svg_files(tmp_path, capsys):
-    code, out, _ = run(capsys, "puzzles", "--mu", "0101", "--nu", "1010",
-                       "--render", "svg", "--out", str(tmp_path))
-    assert code == 0
-    files = sorted(p.name for p in tmp_path.iterdir())
-    assert files == [f"puzzle-0101-1010-{i:03d}.svg" for i in range(6)]
-    assert (tmp_path / files[0]).read_text().startswith("<svg")
+    # each file holds the picture of the library's puzzle in its place; the
+    # pair's 16 puzzles place equivariant, topk and forced K pieces
+    mu, nu = parse_word("001101"), parse_word("100110")
+    no_mid = {r.kind for pz in enumerate_puzzles(mu, nu) for _, r in pz.rhombi if r.mid is None}
+    assert no_mid == {"equivariant", "topk", "boring"}
+    for lam, count in ((None, 16), (parse_word("100101"), 6)):
+        pzs = enumerate_puzzles(mu, nu, lam)
+        assert len(pzs) == count
+        out_dir = tmp_path / str(lam)
+        code, out, _ = run(capsys, "puzzles", "--mu", str(mu), "--nu", str(nu),
+                           *(["--lambda", str(lam)] if lam else []),
+                           "--render", "svg", "--out", str(out_dir))
+        assert code == 0
+        assert out == f"{count} puzzles\nwrote {count} svg files to {out_dir}\n"
+        stem = f"puzzle-{mu}-{nu}" + (f"-{lam}" if lam else "")
+        files = sorted(out_dir.iterdir())
+        assert [p.name for p in files] == [f"{stem}-{i:03d}.svg" for i in range(count)]
+        assert [p.read_text() for p in files] == [svg_render(ascii_render(pz)) + "\n"
+                                                  for pz in pzs]
 
 
 def test_puzzles_ascii_files_hold_the_printed_boards(tmp_path, capsys):
@@ -137,10 +153,12 @@ def test_puzzles_ascii_files_hold_the_printed_boards(tmp_path, capsys):
     assert [p.read_text() for p in files] == [b.rstrip("\n") + "\n" for b in boards]
 
 
-def test_puzzles_failure_leaves_stdout_empty(capsys, monkeypatch):
+@pytest.mark.parametrize("render", [["ascii"], ["svg", "--out", "boards"]], ids=["ascii", "svg"])
+def test_puzzles_failure_leaves_stdout_empty(capsys, monkeypatch, tmp_path, render):
     # the last state derived is broken: the count derives every state before
     # its line, so neither it nor any board is written
-    argv = ["puzzles", "--mu", "0101", "--nu", "1010", "--render", "ascii"]
+    argv = ["puzzles", "--mu", "0101", "--nu", "1010", "--render", *render]
+    monkeypatch.chdir(tmp_path)
     derive, calls, last = puzzlecalc.filling._derive_branches, [], []
 
     def derive_or_fail(p, site):
@@ -155,7 +173,10 @@ def test_puzzles_failure_leaves_stdout_empty(capsys, monkeypatch):
     last.append(len(calls))
     calls.clear()
     puzzlecalc.filling._rows.clear()
+    (tmp_path / "failing").mkdir()
+    monkeypatch.chdir(tmp_path / "failing")
     assert run(capsys, *argv) == (2, "", "internal invariant violation: broken state\n")
+    assert not [p for p in (tmp_path / "failing").rglob("*") if p.is_file()]
 
 
 def test_puzzles_out_is_a_file(tmp_path, capsys):
@@ -509,10 +530,10 @@ def test_bad_input_is_one_error_line(capsys, argv):
 @pytest.mark.parametrize("argv, target", [
     (["coeff", "--theory", "kt", "--mu", "0101", "--nu", "1010", "--json"],
      "structure_constants"),
-    # svg builds every puzzle before the first write; ascii boards stream
-    # from the run walk after the count, which comes first
+    # both renders stream their boards from the run walk, built before the
+    # count line; the count comes first
     (["puzzles", "--mu", "0101", "--nu", "1010", "--render", "svg", "--out", "out"],
-     "enumerate_puzzles"),
+     "ascii_puzzles"),
     (["puzzles", "--mu", "0101", "--nu", "1010", "--render", "ascii"], "puzzle_counts"),
 ])
 def test_out_of_memory_is_one_error_line(capsys, monkeypatch, tmp_path, argv, target):

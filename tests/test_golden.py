@@ -9,9 +9,9 @@ pair with n <= 5 for `coeff --json` (four theories),
 every node's codimension), and every pair with n <= 4 for plain `coeff`
 (four theories).
 
-The `puzzles-svg` groups gate `board.svg_render` through the library,
-as `puzzles --render svg` writes files: for each n <= 5 they hash the SVG
-of every puzzle of every pair.
+The `puzzles-svg` groups gate `board.svg_render` through the library:
+for each n <= 5 they hash the SVG drawn from the `ascii_render` text of
+every puzzle of every pair, the text `puzzles --render svg` draws from.
 
 The `validate-path` groups gate `board.validate_path` alone: for each
 n <= 5 they hash its messages on every initial path, every path state
@@ -39,8 +39,8 @@ import sys
 
 import pytest
 
-from puzzlecalc.board import (PuzzlePath, Step, initial_path, path_from_key, svg_render,
-                              validate_path)
+from puzzlecalc.board import (PuzzlePath, Step, ascii_render, initial_path, path_from_key,
+                              svg_render, validate_path)
 from puzzlecalc.cli import main
 from puzzlecalc.filling import enumerate_puzzles, reachable
 from puzzlecalc.intervalrank import format_dots
@@ -88,7 +88,7 @@ def svg_digest(n: int) -> str:
     h = hashlib.sha256()
     for mu, nu in _pairs(n):
         for pz in enumerate_puzzles(mu, nu):
-            h.update(f"{mu} {nu} {pz.lam}\n{svg_render(pz)}\n".encode())
+            h.update(f"{mu} {nu} {pz.lam}\n{svg_render(ascii_render(pz))}\n".encode())
     return h.hexdigest()
 
 
