@@ -388,26 +388,6 @@ def reachable(mu: Word, nu: Word, prune=frozenset()) -> dict:
     return graph([(mu, nu)], prune)[0]
 
 
-def _kept(states: dict, roots: list, skip: frozenset) -> dict:
-    """
-    The states of the graph reached from the roots through branches whose
-    kind is not in skip, with those branches, in the graph's order.  A lone
-    branch is forced or a shift, which weigh zero in no theory.
-    """
-    if not skip:
-        return states
-    live = {key for key in roots if key is not None}
-    kept = {}
-    for key in reversed(states):  # parents before children
-        if key in live:
-            path, branches = states[key]
-            if len(branches) > 1:
-                branches = tuple([(br, q) for br, q in branches if br.kind not in skip])
-            live.update([q.key for _, q in branches])
-            kept[key] = path, branches
-    return dict(reversed(kept.items()))
-
-
 def _sum_ints(pairs) -> dict:
     out: dict[str, int] = {}
     get = out.get
@@ -431,19 +411,21 @@ def _ring(theory: Theory, n: int) -> tuple:
     What the theory's fold on the size-n board computes in: (the value of
     a final state, the weight of a branch, a state's value from the
     (weight, child value) pairs of its branches, the nonzero coefficients
-    of a root's value).  A value maps each final word to its coefficient.
-    Where every weight is an integer (H and K), coefficients are signed
-    puzzle counts, summed in ints and made constants at the roots;
-    otherwise (H_T and K_T) they are Poly or LPoly values weighed by
-    branch_weight.
+    of a root's value, the kinds of zero weight, whose branches the fold
+    skips).  A value maps each final word to its coefficient.  Where every
+    weight is an integer (H and K), coefficients are signed puzzle counts,
+    summed in ints and made constants at the roots; otherwise (H_T and
+    K_T) they are Poly or LPoly values weighed by branch_weight.
     """
     const = (LPoly if theory.k_theory else Poly).const
     cells = {kind: cell for (t, kind), cell in _WEIGHT.items() if t is theory}
     if not any(b for _, b in cells.values()):
         return (1, lambda br: cells[br.kind][0], _sum_ints,
-                lambda value: {lam: const(n, c) for lam, c in value.items() if c})
+                lambda value: {lam: const(n, c) for lam, c in value.items() if c},
+                _PRUNED[theory])
     return (const(n, 1), lambda br: branch_weight(theory, br, n), _sum_polys,
-            lambda value: {lam: c for lam, c in value.items() if not c.is_zero()})
+            lambda value: {lam: c for lam, c in value.items() if not c.is_zero()},
+            _PRUNED[theory])
 
 
 def _fold(ring: tuple, states: dict, roots: list) -> list[dict]:
@@ -451,16 +433,18 @@ def _fold(ring: tuple, states: dict, roots: list) -> list[dict]:
     Per root, the nonzero coefficients of its value in the ring (see
     _ring): a fold over the states, children before parents.  A final
     state's value maps its word to leaf, and an interesting state's is
-    combine of its branches' (weight, child value) pairs.  Forced pieces
-    weigh 1 and are not multiplied in: a forced state shares its child's
-    dict.  A child's value is dropped once its last parent has read it; a
-    root is no state's child, so its value is read after the loop, by
-    coefficients.
+    combine of the (weight, child value) pairs of its branches whose kind
+    is not in skip.  Forced pieces weigh 1 and are not multiplied in: a
+    forced state shares its child's dict.  A child's value is dropped once
+    its last parent has read it; a root is no state's child, so its value
+    is read after the loop, by coefficients.  A state that only a skipped
+    branch reaches is folded too, and no root reads its value.
     """
-    leaf, weight, combine, coefficients = ring
+    leaf, weight, combine, coefficients, skip = ring
     # per state, the parent that reads its value last: states come children
     # before parents, so that is the last one met
-    last = {q.key: key for key, (_, branches) in states.items() for _, q in branches}
+    last = {q.key: key for key, (_, branches) in states.items()
+            for br, q in branches if br.kind not in skip}
     value: dict[bytes, dict[str, object]] = {}
     for key, (path, branches) in states.items():
         if not branches:
@@ -470,12 +454,13 @@ def _fold(ring: tuple, states: dict, roots: list) -> list[dict]:
             value[key] = value.pop(child) if last[child] is key else value[child]
         else:
             value[key] = combine([(weight(br), value.pop(q.key) if last[q.key] is key
-                                   else value[q.key]) for br, q in branches])
+                                   else value[q.key]) for br, q in branches
+                                  if br.kind not in skip])
     return [{} if key is None else coefficients(value[key]) for key in roots]
 
 
 # the ring of puzzle counts: a final state is one run, and a branch weighs 1
-_COUNTS = (1, lambda br: 1, _sum_ints, dict)
+_COUNTS = (1, lambda br: 1, _sum_ints, dict, frozenset())
 
 
 def puzzle_counts(mu: Word, nu: Word) -> dict[str, int]:
@@ -490,21 +475,21 @@ def puzzle_counts(mu: Word, nu: Word) -> dict[str, int]:
 def table(theories, pairs) -> list[tuple[dict, ...]]:
     """
     Per boundary pair, its structure_constants in each of the theories (one
-    or more), in order.  One walk serves every pair and theory: it leaves out only the
-    kinds that weigh zero in every theory, and each theory's fold leaves
-    out its own, folding each distinct state once.  Every pair must be of
-    one board size, since each fold computes in that size's ring.
+    or more, each a Theory or its name), in order.  One walk serves every
+    pair and theory: it leaves out only the kinds that weigh zero in every
+    theory, and each theory's fold skips the rest of its ring's zero kinds,
+    folding each distinct state once.  Every pair must be of one board
+    size, since each fold computes in that size's ring.
     """
+    theories = [Theory(t) for t in theories]
+    if not theories:
+        raise ValueError("table takes one or more theories, got none")
     sizes = sorted({mu.n for mu, _ in pairs})
     if len(sizes) > 1:
         raise ValueError(f"table takes pairs of one board size, got n = {sizes}")
-    prune = frozenset.intersection(*(_PRUNED[t] for t in theories))
-    states, roots = graph(pairs, prune)
-    if not states:
-        return [tuple({} for _ in theories) for _ in roots]
-    n = next(iter(states.values()))[0].n
-    return list(zip(*(_fold(_ring(t, n), _kept(states, roots, _PRUNED[t] - prune), roots)
-                      for t in theories)))
+    n = max(sizes, default=0)  # no pairs: no roots, so no fold reads n
+    states, roots = graph(pairs, frozenset.intersection(*(_PRUNED[t] for t in theories)))
+    return list(zip(*(_fold(_ring(t, n), states, roots) for t in theories)))
 
 
 def structure_constants(theory: Theory, mu: Word, nu: Word) -> dict:

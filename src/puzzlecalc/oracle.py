@@ -123,7 +123,12 @@ def _pairs_by_k(max_n):
 
 def _graphs(max_n):
     """Per (n, k), the union of every pair's unpruned state graph, and the
-    pink dots of each of its states, computed once per state."""
+    pink dots of each of its states, computed once per state.
+
+    The dots come from pinkdots.path_dots, which checks each path against
+    the spec again although the engine derived and checked it: the suites
+    check the engine, so they do not take its word that a state is valid.
+    pinkdots.valid_path_dots would skip that check."""
     for n, k, pairs in _pairs_by_k(max_n):
         states = filling.graph(pairs)[0]
         yield n, k, states, {key: pinkdots.path_dots(path) for key, (path, _) in states.items()}
@@ -271,22 +276,19 @@ def _suite_specialize(max_n: int, report: Report):
 
 def _suite_commute(max_n: int, report: Report):
     theories = (filling.Theory.H, filling.Theory.HT, filling.Theory.K)
-    # per theory and n, every pair's expansion, from one table per (n, k);
+    # lam has mu's n and k, so each (n, k) table is checked as it is built;
     # the mismatches are reported theory by theory
-    tables = {t: [{} for _ in range(max_n)] for t in theories}
-    for n, _, pairs in _pairs_by_k(max_n):
-        for (mu, nu), row in zip(pairs, filling.table(theories, pairs)):
-            for t, coeffs in zip(theories, row):
-                tables[t][n - 1][str(mu), str(nu)] = coeffs
-    bad = []
-    for t in theories:
-        for table in tables[t]:
+    bad = {t: [] for t in theories}
+    for _, _, pairs in _pairs_by_k(max_n):
+        for t, column in zip(theories, zip(*filling.table(theories, pairs))):
+            table = {(str(mu), str(nu)): coeffs for (mu, nu), coeffs in zip(pairs, column)}
             for (mu_s, nu_s), coeffs in table.items():
                 for lam_s, c in coeffs.items():
                     other = table[lam_s, nu_s].get(mu_s)
                     if other != c:
-                        bad.append(f"{t.value} {lam_s},{mu_s}->{nu_s}: {c} vs {other}")
-    report.record("commute", not bad, "; ".join(bad[:3]))
+                        bad[t].append(f"{t.value} {lam_s},{mu_s}->{nu_s}: {c} vs {other}")
+    details = [line for t in theories for line in bad[t]]
+    report.record("commute", not details, "; ".join(details[:3]))
 
 
 def _suite_lr(max_n: int, report: Report):

@@ -190,17 +190,16 @@ def test_graph_is_the_union_of_the_pairs_graphs(monkeypatch):
             union.update(alone)
         assert union == set(states)
         distinct += len(states)
-        # a theory's fold reads the states its own kinds reach, as its walk would
-        for prune in set(_PRUNED.values()):
-            assert filling._kept(states, roots, prune) == graph(pairs, prune)[0]
     # over every (n, k) with n <= 6; at n = 6 alone, 32,076 and 5,719
     assert (visits, distinct) == (37785, 7634)
 
 
 def test_table_is_structure_constants_pair_by_pair():
     # dict order included, for each theory alone and the tuples the verify
-    # suites ask for; an unreachable pair gives {} in every theory.
-    # (H, K) walks without equivariant branches, and H's fold skips topk too
+    # suites ask for, and for each of those tuples on every pair alone up to
+    # n = 4, where a theory's skipped kinds cut most of the graph; an
+    # unreachable pair gives {} in every theory.  (H, K) walks without
+    # equivariant branches, and H's fold skips topk too
     asks = [(t,) for t in Theory] + [(Theory.KT, Theory.K, Theory.HT, Theory.H),
                                      (Theory.H, Theory.HT, Theory.K), (Theory.H, Theory.K)]
     unreachable = 0
@@ -211,14 +210,26 @@ def test_table_is_structure_constants_pair_by_pair():
             rows = table(theories, pairs)
             assert len(rows) == len(pairs)
             for idx, row in enumerate(rows):
-                assert [list(coeffs.items()) for coeffs in row] == [alone[t][idx]
-                                                                    for t in theories]
+                want = [alone[t][idx] for t in theories]
+                assert [list(coeffs.items()) for coeffs in row] == want
+                if len(theories) > 1 and pairs[idx][0].n <= 4:
+                    (single,) = table(theories, [pairs[idx]])
+                    assert [list(coeffs.items()) for coeffs in single] == want
         for (mu, nu), row in zip(pairs, table(tuple(Theory), pairs)):
             if not reachable(mu, nu):
                 assert row == ({},) * 4
                 unreachable += 1
     assert unreachable == 155
     assert table((Theory.KT,), []) == []
+
+
+def test_table_takes_theory_names_and_refuses_none_or_a_bad_one():
+    assert structure_constants("h", MU, NU) == structure_constants(Theory.H, MU, NU)
+    assert table(("kt", Theory.H), [(MU, NU)]) == table((Theory.KT, Theory.H), [(MU, NU)])
+    with pytest.raises(ValueError, match="'x' is not a valid Theory"):
+        structure_constants("x", MU, NU)
+    with pytest.raises(ValueError, match="one or more theories"):
+        table((), [(MU, NU)])
 
 
 @pytest.mark.parametrize("theory", list(Theory))
