@@ -64,11 +64,11 @@ def cmd_coeff(args) -> int:
 
 def cmd_puzzles(args) -> int:
     mu, nu = _pair(args.mu, args.nu)
-    lam = parse_word(args.lam, n=mu.n, k=mu.k) if args.lam else None
+    lam = parse_word(args.lam, n=mu.n, k=mu.k) if args.lam is not None else None
     if args.out is not None and args.render is None:
         raise InputError("--out needs --render")
     to_files = args.render == "svg" or args.out is not None
-    outdir = args.out or "."
+    outdir = "." if args.out is None else args.out
     if to_files:
         # before any output, so that a bad --out leaves stdout empty
         os.makedirs(outdir, exist_ok=True)

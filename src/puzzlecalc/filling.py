@@ -104,18 +104,11 @@ class Branch:
     # (c, piece) in its bottoms; built with the branch, so that every puzzle
     # through it shares one entry
     placed: tuple = field(init=False, repr=False, compare=False)
-    # its index in enumerate_puzzles' list of a run's entries, whatever n is:
-    # the window's colex index (j - 1)(j - 2)/2 + i - 1, or -c for a triangle
-    slot: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = self.pos
-        if self.kind == "triangle":
-            placed, slot = (pos.c, self.piece), -pos.c
-        else:
-            placed, slot = ((pos.i, pos.j), self.piece), (pos.j - 1) * (pos.j - 2) // 2 + pos.i - 1
-        object.__setattr__(self, "placed", placed)
-        object.__setattr__(self, "slot", slot)
+        at = pos.c if self.kind == "triangle" else (pos.i, pos.j)
+        object.__setattr__(self, "placed", (at, self.piece))
 
 
 class _Piece(NamedTuple):
@@ -474,16 +467,18 @@ def puzzle_counts(mu: Word, nu: Word) -> dict[str, int]:
 
 def table(theories, pairs) -> list[tuple[dict, ...]]:
     """
-    Per boundary pair, its structure_constants in each of the theories (one
-    or more, each a Theory or its name), in order.  One walk serves every
-    pair and theory: it leaves out only the kinds that weigh zero in every
-    theory, and each theory's fold skips the rest of its ring's zero kinds,
-    folding each distinct state once.  Every pair must be of one board
-    size, since each fold computes in that size's ring.
+    Per boundary pair of the iterable pairs, its structure_constants in
+    each of the theories (one or more, each a Theory or its name), in
+    order.  One walk serves every pair and theory: it leaves out only the
+    kinds that weigh zero in every theory, and each theory's fold skips
+    the rest of its ring's zero kinds, folding each distinct state once.
+    Every pair must be of one board size, since each fold computes in that
+    size's ring.
     """
     theories = [Theory(t) for t in theories]
     if not theories:
         raise ValueError("table takes one or more theories, got none")
+    pairs = list(pairs)  # read twice: for the sizes, then by graph
     sizes = sorted({mu.n for mu, _ in pairs})
     if len(sizes) > 1:
         raise ValueError(f"table takes pairs of one board size, got n = {sizes}")
@@ -535,42 +530,38 @@ def runs(mu: Word, nu: Word, prune=frozenset()):
             stack.extend([pair for pair in reversed(branches) if pair[0].kind not in prune])
 
 
-def enumerate_puzzles(mu: Word, nu: Word, lam: Word | None = None,
-                      theory: Theory | None = None) -> list[Puzzle]:
+def enumerate_puzzles(mu: Word, nu: Word, theory: Theory | None = None) -> list[Puzzle]:
     """
-    Every completed puzzle for (mu, nu), optionally restricted to a given
-    boundary word lam, pruned to branches of nonzero weight when a theory
-    is given.  Each node writes its branch's entry at the branch's slot of
-    one list; a run fills every slot, so at a leaf the list holds that
-    run's pieces, read off in the order of the Puzzle's tuples.
+    Every completed puzzle for (mu, nu), pruned to branches of nonzero
+    weight when a theory is given.  Each node writes its branch's entry
+    into one dict, keyed by its position, (i, j) or c, and made with its
+    keys in the order of the Puzzle's tuples: a run writes every position,
+    so at a leaf the dict's values are that run's pieces, in order.
     """
-    prune = _PRUNED[theory] if theory is not None else frozenset()
+    prune = _PRUNED[Theory(theory)] if theory is not None else frozenset()
     n = mu.n
     out = []
-    grid: list = [None] * (n * (n + 1) // 2)
-    at = grid.__getitem__
-    # the slots of the rhombi by window (i, j) and of the triangles by c
-    rhombus_order = [(j - 1) * (j - 2) // 2 + i - 1
-                     for i in range(1, n) for j in range(i + 1, n + 1)]
-    bottom_order = range(-1, -n - 1, -1)
+    grid = dict.fromkeys([(i, j) for i in range(1, n) for j in range(i + 1, n + 1)])
+    rhombi = len(grid)
+    grid.update(dict.fromkeys(range(1, n + 1)))
     words: dict[bytes, Word] = {}   # final word per final state
     for (via, path), branches in runs(mu, nu, prune):
         if via is not None:
-            grid[via.slot] = via.placed
+            grid[via.placed[0]] = via.placed
         if branches:
             continue
         word = words.get(path.key)
         if word is None:
             word = words[path.key] = final_path_word(path)
-        if lam is None or word == lam:
-            out.append(Puzzle(n, word, mu, nu, tuple(map(at, rhombus_order)),
-                              tuple(map(at, bottom_order))))
+        entries = tuple(grid.values())
+        out.append(Puzzle(n, word, mu, nu, entries[:rhombi], entries[rhombi:]))
     return out
 
 
 def ascii_puzzles(mu: Word, nu: Word, lam: Word | None = None):
     """
-    The ascii_render texts of enumerate_puzzles(mu, nu, lam), in order, from
+    The ascii_render texts of the puzzles of (mu, nu) whose final word is
+    lam (every one when lam is None), in enumerate_puzzles' order, from
     one text that each node of runs(mu, nu) writes its branch's bytes into
     and each leaf on lam's final path yields: memory is legal_branches'
     memo plus one board.  A caller that must fail before its first write

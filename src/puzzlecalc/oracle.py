@@ -247,8 +247,8 @@ def _suite_specialize(max_n: int, report: Report):
     theories = (filling.Theory.KT, filling.Theory.K, filling.Theory.HT, filling.Theory.H)
     for n, _, pairs in _pairs_by_k(max_n):
         for (mu, nu), (kt, k, ht, h) in zip(pairs, filling.table(theories, pairs)):
-            lams = set(kt) | set(k) | set(ht) | set(h)
-            for lam_s in lams:
+            # in sorted order, so that the details do not depend on the hash seed
+            for lam_s in sorted(set(kt) | set(k) | set(ht) | set(h)):
                 lam = Word(tuple(int(c) for c in lam_s))
                 ktc = kt.get(lam_s, LPoly.zero(n))
                 kc = k.get(lam_s, LPoly.zero(n))

@@ -84,6 +84,19 @@ def test_coeff_json_fails_before_the_first_byte(capsys, monkeypatch, error, code
     assert len(calls) == 1
 
 
+def test_coeff_invariant_violation_is_one_line(capsys, monkeypatch):
+    # with no piece for the interesting configuration (kink 1 over SW 0),
+    # the engine cannot fill the first interesting state: a bug, exit 2
+    filling = puzzlecalc.filling
+    interesting = next(key for key, pieces in filling._PIECES.items() if len(pieces) > 1)
+    monkeypatch.delitem(filling._PIECES, interesting)
+    filling._rows.clear()
+    code, out, err = run(capsys, "coeff", "--theory", "h", "--mu", "0101", "--nu", "1010")
+    assert (code, out) == (2, "")
+    assert err.startswith("internal invariant violation: unfillable rhombus ('1', '0') at ")
+    assert len(err.splitlines()) == 1
+
+
 def test_coeff_bad_word(capsys):
     code, _, err = run(capsys, "coeff", "--theory", "h",
                        "--mu", "01x1", "--nu", "1010")
@@ -124,7 +137,7 @@ def test_puzzles_svg_files(tmp_path, capsys):
     no_mid = {r.kind for pz in enumerate_puzzles(mu, nu) for _, r in pz.rhombi if r.mid is None}
     assert no_mid == {"equivariant", "topk", "boring"}
     for lam, count in ((None, 16), (parse_word("100101"), 6)):
-        pzs = enumerate_puzzles(mu, nu, lam)
+        pzs = [pz for pz in enumerate_puzzles(mu, nu) if lam in (None, pz.lam)]
         assert len(pzs) == count
         out_dir = tmp_path / str(lam)
         code, out, _ = run(capsys, "puzzles", "--mu", str(mu), "--nu", str(nu),
@@ -516,6 +529,9 @@ def test_verify_suite_that_raises_is_a_failed_suite(capsys, monkeypatch):
     ["rank", "dots", "--n", "3", "--dots", "1,2;1,2"],
     # options that the command would otherwise ignore
     ["puzzles", "--mu", "0101", "--nu", "1010", "--out", "never-made"],
+    # empty values are refused, not taken as absent
+    ["puzzles", "--mu", "0101", "--nu", "1010", "--lambda", ""],
+    ["puzzles", "--mu", "0101", "--nu", "1010", "--render", "svg", "--out", ""],
     ["rank", "essential", "--n", "3", "--dots", "1,2", "--word", "01"],
     ["rank", "fixed-points", "--n", "2", "--dots", "1,1", "--word", ""],
 ])

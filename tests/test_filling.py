@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 from collections import Counter
 
 import pytest
@@ -114,8 +115,10 @@ def test_degree_balance_on_small_puzzles():
 
 
 def test_enumerate_with_lambda_filter():
-    assert len(enumerate_puzzles(MU, NU, lam=parse_word("1001"))) == 2
-    one_triangle_only = [pz for pz in enumerate_puzzles(MU, NU, lam=parse_word("1001"))
+    lam = parse_word("1001")
+    pzs = [pz for pz in enumerate_puzzles(MU, NU) if pz.lam == lam]
+    assert len(pzs) == 2
+    one_triangle_only = [pz for pz in pzs
                          if pz.count("equivariant") == 0 and pz.count("topk") == 0]
     assert len(one_triangle_only) == 1
 
@@ -646,6 +649,55 @@ def test_invariant_error_below_a_forced_chain(monkeypatch):
     # the walk resumes on the rows it kept
     monkeypatch.undo()
     assert structure_constants(Theory.KT, MU, NU) == want
+
+
+def _first_interesting(mu, nu):
+    """The interesting state of (mu, nu) nearest its root: (its path, branches)."""
+    return next(row for row in reversed(reachable(mu, nu).values()) if len(row[1]) > 1)
+
+
+def test_an_unfillable_kink_raises(monkeypatch):
+    # with no piece for the interesting configuration, the first interesting
+    # state has nothing to place at its kink
+    path, _ = _first_interesting(MU, NU)
+    kink, pos = path.site
+    monkeypatch.delitem(filling._PIECES, path.key[kink:kink + 2])
+    filling._rows.clear()
+    with pytest.raises(InvariantError, match=re.escape(f"unfillable rhombus ('1', '0') at {pos}")):
+        graph([(MU, NU)])
+
+
+@pytest.mark.parametrize("kinds, message", [
+    (("equivariant",), "equivariant continuation at {} broke the path: "),
+    (("shift0", "shift1"), "no shift continuation at {}"),
+    (("topk",), "topk legality out of step with the shifts at {}"),
+], ids=["equivariant", "no-shift", "topk"])
+def test_an_interesting_state_out_of_rule_raises(monkeypatch, kinds, message):
+    # _child_is_valid's answer is flipped for the named candidates of the
+    # first interesting state, where all four are legal; a candidate is told
+    # by its child's kink, which differs among the four
+    path, branches = _first_interesting(MU, NU)
+    assert [br.kind for br, _ in branches] == ["equivariant", "shift0", "shift1", "topk"]
+    kink, pos = path.site
+    key = path.key
+    flip = {piece.new[1] for piece in filling._PIECES[key[kink:kink + 2]] if piece.kind in kinds}
+    check = filling._child_is_valid
+
+    def flipped(code, k, start):
+        return check(code, k, start) != (k == key and start == kink + 2 and code in flip)
+
+    monkeypatch.setattr(filling, "_child_is_valid", flipped)
+    filling._rows.clear()
+    with pytest.raises(InvariantError, match=re.escape(message.format(pos))):
+        graph([(MU, NU)])
+
+
+def test_table_reads_an_iterator_and_a_bad_theory_name_is_a_value_error():
+    assert table((Theory.H,), iter([(MU, NU), (NU, MU)])) == [
+        (structure_constants(Theory.H, MU, NU),), (structure_constants(Theory.H, NU, MU),)]
+    assert len(enumerate_puzzles(MU, NU, theory="h")) == count_puzzles(Theory.H, MU, NU)
+    with pytest.raises(ValueError, match="'x' is not a valid Theory"):
+        enumerate_puzzles(MU, NU, theory="x")
 
 
 def test_a_path_rebuilt_from_fresh_steps_hits_the_table():

@@ -1,4 +1,9 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 
 import pytest
@@ -220,3 +225,36 @@ def test_inversion_suite_catches_a_relabelled_topk_piece(monkeypatch, fresh_rows
     ((suite, ok, _),) = _topk_as(monkeypatch,
                                  filling._rhombus("shift1", ("1", "0"), "1", "K", None))
     assert (suite, ok) == ("inversion", False)
+
+
+_SPECIALIZE_MUTANT = textwrap.dedent("""
+    from puzzlecalc import filling, oracle
+    from puzzlecalc.poly import Poly
+
+    # add 1 to every H_T coefficient of the pairs with three or more words
+    table = filling.table
+
+    def mutated(theories, pairs):
+        return [tuple({lam: c + Poly.const(c.n, 1) for lam, c in coeffs.items()}
+                      if t is filling.Theory.HT and len(coeffs) >= 3 else coeffs
+                      for t, coeffs in zip(theories, row))
+                for row in table(theories, pairs)]
+
+    filling.table = mutated
+    report = oracle.verify_suite(4, ["specialize"])
+    print(report.results)
+""")
+
+
+def test_specialize_details_do_not_depend_on_the_hash_seed():
+    src = str(pathlib.Path(oracle.__file__).parents[1])
+    outs = []
+    for seed in ("5", "6"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-c", _SPECIALIZE_MUTANT],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert res.returncode == 0, res.stderr
+        outs.append(res.stdout)
+    assert outs[0] == outs[1]
+    assert "'specialize', False" in outs[0]
