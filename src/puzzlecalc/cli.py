@@ -17,7 +17,7 @@ import sys
 
 from .board import svg_render
 from .filling import FORCED, InvariantError, Theory, ascii_puzzles, branch_weight, \
-    count_puzzles, puzzle_counts, structure_constants, trace_rows
+    count_puzzles, structure_constants, trace_rows
 from .intervalrank import DotSet, covers, envelope, essential_set, fixed_point_in, \
     format_dots, parse_dots, rank_from_dots
 from .oracle import UnknownSuiteError, verify_suite
@@ -72,11 +72,10 @@ def cmd_puzzles(args) -> int:
     if to_files:
         # before any output, so that a bad --out leaves stdout empty
         os.makedirs(outdir, exist_ok=True)
-    # the count derives and checks every state before the first write: a
+    # the counts derive and check every state before the first write: a
     # failure leaves stdout empty
-    counts = puzzle_counts(mu, nu)
+    counts, boards = ascii_puzzles(mu, nu, lam)
     count = sum(counts.values()) if lam is None else counts.get(str(lam), 0)
-    boards = ascii_puzzles(mu, nu, lam)
     boards = map(svg_render, boards) if args.render == "svg" else boards
     print(f"{count} puzzles")
     if args.render is None:
@@ -88,8 +87,10 @@ def cmd_puzzles(args) -> int:
             write(f"\n{text}\n")
         return 0
     ext = "svg" if args.render == "svg" else "txt"
+    # every index padded to one width, so that the names sort in board order
+    width = max(3, len(str(count - 1)))
     for idx, text in enumerate(boards):
-        with open(os.path.join(outdir, f"{stem}-{idx:03d}.{ext}"), "w") as fh:
+        with open(os.path.join(outdir, f"{stem}-{idx:0{width}d}.{ext}"), "w") as fh:
             fh.write(f"{text}\n")
     print(f"wrote {count} {ext} files to {outdir}")
     return 0

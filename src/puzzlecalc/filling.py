@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .board import (SE_0, SE_1, SE_R, STEP, STEPS, SW_0, SW_1, SW_R, UNCHECKED, W_0, W_1,
                     FillPos, Puzzle, PuzzlePath, RhombusPlacement, TrianglePlacement,
@@ -558,28 +558,69 @@ def enumerate_puzzles(mu: Word, nu: Word, theory: Theory | None = None) -> list[
     return out
 
 
-def ascii_puzzles(mu: Word, nu: Word, lam: Word | None = None):
+def ascii_puzzles(mu: Word, nu: Word, lam: Word | None = None) -> tuple[dict, Iterator[str]]:
     """
-    The ascii_render texts of the puzzles of (mu, nu) whose final word is
-    lam (every one when lam is None), in enumerate_puzzles' order, from
-    one text that each node of runs(mu, nu) writes its branch's bytes into
-    and each leaf on lam's final path yields: memory is legal_branches'
-    memo plus one board.  A caller that must fail before its first write
-    walks the graph first (puzzle_counts does), deriving and checking every
-    state.
+    The puzzle counts of (mu, nu), as puzzle_counts gives them, and a lazy
+    stream of the ascii_render texts of its puzzles whose final word is lam
+    (every one when lam is None), in enumerate_puzzles' order.  Both read
+    one unpruned graph, built here with the counts, so every state is
+    derived and checked before the first board is read.  Memory is that
+    graph, the stream's edges and one board (see _boards).
     """
+    states, (root,) = graph([(mu, nu)])
+    return _fold(_COUNTS, states, [root])[0], _boards(mu, nu, states, root, lam)
+
+
+def _boards(mu: Word, nu: Word, states: dict, root: bytes | None, lam: Word | None):
+    """
+    The board texts of ascii_puzzles, from one text written by a preorder
+    walk over the chain ends of the pair's graph (states, root): its
+    interesting and final states.  An edge leaves a chain end by one
+    branch and runs through the forced states after it to the next chain
+    end; it is the (offset, byte) writes of all its pieces, with that end's
+    key, and is built once per edge.  A run writes every position, so at a
+    final state the text is that run's board.  With lam, one pass over the
+    states, children before parents, marks those that reach lam's final
+    state, and only edges that end at one are kept.
+    """
+    if root is None:
+        return
+    n = mu.n
+    reach = None
+    if lam is not None:
+        reach = {final_path(lam).key}
+        for key, (_, branches) in states.items():
+            if any(q.key in reach for _, q in branches):
+                reach.add(key)
+        if root not in reach:
+            return
+
+    def edge(entries: list, key: bytes) -> tuple[list, bytes]:
+        # the writes of entries and of the forced pieces from key on, and
+        # the chain end they reach
+        branches = states[key][1]
+        while len(branches) == 1:
+            br, q = branches[0]
+            entries.append(br.placed)
+            key = q.key
+            branches = states[key][1]
+        return list(placed_bytes(n, entries)), key
+
     text = boundary_text(mu, nu)
-    target = None if lam is None else final_path(lam).key
-    # per branch id (branches are built once and kept, see _PIECES), its writes
-    writes: dict[int, list] = {}
-    for (via, path), branches in runs(mu, nu):
-        if via is not None:
-            put = writes.get(id(via))
-            if put is None:
-                put = writes[id(via)] = list(placed_bytes(mu.n, (via.placed,)))
-            for off, byte in put:
-                text[off] = byte
-        if not branches and (target is None or path.key == target):
+    # per chain end, its edges in reverse branch order, as the stack takes them
+    edges: dict[bytes, list] = {}
+    stack = [edge([], root)]
+    while stack:
+        writes, key = stack.pop()
+        for off, byte in writes:
+            text[off] = byte
+        out = edges.get(key)
+        if out is None:
+            out = edges[key] = [edge([br.placed], q.key) for br, q in reversed(states[key][1])
+                                if reach is None or q.key in reach]
+        if out:
+            stack += out
+        else:  # a final state: with lam, only lam's is reached
             yield text.decode()
 
 

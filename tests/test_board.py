@@ -323,12 +323,13 @@ def test_the_run_walk_writes_each_rendered_board_and_the_fold_counts_them():
     pairs = [pair for n in range(1, 6) for pair in _pairs(n)]
     pairs += [(parse_word(mu), parse_word(nu)) for mu, nu in RENDER_PAIRS]
     for mu, nu in pairs:
-        counts = puzzle_counts(mu, nu)
+        counts, stream = ascii_puzzles(mu, nu)
+        assert counts == puzzle_counts(mu, nu)
         rendered = [(pz.lam, ascii_render(pz)) for pz in enumerate_puzzles(mu, nu)]
         boards = [text for _, text in rendered]
-        assert list(ascii_puzzles(mu, nu)) == boards, (mu, nu)
+        assert list(stream) == boards, (mu, nu)
         assert sum(counts.values()) == len(boards)
         for lam in all_words(mu.n, mu.k):
             boards = [text for word, text in rendered if word == lam]
-            assert list(ascii_puzzles(mu, nu, lam)) == boards, (mu, nu, lam)
+            assert list(ascii_puzzles(mu, nu, lam)[1]) == boards, (mu, nu, lam)
             assert counts.get(str(lam), 0) == len(boards)

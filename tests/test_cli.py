@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import puzzlecalc
-from puzzlecalc.board import ascii_render, svg_render
+from puzzlecalc.board import ascii_render, final_path_word, svg_render
 from puzzlecalc.cli import main
-from puzzlecalc.filling import enumerate_puzzles
+from puzzlecalc.filling import enumerate_puzzles, legal_branches
 from puzzlecalc.oracle import _SUITES
 from puzzlecalc.words import parse_word
 
@@ -166,10 +166,37 @@ def test_puzzles_ascii_files_hold_the_printed_boards(tmp_path, capsys):
     assert [p.read_text() for p in files] == [b.rstrip("\n") + "\n" for b in boards]
 
 
-@pytest.mark.parametrize("render", [["ascii"], ["svg", "--out", "boards"]], ids=["ascii", "svg"])
+def test_puzzles_file_names_sort_in_board_order_past_999_boards(tmp_path, capsys):
+    # 3,239 boards: each index has four digits, so that -1000 sorts after -999
+    argv = ["puzzles", "--mu", "01101100", "--nu", "11001100", "--render", "ascii"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    head, *boards = out.split("\n\n")
+    assert head == "3239 puzzles"
+    code, out, _ = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0
+    assert out == f"3239 puzzles\nwrote 3239 txt files to {tmp_path}\n"
+    names = [f"puzzle-01101100-11001100-{i:04d}.txt" for i in range(3239)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    assert [(tmp_path / name).read_text() for name in names] == [b.rstrip("\n") + "\n"
+                                                                 for b in boards]
+
+
+def _final_words(p):
+    # the final words of the runs through the path state p
+    branches = legal_branches(p)
+    if not branches:
+        return {str(final_path_word(p))}
+    return set().union(*(_final_words(q) for _, q in branches))
+
+
+@pytest.mark.parametrize("render", [["ascii"], ["svg", "--out", "boards"],
+                                    ["ascii", "--lambda", "1001"]], ids=["ascii", "svg", "lambda"])
 def test_puzzles_failure_leaves_stdout_empty(capsys, monkeypatch, tmp_path, render):
     # the last state derived is broken: the count derives every state before
-    # its line, so neither it nor any board is written
+    # its line, so neither it nor any board is written.  Every run through
+    # it ends at 1010, so the boards of --lambda 1001 never reach it, and it
+    # must fail all the same
     argv = ["puzzles", "--mu", "0101", "--nu", "1010", "--render", *render]
     monkeypatch.chdir(tmp_path)
     derive, calls, last = puzzlecalc.filling._derive_branches, [], []
@@ -184,6 +211,7 @@ def test_puzzles_failure_leaves_stdout_empty(capsys, monkeypatch, tmp_path, rend
     puzzlecalc.filling._rows.clear()
     assert run(capsys, *argv)[0] == 0
     last.append(len(calls))
+    assert _final_words(calls[-1]) == {"1010"}
     calls.clear()
     puzzlecalc.filling._rows.clear()
     (tmp_path / "failing").mkdir()
@@ -546,11 +574,11 @@ def test_bad_input_is_one_error_line(capsys, argv):
 @pytest.mark.parametrize("argv, target", [
     (["coeff", "--theory", "kt", "--mu", "0101", "--nu", "1010", "--json"],
      "structure_constants"),
-    # both renders stream their boards from the run walk, built before the
-    # count line; the count comes first
+    # both renders take the count line and the boards from one ascii_puzzles
+    # call, made before the count line
     (["puzzles", "--mu", "0101", "--nu", "1010", "--render", "svg", "--out", "out"],
      "ascii_puzzles"),
-    (["puzzles", "--mu", "0101", "--nu", "1010", "--render", "ascii"], "puzzle_counts"),
+    (["puzzles", "--mu", "0101", "--nu", "1010", "--render", "ascii"], "ascii_puzzles"),
 ])
 def test_out_of_memory_is_one_error_line(capsys, monkeypatch, tmp_path, argv, target):
     def exhausted(*args, **kwargs):
