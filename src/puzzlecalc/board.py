@@ -67,6 +67,8 @@ def steps_key(steps) -> bytes:
 
 # the site of a path that the engine has not checked (None is a final path's)
 UNCHECKED = object()
+# check_path's site for a path that leaves the board
+OFF_BOARD = object()
 
 
 class PuzzlePath:
@@ -76,10 +78,11 @@ class PuzzlePath:
     so the engine keys its tables by them.  steps decodes the key.  A path
     is a value: equal paths have equal n and keys, and nothing changes one.
 
-    site is the path's fill_site when the engine checked the path as it
-    built it (a child its parent derived, or a walk's initial path), and
-    UNCHECKED otherwise.  Equality, hashing, repr and pickling ignore it, so
-    a path built any other way, unpickled or copied is UNCHECKED.
+    site is the path's fill site (see check_path) when the engine checked
+    the path as it built it (a child its parent derived, or a walk's
+    initial path), and UNCHECKED otherwise.  Equality, hashing, repr and
+    pickling ignore it, so a path built any other way, unpickled or copied
+    is UNCHECKED.
     """
     __slots__ = ("n", "key", "site")
 
@@ -113,7 +116,7 @@ _new = object.__new__
 def path_from_key(n: int, key: bytes, site=UNCHECKED) -> PuzzlePath:
     """
     The path of size n with this key; it sets the slots and runs no __init__.
-    Only a caller that knows the path valid passes its fill_site as site.
+    Only a caller that knows the path valid passes its fill site as site.
     """
     p = _new(PuzzlePath)
     p.n = n
@@ -167,12 +170,23 @@ def validate_path(p: PuzzlePath) -> list[str]:
        turn comes before any bottom 1.
 
     A path that leaves the board gets a single "geometry" message instead.
-    One pass over the steps tracks the vertex, the rule-4 counts and the
-    first step of each rule 5-7 kind after the latest SE step.
 
-    This is the spec.  The engine runs it once on each path that no parent
-    derived, and checks a derived child only where its piece changed the
-    path (filling._child_is_valid, which tests hold equal to this).
+    This is the spec: check_path's pass, without the fill site.  The engine
+    runs check_path once on each path that no parent derived, and checks a
+    derived child only where its piece changed the path
+    (filling._child_is_valid, which tests hold equal to this).
+    """
+    return check_path(p)[0]
+
+
+def check_path(p: PuzzlePath) -> tuple[list[str], object]:
+    """
+    validate_path's violations and the path's fill site, in one pass over
+    the key that tracks the vertex, the rule-4 counts and the first step of
+    each rule 5-7 kind after the latest SE step.  The fill site is the kink
+    (the index of the last SE step) and the position the next piece
+    occupies, or None once the path is final; equal sites hold the same
+    FillPos.  A path that leaves the board has the site OFF_BOARD.
     """
     n, key = p.n, p.key
     bad: list[str] = []
@@ -193,7 +207,7 @@ def validate_path(p: PuzzlePath) -> list[str]:
             b += 1
             if lead == idx:
                 lead += 1
-            kink = idx
+            kink, ka, kb = idx, a, b  # and the vertex it ends at
             ray = sw1 = w1 = None
             if code == SE_0:
                 se0 += 1
@@ -208,7 +222,7 @@ def validate_path(p: PuzzlePath) -> list[str]:
                 sw1 = idx
         else:
             if a != n or b < 1:
-                return ["geometry: west step off the bottom row"]
+                return ["geometry: west step off the bottom row"], OFF_BOARD
             on_boundary = True
             b -= 1
             if code == W_0:
@@ -226,7 +240,7 @@ def validate_path(p: PuzzlePath) -> list[str]:
             else:
                 bad.append(f"2: K on non-kink step {idx}")
     if (a, b) != (n, 0):
-        return [f"geometry: path ends at v({a},{b}), not v({n},0)"]
+        return [f"geometry: path ends at v({a},{b}), not v({n},0)"], OFF_BOARD
 
     head_zeros = tail_zeros = 0
     for t in range(1, lead + 1):
@@ -242,6 +256,7 @@ def validate_path(p: PuzzlePath) -> list[str]:
     if se0 != swr + w0:
         bad.append(f"4: #SE0={se0} but #SWR+#W0={swr + w0}")
 
+    site = None
     if kink is not None:
         kink_code = key[kink]
         # bottom steps come last on the board, so the first 1 is a SW 1 if any
@@ -257,7 +272,11 @@ def validate_path(p: PuzzlePath) -> list[str]:
                 bad.append("7: kink K needs a SW 1 strictly before an R or bottom 0")
             elif w1 is not None and w1 < ray:
                 bad.append("7: kink K needs its R or bottom 0 before any bottom 1")
-    return bad
+        # a path that ends at v(n, 0) cannot end with its kink, and the step
+        # after the last SE step is SW or W
+        site = kink, (bottom_pos(kb) if key[kink + 1] >= W_0
+                      else rhombus_pos(kb, kb + n - ka))
+    return bad, site
 
 
 def is_valid(p: PuzzlePath) -> bool:
@@ -293,48 +312,15 @@ def bottom_pos(c: int) -> FillPos:
     return FillPos("bottom", c=c)
 
 
-def fill_site(p: PuzzlePath) -> tuple[int, FillPos] | None:
-    """
-    The kink (the index of the last SE step) and the position the next
-    piece occupies, or None once the path is final.  One pass over the
-    key, building no vertex list; a non-final path that leaves the board
-    raises ValueError.  Positions are shared: equal sites hold the same
-    FillPos.
-    """
-    n = p.n
-    a = b = 0
-    kink = None
-    off = False
-    for idx, code in enumerate(p.key):
-        if code < SW_0:
-            a += 1
-            b += 1
-            kink, ka, kb = idx, a, b
-        elif code < W_0:
-            a += 1
-        elif a != n or b < 1:
-            off = True
-        else:
-            b -= 1
-    if kink is None:
-        return None
-    if off:
-        raise ValueError("west step off the bottom row")
-    if (a, b) != (n, 0):
-        raise ValueError(f"path ends at v({a},{b}), not v({n},0)")
-    # a path that ends at v(n, 0) cannot end with its kink, and the step
-    # after the last SE step is SW or W
-    if p.key[kink + 1] >= W_0:
-        return kink, bottom_pos(kb)
-    return kink, rhombus_pos(kb, kb + n - ka)
-
-
 def next_fill_position(p: PuzzlePath) -> FillPos:
     """
     The unique position the next piece occupies: the rhombus or bottom
-    triangle just left of the kink.
+    triangle just left of the kink.  A path that leaves the board raises
+    ValueError.
     """
-    site = fill_site(p)
+    bad, site = check_path(p)
+    if site is OFF_BOARD:
+        raise ValueError(bad[0])
     return FillPos("done") if site is None else site[1]
 
 

@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple
 
 from .board import (SE_0, SE_1, SE_R, STEP, STEPS, SW_0, SW_1, SW_R, UNCHECKED, W_0, W_1,
                     FillPos, Puzzle, PuzzlePath, RhombusPlacement, TrianglePlacement,
-                    boundary_text, bottom_pos, fill_site, final_path, final_path_word,
+                    boundary_text, bottom_pos, check_path, final_path, final_path_word,
                     initial_path, path_from_key, placed_bytes, rhombus_pos, steps_key,
                     validate_path)
 from .intervalrank import DotSet, essential_conditions
@@ -162,10 +162,11 @@ def legal_branches(p: PuzzlePath) -> tuple[tuple[Branch, PuzzlePath], ...]:
     The continuations of a valid, non-final path, in deterministic order:
     the forced one, or (interesting case) equivariant, shift0, shift1, topk.
     Each branch carries the piece it places.  A path whose site is
-    UNCHECKED must pass validate_path, or raises ValueError; one that a
-    parent derived (which passed _child_is_valid) or a walk validated
-    (_walk_start) carries its fill site.  A broken invariant raises
-    InvariantError, and is raised again on the next call.
+    UNCHECKED must pass check_path, which finds its fill site too, or
+    raises ValueError; one that a parent derived (which passed
+    _child_is_valid) or a walk validated (_walk_start) carries its site.
+    A broken invariant raises InvariantError, and is raised again on the
+    next call.
     """
     key = p.key
     out = _rows.get(key)
@@ -173,10 +174,9 @@ def legal_branches(p: PuzzlePath) -> tuple[tuple[Branch, PuzzlePath], ...]:
         return out
     site = p.site
     if site is UNCHECKED:
-        bad = validate_path(p)
+        bad, site = check_path(p)
         if bad:
             raise ValueError(f"invalid path: {'; '.join(bad)}")
-        site = fill_site(p)
     out = _rows[key] = _derive_branches(p, site)
     return out
 
@@ -184,17 +184,18 @@ def legal_branches(p: PuzzlePath) -> tuple[tuple[Branch, PuzzlePath], ...]:
 def _walk_start(mu: Word, nu: Word) -> PuzzlePath | None:
     """
     The initial path of (mu, nu) for a walk, or None when it is invalid.
-    Unless legal_branches' memo holds its row, it is validated here and
-    built with its fill site, so legal_branches does not validate it
-    again, and the memo is dropped first.
+    Unless legal_branches' memo holds its row, it is checked here, in one
+    check_path pass, and built with its fill site, so legal_branches does
+    not check it again, and the memo is dropped first.
     """
     p = initial_path(mu, nu)
     if p.key in _rows:
         return p
-    if validate_path(p):
+    bad, site = check_path(p)
+    if bad:
         return None
     _rows.clear()
-    return path_from_key(p.n, p.key, fill_site(p))
+    return path_from_key(p.n, p.key, site)
 
 
 def _child_is_valid(kink: int, key: bytes, start: int) -> bool:

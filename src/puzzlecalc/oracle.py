@@ -359,7 +359,8 @@ def verify_suite(max_n: int, suites=None) -> Report:
     Run the named invariant sweeps (all by default) up to size max_n, timing
     each.  Every name is checked before any sweep runs, and a name given
     twice runs once, where it was first given.  A sweep that raises fails,
-    with the exception as its detail, and the next one still runs.
+    with the exception as its detail, and the next one still runs; a
+    MemoryError is not a failed sweep, and passes through.
     """
     names = list(_SUITES) if suites is None else list(dict.fromkeys(suites))
     unknown = [name for name in names if name not in _SUITES]
@@ -371,6 +372,8 @@ def verify_suite(max_n: int, suites=None) -> Report:
         t0 = time.perf_counter()
         try:
             globals()[f"_suite_{name}"](max_n, report)
+        except MemoryError:
+            raise
         except Exception as exc:
             report.record(name, False, f"raised {type(exc).__name__}: {exc}")
         report.times.append((name, time.perf_counter() - t0))

@@ -1,10 +1,11 @@
 import copy
 import pickle
+import re
 
 import pytest
 
-from puzzlecalc.board import (STEP, FillPos, PuzzlePath, Step, ascii_render,
-                              fill_site, final_path, final_path_word, initial_path, is_valid,
+from puzzlecalc.board import (OFF_BOARD, STEP, FillPos, PuzzlePath, Step, ascii_render,
+                              check_path, final_path, final_path_word, initial_path, is_valid,
                               next_fill_position, path_from_key, steps_key, svg_render,
                               validate_path)
 from puzzlecalc.filling import ascii_puzzles, enumerate_puzzles, puzzle_counts, reachable
@@ -63,7 +64,7 @@ def test_final_path_word_reads_bottom_up():
         for k in range(n + 1):
             for lam in all_words(n, k):
                 assert final_path_word(final_path(lam)) == lam
-                assert fill_site(final_path(lam)) is None
+                assert check_path(final_path(lam))[1] is None
 
 
 def test_final_path_has_no_fill_position():
@@ -191,7 +192,7 @@ def test_fill_position_matches_the_vertex_list_on_reachable_states():
                 seen.add(steps)
                 want = _position_by_vertices(path)
                 assert next_fill_position(path) == want
-                site = fill_site(path)
+                site = check_path(path)[1]
                 assert (site is None) == (want.kind == "done")
                 if site is not None:
                     assert site == (_last_se(path), want)
@@ -206,8 +207,34 @@ def test_fill_position_rejects_a_west_step_off_the_bottom_row():
                   (Step("SE", "0"), Step("W", "0"), Step("SW", "0"))]:
         with pytest.raises(ValueError, match="west step off the bottom row"):
             next_fill_position(PuzzlePath(2, steps))
-        with pytest.raises(ValueError, match="west step off the bottom row"):
-            fill_site(PuzzlePath(2, steps))
+        assert check_path(PuzzlePath(2, steps)) == (
+            ["geometry: west step off the bottom row"], OFF_BOARD)
+
+
+def test_fill_position_matches_the_vertex_list_on_every_short_path():
+    # a path that leaves the board raises, also one with no SE step, which
+    # has no kink but is not final either
+    with pytest.raises(ValueError, match="geometry: west step off the bottom row"):
+        next_fill_position(PuzzlePath(1, (Step("W", "0"), Step("SW", "0"))))
+    # every direction sequence of up to 2n steps with n <= 3: a path the
+    # vertex list keeps on the board gets its position, any other raises
+    paths = 0
+    for n in range(1, 4):
+        seqs = [()]
+        for _ in range(2 * n):
+            seqs = [seq + (d,) for seq in seqs for d in ("SE", "SW", "W")]
+            for seq in seqs:
+                path = PuzzlePath(n, [Step(d, "0") for d in seq])
+                try:
+                    _vertices(path)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=re.escape(f"geometry: {exc}")):
+                        next_fill_position(path)
+                    assert check_path(path)[1] is OFF_BOARD
+                else:
+                    assert next_fill_position(path) == _position_by_vertices(path)
+                paths += 1
+    assert paths == 12 + 120 + 1092
 
 
 # -- rendering against the dict-based renderers it replaced ----------------

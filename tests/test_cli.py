@@ -555,6 +555,7 @@ def test_verify_suite_that_raises_is_a_failed_suite(capsys, monkeypatch):
     [],
     ["rank", "dots", "--n", "3", "--dots", "1,x"],
     ["rank", "dots", "--n", "3", "--dots", "1,2;1,2"],
+    ["rank", "dots", "--n", "3", "--dots", "1,2;2,2"],
     # options that the command would otherwise ignore
     ["puzzles", "--mu", "0101", "--nu", "1010", "--out", "never-made"],
     # empty values are refused, not taken as absent
@@ -587,6 +588,20 @@ def test_out_of_memory_is_one_error_line(capsys, monkeypatch, tmp_path, argv, ta
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(puzzlecalc.cli, target, exhausted)
     assert run(capsys, *argv) == (1, "", "error: out of memory\n")
+
+
+def test_verify_suite_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    # not a failed sweep (exit 2): the whole command is out of memory, as
+    # coeff and puzzles are, and prints no report
+    from puzzlecalc import oracle
+
+    def exhausted(max_n, report):
+        raise MemoryError
+
+    monkeypatch.setattr(oracle, "_suite_hall", exhausted)
+    for json_flag in ((), ("--json",)):
+        argv = ("verify", "--max-n", "2", "--suite", "lr", "--suite", "hall", *json_flag)
+        assert run(capsys, *argv) == (1, "", "error: out of memory\n")
 
 
 # -- fuzzing the command line ---------------------------------------------

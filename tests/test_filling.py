@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from puzzlecalc import filling
-from puzzlecalc.board import (STEP, UNCHECKED, FillPos, Puzzle, PuzzlePath, Step, fill_site,
+from puzzlecalc.board import (STEP, UNCHECKED, FillPos, Puzzle, PuzzlePath, Step, check_path,
                               final_path_word, initial_path, is_valid, path_from_key)
 from puzzlecalc.filling import (_PRUNED, InvariantError, Theory, branch_weight,
                                 count_puzzles, enumerate_puzzles, graph, legal_branches,
@@ -377,14 +377,14 @@ def test_a_walk_validates_its_initial_path_once(monkeypatch):
     # a walk on a cold memo validates the initial path once, and a second
     # walk of the same pair finds it in the memo; an unreachable pair still
     # gives {}, nothing, or trace's ValueError
-    validate = filling.validate_path
+    check = filling.check_path
     calls = []
 
     def counted(p):
         calls.append(p.key)
-        return validate(p)
+        return check(p)
 
-    monkeypatch.setattr(filling, "validate_path", counted)
+    monkeypatch.setattr(filling, "check_path", counted)
     walks = {"reachable": reachable, "runs": lambda mu, nu: list(runs(mu, nu)),
              "trace_rows": lambda mu, nu: list(trace_rows(mu, nu))}
     for mu, nu in _pairs(4):
@@ -448,16 +448,16 @@ def test_warm_and_cold_branches_agree():
     assert states == 5709
 
 
-def test_parent_computed_sites_match_fill_site():
+def test_parent_computed_sites_match_check_path():
     # unpruned, so every pruned graph is a subgraph of the one checked here;
     # on a cold memo the initial path carries the site _walk_start gave it
     children = 0
     for mu, nu in _pairs(6):
         filling._rows.clear()
         for p, branches in reachable(mu, nu).values():
-            assert p.site == fill_site(p), p
+            assert p.site == check_path(p)[1], p
             for _, q in branches:
-                assert q.site == fill_site(q), q
+                assert q.site == check_path(q)[1], q
             children += len(branches)
     assert children == 40184
 
@@ -470,7 +470,7 @@ def test_local_check_is_validate_path():
     verdicts = Counter()
     for mu, nu in _pairs(6):
         for p, _ in reachable(mu, nu).values():
-            site = fill_site(p)
+            site = check_path(p)[1]
             if site is None:
                 continue
             kink = site[0]
@@ -482,6 +482,13 @@ def test_local_check_is_validate_path():
                 assert (child in kept) == is_valid(q), q
                 verdicts[child in kept] += 1
     assert verdicts == {True: 40184, False: 9074}
+
+
+def test_words_of_two_shapes_are_refused():
+    for mu, nu, message in [("01", "011", "word lengths differ"),
+                            ("01", "00", "words have different numbers of 1s")]:
+        with pytest.raises(ValueError, match=message):
+            structure_constants(Theory.H, parse_word(mu), parse_word(nu))
 
 
 def test_invalid_path_from_outside_is_refused():
@@ -719,14 +726,14 @@ def test_a_path_checked_by_the_walk_equals_an_unchecked_one(monkeypatch):
     # so on a miss it is validated once; the walk's own path is not
     filling._rows.clear()
     states = reachable(MU, NU)
-    validate = filling.validate_path
+    check = filling.check_path
     calls = []
 
     def counted(p):
         calls.append(p.key)
-        return validate(p)
+        return check(p)
 
-    monkeypatch.setattr(filling, "validate_path", counted)
+    monkeypatch.setattr(filling, "check_path", counted)
     for path, branches in states.values():
         assert path.site is not UNCHECKED
         copies = [PuzzlePath(path.n, path.steps), copy.copy(path), copy.deepcopy(path)]

@@ -165,6 +165,13 @@ def test_irm_min_of_comparable_is_lower():
     assert irm_min(r, rc) == r
 
 
+def test_irm_min_of_incomparable_is_refused():
+    # their entrywise min has rank 1 on [1, 2] but 0 on [1, 1] and on [2, 2]
+    r1, r2 = (rank_from_dots(parse_dots(s, 2)) for s in ("1,1", "2,2"))
+    with pytest.raises(ValueError, match="entrywise min is not an interval rank matrix"):
+        irm_min(r1, r2)
+
+
 def test_rank_of_matrix_prime_field():
     assert rank_of_matrix([[1, 2], [2, 4]], p=5) == 1
     assert rank_of_matrix([[5, 0], [0, 1]], p=5) == 1

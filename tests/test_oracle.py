@@ -10,7 +10,7 @@ import pytest
 
 from puzzlecalc import board, filling, intervalrank, oracle, pinkdots
 from puzzlecalc.cli import main
-from puzzlecalc.intervalrank import DotSet
+from puzzlecalc.intervalrank import DotSet, format_dots
 from puzzlecalc.oracle import (Report, _suite_commute, _suite_dictionary,
                                _suite_essential, _suite_pinkdots, lr_count, lr_oracle,
                                verify_suite)
@@ -225,6 +225,75 @@ def test_inversion_suite_catches_a_relabelled_topk_piece(monkeypatch, fresh_rows
     ((suite, ok, _),) = _topk_as(monkeypatch,
                                  filling._rhombus("shift1", ("1", "0"), "1", "K", None))
     assert (suite, ok) == ("inversion", False)
+
+
+@pytest.fixture
+def fresh_weights():
+    # _weight caches each weight it builds, so a patched weight table is
+    # read only through an empty cache, and outlives the patch in a full one
+    filling._weight.cache_clear()
+    yield
+    filling._weight.cache_clear()
+
+
+def _weight_as(theory, kind, cell):
+    # _PRUNED, built at import, skips the branches of each kind whose weight
+    # was zero then, so the kind leaves it with the new weight
+    def mutate(mp):
+        t = filling.Theory(theory)
+        mp.setitem(filling._WEIGHT, (t, kind), cell)
+        mp.setitem(filling._PRUNED, t, filling._PRUNED[t] - {kind})
+    return mutate
+
+
+def _wrapped(module, name, wrap):
+    return lambda mp: mp.setattr(module, name, wrap(getattr(module, name)))
+
+
+def _drop_first_dot(real):
+    def dots(p):
+        d = real(p)
+        return DotSet(d.n, frozenset(d.sorted_dots()[1:]))
+    return dots
+
+
+def _drop_first_cover(real):
+    return lambda d: frozenset(sorted(real(d), key=format_dots)[1:])
+
+
+# a mutation of the engine or of a suite's reference per failure line of the
+# suites, the size at which it shows, and some of the details it gives
+@pytest.mark.parametrize("suite, max_n, mutate, details", [
+    ("lr", 4, _weight_as("h", "shift0", (2, 0)), ["010/010/100: puzzle 2 vs LR 1"]),
+    ("hall", 3, _wrapped(intervalrank, "fixed_point_in", lambda real: lambda d, w: True),
+     ["n=2 1,1 10"]),
+    ("covers", 3, _wrapped(intervalrank, "covers", _drop_first_cover), ["n=2 1,1"]),
+    ("dictionary", 4, _wrapped(intervalrank, "covers", _drop_first_cover),
+     ["n=2 k=1 SE1 SW0 W1: sweep does not cover the shift1 child"]),
+    ("dictionary", 4, _wrapped(intervalrank, "irm_min", lambda real: lambda r1, r2: r1),
+     ["n=4 k=2 SE0 SE1 SW0 SW1 W0 W1: irm_min of shifts is not the K child"]),
+    ("boundary", 3, _wrapped(intervalrank, "envelope", lambda real: lambda d: real(d)[::-1]),
+     ["initial 01/10: envelope 10/01"]),
+    ("boundary", 3, _wrapped(pinkdots, "path_dots", _drop_first_dot),
+     ["final 0: dots []", "final 00: non-first-row essential condition"]),
+    ("pinkdots", 3, _wrapped(pinkdots, "path_dots", _drop_first_dot),
+     ["n=1 k=0 SW0: 0 dots, expected 1"]),
+    ("specialize", 4, _weight_as("kt", "topk", (0, -2)), ["0101/1010/0101: KT->K"]),
+    ("specialize", 4, _weight_as("kt", "equivariant", (2, -1)),
+     ["10/10/10: KT not vanishing to order 1"]),
+    ("specialize", 4, _weight_as("ht", "shift0", (2, 0)),
+     ["010/100/010: KT->HT", "010/100/010: HT->H"]),
+    ("specialize", 4, _weight_as("ht", "topk", (1, 0)),
+     ["0101/1010/0101: HT coeff below degree bound"]),
+], ids=["lr", "hall", "covers", "dictionary-cover", "dictionary-irm-min", "boundary-envelope",
+        "boundary-dots", "pinkdots", "specialize-kt-k", "specialize-kt-order", "specialize-ht",
+        "specialize-ht-topk"])
+def test_each_suite_fails_under_a_mutation(monkeypatch, fresh_weights, suite, max_n, mutate,
+                                           details):
+    mutate(monkeypatch)
+    ((name, ok, detail),) = verify_suite(max_n, [suite]).results
+    assert (name, ok) == (suite, False)
+    assert set(details) <= set(detail.split("; ")), detail
 
 
 _SPECIALIZE_MUTANT = textwrap.dedent("""

@@ -1,5 +1,6 @@
 import builtins
 import json
+import re
 from math import factorial
 from operator import add, mul, neg
 
@@ -70,6 +71,17 @@ def test_render_parse_round_trip(p):
 @given(lpolys)
 def test_render_parse_round_trip_laurent(p):
     assert parse(render(p), N, laurent=True) == p
+
+
+@pytest.mark.parametrize("text, laurent, message", [
+    ("x", False, "cannot parse term 'x'"),
+    ("1*z", False, "cannot parse factor 'z'"),
+    ("1*y9", False, "variable y9 out of range for n=2"),
+    ("1*E(1)", True, "arity mismatch in 'E(1)'"),
+])
+def test_parse_refuses_a_malformed_term(text, laurent, message):
+    with pytest.raises(PolyError, match=re.escape(message)):
+        parse(text, 2, laurent=laurent)
 
 
 @given(polys)
