@@ -10,7 +10,10 @@ ordinary or torus-equivariant cohomology, and ordinary or torus-equivariant
 K-theory.  The class of a partly filled puzzle depends on its path alone, so
 structure constants are summed once per distinct path state rather than once
 per run, and a state's continuations are derived and checked once per walk,
-which may serve many boundary pairs and theories.
+which may serve many boundary pairs and theories.  A fold over many pairs
+goes backward, children first, and holds per state the value of every final
+word below it, so pairs share states; one pair's H_T or K_T expansion is
+folded forward from its root, one polynomial per state.
 """
 
 from __future__ import annotations
@@ -181,21 +184,22 @@ def legal_branches(p: PuzzlePath) -> tuple[tuple[Branch, PuzzlePath], ...]:
     return out
 
 
-def _walk_start(mu: Word, nu: Word) -> PuzzlePath | None:
+def _walk_start(mu: Word, nu: Word) -> tuple[PuzzlePath | None, list[str]]:
     """
-    The initial path of (mu, nu) for a walk, or None when it is invalid.
-    Unless legal_branches' memo holds its row, it is checked here, in one
-    check_path pass, and built with its fill site, so legal_branches does
-    not check it again, and the memo is dropped first.
+    The initial path of (mu, nu) for a walk, or None when it is invalid,
+    and its violations, as validate_path gives them.  Unless legal_branches'
+    memo holds its row, it is checked here, in one check_path pass, and
+    built with its fill site, so legal_branches does not check it again,
+    and the memo is dropped first.
     """
     p = initial_path(mu, nu)
     if p.key in _rows:
-        return p
+        return p, []
     bad, site = check_path(p)
     if bad:
-        return None
+        return None, bad
     _rows.clear()
-    return path_from_key(p.n, p.key, site)
+    return path_from_key(p.n, p.key, site), bad
 
 
 def _child_is_valid(kink: int, key: bytes, start: int) -> bool:
@@ -340,7 +344,7 @@ def graph(pairs, prune=frozenset()) -> tuple[dict, list]:
     out: dict[bytes, tuple[PuzzlePath, tuple]] = {}
     roots: list[bytes | None] = []
     for mu, nu in pairs:
-        p = _walk_start(mu, nu)
+        p, _ = _walk_start(mu, nu)
         roots.append(None if p is None else p.key)
         if p is None or p.key in out:
             continue
@@ -453,6 +457,67 @@ def _fold(ring: tuple, states: dict, roots: list) -> list[dict]:
     return [{} if key is None else coefficients(value[key]) for key in roots]
 
 
+def _fold_forward(ring: tuple, states: dict, root: bytes | None) -> dict:
+    """
+    The nonzero coefficients of the value of root in the ring (see _ring),
+    whose values are polynomials, as _fold gives them and in its order,
+    where states is root's graph pruned of the ring's skipped kinds,
+    graph([(mu, nu)], skip).  The fold goes forward: the root's value is
+    the ring's 1 (its leaf), and a state's value is the sum of the (weight, parent
+    value) pairs its parents pushed to it.  States come parents first in
+    reversed(states).  Each state pushes its value to each child, a forced
+    child with weight 1, which passes it on unchanged, and then holds none
+    of it; a final state keeps its value, its word's coefficient.  So each
+    edge multiplies its weight into one value, where _fold multiplies it
+    into the value of every word below the child.
+    """
+    if root is None:
+        return {}
+    one, weight, _, coefficients, _ = ring
+    pushed: dict[bytes, list] = {root: [(one, one)]}
+    final: dict[bytes, object] = {}
+    for key, (_, branches) in reversed(states.items()):
+        parts = pushed.pop(key)
+        value = parts[0][1] if len(parts) == 1 and parts[0][0] is one else sum_of_products(parts)
+        if not branches:
+            final[key] = value
+            continue
+        if branches[0][0].kind in FORCED:
+            pairs = [(one, branches[0][1])]
+        else:
+            pairs = [(weight(br), q) for br, q in branches]
+        for w, q in pairs:
+            into = pushed.get(q.key)
+            if into is None:
+                pushed[q.key] = [(w, value)]
+            else:
+                into.append((w, value))
+    # _fold's order: the order in which a preorder walk of the branches,
+    # entering each state once, first reaches each final state; a forced
+    # chain is followed in a loop
+    words = {}
+    seen = set()
+    stack = [root]
+    while stack:
+        key = stack.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        branches = states[key][1]
+        while len(branches) == 1:
+            key = branches[0][1].key
+            if key in seen:
+                break
+            seen.add(key)
+            branches = states[key][1]
+        else:
+            if branches:
+                stack += [q.key for _, q in reversed(branches)]
+            else:
+                words[str(final_path_word(states[key][0]))] = final[key]
+    return coefficients(words)
+
+
 # the ring of puzzle counts: a final state is one run, and a branch weighs 1
 _COUNTS = (1, lambda br: 1, _sum_ints, dict, frozenset())
 
@@ -492,9 +557,16 @@ def structure_constants(theory: Theory, mu: Word, nu: Word) -> dict:
     """
     All nonzero coefficients of the product expansion for the pair (mu, nu),
     keyed by the boundary word read off each final path: the table of the
-    one pair.  An unreachable boundary pair yields the empty dict.
+    one pair, in its order.  An unreachable boundary pair yields the empty
+    dict.  In H_T and K_T the pair's graph is folded forward from its root
+    (_fold_forward), one polynomial per state; the integer folds of H and K
+    are cheap either way and fold backward, as table does.
     """
-    return table((theory,), [(mu, nu)])[0][0]
+    ring = _ring(Theory(theory), mu.n)
+    states, (root,) = graph([(mu, nu)], ring[4])  # pruned of the kinds the fold skips
+    if ring[2] is _sum_ints:
+        return _fold(ring, states, [root])[0]
+    return _fold_forward(ring, states, root)
 
 
 def count_puzzles(theory: Theory, mu: Word, nu: Word) -> int:
@@ -516,9 +588,12 @@ def runs(mu: Word, nu: Word, prune=frozenset()):
     branches are all pruned is not a leaf.  An unreachable pair yields
     nothing.
     """
-    p = _walk_start(mu, nu)
-    if p is None:
-        return
+    p, _ = _walk_start(mu, nu)
+    return iter(()) if p is None else _runs_from(p, prune)
+
+
+def _runs_from(p: PuzzlePath, prune):
+    """runs' walk from the initial path p, which _walk_start gave."""
     stack: list[tuple[Branch | None, PuzzlePath]] = [(None, p)]
     while stack:
         node = stack.pop()
@@ -660,11 +735,13 @@ def trace_rows(mu: Word, nu: Word):
     raises ValueError before the first row; a reached state that cannot be
     annotated raises InvariantError.
     """
+    p, bad = _walk_start(mu, nu)
+    if p is None:
+        raise ValueError(f"no runs for this boundary pair: {bad}")
     # per open node on the way down, its children not yet met: a node's
     # depth is the number of open nodes above it
     pending: list[int] = []
-    depth = None
-    for (via, path), branches in runs(mu, nu):
+    for (via, path), branches in _runs_from(p, frozenset()):
         depth = len(pending)
         if pending:
             pending[-1] -= 1
@@ -681,8 +758,6 @@ def trace_rows(mu: Word, nu: Word):
             pending.append(len(branches))
         while pending and not pending[-1]:
             pending.pop()
-    if depth is None:  # runs yields nothing for an unreachable pair
-        raise ValueError(f"no runs for this boundary pair: {validate_path(initial_path(mu, nu))}")
 
 
 def trace(mu: Word, nu: Word) -> TraceNode:

@@ -5,9 +5,10 @@ from collections import Counter
 
 import pytest
 
-from puzzlecalc import filling
+from puzzlecalc import board, filling
 from puzzlecalc.board import (STEP, UNCHECKED, FillPos, Puzzle, PuzzlePath, Step, check_path,
-                              final_path_word, initial_path, is_valid, path_from_key)
+                              final_path_word, initial_path, is_valid, path_from_key,
+                              validate_path)
 from puzzlecalc.filling import (_PRUNED, InvariantError, Theory, branch_weight,
                                 count_puzzles, enumerate_puzzles, graph, legal_branches,
                                 puzzle_degree_balance, reachable, runs,
@@ -292,6 +293,46 @@ def test_integer_fold_is_the_polynomial_fold(monkeypatch, shift0, cancelled):
     assert dropped[Theory.K] == cancelled
 
 
+def _one_pair_table(theory, mu, nu):
+    """table's backward fold of the one pair, as (word, coefficient) items."""
+    return list(table((theory,), [(mu, nu)])[0][0].items())
+
+
+@pytest.mark.parametrize("theory", [Theory.HT, Theory.KT])
+def test_forward_fold_is_the_table_fold(theory):
+    # structure_constants folds H_T and K_T forward from the root; table
+    # folds backward: the same terms in the same dict order, on every pair
+    # up to n = 6, unreachable ones included, and on an n = 10 pair
+    empty = 0
+    for mu, nu in _pairs(6):
+        got = list(structure_constants(theory, mu, nu).items())
+        assert got == _one_pair_table(theory, mu, nu), (mu, nu)
+        empty += not got
+    assert empty == 650  # the unreachable pairs
+    mu, nu = parse_word("0110100110"), parse_word("1100110010")
+    got = list(structure_constants(theory, mu, nu).items())
+    assert len(got) > 100 and got == _one_pair_table(theory, mu, nu)
+
+
+def test_forward_fold_drops_the_cancelled_coefficients_table_drops(monkeypatch):
+    # in the paper's K_T table no coefficient cancels; with the equivariant
+    # piece weighing 1, 16 coefficients of pairs up to n = 5 sum to zero,
+    # and both folds drop exactly those, keeping the rest in order
+    monkeypatch.setitem(filling._WEIGHT, (Theory.KT, "equivariant"), (1, 0))
+    filling._weight.cache_clear()
+    dropped = 0
+    try:
+        for mu, nu in _pairs(5):
+            want = _polynomial_fold(Theory.KT, mu, nu)
+            kept = [(lam, c) for lam, c in want.items() if not c.is_zero()]
+            assert list(structure_constants(Theory.KT, mu, nu).items()) == kept
+            assert _one_pair_table(Theory.KT, mu, nu) == kept
+            dropped += len(want) - len(kept)
+    finally:
+        filling._weight.cache_clear()
+    assert dropped == 16
+
+
 def _preorder(node):
     """(key, via) of every node of a trace tree, in preorder."""
     stack = [node]
@@ -376,7 +417,8 @@ def test_trace_rows_depths_are_the_recursive_walks():
 def test_a_walk_validates_its_initial_path_once(monkeypatch):
     # a walk on a cold memo validates the initial path once, and a second
     # walk of the same pair finds it in the memo; an unreachable pair still
-    # gives {}, nothing, or trace's ValueError
+    # gives {}, nothing, or trace's ValueError, whose text names the
+    # violations of that one scan
     check = filling.check_path
     calls = []
 
@@ -394,14 +436,38 @@ def test_a_walk_validates_its_initial_path_once(monkeypatch):
             calls.clear()
             if not is_valid(start):
                 if name == "trace_rows":
-                    with pytest.raises(ValueError, match="no runs for this boundary pair"):
+                    with pytest.raises(ValueError) as err:
                         walk(mu, nu)
+                    assert calls == [start.key]
+                    bad = validate_path(start)
+                    assert str(err.value) == f"no runs for this boundary pair: {bad}"
                 else:
                     assert not walk(mu, nu) and calls == [start.key]
                 continue
             assert walk(mu, nu) and calls == [start.key], name
             walk(mu, nu)
             assert calls == [start.key], name
+
+
+def test_trace_of_an_unreachable_pair_scans_its_initial_path_once(monkeypatch):
+    # the error names the violations of the walk's own check_path scan;
+    # validate_path would scan again, through board's check_path
+    check = board.check_path
+    calls = []
+
+    def counted(p):
+        calls.append(p.key)
+        return check(p)
+
+    monkeypatch.setattr(board, "check_path", counted)
+    monkeypatch.setattr(filling, "check_path", counted)
+    filling._rows.clear()
+    with pytest.raises(ValueError) as err:
+        next(trace_rows(parse_word("1100"), parse_word("0011")))
+    assert len(calls) == 1
+    assert str(err.value) == (
+        "no runs for this boundary pair: ['3: first 1 SE steps have 0 0s but the last 1 steps "
+        "have 1 bottom 0s', '6: no R or bottom 0 after the kink before a bottom 1']")
 
 
 def test_pruned_kinds_are_those_of_zero_weight_at_every_window():
