@@ -13,9 +13,14 @@ rows digest their stdout without its "time" lines, and give each suite's
 median time from them.
 
     python scripts/bench_reference.py --out BENCH_<name>.json [--repo CHECKOUT]
+    python scripts/bench_reference.py --repo PARENT --out BENCH_<parent>.json \
+        --repo CHANGE --out BENCH_<change>.json
 
 --repo measures another checkout (its src and its commit), such as a clone
-of a parent commit, with this script.
+of a parent commit, with this script.  Given twice or more, each --repo is
+written to the --out at its position, and the checkouts take turns run by
+run within each row (run t starts with checkout t mod their count), so that
+the host's drift over a call falls on every checkout alike.
 """
 from __future__ import annotations
 
@@ -73,6 +78,9 @@ ROWS = [
     ("trace --mu 01101100 --nu 11001100", ["trace", "--mu", "01101100", "--nu", "11001100"],
      RUNS, None),
     ("table of every n=7 pair, ht and kt", ["-c", TABLE_N7, "ht,kt"], RUNS, None),
+    # 12,870 words tested, 2,064 printed
+    ("n=16 rank fixed-points", ["rank", "fixed-points", "--n", "16", "--dots",
+                                "2,12;3,16;4,10;6,7;8,9;10,15;11,13;13,14"], RUNS, None),
 ]
 
 
@@ -117,14 +125,27 @@ def _verify_lines(stdout: bytes) -> tuple[str, dict[str, float]]:
     return hashlib.sha256("".join(kept).encode()).hexdigest(), times
 
 
-def measure(name: str, args: list[str], runs: int, cap_kb: int | None, env: dict) -> dict:
+def measure(name: str, args: list[str], runs: int, cap_kb: int | None,
+            envs: list[dict]) -> list[dict]:
+    """One row per checkout (one env each), the checkouts taking turns run by run."""
     argv = [sys.executable, *args] if args[0] == "-c" else \
         [sys.executable, "-m", "puzzlecalc.cli", *args]
+    verify = args[0] == "verify"
+    results = [[] for _ in envs]
+    for t in range(runs):
+        for c in range(t, t + len(envs)):
+            c %= len(envs)
+            results[c].append(run_once(argv, envs[c], cap_kb, verify))
+    return [summarize(name, args, runs, cap_kb, rs) for rs in results]
+
+
+def summarize(name: str, args: list[str], runs: int, cap_kb: int | None,
+              results: list[dict]) -> dict:
+    """One checkout's row from its runs."""
     shown = "python -c <table of every n=7 pair> " + args[-1] if args[0] == "-c" else \
         "puzzlecalc " + " ".join(args)
     row = {"name": name, "command": shown, "runs": runs, "cap_kb": cap_kb}
     verify = args[0] == "verify"
-    results = [run_once(argv, env, cap_kb, verify) for _ in range(runs)]
     for r in results:
         if verify:
             r["sha256"], r["suites"] = _verify_lines(r["stdout"])
@@ -161,13 +182,17 @@ def _git(repo: Path, *args: str) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", required=True, help="the JSON file to write")
-    parser.add_argument("--repo", default=str(Path(__file__).resolve().parent.parent),
-                        help="the checkout to measure (default: this script's)")
+    parser.add_argument("--out", action="append", required=True,
+                        help="the JSON file to write, once per checkout")
+    parser.add_argument("--repo", action="append",
+                        help="a checkout to measure, once per --out (default: this script's)")
     args = parser.parse_args(argv)
-    repo = Path(args.repo).resolve()
-    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
-    doc = {
+    repos = args.repo or [str(Path(__file__).resolve().parent.parent)]
+    if len(repos) != len(args.out):
+        parser.error(f"{len(repos)} --repo for {len(args.out)} --out")
+    repos = [Path(repo).resolve() for repo in repos]
+    envs = [dict(os.environ, PYTHONPATH=str(repo / "src")) for repo in repos]
+    docs = [{
         "commit": _git(repo, "rev-parse", "--short=7", "HEAD"),
         "src_modified": bool(_git(repo, "status", "--porcelain", "--untracked-files=no", "--",
                                   "src")),
@@ -177,14 +202,16 @@ def main(argv=None) -> int:
         "runs": RUNS,
         "cap_kb": CAP_KB,
         "rows": [],
-    }
+    } for repo in repos]
     for name, row_args, runs, cap_kb in ROWS:
-        row = measure(name, row_args, runs, cap_kb, env)
-        print(f"{name}: {row['status']} {row.get('wall_s')} s {row.get('peak_rss_mb')} MB",
-              file=sys.stderr, flush=True)
-        doc["rows"].append(row)
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
-    return 0 if all(row["status"] in ("ok", "capped") for row in doc["rows"]) else 1
+        for doc, row in zip(docs, measure(name, row_args, runs, cap_kb, envs)):
+            print(f"{doc['commit']} {name}: {row['status']} {row.get('wall_s')} s "
+                  f"{row.get('peak_rss_mb')} MB", file=sys.stderr, flush=True)
+            doc["rows"].append(row)
+    for out, doc in zip(args.out, docs):
+        Path(out).write_text(json.dumps(doc, indent=1) + "\n")
+    return 0 if all(row["status"] in ("ok", "capped") for doc in docs for row in doc["rows"]) \
+        else 1
 
 
 if __name__ == "__main__":

@@ -150,15 +150,16 @@ def cmd_trace(args) -> int:
 
 
 # verify's cost grows steeply with --max-n: on a 2-core x86 box the ten
-# suites' time lines sum to about 0.43 s at 5 and 3.7 s at 6 (specialize
-# 1.8 s of it), and the whole process takes about 0.6 s and 18 MB peak RSS
-# at 5, 3.8 s and 21 MB at 6
+# suites' time lines sum to about 0.33 s at 5 and 3.1 s at 6 (specialize
+# 1.6 s of it), and the whole process takes about 0.45 s and 19 MB peak RSS
+# at 5, 3.3 s and 20 MB at 6
 MAX_VERIFY_N = 6
 
-# rank fixed-points tests every word with n - #dots ones, C(n, n/2) at worst:
-# with n/2 dots on the diagonal it takes about 0.5 s at n = 14, 2.3-2.9 s at
-# 16 (peak RSS 24 MB) and 11.7 s at 18 on the same box; the other rank ops
-# take under 0.01 s at 18
+# rank fixed-points tests every word with n - #dots ones, C(n, n/2) at worst,
+# against one rank matrix: with n/2 dots on the diagonal the test takes about
+# 0.06 s at n = 14, 0.2 s at 16 and 0.6 s at 18 on the same box, and the
+# whole process 0.3 s and 20 MB peak RSS at 16; the other rank ops take
+# under 0.01 s at 18
 MAX_RANK_N = 16
 
 
@@ -186,12 +187,13 @@ def cmd_rank(args) -> int:
         print(f"lambda={lam} mu={mu}")
     elif op == "fixed-points":
         k = d.n - len(d.dots)
+        r = rank_from_dots(d)
         if args.word is not None:
             w = parse_word(args.word, n=d.n, k=k)
-            print(f"{w}: {'in' if fixed_point_in(d, w) else 'out'}")
+            print(f"{w}: {'in' if fixed_point_in(d, w, r) else 'out'}")
         else:
             for w in all_words(d.n, k):
-                if fixed_point_in(d, w):
+                if fixed_point_in(d, w, r):
                     print(w)
     return 0
 

@@ -11,7 +11,8 @@ spans of a k x n matrix, and the closure order is entrywise comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, count
+from operator import le, sub
 
 from .words import Word
 
@@ -84,34 +85,38 @@ class IntervalRankMatrix:
         return self.rows[i - 1][j - i]
 
     def entries(self):
-        for i in range(1, self.n + 1):
-            for j in range(i, self.n + 1):
-                yield i, j, self.entry(i, j)
+        for i, row in enumerate(self.rows, start=1):
+            for j, v in enumerate(row, start=i):
+                yield i, j, v
 
     def leq(self, other: "IntervalRankMatrix") -> bool:
-        return all(v <= other.entry(i, j) for i, j, v in self.entries())
+        """Entrywise comparison, the closure order; only matrices of one size compare."""
+        if self.n != other.n:
+            raise ValueError("size mismatch")
+        return all(all(map(le, row, above)) for row, above in zip(self.rows, other.rows))
 
     def __str__(self) -> str:
-        width = max(len(str(v)) for _, _, v in self.entries())
-        lines = []
-        for i in range(1, self.n + 1):
-            pad = " " * ((width + 1) * (i - 1))
-            lines.append(pad + " ".join(
-                str(self.entry(i, j)).rjust(width) for j in range(i, self.n + 1)))
-        return "\n".join(lines)
+        width = max(len(str(v)) for row in self.rows for v in row)
+        return "\n".join(" " * ((width + 1) * i) + " ".join(str(v).rjust(width) for v in row)
+                         for i, row in enumerate(self.rows))
 
 
 def rank_from_dots(d: DotSet) -> IntervalRankMatrix:
+    """
+    Each row from the one below it, as i falls from n: r(i, j) is
+    r(i+1, j) + 1, less 1 when row i's dot lies in [i, j] (r(i+1, i) = 0).
+    """
     n = d.n
     col = dict(d.dots)
-    # below[j]: the dots (a, b) with a >= i and b <= j, as i falls from n
-    below = [0] * (n + 1)
+    inc = (1).__add__
+    row = ()  # row n + 1, which has no windows
     rows = []
     for i in range(n, 0, -1):
-        if i in col:
-            for j in range(col[i], n + 1):
-                below[j] += 1
-        rows.append(tuple((j - i + 1) - below[j] for j in range(i, n + 1)))
+        # row[m] is r(i+1, i+1+m), so the +1 stops at m = c - i - 1 for row
+        # i's dot in column c (c = n + 1 without one); m < 0 when c = i
+        m = col.get(i, n + 1) - i - 1
+        row = (0, *row) if m < 0 else (1, *map(inc, row[:m]), *row[m:])
+        rows.append(row)
     return IntervalRankMatrix(n, tuple(reversed(rows)))
 
 
@@ -121,23 +126,21 @@ def dots_from_rank(r: IntervalRankMatrix) -> DotSet:
 
     Works with the dot-count form D(i,j) = (j-i+1) - r_ij (zero on empty
     windows): there is a dot at (i,j) exactly when D jumps by one against
-    the three neighbouring windows [i,j-1], [i+1,j], [i+1,j-1].
+    the three neighbouring windows [i,j-1], [i+1,j], [i+1,j-1].  On ranks
+    that reads r(i,j) = r(i,j-1) = r(i+1,j) = r(i+1,j-1) + 1, where an
+    empty window has rank 0, and r(i,i) = 0 on the diagonal.
     """
-    n = r.n
-
-    def dcount(i, j):
-        if i > j:
-            return 0
-        return (j - i + 1) - r.entry(i, j)
-
+    rows = r.rows
     dots = set()
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            if (dcount(i, j) == dcount(i, j - 1) + 1
-                    and dcount(i, j) == dcount(i + 1, j) + 1
-                    and dcount(i, j) == dcount(i + 1, j - 1) + 1):
+    for i, row in enumerate(rows, start=1):
+        below = rows[i] if i < r.n else ()
+        # per window [i, j]: r(i, j-1), r(i+1, j) and r(i+1, j-1) + 1, the
+        # last -1 + 1 on the diagonal so that only r(i, i) = 0 is asked there
+        for j, v, west, south, southwest in zip(count(i), row, (0, *row), (0, *below),
+                                                (-1, 0, *below)):
+            if v == west == south == southwest + 1:
                 dots.add((i, j))
-    return DotSet(n, frozenset(dots))
+    return DotSet(r.n, frozenset(dots))
 
 
 def is_valid_rank_matrix(r: IntervalRankMatrix) -> bool:
@@ -171,19 +174,21 @@ def essential_set(d: DotSet) -> frozenset[tuple[int, int]]:
     every cell in a dotless row or column; among surviving upper-triangular
     cells keep those with nothing surviving immediately north or east.
     A surviving cell lies in a dot's row and a dot's column, so only those
-    cells are tried, each by O(1) lookups in the dots' row and column maps.
+    cells are tried, each by two list lookups.
     """
     n = d.n
-    col_of = dict(d.dots)  # row -> column of its dot
-    row_of = {j: i for i, j in d.dots}  # column -> row of its dot
-
-    def survives(i, j):
-        # row i's dot is not east of column j, and column j's dot is not
-        # north of row i; as a dot has i <= j, so does a surviving cell
-        return col_of.get(i, n + 1) <= j and row_of.get(j, 0) >= i
-
-    return frozenset((i, j) for i in col_of for j in row_of
-                     if survives(i, j) and not survives(i - 1, j) and not survives(i, j + 1))
+    col_of = [n + 1] * (n + 2)  # row -> column of its dot, n + 1 if none
+    row_of = [0] * (n + 2)  # column -> row of its dot, 0 if none
+    for i, j in d.dots:
+        col_of[i] = j
+        row_of[j] = i
+    # (i, j), in the row of dot (i, c) and the column of dot (a, j), survives
+    # when row i's dot is not east of column j (c <= j) and column j's dot
+    # is not north of row i (a >= i); as a dot has a <= j, so does the cell.
+    # Then (i - 1, j) and (i, j + 1) survive unless row i - 1's dot lies
+    # east of j and column j + 1's north of i, respectively
+    return frozenset((i, j) for i, c in d.dots for a, j in d.dots
+                     if c <= j and a >= i and col_of[i - 1] > j and row_of[j + 1] < i)
 
 
 def essential_conditions(d: DotSet, r: IntervalRankMatrix | None = None
@@ -276,20 +281,26 @@ def covers(d: DotSet) -> frozenset[DotSet]:
 
 
 def bruhat_leq(d1: DotSet, d2: DotSet) -> bool:
+    """d1 below d2 in the closure order; raises ValueError on two board sizes."""
     return rank_from_dots(d1).leq(rank_from_dots(d2))
 
 
 # -- coordinate fixed points ----------------------------------------------
 
-def fixed_point_in(d: DotSet, w: Word) -> bool:
-    """Whether the coordinate k-plane of w satisfies every window rank bound."""
+def fixed_point_in(d: DotSet, w: Word, r: IntervalRankMatrix | None = None) -> bool:
+    """
+    Whether the coordinate k-plane of w satisfies every window rank bound:
+    w has at most r(i, j) ones in [i, j].  r is rank_from_dots(d), computed
+    here unless the caller has it (a caller testing many words builds it
+    once).  Row i holds when ones[j] - r(i, j) <= ones[i - 1] for each j,
+    ones being the prefix counts; the first row that fails ends the test.
+    """
     if w.n != d.n:
         raise ValueError("size mismatch")
-    r = rank_from_dots(d)
-    ones = [0]
-    for b in w.bits:
-        ones.append(ones[-1] + b)
-    return all(ones[j] - ones[i - 1] <= v for i, j, v in r.entries())
+    if r is None:
+        r = rank_from_dots(d)
+    ones = list(accumulate(w.bits, initial=0))
+    return all(max(map(sub, ones[i + 1:], row)) <= ones[i] for i, row in enumerate(r.rows))
 
 
 def matching_exists(d: DotSet, w: Word) -> bool:

@@ -21,6 +21,10 @@ paths to another of 0, 1, R and K.
 The `path-dots` groups gate `pinkdots.path_dots` alone: for each n <= 5
 they hash the dots of every path state reachable from each pair.
 
+The `rank-<op>` groups gate the `rank` subcommand: for each n <= 5 they
+hash `rank <op> --n n --dots D` on every dot set D of every size, and
+`rank-fixed-points` also `--word w` for every word w with n - #D ones.
+
 `--write` records the digest of every group missing from golden.json and
 leaves the others alone:
 
@@ -43,12 +47,13 @@ from puzzlecalc.board import (PuzzlePath, Step, ascii_render, initial_path, path
                               svg_render, validate_path)
 from puzzlecalc.cli import main
 from puzzlecalc.filling import enumerate_puzzles, reachable
-from puzzlecalc.intervalrank import format_dots
+from puzzlecalc.intervalrank import all_dotsets, format_dots
 from puzzlecalc.pinkdots import path_to_rank
 from puzzlecalc.words import all_words
 
 DIGESTS = pathlib.Path(__file__).with_name("golden.json")
 THEORIES = ("h", "ht", "k", "kt")
+RANK_OPS = ("dots", "essential", "covers", "envelope", "fixed-points")
 LABELS = ("0", "1", "R", "K")
 
 
@@ -62,6 +67,8 @@ def _groups():
         yield f"path-dots/-/{n}", path_dots_digest, (n,)
         yield f"trace-json/-/{n}", cli_digest, (n, ["trace", "--json"])
         yield f"trace-text/-/{n}", cli_digest, (n, ["trace"])
+        for op in RANK_OPS:
+            yield f"rank-{op}/-/{n}", rank_digest, (n, op)
     for n in range(1, 5):
         for t in THEORIES:
             yield f"coeff-text/{t}/{n}", cli_digest, (n, ["coeff", "--theory", t])
@@ -74,13 +81,29 @@ def _pairs(n: int):
                 yield mu, nu
 
 
+def _run(argv: list[str]) -> str:
+    """The CLI's exit code, stdout and stderr on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return f"{rc}\n{out.getvalue()}{err.getvalue()}"
+
+
 def cli_digest(n: int, argv: list[str]) -> str:
     h = hashlib.sha256()
     for mu, nu in _pairs(n):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(argv + ["--mu", str(mu), "--nu", str(nu)])
-        h.update(f"{mu} {nu} {rc}\n{out.getvalue()}{err.getvalue()}".encode())
+        h.update(f"{mu} {nu} {_run(argv + ['--mu', str(mu), '--nu', str(nu)])}".encode())
+    return h.hexdigest()
+
+
+def rank_digest(n: int, op: str) -> str:
+    h = hashlib.sha256()
+    for size in range(n + 1):
+        words = [str(w) for w in all_words(n, n - size)] if op == "fixed-points" else []
+        for d in all_dotsets(n, size):
+            for extra in [[]] + [["--word", w] for w in words]:
+                argv = ["rank", op, "--n", str(n), "--dots", format_dots(d), *extra]
+                h.update(f"{' '.join(argv)} {_run(argv)}".encode())
     return h.hexdigest()
 
 

@@ -222,3 +222,46 @@ def test_fixed_points_monotone_under_covers(d):
     for c in covers(d):
         sup = {w for w in all_words(d.n, k) if fixed_point_in(c, w)}
         assert members <= sup
+
+
+def _every_dotset(max_n):
+    for n in range(1, max_n + 1):
+        for size in range(n + 1):
+            yield from all_dotsets(n, size)
+
+
+def test_rank_from_dots_counts_the_dots_in_every_window_up_to_n6():
+    # r(i, j) = (j - i + 1) - #{dots (a, b) with i <= a and b <= j}, read
+    # through entry() rather than round-tripped through dots_from_rank
+    for d in _every_dotset(6):
+        r = rank_from_dots(d)
+        for i in range(1, d.n + 1):
+            for j in range(i, d.n + 1):
+                inside = sum(1 for a, b in d.dots if i <= a and b <= j)
+                assert r.entry(i, j) == (j - i + 1) - inside, (d, i, j)
+
+
+def test_fixed_point_in_with_and_without_its_rank_matrix_is_hall_up_to_n6():
+    for d in _every_dotset(6):
+        r = rank_from_dots(d)
+        for w in all_words(d.n, d.n - len(d.dots)):
+            assert fixed_point_in(d, w, r) == fixed_point_in(d, w) == matching_exists(d, w), (d, w)
+
+
+def test_leq_is_the_entrywise_order_up_to_n4():
+    for n in range(1, 5):
+        ranks = [rank_from_dots(d) for size in range(n + 1) for d in all_dotsets(n, size)]
+        for r1 in ranks:
+            for r2 in ranks:
+                want = all(r1.entry(i, j) <= r2.entry(i, j)
+                           for i in range(1, n + 1) for j in range(i, n + 1))
+                assert r1.leq(r2) == want
+
+
+@pytest.mark.parametrize("small, large", [(2, 3), (3, 2)])
+def test_leq_and_bruhat_leq_refuse_two_board_sizes(small, large):
+    d1, d2 = parse_dots("1,1", small), parse_dots("1,1", large)
+    with pytest.raises(ValueError, match="size mismatch"):
+        bruhat_leq(d1, d2)
+    with pytest.raises(ValueError, match="size mismatch"):
+        rank_from_dots(d1).leq(rank_from_dots(d2))

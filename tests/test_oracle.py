@@ -265,7 +265,7 @@ def _drop_first_cover(real):
 # suites, the size at which it shows, and some of the details it gives
 @pytest.mark.parametrize("suite, max_n, mutate, details", [
     ("lr", 4, _weight_as("h", "shift0", (2, 0)), ["010/010/100: puzzle 2 vs LR 1"]),
-    ("hall", 3, _wrapped(intervalrank, "fixed_point_in", lambda real: lambda d, w: True),
+    ("hall", 3, _wrapped(intervalrank, "fixed_point_in", lambda real: lambda d, w, r=None: True),
      ["n=2 1,1 10"]),
     ("covers", 3, _wrapped(intervalrank, "covers", _drop_first_cover), ["n=2 1,1"]),
     ("dictionary", 4, _wrapped(intervalrank, "covers", _drop_first_cover),
