@@ -5,12 +5,14 @@ one JSON file.
 Each measurement is one fresh process running the command line from the
 checkout's src: its wall time, its CPU seconds (user + system) and its peak
 RSS, read with os.wait4, and the sha256 of its stdout.  A row is the median
-of three runs, or one run for the n = 12 equivariant expansions, which run
-under an address-space cap (ulimit -v); a run that hits the cap, or whose
-digest differs from the row's first run, is recorded as such, not as a
-number.  Two files compare only on rows whose digests match.  The verify
-rows digest their stdout without its "time" lines, and give each suite's
-median time from them.
+of five runs, with the least and greatest of them beside it as
+<key>_range = [min, max] so that the spread shows; the n = 12 equivariant
+expansions take one run each, under an address-space cap (ulimit -v).  A run
+that hits the cap, or whose digest differs from the row's first run, is
+recorded as such, not as a number.  Two files compare only on rows whose
+digests match, and a difference inside the rows' ranges means little.  The
+verify rows digest their stdout without its "time" lines, and give each
+suite's median time from them.
 
     python scripts/bench_reference.py --out BENCH_<name>.json [--repo CHECKOUT]
     python scripts/bench_reference.py --repo PARENT --out BENCH_<parent>.json \
@@ -37,7 +39,7 @@ import tempfile
 import time
 from pathlib import Path
 
-RUNS = 3
+RUNS = 5
 # the n = 12 equivariant rows' address-space cap, in KiB (ulimit -v)
 CAP_KB = 2_000_000
 
@@ -166,7 +168,9 @@ def summarize(name: str, args: list[str], runs: int, cap_kb: int | None,
         return row
     row["status"] = "ok"
     for key in ("wall_s", "cpu_s", "peak_rss_mb"):
-        row[key] = round(statistics.median(r[key] for r in results), 3)
+        values = [r[key] for r in results]
+        row[key] = round(statistics.median(values), 3)
+        row[key + "_range"] = [round(min(values), 3), round(max(values), 3)]
     row["stdout_bytes"] = first["stdout_bytes"]
     row["sha256"] = first["sha256"]
     if verify:

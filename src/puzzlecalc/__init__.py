@@ -17,8 +17,7 @@ from .intervalrank import (DotSet, IntervalRankMatrix, covers, dots_from_rank,
                            rank_of_matrix)
 from .oracle import Report, lr_oracle, verify_suite
 from .pinkdots import path_codim, path_dots, path_to_rank
-from .poly import (LPoly, Poly, eval_at_one, lowest_form, parse, render,
-                   y_to_zero)
+from .poly import LPoly, Poly, eval_at_one, lowest_form, render, y_to_zero
 from .words import Word, all_words, inversions, parse_word, word_to_partition
 
 __all__ = [name for name in dir() if not name.startswith("_")]

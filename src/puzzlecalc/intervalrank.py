@@ -218,40 +218,20 @@ def embed_permutation(d: DotSet) -> tuple[int, ...]:
     filled in NW/SE order so no spurious inversions appear.
     """
     n = d.n
-    k = n - len(d.dots)
-    by_row = {i: j for i, j in d.dots}
-    empty_cols = [c for c in range(1, n + 1) if c not in {j for _, j in d.dots}]
-    empty_rows = [r for r in range(1, n + 1) if r not in by_row]
-    w = [0] * (n + k)
-    for idx, c in enumerate(empty_cols):
-        w[idx] = c
-    for r in range(1, n + 1):
-        w[k + r - 1] = by_row[r] if r in by_row else 0
-    for idx, r in enumerate(empty_rows):
-        w[k + r - 1] = n + 1 + idx
-    return tuple(w)
+    by_row = dict(d.dots)
+    used = set(by_row.values())
+    tail = count(n + 1)
+    return tuple([c for c in range(1, n + 1) if c not in used]
+                 + [by_row[r] if r in by_row else next(tail) for r in range(1, n + 1)])
 
 
 def _unembed(w: tuple[int, ...], n: int, k: int) -> DotSet | None:
     """Inverse of embed_permutation, or None if w is not of that shape."""
-    head = w[:k]
-    if list(head) != sorted(head) or any(v > n for v in head):
-        return None
-    dots = set()
-    tail_rows = []
-    for r in range(1, n + 1):
-        v = w[k + r - 1]
-        if v <= n:
-            if v < r:
-                return None  # below the diagonal
-            dots.add((r, v))
-        else:
-            tail_rows.append(v)
-    if tail_rows != sorted(tail_rows):
-        return None
-    if sorted({j for _, j in dots} | set(head)) != list(range(1, n + 1)):
-        return None
-    return DotSet(n, frozenset(dots))
+    dots = [(r, v) for r, v in enumerate(w[k:], 1) if v <= n]
+    if any(v < r for r, v in dots):
+        return None  # below the diagonal
+    d = DotSet(n, frozenset(dots))
+    return d if embed_permutation(d) == w else None
 
 
 def covers(d: DotSet) -> frozenset[DotSet]:
@@ -374,12 +354,22 @@ def rank_of_matrix(m, p: int) -> int:
 
 
 def all_dotsets(n: int, size: int) -> list[DotSet]:
-    """Every DotSet of the given cardinality, deterministically ordered."""
-    cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    """
+    Every DotSet of the given cardinality, in the lexicographic order of
+    its sorted dots: one dot per row, placed row by row in a free column.
+    """
+    if size < 0:
+        raise ValueError("size must be non-negative")
     out = []
-    for combo in combinations(cells, size):
-        rows = [i for i, _ in combo]
-        cols = [j for _, j in combo]
-        if len(set(rows)) == size and len(set(cols)) == size:
-            out.append(DotSet(n, frozenset(combo)))
+
+    def place(row, dots, used):
+        if len(dots) == size:
+            out.append(DotSet(n, frozenset(dots)))
+            return
+        for i in range(row, n + 2 - size + len(dots)):  # the rest must fit in rows i..n
+            for j in range(i, n + 1):
+                if j not in used:
+                    place(i + 1, dots + [(i, j)], used | {j})
+
+    place(1, [], frozenset())
     return out

@@ -13,7 +13,6 @@ the keys' integer order, sorted only when something reads the terms
 
 from __future__ import annotations
 
-import re
 import struct
 from functools import cache
 
@@ -355,43 +354,3 @@ def json_text(p: Poly | LPoly) -> str:
     tmpl = '{"coef": %d, "exp": [' + ", ".join(["%d"] * p.n) + "]}"
     return "[" + ", ".join([tmpl % (c, *e) for _, e, c in p._items()]) + "]"
 
-
-_TERM_RE = re.compile(r"^(-?\d+)(?:\*(.+))?$")
-_VAR_RE = re.compile(r"^y(\d+)(?:\^(\d+))?$")
-
-
-def parse(s: str, n: int, laurent: bool = False) -> Poly | LPoly:
-    """Inverse of render for the given arity."""
-    cls = LPoly if laurent else Poly
-    s = s.strip()
-    if s == "0":
-        return cls.zero(n)
-    terms = []
-    for chunk in s.split(" + "):
-        m = _TERM_RE.match(chunk.strip())
-        if not m:
-            raise PolyError(f"cannot parse term {chunk!r}")
-        coef = int(m.group(1))
-        body = m.group(2)
-        if body is None:
-            terms.append(((0,) * n, coef))
-            continue
-        if laurent:
-            if not (body.startswith("E(") and body.endswith(")")):
-                raise PolyError(f"cannot parse exponential {body!r}")
-            exp = tuple(int(x) for x in body[2:-1].split(","))
-            if len(exp) != n:
-                raise PolyError(f"arity mismatch in {body!r}")
-            terms.append((exp, coef))
-        else:
-            exp = [0] * n
-            for factor in body.split("*"):
-                vm = _VAR_RE.match(factor)
-                if not vm:
-                    raise PolyError(f"cannot parse factor {factor!r}")
-                i = int(vm.group(1))
-                if not 1 <= i <= n:
-                    raise PolyError(f"variable y{i} out of range for n={n}")
-                exp[i - 1] += int(vm.group(2) or 1)
-            terms.append((tuple(exp), coef))
-    return cls(n, terms)

@@ -1,11 +1,12 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from puzzlecalc.intervalrank import (DotSet, all_dotsets, bruhat_leq, covers,
-                                     dots_from_rank, envelope, envelope_codim,
-                                     essential_conditions, essential_set,
+from puzzlecalc.intervalrank import (DotSet, _unembed, all_dotsets, bruhat_leq, covers,
+                                     dots_from_rank, embed_permutation, envelope,
+                                     envelope_codim, essential_conditions, essential_set,
                                      fixed_point_in, format_dots, irm_min,
                                      is_valid_rank_matrix, matching_exists,
                                      parse_dots, rank_from_dots,
@@ -211,6 +212,32 @@ def test_all_dotsets_counts():
     # upper-triangular matchings: 2, 5, 15, 52 for n = 1..4
     for n, want in [(1, 2), (2, 5), (3, 15), (4, 52)]:
         assert sum(len(all_dotsets(n, s)) for s in range(n + 1)) == want
+
+
+def _filtered_dotsets(n, size):
+    # every size-subset of the upper-triangle cells, kept if it is a
+    # partial permutation
+    cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    return [DotSet(n, frozenset(combo)) for combo in combinations(cells, size)
+            if len({i for i, _ in combo}) == len({j for _, j in combo}) == size]
+
+
+def test_all_dotsets_is_the_filtered_cell_subsets_in_order_up_to_n6():
+    for n in range(7):
+        for size in range(n + 2):
+            assert all_dotsets(n, size) == _filtered_dotsets(n, size), (n, size)
+    with pytest.raises(ValueError):
+        all_dotsets(3, -1)
+
+
+def test_unembed_is_exactly_the_inverse_of_embed_permutation_up_to_n4():
+    # every permutation of 1..n+k, embeddable or not, is read back by _unembed
+    for n in range(5):
+        for k in range(n + 1):
+            embedded = {embed_permutation(d): d for d in all_dotsets(n, n - k)}
+            assert len(embedded) == len(all_dotsets(n, n - k))
+            for v in permutations(range(1, n + k + 1)):
+                assert _unembed(v, n, k) == embedded.get(v), (n, k, v)
 
 
 @settings(max_examples=25)

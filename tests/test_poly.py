@@ -1,6 +1,5 @@
 import builtins
 import json
-import re
 from math import factorial
 from operator import add, mul, neg
 
@@ -9,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from puzzlecalc import poly
 from puzzlecalc.poly import (LIMIT, LPoly, Poly, PolyError, eval_at_one, json_text,
-                             lowest_form, parse, render, sum_of_products, y_to_zero)
+                             lowest_form, render, sum_of_products, y_to_zero)
 from puzzlecalc.cli import main
 from puzzlecalc.filling import Theory, count_puzzles, structure_constants
 from puzzlecalc.words import Word, all_words, inversions
@@ -61,27 +60,6 @@ def test_render_examples():
     assert render(Poly.zero(2)) == "0"
     assert render(Poly.const(2, -3)) == "-3"
     assert render(LPoly.exp(4, (1, 0, 0, -1), -1)) == "-1*E(1,0,0,-1)"
-
-
-@given(polys)
-def test_render_parse_round_trip(p):
-    assert parse(render(p), N) == p
-
-
-@given(lpolys)
-def test_render_parse_round_trip_laurent(p):
-    assert parse(render(p), N, laurent=True) == p
-
-
-@pytest.mark.parametrize("text, laurent, message", [
-    ("x", False, "cannot parse term 'x'"),
-    ("1*z", False, "cannot parse factor 'z'"),
-    ("1*y9", False, "variable y9 out of range for n=2"),
-    ("1*E(1)", True, "arity mismatch in 'E(1)'"),
-])
-def test_parse_refuses_a_malformed_term(text, laurent, message):
-    with pytest.raises(PolyError, match=re.escape(message)):
-        parse(text, 2, laurent=laurent)
 
 
 @given(polys)
@@ -456,7 +434,6 @@ def test_encoders_match_the_reference_on_extreme_values(p):
     assert json_text(p) == _ref_json(p)
     assert render(p) == _REF[type(p)](p.n, p.terms).render()
     assert type(p).from_json(p.n, json.loads(json_text(p))) == p
-    assert parse(render(p), p.n, laurent=isinstance(p, LPoly)) == p
 
 
 @pytest.mark.parametrize("theory", list(Theory))
