@@ -75,6 +75,8 @@ ROWS = [
      ["puzzles", *N10, "--lambda", "0100100111", "--render", "ascii"], RUNS, None),
     ("n=10 puzzles --render ascii", ["puzzles", *N10, "--render", "ascii"], RUNS, None),
     ("n=10 puzzles", ["puzzles", *N10], RUNS, None),
+    # the count alone: one fold over the graph of 162,024,019 runs
+    ("n=12 puzzles", ["puzzles", *N12], RUNS, None),
     ("n=12 puzzles --lambda 000101100111 --render ascii",
      ["puzzles", *N12, "--lambda", "000101100111", "--render", "ascii"], RUNS, None),
     ("trace --mu 01101100 --nu 11001100", ["trace", "--mu", "01101100", "--nu", "11001100"],

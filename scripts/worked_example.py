@@ -17,12 +17,11 @@ def run(mu_s: str, nu_s: str, show_trace: bool) -> int:
     for theory in Theory:
         coeffs = structure_constants(theory, mu, nu)
         print(f"[{theory.value}]")
-        for lam in sorted(coeffs):
-            print(f"  {lam}: {render(coeffs[lam])}")
-    by_lam = puzzle_counts(mu, nu)
+        for lam, c in coeffs.items():
+            print(f"  {lam}: {render(c)}")
     print("[puzzles]")
-    for lam in sorted(by_lam):
-        print(f"  {lam}: {by_lam[lam]}")
+    for lam, count in puzzle_counts(mu, nu).items():
+        print(f"  {lam}: {count}")
     if show_trace:
         print("[trace]")
         cli_main(["trace", "--mu", str(mu), "--nu", str(nu)])

@@ -48,16 +48,17 @@ def cmd_coeff(args) -> int:
     coeffs = structure_constants(theory, mu, nu)
     write = sys.stdout.write
     if not args.json:
-        for lam in sorted(coeffs):
-            write(f"{lam}: {render(coeffs[lam])}\n")
+        for lam, c in coeffs.items():
+            write(f"{lam}: {render(c)}\n")
         return 0
-    # json.dumps(doc, sort_keys=True), one coefficient at a time ("coefficients" sorts
-    # first); the rest, count included, is built before any write: a failure writes nothing
+    # json.dumps(doc, sort_keys=True), one coefficient at a time, in the word order
+    # structure_constants gives ("coefficients" sorts first); the rest, count included,
+    # is built before any write: a failure writes nothing
     rest = json.dumps({"n": mu.n, "k": mu.k, "mu": str(mu), "nu": str(nu), "theory": theory.value,
                        "puzzle_count": count_puzzles(theory, mu, nu)}, sort_keys=True)
     write('{"coefficients": {')
-    for i, lam in enumerate(sorted(coeffs)):
-        write(f'{", " if i else ""}"{lam}": {json_text(coeffs[lam])}')
+    for i, (lam, c) in enumerate(coeffs.items()):
+        write(f'{", " if i else ""}"{lam}": {json_text(c)}')
     write("}, " + rest[1:] + "\n")
     return 0
 

@@ -10,10 +10,11 @@ ordinary or torus-equivariant cohomology, and ordinary or torus-equivariant
 K-theory.  The class of a partly filled puzzle depends on its path alone, so
 structure constants are summed once per distinct path state rather than once
 per run, and a state's continuations are derived and checked once per walk,
-which may serve many boundary pairs and theories.  A fold over many pairs
-goes backward, children first, and holds per state the value of every final
-word below it, so pairs share states; one pair's H_T or K_T expansion is
-folded forward from its root, one polynomial per state.
+which may serve many boundary pairs and theories.  A table's fold over many
+pairs goes backward, children first, and holds per state the value of every
+final word below it, so pairs share states; one pair's expansion, in any
+theory, and its puzzle counts are folded forward from its root, one value
+per state, and list their words in word order.
 """
 
 from __future__ import annotations
@@ -386,59 +387,46 @@ def reachable(mu: Word, nu: Word, prune=frozenset()) -> dict:
     return graph([(mu, nu)], prune)[0]
 
 
-def _sum_ints(pairs) -> dict:
-    out: dict[str, int] = {}
-    get = out.get
-    for w, value in pairs:
-        for lam, c in value.items():
-            out[lam] = get(lam, 0) + w * c
-    return out
-
-
-def _sum_polys(pairs) -> dict:
-    # each weight's shifted copies of the children added into one dict per word
-    parts: dict[str, list] = {}
-    for w, value in pairs:
-        for lam, c in value.items():
-            parts.setdefault(lam, []).append((w, c))
-    return {lam: sum_of_products(ps) for lam, ps in parts.items()}
-
-
 def _ring(theory: Theory, n: int) -> tuple:
     """
-    What the theory's fold on the size-n board computes in: (the value of
-    a final state, the weight of a branch, a state's value from the
-    (weight, child value) pairs of its branches, the nonzero coefficients
-    of a root's value, the kinds of zero weight, whose branches the fold
-    skips).  A value maps each final word to its coefficient.  Where every
-    weight is an integer (H and K), coefficients are signed puzzle counts,
-    summed in ints and made constants at the roots; otherwise (H_T and
-    K_T) they are Poly or LPoly values weighed by branch_weight.
+    What the theory's folds on the size-n board compute in: (the ring's 1,
+    the weight of a branch, the sum of the products of a list of (weight,
+    value) pairs, the nonzero coefficients of a dict of values by word, the
+    kinds of zero weight, whose branches the folds skip).  Where every
+    weight is an integer (H and K), values are signed puzzle counts, summed
+    in ints and made constants by the coefficients; otherwise (H_T and K_T)
+    they are Poly or LPoly values weighed by branch_weight.
     """
     const = (LPoly if theory.k_theory else Poly).const
     cells = {kind: cell for (t, kind), cell in _WEIGHT.items() if t is theory}
     if not any(b for _, b in cells.values()):
-        return (1, lambda br: cells[br.kind][0], _sum_ints,
+        return (1, lambda br: cells[br.kind][0], _int_sum_of_products,
                 lambda value: {lam: const(n, c) for lam, c in value.items() if c},
                 _PRUNED[theory])
-    return (const(n, 1), lambda br: branch_weight(theory, br, n), _sum_polys,
+    return (const(n, 1), lambda br: branch_weight(theory, br, n), sum_of_products,
             lambda value: {lam: c for lam, c in value.items() if not c.is_zero()},
             _PRUNED[theory])
 
 
+def _int_sum_of_products(pairs) -> int:
+    return sum(w * c for w, c in pairs)
+
+
 def _fold(ring: tuple, states: dict, roots: list) -> list[dict]:
     """
-    Per root, the nonzero coefficients of its value in the ring (see
-    _ring): a fold over the states, children before parents.  A final
-    state's value maps its word to leaf, and an interesting state's is
-    combine of the (weight, child value) pairs of its branches whose kind
-    is not in skip.  Forced pieces weigh 1 and are not multiplied in: a
-    forced state shares its child's dict.  A child's value is dropped once
-    its last parent has read it; a root is no state's child, so its value
-    is read after the loop, by coefficients.  A state that only a skipped
-    branch reaches is folded too, and no root reads its value.
+    Per root of a table, the nonzero coefficients of its value in the ring
+    (see _ring): a fold over the states, children before parents, in which
+    a state's value maps each final word below it to its coefficient.  A
+    final state's value maps its word to the ring's 1, and an interesting
+    state's sums, word by word, the (weight, child coefficient) pairs of
+    its branches whose kind is not skipped, in the order the words first
+    come.  Forced pieces weigh 1 and are not multiplied in: a forced state
+    shares its child's dict.  A child's value is dropped once its last
+    parent has read it; a root is no state's child, so its value is read
+    after the loop.  A state that only a skipped branch reaches is folded
+    too, and no root reads its value.
     """
-    leaf, weight, combine, coefficients, skip = ring
+    one, weight, add, coefficients, skip = ring
     # per state, the parent that reads its value last: states come children
     # before parents, so that is the last one met
     last = {q.key: key for key, (_, branches) in states.items()
@@ -446,41 +434,45 @@ def _fold(ring: tuple, states: dict, roots: list) -> list[dict]:
     value: dict[bytes, dict[str, object]] = {}
     for key, (path, branches) in states.items():
         if not branches:
-            value[key] = {str(final_path_word(path)): leaf}
+            value[key] = {str(final_path_word(path)): one}
         elif branches[0][0].kind in FORCED:
             child = branches[0][1].key
             value[key] = value.pop(child) if last[child] is key else value[child]
         else:
-            value[key] = combine([(weight(br), value.pop(q.key) if last[q.key] is key
-                                   else value[q.key]) for br, q in branches
-                                  if br.kind not in skip])
+            parts: dict[str, list] = {}
+            for br, q in branches:
+                if br.kind not in skip:
+                    w = weight(br)
+                    child = value.pop(q.key) if last[q.key] is key else value[q.key]
+                    for lam, c in child.items():
+                        parts.setdefault(lam, []).append((w, c))
+            value[key] = {lam: add(ps) for lam, ps in parts.items()}
     return [{} if key is None else coefficients(value[key]) for key in roots]
 
 
 def _fold_forward(ring: tuple, states: dict, root: bytes | None) -> dict:
     """
-    The nonzero coefficients of the value of root in the ring (see _ring),
-    whose values are polynomials, as _fold gives them and in its order,
-    where states is root's graph pruned of the ring's skipped kinds,
-    graph([(mu, nu)], skip).  The fold goes forward: the root's value is
-    the ring's 1 (its leaf), and a state's value is the sum of the (weight, parent
-    value) pairs its parents pushed to it.  States come parents first in
-    reversed(states).  Each state pushes its value to each child, a forced
-    child with weight 1, which passes it on unchanged, and then holds none
-    of it; a final state keeps its value, its word's coefficient.  So each
-    edge multiplies its weight into one value, where _fold multiplies it
-    into the value of every word below the child.
+    The nonzero coefficients of the value of one pair's root in the ring
+    (see _ring), in word order, where states is the root's graph pruned of
+    the ring's skipped kinds, graph([(mu, nu)], skip).  The fold goes
+    forward: the root's value is the ring's 1, and a state's value is the
+    sum of the (weight, parent value) pairs its parents pushed to it.
+    States come parents first in reversed(states).  Each state pushes its
+    value to each child, a forced child with weight 1, which passes it on
+    unchanged, and then holds none of it; a final state's value is its
+    word's coefficient.  So each edge multiplies its weight into one value,
+    where _fold multiplies it into the value of every word below the child.
     """
     if root is None:
         return {}
-    one, weight, _, coefficients, _ = ring
+    one, weight, add, coefficients, _ = ring
     pushed: dict[bytes, list] = {root: [(one, one)]}
-    final: dict[bytes, object] = {}
-    for key, (_, branches) in reversed(states.items()):
+    words: dict[str, object] = {}
+    for key, (path, branches) in reversed(states.items()):
         parts = pushed.pop(key)
-        value = parts[0][1] if len(parts) == 1 and parts[0][0] is one else sum_of_products(parts)
+        value = parts[0][1] if len(parts) == 1 and parts[0][0] is one else add(parts)
         if not branches:
-            final[key] = value
+            words[str(final_path_word(path))] = value
             continue
         if branches[0][0].kind in FORCED:
             pairs = [(one, branches[0][1])]
@@ -492,43 +484,22 @@ def _fold_forward(ring: tuple, states: dict, root: bytes | None) -> dict:
                 pushed[q.key] = [(w, value)]
             else:
                 into.append((w, value))
-    # _fold's order: the order in which a preorder walk of the branches,
-    # entering each state once, first reaches each final state; a forced
-    # chain is followed in a loop
-    words = {}
-    seen = set()
-    stack = [root]
-    while stack:
-        key = stack.pop()
-        if key in seen:
-            continue
-        seen.add(key)
-        branches = states[key][1]
-        while len(branches) == 1:
-            key = branches[0][1].key
-            if key in seen:
-                break
-            seen.add(key)
-            branches = states[key][1]
-        else:
-            if branches:
-                stack += [q.key for _, q in reversed(branches)]
-            else:
-                words[str(final_path_word(states[key][0]))] = final[key]
-    return coefficients(words)
+    return coefficients(dict(sorted(words.items())))
 
 
 # the ring of puzzle counts: a final state is one run, and a branch weighs 1
-_COUNTS = (1, lambda br: 1, _sum_ints, dict, frozenset())
+_COUNTS = (1, lambda br: 1, _int_sum_of_products, dict, frozenset())
 
 
 def puzzle_counts(mu: Word, nu: Word) -> dict[str, int]:
     """
-    The number of puzzles of (mu, nu) per final word, folded over the pair's
-    unpruned state graph once per state: {} for an unreachable pair.  Every
-    state is derived and checked here, and left in legal_branches' memo.
+    The number of puzzles of (mu, nu) per final word, in word order, folded
+    forward over the pair's unpruned state graph once per state: {} for an
+    unreachable pair.  Every state is derived and checked here, and left in
+    legal_branches' memo.
     """
-    return _fold(_COUNTS, *graph([(mu, nu)]))[0]
+    states, (root,) = graph([(mu, nu)])
+    return _fold_forward(_COUNTS, states, root)
 
 
 def table(theories, pairs) -> list[tuple[dict, ...]]:
@@ -538,8 +509,10 @@ def table(theories, pairs) -> list[tuple[dict, ...]]:
     order.  One walk serves every pair and theory: it leaves out only the
     kinds that weigh zero in every theory, and each theory's fold skips
     the rest of its ring's zero kinds, folding each distinct state once.
-    Every pair must be of one board size, since each fold computes in that
-    size's ring.
+    The folds go backward (_fold), so that pairs share states, and each
+    dict lists its words in the order that fold meets them, not in word
+    order.  Every pair must be of one board size, since each fold computes
+    in that size's ring.
     """
     theories = [Theory(t) for t in theories]
     if not theories:
@@ -556,16 +529,13 @@ def table(theories, pairs) -> list[tuple[dict, ...]]:
 def structure_constants(theory: Theory, mu: Word, nu: Word) -> dict:
     """
     All nonzero coefficients of the product expansion for the pair (mu, nu),
-    keyed by the boundary word read off each final path: the table of the
-    one pair, in its order.  An unreachable boundary pair yields the empty
-    dict.  In H_T and K_T the pair's graph is folded forward from its root
-    (_fold_forward), one polynomial per state; the integer folds of H and K
-    are cheap either way and fold backward, as table does.
+    keyed by the boundary word read off each final path, in word order: the
+    table of the one pair, as a dict.  An unreachable boundary pair yields
+    the empty dict.  The pair's graph is folded forward from its root
+    (_fold_forward), one value per state.
     """
     ring = _ring(Theory(theory), mu.n)
     states, (root,) = graph([(mu, nu)], ring[4])  # pruned of the kinds the fold skips
-    if ring[2] is _sum_ints:
-        return _fold(ring, states, [root])[0]
     return _fold_forward(ring, states, root)
 
 
@@ -636,15 +606,15 @@ def enumerate_puzzles(mu: Word, nu: Word, theory: Theory | None = None) -> list[
 
 def ascii_puzzles(mu: Word, nu: Word, lam: Word | None = None) -> tuple[dict, Iterator[str]]:
     """
-    The puzzle counts of (mu, nu), as puzzle_counts gives them, and a lazy
-    stream of the ascii_render texts of its puzzles whose final word is lam
-    (every one when lam is None), in enumerate_puzzles' order.  Both read
-    one unpruned graph, built here with the counts, so every state is
-    derived and checked before the first board is read.  Memory is that
-    graph, the stream's edges and one board (see _boards).
+    The puzzle counts of (mu, nu) in word order, as puzzle_counts gives
+    them, and a lazy stream of the ascii_render texts of its puzzles whose
+    final word is lam (every one when lam is None), in enumerate_puzzles'
+    order.  Both read one unpruned graph, built here with the counts, so
+    every state is derived and checked before the first board is read.
+    Memory is that graph, the stream's edges and one board (see _boards).
     """
     states, (root,) = graph([(mu, nu)])
-    return _fold(_COUNTS, states, [root])[0], _boards(mu, nu, states, root, lam)
+    return _fold_forward(_COUNTS, states, root), _boards(mu, nu, states, root, lam)
 
 
 def _boards(mu: Word, nu: Word, states: dict, root: bytes | None, lam: Word | None):

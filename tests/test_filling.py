@@ -9,9 +9,9 @@ from puzzlecalc import board, filling
 from puzzlecalc.board import (STEP, UNCHECKED, FillPos, Puzzle, PuzzlePath, Step, check_path,
                               final_path_word, initial_path, is_valid, path_from_key,
                               validate_path)
-from puzzlecalc.filling import (_PRUNED, InvariantError, Theory, branch_weight,
+from puzzlecalc.filling import (_PRUNED, InvariantError, Theory, ascii_puzzles, branch_weight,
                                 count_puzzles, enumerate_puzzles, graph, legal_branches,
-                                puzzle_degree_balance, reachable, runs,
+                                puzzle_counts, puzzle_degree_balance, reachable, runs,
                                 structure_constants, table, trace, trace_rows)
 from puzzlecalc.poly import LPoly, Poly, eval_at_one, sum_of_products
 from puzzlecalc.words import all_words, parse_word
@@ -199,26 +199,28 @@ def test_graph_is_the_union_of_the_pairs_graphs(monkeypatch):
 
 
 def test_table_is_structure_constants_pair_by_pair():
-    # dict order included, for each theory alone and the tuples the verify
-    # suites ask for, and for each of those tuples on every pair alone up to
-    # n = 4, where a theory's skipped kinds cut most of the graph; an
-    # unreachable pair gives {} in every theory.  (H, K) walks without
-    # equivariant branches, and H's fold skips topk too
+    # for each theory alone and the tuples the verify suites ask for, a
+    # table row is the pair's structure_constants as dicts, which list their
+    # words in word order; on every pair alone up to n = 4, where a theory's
+    # skipped kinds cut most of the graph, each of those tuples' table gives
+    # the many-pair table's row, dict order included; an unreachable pair
+    # gives {} in every theory.  (H, K) walks without equivariant branches,
+    # and H's fold skips topk too
     asks = [(t,) for t in Theory] + [(Theory.KT, Theory.K, Theory.HT, Theory.H),
                                      (Theory.H, Theory.HT, Theory.K), (Theory.H, Theory.K)]
     unreachable = 0
     for pairs in _pairs_by_k(5):
-        alone = {t: [list(structure_constants(t, mu, nu).items()) for mu, nu in pairs]
-                 for t in Theory}
+        alone = {t: [structure_constants(t, mu, nu) for mu, nu in pairs] for t in Theory}
+        assert all(list(coeffs) == sorted(coeffs) for t in Theory for coeffs in alone[t])
         for theories in asks:
             rows = table(theories, pairs)
             assert len(rows) == len(pairs)
             for idx, row in enumerate(rows):
-                want = [alone[t][idx] for t in theories]
-                assert [list(coeffs.items()) for coeffs in row] == want
+                assert list(row) == [alone[t][idx] for t in theories]
                 if len(theories) > 1 and pairs[idx][0].n <= 4:
                     (single,) = table(theories, [pairs[idx]])
-                    assert [list(coeffs.items()) for coeffs in single] == want
+                    assert [list(coeffs.items()) for coeffs in single] == \
+                        [list(coeffs.items()) for coeffs in row]
         for (mu, nu), row in zip(pairs, table(tuple(Theory), pairs)):
             if not reachable(mu, nu):
                 assert row == ({},) * 4
@@ -271,10 +273,11 @@ def _polynomial_fold(theory, mu, nu):
 @pytest.mark.parametrize("shift0, cancelled", [(1, 0), (-1, 2)])
 def test_integer_fold_is_the_polynomial_fold(monkeypatch, shift0, cancelled):
     # H and K fold signed puzzle counts in ints and make constants at the
-    # roots; the reference folds polynomials, as H_T and K_T do.  Dict order
-    # counts.  In the paper's table no coefficient cancels (a K coefficient's
-    # puzzles all have its sign), so a K table where shift0 weighs -1 checks
-    # that both folds drop the same cancelled ones (two, of one pair)
+    # roots; the reference folds polynomials, as H_T and K_T do.  Words come
+    # in word order.  In the paper's table no coefficient cancels (a K
+    # coefficient's puzzles all have its sign), so a K table where shift0
+    # weighs -1 checks that both folds drop the same cancelled ones (two, of
+    # one pair)
     monkeypatch.setitem(filling._WEIGHT, (Theory.K, "shift0"), (shift0, 0))
     filling._weight.cache_clear()
     dropped = Counter()
@@ -283,8 +286,8 @@ def test_integer_fold_is_the_polynomial_fold(monkeypatch, shift0, cancelled):
             for mu, nu in _pairs(6):
                 want = _polynomial_fold(theory, mu, nu)
                 got = structure_constants(theory, mu, nu)
-                assert list(got.items()) == [(lam, c) for lam, c in want.items()
-                                             if not c.is_zero()]
+                assert got == {lam: c for lam, c in want.items() if not c.is_zero()}
+                assert list(got) == sorted(got)
                 assert all(type(c) is type(want[lam]) for lam, c in got.items())
                 dropped[theory] += len(want) - len(got)
     finally:
@@ -298,26 +301,31 @@ def _one_pair_table(theory, mu, nu):
     return list(table((theory,), [(mu, nu)])[0][0].items())
 
 
-@pytest.mark.parametrize("theory", [Theory.HT, Theory.KT])
+@pytest.mark.parametrize("theory", list(Theory), ids=[t.value for t in Theory])
 def test_forward_fold_is_the_table_fold(theory):
-    # structure_constants folds H_T and K_T forward from the root; table
-    # folds backward: the same terms in the same dict order, on every pair
-    # up to n = 6, unreachable ones included, and on an n = 10 pair
+    # structure_constants folds one pair forward from the root, and lists
+    # its words in word order; table folds backward: the same terms, on
+    # every pair up to n = 6, unreachable ones included, and on an n = 10
+    # pair
     empty = 0
     for mu, nu in _pairs(6):
-        got = list(structure_constants(theory, mu, nu).items())
-        assert got == _one_pair_table(theory, mu, nu), (mu, nu)
+        got = structure_constants(theory, mu, nu)
+        assert got == dict(_one_pair_table(theory, mu, nu)), (mu, nu)
+        assert list(got) == sorted(got), (mu, nu)
         empty += not got
     assert empty == 650  # the unreachable pairs
     mu, nu = parse_word("0110100110"), parse_word("1100110010")
-    got = list(structure_constants(theory, mu, nu).items())
-    assert len(got) > 100 and got == _one_pair_table(theory, mu, nu)
+    got = structure_constants(theory, mu, nu)
+    assert len(got) == {"h": 2, "ht": 146, "k": 3, "kt": 148}[theory.value]
+    assert got == dict(_one_pair_table(theory, mu, nu))
+    assert list(got) == sorted(got)
 
 
 def test_forward_fold_drops_the_cancelled_coefficients_table_drops(monkeypatch):
     # in the paper's K_T table no coefficient cancels; with the equivariant
     # piece weighing 1, 16 coefficients of pairs up to n = 5 sum to zero,
-    # and both folds drop exactly those, keeping the rest in order
+    # and both folds drop exactly those, keeping the rest: in word order
+    # forward, in the reference's order backward
     monkeypatch.setitem(filling._WEIGHT, (Theory.KT, "equivariant"), (1, 0))
     filling._weight.cache_clear()
     dropped = 0
@@ -325,12 +333,26 @@ def test_forward_fold_drops_the_cancelled_coefficients_table_drops(monkeypatch):
         for mu, nu in _pairs(5):
             want = _polynomial_fold(Theory.KT, mu, nu)
             kept = [(lam, c) for lam, c in want.items() if not c.is_zero()]
-            assert list(structure_constants(Theory.KT, mu, nu).items()) == kept
+            got = structure_constants(Theory.KT, mu, nu)
+            assert got == dict(kept) and list(got) == sorted(got)
             assert _one_pair_table(Theory.KT, mu, nu) == kept
             dropped += len(want) - len(kept)
     finally:
         filling._weight.cache_clear()
     assert dropped == 16
+
+
+def test_puzzle_counts_are_the_backward_count_fold_in_word_order():
+    # puzzle_counts and ascii_puzzles fold counts forward; the backward fold
+    # table uses is the reference, on every pair up to n = 6, unreachable
+    # ones included
+    empty = 0
+    for mu, nu in _pairs(6):
+        want = filling._fold(filling._COUNTS, *graph([(mu, nu)]))[0]
+        for got in (puzzle_counts(mu, nu), ascii_puzzles(mu, nu)[0]):
+            assert got == want and list(got) == sorted(got), (mu, nu)
+        empty += not want
+    assert empty == 650
 
 
 def _preorder(node):

@@ -261,6 +261,12 @@ def _drop_first_cover(real):
     return lambda d: frozenset(sorted(real(d), key=format_dots)[1:])
 
 
+def _raise_not_a_rank_matrix(real):
+    def irm_min(r1, r2):
+        raise ValueError("entrywise min is not an interval rank matrix")
+    return irm_min
+
+
 # a mutation of the engine or of a suite's reference per failure line of the
 # suites, the size at which it shows, and some of the details it gives
 @pytest.mark.parametrize("suite, max_n, mutate, details", [
@@ -272,6 +278,10 @@ def _drop_first_cover(real):
      ["n=2 k=1 SE1 SW0 W1: sweep does not cover the shift1 child"]),
     ("dictionary", 4, _wrapped(intervalrank, "irm_min", lambda real: lambda r1, r2: r1),
      ["n=4 k=2 SE0 SE1 SW0 SW1 W0 W1: irm_min of shifts is not the K child"]),
+    # a min that is no rank matrix names its state, and the sweep goes on
+    ("dictionary", 5, _wrapped(intervalrank, "irm_min", _raise_not_a_rank_matrix),
+     ["n=4 k=2 SE0 SE1 SW0 SW1 W0 W1: irm_min of shifts is not a rank matrix",
+      "n=5 k=2 SE0 SE0 SE1 SW0 SW1 W0 W1 W0: irm_min of shifts is not a rank matrix"]),
     ("boundary", 3, _wrapped(intervalrank, "envelope", lambda real: lambda d: real(d)[::-1]),
      ["initial 01/10: envelope 10/01"]),
     ("boundary", 3, _wrapped(pinkdots, "path_dots", _drop_first_dot),
@@ -285,7 +295,8 @@ def _drop_first_cover(real):
      ["010/100/010: KT->HT", "010/100/010: HT->H"]),
     ("specialize", 4, _weight_as("ht", "topk", (1, 0)),
      ["0101/1010/0101: HT coeff below degree bound"]),
-], ids=["lr", "hall", "covers", "dictionary-cover", "dictionary-irm-min", "boundary-envelope",
+], ids=["lr", "hall", "covers", "dictionary-cover", "dictionary-irm-min",
+        "dictionary-irm-min-raises", "boundary-envelope",
         "boundary-dots", "pinkdots", "specialize-kt-k", "specialize-kt-order", "specialize-ht",
         "specialize-ht-topk"])
 def test_each_suite_fails_under_a_mutation(monkeypatch, fresh_weights, suite, max_n, mutate,
