@@ -10,11 +10,10 @@ from .board import (Puzzle, PuzzlePath, Step, ascii_render, final_path_word,
 from .filling import (Theory, ascii_puzzles, branch_weight, enumerate_puzzles, graph,
                       legal_branches, puzzle_counts, reachable, runs, structure_constants,
                       table, trace, trace_rows)
-from .intervalrank import (DotSet, IntervalRankMatrix, covers, dots_from_rank,
-                           envelope, envelope_codim, essential_conditions,
-                           essential_set, fixed_point_in, format_dots, irm_min,
-                           matching_exists, parse_dots, rank_from_dots,
-                           rank_of_matrix)
+from .intervalrank import (DotSet, IntervalRankMatrix, covers, envelope, envelope_codim,
+                           essential_conditions, essential_set, fixed_point_in,
+                           format_dots, irm_min, matching_exists, parse_dots,
+                           rank_from_dots, rank_of_matrix)
 from .oracle import Report, lr_oracle, verify_suite
 from .pinkdots import path_codim, path_dots, path_to_rank
 from .poly import LPoly, Poly, eval_at_one, lowest_form, render, y_to_zero

@@ -120,48 +120,16 @@ def rank_from_dots(d: DotSet) -> IntervalRankMatrix:
     return IntervalRankMatrix(n, tuple(reversed(rows)))
 
 
-def dots_from_rank(r: IntervalRankMatrix) -> DotSet:
-    """
-    Invert rank_from_dots.
-
-    Works with the dot-count form D(i,j) = (j-i+1) - r_ij (zero on empty
-    windows): there is a dot at (i,j) exactly when D jumps by one against
-    the three neighbouring windows [i,j-1], [i+1,j], [i+1,j-1].  On ranks
-    that reads r(i,j) = r(i,j-1) = r(i+1,j) = r(i+1,j-1) + 1, where an
-    empty window has rank 0, and r(i,i) = 0 on the diagonal.
-    """
-    rows = r.rows
-    dots = set()
-    for i, row in enumerate(rows, start=1):
-        below = rows[i] if i < r.n else ()
-        # per window [i, j]: r(i, j-1), r(i+1, j) and r(i+1, j-1) + 1, the
-        # last -1 + 1 on the diagonal so that only r(i, i) = 0 is asked there
-        for j, v, west, south, southwest in zip(count(i), row, (0, *row), (0, *below),
-                                                (-1, 0, *below)):
-            if v == west == south == southwest + 1:
-                dots.add((i, j))
-    return DotSet(r.n, frozenset(dots))
-
-
-def is_valid_rank_matrix(r: IntervalRankMatrix) -> bool:
-    try:
-        d = dots_from_rank(r)
-    except ValueError:
-        return False
-    return rank_from_dots(d) == r
-
-
 def irm_min(r1: IntervalRankMatrix, r2: IntervalRankMatrix) -> IntervalRankMatrix:
-    """Entrywise min; raises if the result is not itself a rank matrix."""
+    """
+    Entrywise min of two matrices of one size.  It need not be the rank
+    matrix of any dot set (that of 1,1 and 2,2 with n = 2 is not), as no
+    IntervalRankMatrix need be; compare it with one that is to tell.
+    """
     if r1.n != r2.n:
         raise ValueError("size mismatch")
-    rows = tuple(
-        tuple(min(a, b) for a, b in zip(row1, row2))
-        for row1, row2 in zip(r1.rows, r2.rows))
-    out = IntervalRankMatrix(r1.n, rows)
-    if not is_valid_rank_matrix(out):
-        raise ValueError("entrywise min is not an interval rank matrix")
-    return out
+    return IntervalRankMatrix(r1.n, tuple(tuple(map(min, row1, row2))
+                                          for row1, row2 in zip(r1.rows, r2.rows)))
 
 
 # -- essential set ---------------------------------------------------------
@@ -258,11 +226,6 @@ def covers(d: DotSet) -> frozenset[DotSet]:
             if e is not None:
                 out.add(e)
     return frozenset(out)
-
-
-def bruhat_leq(d1: DotSet, d2: DotSet) -> bool:
-    """d1 below d2 in the closure order; raises ValueError on two board sizes."""
-    return rank_from_dots(d1).leq(rank_from_dots(d2))
 
 
 # -- coordinate fixed points ----------------------------------------------

@@ -138,7 +138,7 @@ def _where(n, k, path) -> str:
     return f"n={n} k={k} " + " ".join(s.dir + s.label for s in path.steps)
 
 
-def _suite_pinkdots(max_n: int, report: Report):
+def _suite_pinkdots(max_n: int) -> list[str]:
     bad = []
     for n, k, states, dots in _graphs(max_n):
         for key, (path, branches) in states.items():
@@ -148,10 +148,10 @@ def _suite_pinkdots(max_n: int, report: Report):
             for br, q in branches:
                 if br.kind in filling.FORCED and dots[q.key] != d:
                     bad.append(f"{_where(n, k, path)}: forced step at {br.pos} moved the dots")
-    report.record("pinkdots", not bad, "; ".join(bad[:3]))
+    return bad
 
 
-def _suite_dictionary(max_n: int, report: Report):
+def _suite_dictionary(max_n: int) -> list[str]:
     bad = []
     for n, k, states, dots in _graphs(max_n):
         for key, (path, branches) in states.items():
@@ -166,17 +166,15 @@ def _suite_dictionary(max_n: int, report: Report):
                 if kind in kinds and dsw not in ir.covers(kinds[kind]):
                     bad.append(f"{_where(n, k, path)}: sweep does not cover the {kind} child")
             if "topk" in kinds:
+                # rk is a rank matrix, so equality also shows that the min is one
                 r0, r1, rk = (ir.rank_from_dots(kinds[kind])
                               for kind in ("shift0", "shift1", "topk"))
-                try:
-                    if ir.irm_min(r0, r1) != rk:
-                        bad.append(f"{_where(n, k, path)}: irm_min of shifts is not the K child")
-                except ValueError:
-                    bad.append(f"{_where(n, k, path)}: irm_min of shifts is not a rank matrix")
-    report.record("dictionary", not bad, "; ".join(bad[:3]))
+                if ir.irm_min(r0, r1) != rk:
+                    bad.append(f"{_where(n, k, path)}: irm_min of shifts is not the K child")
+    return bad
 
 
-def _suite_inversion(max_n: int, report: Report):
+def _suite_inversion(max_n: int) -> list[str]:
     """The degree bookkeeping of every puzzle, |nu| + #equivariant = |lam| +
     |mu| + #topk, checked once per state of one unpruned graph per (n, k).
 
@@ -204,10 +202,10 @@ def _suite_inversion(max_n: int, report: Report):
             want = inversions(nu) - inversions(mu)
             if root is not None and below[root] != want:
                 bad.append(f"{mu}/{nu}: {below[root]} below the root, expected {want}")
-    report.record("inversion", not bad, "; ".join(bad[:3]))
+    return bad
 
 
-def _suite_hall(max_n: int, report: Report):
+def _suite_hall(max_n: int) -> list[str]:
     bad = []
     for n in range(1, max_n + 1):
         for size in range(n + 1):
@@ -217,10 +215,10 @@ def _suite_hall(max_n: int, report: Report):
                 for w in words:
                     if ir.fixed_point_in(d, w, r) != ir.matching_exists(d, w):
                         bad.append(f"n={n} {d} {w}")
-    report.record("hall", not bad, "; ".join(bad[:3]))
+    return bad
 
 
-def _suite_essential(max_n: int, report: Report):
+def _suite_essential(max_n: int) -> list[str]:
     """The essential rank bounds imply every window rank bound, for every
     k x n matrix over every field.
 
@@ -244,10 +242,10 @@ def _suite_essential(max_n: int, report: Report):
                     if derived > bound:
                         bad.append(f"n={n} {d} window [{i},{j}]")
                         break
-    report.record("essential", not bad, "; ".join(bad[:2]))
+    return bad
 
 
-def _suite_specialize(max_n: int, report: Report):
+def _suite_specialize(max_n: int) -> list[str]:
     bad = []
     theories = (filling.Theory.KT, filling.Theory.K, filling.Theory.HT, filling.Theory.H)
     for n, _, pairs in _pairs_by_k(max_n):
@@ -277,10 +275,10 @@ def _suite_specialize(max_n: int, report: Report):
                     bad.append(f"{mu}/{nu}/{lam_s}: HT coeff below degree bound")
                 if Poly.const(n, y_to_zero(htc)) != hc:
                     bad.append(f"{mu}/{nu}/{lam_s}: HT->H")
-    report.record("specialize", not bad, "; ".join(bad[:3]))
+    return bad
 
 
-def _suite_commute(max_n: int, report: Report):
+def _suite_commute(max_n: int) -> list[str]:
     theories = (filling.Theory.H, filling.Theory.HT, filling.Theory.K)
     # lam has mu's n and k, so each (n, k) table is checked as it is built;
     # the mismatches are reported theory by theory
@@ -293,11 +291,10 @@ def _suite_commute(max_n: int, report: Report):
                     other = table[lam_s, nu_s].get(mu_s)
                     if other != c:
                         bad[t].append(f"{t.value} {lam_s},{mu_s}->{nu_s}: {c} vs {other}")
-    details = [line for t in theories for line in bad[t]]
-    report.record("commute", not details, "; ".join(details[:3]))
+    return [line for t in theories for line in bad[t]]
 
 
-def _suite_lr(max_n: int, report: Report):
+def _suite_lr(max_n: int) -> list[str]:
     bad = []
     for n, k, pairs in _pairs_by_k(max_n):
         ws = all_words(n, k)
@@ -307,10 +304,10 @@ def _suite_lr(max_n: int, report: Report):
                 got = h.get(str(lam), Poly.zero(n)).constant_term()
                 if want != got:
                     bad.append(f"{lam}/{mu}/{nu}: puzzle {got} vs LR {want}")
-    report.record("lr", not bad, "; ".join(bad[:3]))
+    return bad
 
 
-def _suite_boundary(max_n: int, report: Report):
+def _suite_boundary(max_n: int) -> list[str]:
     bad = []
     for n, k, pairs in _pairs_by_k(max_n):
         for mu, nu in pairs:
@@ -329,10 +326,10 @@ def _suite_boundary(max_n: int, report: Report):
                 bad.append(f"final {lam}: dots {sorted(d.dots)}")
             if any(i != 1 for (i, j, _b) in ir.essential_conditions(d)):
                 bad.append(f"final {lam}: non-first-row essential condition")
-    report.record("boundary", not bad, "; ".join(bad[:3]))
+    return bad
 
 
-def _suite_covers(max_n: int, report: Report):
+def _suite_covers(max_n: int) -> list[str]:
     """Move-generated covers match brute-force covers of the entrywise order."""
     bad = []
     for n in range(1, min(max_n, 4) + 1):
@@ -346,12 +343,13 @@ def _suite_covers(max_n: int, report: Report):
                          if not any(f != e and rf.leq(re) for f, rf in above)}
                 if ir.covers(d) != frozenset(brute):
                     bad.append(f"n={n} {d}")
-    report.record("covers", not bad, "; ".join(bad[:3]))
+    return bad
 
 
-# the suites in the order verify runs them; each is called through its
-# module-level name _suite_<name>, so that whatever rebinds that name (a
-# test's stand-in, a profiler's wrapper) sees the call
+# the suites in the order verify runs them; each takes max_n and returns its
+# failure lines, and is called through its module-level name _suite_<name>,
+# so that whatever rebinds that name (a test's stand-in, a profiler's
+# wrapper) sees the call
 _SUITES = ("pinkdots", "dictionary", "inversion", "hall", "essential",
            "specialize", "commute", "lr", "boundary", "covers")
 
@@ -362,25 +360,30 @@ class UnknownSuiteError(ValueError):
 
 def verify_suite(max_n: int, suites=None) -> Report:
     """
-    Run the named invariant sweeps (all by default) up to size max_n, timing
-    each.  Every name is checked before any sweep runs, and a name given
-    twice runs once, where it was first given.  A sweep that raises fails,
+    Run the named invariant sweeps (all by default) up to size max_n >= 1,
+    timing each.  Every name is checked before any sweep runs, none at all
+    is refused, and a name given twice runs once, where it was first given.
+    A sweep returns its failure lines; it passes when there are none, and
+    fails with its first three as the detail.  A sweep that raises fails,
     with the exception as its detail, and the next one still runs; a
     MemoryError is not a failed sweep, and passes through.
     """
     names = list(_SUITES) if suites is None else list(dict.fromkeys(suites))
     unknown = [name for name in names if name not in _SUITES]
-    if unknown:
-        raise UnknownSuiteError(f"unknown suite(s): {', '.join(unknown)}; "
+    if unknown or not names:
+        raise UnknownSuiteError(f"unknown suite(s): {', '.join(unknown) or 'none given'}; "
                                 f"choose from {', '.join(_SUITES)}")
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
     report = Report()
     for name in names:
         t0 = time.perf_counter()
         try:
-            globals()[f"_suite_{name}"](max_n, report)
+            bad = globals()[f"_suite_{name}"](max_n)
         except MemoryError:
             raise
         except Exception as exc:
-            report.record(name, False, f"raised {type(exc).__name__}: {exc}")
+            bad = [f"raised {type(exc).__name__}: {exc}"]
+        report.record(name, not bad, "; ".join(bad[:3]))
         report.times.append((name, time.perf_counter() - t0))
     return report

@@ -4,9 +4,8 @@ Run with -s (or read captured output) to see the ledger.
 """
 import time
 
-from puzzlecalc import oracle
 from puzzlecalc.filling import Theory, structure_constants
-from puzzlecalc.oracle import Report
+from puzzlecalc.oracle import verify_suite
 from puzzlecalc.poly import LPoly, Poly, eval_at_one, lowest_form
 from puzzlecalc.words import inversions, parse_word
 
@@ -23,9 +22,8 @@ def _verdict(num, label, ok, detail=""):
     assert ok, line
 
 
-def _suite_ok(fn):
-    rep = Report()
-    fn(rep)
+def _suite_ok(max_n, *suites):
+    rep = verify_suite(max_n, suites)
     detail = "; ".join(d for _, ok, d in rep.results if not ok)
     return rep.ok, detail
 
@@ -74,7 +72,7 @@ def test_criterion_2_kt_desk_check():
 
 def test_criterion_3_lr_oracle_agreement():
     t0 = time.time()
-    ok, detail = _suite_ok(lambda r: oracle._suite_lr(6, r))
+    ok, detail = _suite_ok(6, "lr")
     elapsed = time.time() - t0
     ok = ok and elapsed < 60.0
     _verdict(3, "H counts equal LR oracle, n<=6, every k, under 60s", ok,
@@ -82,36 +80,34 @@ def test_criterion_3_lr_oracle_agreement():
 
 
 def test_criterion_4_inversion_lemma():
-    ok, detail = _suite_ok(lambda r: oracle._suite_inversion(6, r))
+    ok, detail = _suite_ok(6, "inversion")
     _verdict(4, "inversion balance on every puzzle, n<=6", ok, detail)
 
 
 def test_criterion_5_specialization_chain():
-    ok, detail = _suite_ok(lambda r: oracle._suite_specialize(5, r))
+    ok, detail = _suite_ok(5, "specialize")
     _verdict(5, "K_T->K, K_T->H_T, H_T->H chains, n<=5", ok, detail)
 
 
 def test_criterion_6_commutativity():
-    ok, detail = _suite_ok(lambda r: oracle._suite_commute(5, r))
+    ok, detail = _suite_ok(5, "commute")
     _verdict(6, "H/H_T/K constants symmetric in the first two words, n<=5",
              ok, detail)
 
 
 def test_criterion_7_geometry_dictionary():
-    ok, detail = _suite_ok(lambda r: oracle._suite_dictionary(5, r))
+    ok, detail = _suite_ok(5, "dictionary")
     _verdict(7, "codim, cover pattern and rank minima along every trace, n<=5",
              ok, detail)
 
 
 def test_criterion_8_hall_and_essential():
-    ok1, d1 = _suite_ok(lambda r: oracle._suite_hall(6, r))
-    ok2, d2 = _suite_ok(lambda r: oracle._suite_essential(6, r))
+    ok, detail = _suite_ok(6, "hall", "essential")
     _verdict(8, "Hall equivalence exhaustive n<=6; essential bounds derived "
-             "to imply every window bound for every matrix, n<=6", ok1 and ok2,
-             "; ".join(filter(None, [d1, d2])))
+             "to imply every window bound for every matrix, n<=6", ok, detail)
 
 
 def test_criterion_9_initial_final_identifications():
-    ok, detail = _suite_ok(lambda r: oracle._suite_boundary(5, r))
+    ok, detail = _suite_ok(5, "boundary")
     _verdict(9, "initial paths give the codim-0 envelope; final paths give "
              "first-row conditions only, n<=5", ok, detail)

@@ -595,7 +595,7 @@ def test_verify_suite_out_of_memory_is_one_error_line(capsys, monkeypatch):
     # coeff and puzzles are, and prints no report
     from puzzlecalc import oracle
 
-    def exhausted(max_n, report):
+    def exhausted(max_n):
         raise MemoryError
 
     monkeypatch.setattr(oracle, "_suite_hall", exhausted)

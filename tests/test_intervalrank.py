@@ -4,13 +4,11 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from puzzlecalc.intervalrank import (DotSet, _unembed, all_dotsets, bruhat_leq, covers,
-                                     dots_from_rank, embed_permutation, envelope,
-                                     envelope_codim, essential_conditions, essential_set,
-                                     fixed_point_in, format_dots, irm_min,
-                                     is_valid_rank_matrix, matching_exists,
-                                     parse_dots, rank_from_dots,
-                                     rank_of_matrix)
+from puzzlecalc.intervalrank import (DotSet, _unembed, all_dotsets, covers,
+                                     embed_permutation, envelope, envelope_codim,
+                                     essential_conditions, essential_set, fixed_point_in,
+                                     format_dots, irm_min, matching_exists, parse_dots,
+                                     rank_from_dots, rank_of_matrix)
 from puzzlecalc.words import all_words
 
 
@@ -47,13 +45,6 @@ def test_parse_format_round_trip():
     d = parse_dots("1,5;3,3", 5)
     assert d.dots == frozenset({(1, 5), (3, 3)})
     assert parse_dots(format_dots(d), 5) == d
-
-
-@given(dotsets)
-def test_rank_dots_round_trip(d):
-    r = rank_from_dots(d)
-    assert is_valid_rank_matrix(r)
-    assert dots_from_rank(r) == d
 
 
 @given(dotsets)
@@ -149,7 +140,6 @@ def test_covers_are_strictly_above(d):
     for c in covers(d):
         assert len(c.dots) == len(d.dots)
         assert c != d
-        assert bruhat_leq(d, c)
         r, rc = rank_from_dots(d), rank_from_dots(c)
         assert r.leq(rc)
 
@@ -166,11 +156,13 @@ def test_irm_min_of_comparable_is_lower():
     assert irm_min(r, rc) == r
 
 
-def test_irm_min_of_incomparable_is_refused():
-    # their entrywise min has rank 1 on [1, 2] but 0 on [1, 1] and on [2, 2]
+def test_irm_min_need_not_be_a_rank_matrix():
+    # their entrywise min has rank 1 on [1, 2] but 0 on [1, 1] and on [2, 2],
+    # which no dot set with n = 2 gives
     r1, r2 = (rank_from_dots(parse_dots(s, 2)) for s in ("1,1", "2,2"))
-    with pytest.raises(ValueError, match="entrywise min is not an interval rank matrix"):
-        irm_min(r1, r2)
+    low = irm_min(r1, r2)
+    assert low.rows == ((0, 1), (0,))
+    assert all(low != rank_from_dots(d) for size in range(3) for d in all_dotsets(2, size))
 
 
 def test_rank_of_matrix_prime_field():
@@ -259,7 +251,7 @@ def _every_dotset(max_n):
 
 def test_rank_from_dots_counts_the_dots_in_every_window_up_to_n6():
     # r(i, j) = (j - i + 1) - #{dots (a, b) with i <= a and b <= j}, read
-    # through entry() rather than round-tripped through dots_from_rank
+    # through entry()
     for d in _every_dotset(6):
         r = rank_from_dots(d)
         for i in range(1, d.n + 1):
@@ -286,9 +278,9 @@ def test_leq_is_the_entrywise_order_up_to_n4():
 
 
 @pytest.mark.parametrize("small, large", [(2, 3), (3, 2)])
-def test_leq_and_bruhat_leq_refuse_two_board_sizes(small, large):
-    d1, d2 = parse_dots("1,1", small), parse_dots("1,1", large)
+def test_leq_and_irm_min_refuse_two_board_sizes(small, large):
+    r1, r2 = (rank_from_dots(parse_dots("1,1", n)) for n in (small, large))
     with pytest.raises(ValueError, match="size mismatch"):
-        bruhat_leq(d1, d2)
+        r1.leq(r2)
     with pytest.raises(ValueError, match="size mismatch"):
-        rank_from_dots(d1).leq(rank_from_dots(d2))
+        irm_min(r1, r2)

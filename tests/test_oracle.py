@@ -10,9 +10,9 @@ import pytest
 
 from puzzlecalc import board, filling, intervalrank, oracle, pinkdots
 from puzzlecalc.cli import main
-from puzzlecalc.intervalrank import DotSet, format_dots
-from puzzlecalc.oracle import (Report, _suite_commute, _suite_dictionary,
-                               _suite_essential, _suite_pinkdots, lr_count, lr_oracle,
+from puzzlecalc.intervalrank import DotSet, IntervalRankMatrix, format_dots
+from puzzlecalc.oracle import (Report, UnknownSuiteError, _SUITES, _suite_commute,
+                               _suite_dictionary, _suite_pinkdots, lr_count, lr_oracle,
                                verify_suite)
 from puzzlecalc.words import parse_word
 
@@ -104,12 +104,41 @@ def test_unknown_suite_is_refused_before_any_suite_runs(monkeypatch):
     ran = []
     # every name is checked before any suite runs; _SUITES dispatches
     # through the module-level names
-    monkeypatch.setattr(oracle, "_suite_hall", lambda n, rep: ran.append(n))
+    def hall(max_n):
+        ran.append(max_n)
+        return []
+
+    monkeypatch.setattr(oracle, "_suite_hall", hall)
     with pytest.raises(ValueError, match="nope"):
         verify_suite(2, suites=["hall", "nope"])
     assert ran == []
     verify_suite(2, suites=["hall"])
     assert ran == [2]
+
+
+def test_a_sweep_that_checks_nothing_is_refused_before_any_suite_runs(monkeypatch):
+    # no suite named, or no size to check, is an error, not a pass
+    ran = []
+    for name in _SUITES:
+        monkeypatch.setattr(oracle, f"_suite_{name}", lambda max_n: ran.append(max_n) or [])
+    with pytest.raises(UnknownSuiteError, match="none given"):
+        verify_suite(5, [])
+    for max_n in (0, -3):
+        with pytest.raises(ValueError, match=f"max_n must be at least 1, got {max_n}"):
+            verify_suite(max_n, ["lr"])
+        with pytest.raises(ValueError, match="max_n must be at least 1"):
+            verify_suite(max_n)
+    assert ran == []
+
+
+@pytest.mark.parametrize("name", _SUITES)
+def test_every_suite_is_recorded_with_its_first_three_failure_lines(monkeypatch, name):
+    # verify_suite alone turns a suite's failure lines into its verdict
+    lines = ["one", "two", "three", "four"]
+    monkeypatch.setattr(oracle, f"_suite_{name}", lambda max_n: lines)
+    assert verify_suite(1, [name]).results == [(name, False, "one; two; three")]
+    monkeypatch.setattr(oracle, f"_suite_{name}", lambda max_n: [])
+    assert verify_suite(1, [name]).results == [(name, True, "")]
 
 
 def test_essential_suite_catches_a_missing_cell(monkeypatch):
@@ -123,10 +152,8 @@ def test_essential_suite_catches_a_missing_cell(monkeypatch):
         return cells - {max(cells)} if cells else cells
 
     monkeypatch.setattr(intervalrank, "essential_set", drop_largest)
-    report = Report()
-    _suite_essential(3, report)
-    assert report.results == [
-        ("essential", False, "n=2 1,1 window [1,1]; n=2 2,2 window [2,2]")]
+    assert verify_suite(3, ["essential"]).results == [
+        ("essential", False, "n=2 1,1 window [1,1]; n=2 2,2 window [2,2]; n=3 1,1 window [1,1]")]
 
 
 def test_commute_reports_mismatches_theory_by_theory(monkeypatch):
@@ -139,20 +166,16 @@ def test_commute_reports_mismatches_theory_by_theory(monkeypatch):
                 for mu, nu in pairs]
 
     monkeypatch.setattr(filling, "table", lopsided)
-    report = Report()
-    _suite_commute(3, report)
-    assert report.results == [("commute", False, "h 010,001->010: h:001 vs None; "
-                               "h 100,001->100: h:001 vs None; h 001,010->001: h:010 vs None")]
+    lines = _suite_commute(3)
+    assert lines[:3] == ["h 010,001->010: h:001 vs None", "h 100,001->100: h:001 vs None",
+                         "h 001,010->001: h:010 vs None"]
+    assert lines[-2:] == ["ht 10,01->10: ht:01 vs None", "ht 01,10->01: ht:10 vs None"]
 
 
 def test_dictionary_suite_catches_a_wrong_codimension(monkeypatch):
     real = pinkdots.path_codim
     monkeypatch.setattr(pinkdots, "path_codim", lambda p: real(p) + 1)
-    report = Report()
-    _suite_dictionary(3, report)
-    suite, ok, detail = report.results[0]
-    assert (suite, ok) == ("dictionary", False)
-    assert "codim mismatch" in detail
+    assert any(line.endswith(": codim mismatch") for line in _suite_dictionary(3))
 
 
 def test_pinkdots_suite_catches_a_forced_step_that_moves_the_dots(monkeypatch):
@@ -167,11 +190,7 @@ def test_pinkdots_suite_catches_a_forced_step_that_moves_the_dots(monkeypatch):
         return d
 
     monkeypatch.setattr(pinkdots, "path_dots", mirrored)
-    report = Report()
-    _suite_pinkdots(3, report)
-    suite, ok, detail = report.results[0]
-    assert (suite, ok) == ("pinkdots", False)
-    assert "moved the dots" in detail
+    assert any("moved the dots" in line for line in _suite_pinkdots(3))
 
 
 def test_boundary_suite_validates_each_path_once(monkeypatch):
@@ -185,9 +204,7 @@ def test_boundary_suite_validates_each_path_once(monkeypatch):
 
     monkeypatch.setattr(board, "validate_path", counted)
     monkeypatch.setattr(pinkdots, "validate_path", counted)
-    report = Report()
-    oracle._suite_boundary(4, report)
-    assert report.results == [("boundary", True, "")]
+    assert oracle._suite_boundary(4) == []
     # 98 pairs of words and 30 final words with n <= 4
     assert len(calls) == 128 and set(calls.values()) == {1}
 
@@ -206,9 +223,7 @@ def fresh_rows():
 def _topk_as(monkeypatch, piece):
     equivariant, shift0, shift1, _ = filling._PIECES[_INTERESTING]
     monkeypatch.setitem(filling._PIECES, _INTERESTING, (equivariant, shift0, shift1, piece))
-    report = Report()
-    oracle._suite_inversion(4, report)
-    return report.results
+    return verify_suite(4, ["inversion"]).results
 
 
 def test_inversion_suite_reads_the_branch_kind(monkeypatch, fresh_rows):
@@ -261,9 +276,12 @@ def _drop_first_cover(real):
     return lambda d: frozenset(sorted(real(d), key=format_dots)[1:])
 
 
-def _raise_not_a_rank_matrix(real):
+def _min_plus_one(real):
+    # the true min with 1 added to every entry: a one-column window then has
+    # rank 1 or 2, and one of rank 2 comes from no dot set
     def irm_min(r1, r2):
-        raise ValueError("entrywise min is not an interval rank matrix")
+        low = real(r1, r2)
+        return IntervalRankMatrix(low.n, tuple(tuple(v + 1 for v in row) for row in low.rows))
     return irm_min
 
 
@@ -278,10 +296,10 @@ def _raise_not_a_rank_matrix(real):
      ["n=2 k=1 SE1 SW0 W1: sweep does not cover the shift1 child"]),
     ("dictionary", 4, _wrapped(intervalrank, "irm_min", lambda real: lambda r1, r2: r1),
      ["n=4 k=2 SE0 SE1 SW0 SW1 W0 W1: irm_min of shifts is not the K child"]),
-    # a min that is no rank matrix names its state, and the sweep goes on
-    ("dictionary", 5, _wrapped(intervalrank, "irm_min", _raise_not_a_rank_matrix),
-     ["n=4 k=2 SE0 SE1 SW0 SW1 W0 W1: irm_min of shifts is not a rank matrix",
-      "n=5 k=2 SE0 SE0 SE1 SW0 SW1 W0 W1 W0: irm_min of shifts is not a rank matrix"]),
+    # a min that is no rank matrix is not the K child's either
+    ("dictionary", 5, _wrapped(intervalrank, "irm_min", _min_plus_one),
+     ["n=4 k=2 SE0 SE1 SW0 SW1 W0 W1: irm_min of shifts is not the K child",
+      "n=5 k=2 SE0 SE0 SE1 SW0 SW1 W0 W1 W0: irm_min of shifts is not the K child"]),
     ("boundary", 3, _wrapped(intervalrank, "envelope", lambda real: lambda d: real(d)[::-1]),
      ["initial 01/10: envelope 10/01"]),
     ("boundary", 3, _wrapped(pinkdots, "path_dots", _drop_first_dot),
@@ -296,7 +314,7 @@ def _raise_not_a_rank_matrix(real):
     ("specialize", 4, _weight_as("ht", "topk", (1, 0)),
      ["0101/1010/0101: HT coeff below degree bound"]),
 ], ids=["lr", "hall", "covers", "dictionary-cover", "dictionary-irm-min",
-        "dictionary-irm-min-raises", "boundary-envelope",
+        "dictionary-irm-min-invalid", "boundary-envelope",
         "boundary-dots", "pinkdots", "specialize-kt-k", "specialize-kt-order", "specialize-ht",
         "specialize-ht-topk"])
 def test_each_suite_fails_under_a_mutation(monkeypatch, fresh_weights, suite, max_n, mutate,

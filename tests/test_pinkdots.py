@@ -2,7 +2,7 @@ from collections import Counter
 
 from puzzlecalc.board import initial_path, is_valid, path_from_key
 from puzzlecalc.filling import reachable, trace_rows
-from puzzlecalc.intervalrank import dots_from_rank, envelope, envelope_codim, rank_from_dots
+from puzzlecalc.intervalrank import envelope, envelope_codim, rank_from_dots
 from puzzlecalc.pinkdots import path_codim, path_dots, path_to_rank
 from puzzlecalc.words import all_words
 
@@ -80,11 +80,9 @@ def test_initial_path_envelope_is_boundary_pair():
 
 
 def test_rank_consistency():
-    # the rank matrix path_to_rank returns is its dots' own, and gives the
-    # dots back
+    # the rank matrix path_to_rank returns is its dots' own
     for n in range(1, 5):
         for mu, nu in _valid_pairs(n):
             for path, _ in reachable(mu, nu).values():
                 d, r = path_to_rank(path)
                 assert r == rank_from_dots(d)
-                assert dots_from_rank(r) == d
