@@ -22,7 +22,9 @@ suite's median time from them.
 of a parent commit, with this script.  Given twice or more, each --repo is
 written to the --out at its position, and the checkouts take turns run by
 run within each row (run t starts with checkout t mod their count), so that
-the host's drift over a call falls on every checkout alike.
+the host's drift over a call falls on every checkout alike.  Progress lines
+on stderr name each checkout by its --repo position and commit, marked
+"+src" when its src differs from that commit.
 """
 from __future__ import annotations
 
@@ -209,9 +211,11 @@ def main(argv=None) -> int:
         "cap_kb": CAP_KB,
         "rows": [],
     } for repo in repos]
+    labels = [f"[{c}] {doc['commit']}{'+src' if doc['src_modified'] else ''}"
+             for c, doc in enumerate(docs, 1)]
     for name, row_args, runs, cap_kb in ROWS:
-        for doc, row in zip(docs, measure(name, row_args, runs, cap_kb, envs)):
-            print(f"{doc['commit']} {name}: {row['status']} {row.get('wall_s')} s "
+        for label, doc, row in zip(labels, docs, measure(name, row_args, runs, cap_kb, envs)):
+            print(f"{label} {name}: {row['status']} {row.get('wall_s')} s "
                   f"{row.get('peak_rss_mb')} MB", file=sys.stderr, flush=True)
             doc["rows"].append(row)
     for out, doc in zip(args.out, docs):

@@ -304,27 +304,24 @@ def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
 
 def branch_weight(theory: Theory, branch: Branch, n: int):
     """
-    Weight of one branch at window (i, j), its kind's cell of the table, as
-    a Poly (cohomology) or LPoly (K-theory), built once per (theory, kind,
-    i, j, n) and shared, which is safe because values are immutable.
+    Weight of one branch in the theory on the size-n board: its kind's cell
+    of _WEIGHT at the branch's window (i, j), as _weight builds it.
     """
-    return _weight(theory, branch.kind, branch.pos.i, branch.pos.j, n)
+    return _weight(theory.k_theory, _WEIGHT[theory, branch.kind], branch.pos.i, branch.pos.j, n)
 
 
 @cache
-def _weight(theory: Theory, kind: str, i: int, j: int, n: int):
-    a, b = _WEIGHT[theory, kind]
-    ring = LPoly if theory.k_theory else Poly
+def _weight(k_theory: bool, cell: tuple[int, int], i: int, j: int, n: int):
+    """The weight a + b·Y of the cell (a, b) at window (i, j) of the size-n
+    board, an LPoly in K-theory and a Poly in cohomology: a pure function of
+    its arguments, so each is built once and shared (values are immutable)."""
+    a, b = cell
+    ring = LPoly if k_theory else Poly
     if not b:
         return ring.const(n, a)
-    y = (LPoly.exp(n, [(k == i) - (k == j) for k in range(1, n + 1)]) if theory.k_theory
+    y = (LPoly.exp(n, [(k == i) - (k == j) for k in range(1, n + 1)]) if k_theory
          else Poly.y(n, j) - Poly.y(n, i))
     return ring.const(n, a) + y * b
-
-
-# per theory, the kinds of zero weight, whose runs the walks leave out
-_PRUNED = {t: frozenset(kind for kind, *_ in INTERESTING if _WEIGHT[t, kind] == (0, 0))
-           for t in Theory}
 
 
 def graph(pairs, prune=frozenset()) -> tuple[dict, list]:
@@ -392,20 +389,22 @@ def _ring(theory: Theory, n: int) -> tuple:
     What the theory's folds on the size-n board compute in: (the ring's 1,
     the weight of a branch, the sum of the products of a list of (weight,
     value) pairs, the nonzero coefficients of a dict of values by word, the
-    kinds of zero weight, whose branches the folds skip).  Where every
-    weight is an integer (H and K), values are signed puzzle counts, summed
-    in ints and made constants by the coefficients; otherwise (H_T and K_T)
-    they are Poly or LPoly values weighed by branch_weight.
+    interesting kinds whose cell is (0, 0), which the folds skip).  It is
+    the walks' and folds' one reader of _WEIGHT, read as each starts.  Where
+    every weight is an integer (H and K), values are signed puzzle counts,
+    summed in ints and made constants by the coefficients; otherwise (H_T
+    and K_T) they are Poly or LPoly values built by _weight from the cells.
     """
-    const = (LPoly if theory.k_theory else Poly).const
+    k_theory = theory.k_theory
+    const = (LPoly if k_theory else Poly).const
     cells = {kind: cell for (t, kind), cell in _WEIGHT.items() if t is theory}
+    skip = frozenset(kind for kind, *_ in INTERESTING if cells[kind] == (0, 0))
     if not any(b for _, b in cells.values()):
         return (1, lambda br: cells[br.kind][0], _int_sum_of_products,
-                lambda value: {lam: const(n, c) for lam, c in value.items() if c},
-                _PRUNED[theory])
-    return (const(n, 1), lambda br: branch_weight(theory, br, n), sum_of_products,
-            lambda value: {lam: c for lam, c in value.items() if not c.is_zero()},
-            _PRUNED[theory])
+                lambda value: {lam: const(n, c) for lam, c in value.items() if c}, skip)
+    return (const(n, 1), lambda br: _weight(k_theory, cells[br.kind], br.pos.i, br.pos.j, n),
+            sum_of_products, lambda value: {lam: c for lam, c in value.items() if not c.is_zero()},
+            skip)
 
 
 def _int_sum_of_products(pairs) -> int:
@@ -522,8 +521,9 @@ def table(theories, pairs) -> list[tuple[dict, ...]]:
     if len(sizes) > 1:
         raise ValueError(f"table takes pairs of one board size, got n = {sizes}")
     n = max(sizes, default=0)  # no pairs: no roots, so no fold reads n
-    states, roots = graph(pairs, frozenset.intersection(*(_PRUNED[t] for t in theories)))
-    return list(zip(*(_fold(_ring(t, n), states, roots) for t in theories)))
+    rings = [_ring(t, n) for t in theories]
+    states, roots = graph(pairs, frozenset.intersection(*(ring[4] for ring in rings)))
+    return list(zip(*(_fold(ring, states, roots) for ring in rings)))
 
 
 def structure_constants(theory: Theory, mu: Word, nu: Word) -> dict:
@@ -584,8 +584,8 @@ def enumerate_puzzles(mu: Word, nu: Word, theory: Theory | None = None) -> list[
     keys in the order of the Puzzle's tuples: a run writes every position,
     so at a leaf the dict's values are that run's pieces, in order.
     """
-    prune = _PRUNED[Theory(theory)] if theory is not None else frozenset()
     n = mu.n
+    prune = _ring(Theory(theory), n)[4] if theory is not None else frozenset()
     out = []
     grid = dict.fromkeys([(i, j) for i in range(1, n) for j in range(i + 1, n + 1)])
     rhombi = len(grid)

@@ -9,7 +9,7 @@ from puzzlecalc import board, filling
 from puzzlecalc.board import (STEP, UNCHECKED, FillPos, Puzzle, PuzzlePath, Step, check_path,
                               final_path_word, initial_path, is_valid, path_from_key,
                               validate_path)
-from puzzlecalc.filling import (_PRUNED, InvariantError, Theory, ascii_puzzles, branch_weight,
+from puzzlecalc.filling import (InvariantError, Theory, ascii_puzzles, branch_weight,
                                 count_puzzles, enumerate_puzzles, graph, legal_branches,
                                 puzzle_counts, puzzle_degree_balance, reachable, runs,
                                 structure_constants, table, trace, trace_rows)
@@ -85,6 +85,12 @@ def test_branch_order_is_deterministic():
     assert all(k in ("equivariant", "shift0", "shift1", "topk") for k in kinds)
     assert kinds == sorted(kinds, key=["equivariant", "shift0",
                                        "shift1", "topk"].index)
+
+
+def _skip(theory, n):
+    """The kinds whose branches the theory's walks and folds on the size-n
+    board leave out, or none for theory None."""
+    return frozenset() if theory is None else filling._ring(theory, n)[4]
 
 
 def _pairs(max_n):
@@ -252,7 +258,7 @@ def _polynomial_fold(theory, mu, nu):
     The root value of (mu, nu) folded through branch_weight polynomials,
     every branch's weight multiplied in, cancelled coefficients kept.
     """
-    states = reachable(mu, nu, _PRUNED[theory])
+    states = reachable(mu, nu, _skip(theory, mu.n))
     if not states:
         return {}
     one = (LPoly if theory.k_theory else Poly).const(mu.n, 1)
@@ -279,19 +285,15 @@ def test_integer_fold_is_the_polynomial_fold(monkeypatch, shift0, cancelled):
     # weighs -1 checks that both folds drop the same cancelled ones (two, of
     # one pair)
     monkeypatch.setitem(filling._WEIGHT, (Theory.K, "shift0"), (shift0, 0))
-    filling._weight.cache_clear()
     dropped = Counter()
-    try:
-        for theory in (Theory.H, Theory.K):
-            for mu, nu in _pairs(6):
-                want = _polynomial_fold(theory, mu, nu)
-                got = structure_constants(theory, mu, nu)
-                assert got == {lam: c for lam, c in want.items() if not c.is_zero()}
-                assert list(got) == sorted(got)
-                assert all(type(c) is type(want[lam]) for lam, c in got.items())
-                dropped[theory] += len(want) - len(got)
-    finally:
-        filling._weight.cache_clear()
+    for theory in (Theory.H, Theory.K):
+        for mu, nu in _pairs(6):
+            want = _polynomial_fold(theory, mu, nu)
+            got = structure_constants(theory, mu, nu)
+            assert got == {lam: c for lam, c in want.items() if not c.is_zero()}
+            assert list(got) == sorted(got)
+            assert all(type(c) is type(want[lam]) for lam, c in got.items())
+            dropped[theory] += len(want) - len(got)
     assert dropped[Theory.H] == 0
     assert dropped[Theory.K] == cancelled
 
@@ -327,18 +329,14 @@ def test_forward_fold_drops_the_cancelled_coefficients_table_drops(monkeypatch):
     # and both folds drop exactly those, keeping the rest: in word order
     # forward, in the reference's order backward
     monkeypatch.setitem(filling._WEIGHT, (Theory.KT, "equivariant"), (1, 0))
-    filling._weight.cache_clear()
     dropped = 0
-    try:
-        for mu, nu in _pairs(5):
-            want = _polynomial_fold(Theory.KT, mu, nu)
-            kept = [(lam, c) for lam, c in want.items() if not c.is_zero()]
-            got = structure_constants(Theory.KT, mu, nu)
-            assert got == dict(kept) and list(got) == sorted(got)
-            assert _one_pair_table(Theory.KT, mu, nu) == kept
-            dropped += len(want) - len(kept)
-    finally:
-        filling._weight.cache_clear()
+    for mu, nu in _pairs(5):
+        want = _polynomial_fold(Theory.KT, mu, nu)
+        kept = [(lam, c) for lam, c in want.items() if not c.is_zero()]
+        got = structure_constants(Theory.KT, mu, nu)
+        assert got == dict(kept) and list(got) == sorted(got)
+        assert _one_pair_table(Theory.KT, mu, nu) == kept
+        dropped += len(want) - len(kept)
     assert dropped == 16
 
 
@@ -375,7 +373,7 @@ def test_runs_is_the_trace_tree_in_preorder():
         assert walk == list(_preorder(trace(mu, nu)))
         nodes += len(walk)
         for theory in Theory:
-            leaves = sum(1 for _, branches in runs(mu, nu, _PRUNED[theory]) if not branches)
+            leaves = sum(1 for _, branches in runs(mu, nu, _skip(theory, mu.n)) if not branches)
             assert leaves == count_puzzles(theory, mu, nu)
     assert nodes == 8201
 
@@ -405,9 +403,8 @@ def test_puzzles_from_slots_are_the_sorted_runs():
     puzzles = 0
     for mu, nu in _pairs(5):
         for theory in (None, *Theory):
-            prune = _PRUNED[theory] if theory is not None else frozenset()
             got = enumerate_puzzles(mu, nu, theory=theory)
-            assert got == _puzzles_the_old_way(mu, nu, prune), (mu, nu, theory)
+            assert got == _puzzles_the_old_way(mu, nu, _skip(theory, mu.n)), (mu, nu, theory)
             puzzles += len(got)
     assert puzzles == 3886
 
@@ -493,10 +490,11 @@ def test_trace_of_an_unreachable_pair_scans_its_initial_path_once(monkeypatch):
 
 
 def test_pruned_kinds_are_those_of_zero_weight_at_every_window():
-    # _PRUNED reads the weight table's zero cells, which are zero at every window
-    assert filling._PRUNED[Theory.H] == {"equivariant", "topk"}
-    for theory, prune in filling._PRUNED.items():
+    # a ring skips the kinds whose cell is (0, 0), which weigh zero at every window
+    assert _skip(Theory.H, 4) == {"equivariant", "topk"}
+    for theory in Theory:
         for n in range(2, 6):
+            prune = _skip(theory, n)
             for i in range(1, n):
                 for j in range(i + 1, n + 1):
                     for kind, *_ in filling.INTERESTING:
@@ -505,8 +503,9 @@ def test_pruned_kinds_are_those_of_zero_weight_at_every_window():
 
 
 def test_pruned_graph_is_reached_through_kept_branches():
-    for theory, prune in filling._PRUNED.items():
+    for theory in Theory:
         for mu, nu in _pairs(5):
+            prune = _skip(theory, mu.n)
             full = reachable(mu, nu)
             # parents come before children in reverse, so one pass marks
             # every state reached from the initial path through kept branches
@@ -883,25 +882,59 @@ def test_structure_constants_are_self_dual():
     assert checks == 1400
 
 
-@pytest.mark.parametrize("wrong, failures", [
-    # a K_T shift0 weight of 1 (the Euler sum test catches it too)
-    ("shift0", 91),
-    # every E of the K_T table replaced by 1 - E + E^2: the weights of a
-    # state still sum to 1, so only duality and the specialisations see it
-    ("square", 120),
-])
-def test_duality_rejects_a_wrong_kt_weight(monkeypatch, wrong, failures):
-    weight = filling.branch_weight
+def _square_every_kt_e(monkeypatch):
+    # every E of the K_T table replaced by 1 - E + E^2: no cell of the table
+    # makes it, so it patches the weights built from the cells
+    weight = filling._weight
 
-    def mutated(theory, br, n):
-        if theory != Theory.KT or br.kind in filling.FORCED:
-            return weight(theory, br, n)
-        if wrong == "shift0":
-            return LPoly.const(n, 1) if br.kind == "shift0" else weight(theory, br, n)
-        a, b = filling._WEIGHT[theory, br.kind]
-        i, j = br.pos.i, br.pos.j
+    def squared(k_theory, cell, i, j, n):
+        a, b = cell
+        if not (k_theory and b):
+            return weight(k_theory, cell, i, j, n)
         e = LPoly.exp(n, [(k == i) - (k == j) for k in range(1, n + 1)])
         return LPoly.const(n, a) + (LPoly.const(n, 1) - e + e * e) * b
 
-    monkeypatch.setattr(filling, "branch_weight", mutated)
+    monkeypatch.setattr(filling, "_weight", squared)
+
+
+@pytest.mark.parametrize("wrong, failures", [
+    # E set to 1 in one K_T cell, which every verify suite passes: shift0 and
+    # shift1 weigh 1 (the Euler sum test catches these too), topk -1
+    ("shift0", 91),
+    ("shift1", 123),
+    ("topk", 33),
+    # the weights of a state still sum to 1, so only duality and the
+    # specialisations see it
+    ("square", 120),
+])
+def test_duality_rejects_a_wrong_kt_weight(monkeypatch, wrong, failures):
+    if wrong == "square":
+        _square_every_kt_e(monkeypatch)
+    else:
+        a, b = filling._WEIGHT[Theory.KT, wrong]
+        monkeypatch.setitem(filling._WEIGHT, (Theory.KT, wrong), (a + b, 0))
     assert sum(not _is_self_dual(Theory.KT, mu, nu) for mu, nu in _pairs(5)) == failures
+
+
+def test_one_weight_cell_is_a_whole_mutant_and_leaves_no_trace(monkeypatch):
+    # every walk and fold reads the weight table as it starts, and a weight
+    # is built from its cell, not from its theory and kind: one setitem
+    # changes every reader, a skipped kind and a warm K_T fold included,
+    # and once undone every reading is back
+    h, kt = Theory.H, Theory.KT
+
+    def readings():
+        return (structure_constants(h, MU, NU), table((h,), [(MU, NU)]),
+                count_puzzles(h, MU, NU), structure_constants(kt, MU, NU))
+
+    before = readings()
+    with monkeypatch.context() as mp:
+        mp.setitem(filling._WEIGHT, (h, "topk"), (1, 0))
+        assert structure_constants(h, MU, NU) != before[0]
+        assert table((h,), [(MU, NU)]) != before[1]
+        # topk no longer skipped: H keeps the puzzles K keeps
+        assert count_puzzles(h, MU, NU) == count_puzzles(Theory.K, MU, NU) != before[2]
+    with monkeypatch.context() as mp:
+        mp.setitem(filling._WEIGHT, (kt, "shift0"), (1, 0))
+        assert structure_constants(kt, MU, NU) != before[3]
+    assert readings() == before

@@ -242,23 +242,8 @@ def test_inversion_suite_catches_a_relabelled_topk_piece(monkeypatch, fresh_rows
     assert (suite, ok) == ("inversion", False)
 
 
-@pytest.fixture
-def fresh_weights():
-    # _weight caches each weight it builds, so a patched weight table is
-    # read only through an empty cache, and outlives the patch in a full one
-    filling._weight.cache_clear()
-    yield
-    filling._weight.cache_clear()
-
-
 def _weight_as(theory, kind, cell):
-    # _PRUNED, built at import, skips the branches of each kind whose weight
-    # was zero then, so the kind leaves it with the new weight
-    def mutate(mp):
-        t = filling.Theory(theory)
-        mp.setitem(filling._WEIGHT, (t, kind), cell)
-        mp.setitem(filling._PRUNED, t, filling._PRUNED[t] - {kind})
-    return mutate
+    return lambda mp: mp.setitem(filling._WEIGHT, (filling.Theory(theory), kind), cell)
 
 
 def _wrapped(module, name, wrap):
@@ -317,8 +302,7 @@ def _min_plus_one(real):
         "dictionary-irm-min-invalid", "boundary-envelope",
         "boundary-dots", "pinkdots", "specialize-kt-k", "specialize-kt-order", "specialize-ht",
         "specialize-ht-topk"])
-def test_each_suite_fails_under_a_mutation(monkeypatch, fresh_weights, suite, max_n, mutate,
-                                           details):
+def test_each_suite_fails_under_a_mutation(monkeypatch, suite, max_n, mutate, details):
     mutate(monkeypatch)
     ((name, ok, detail),) = verify_suite(max_n, [suite]).results
     assert (name, ok) == (suite, False)
