@@ -14,7 +14,8 @@ which may serve many boundary pairs and theories.  A table's fold over many
 pairs goes backward, children first, and holds per state the value of every
 final word below it, so pairs share states; one pair's expansion, in any
 theory, and its puzzle counts are folded forward from its root, one value
-per state, and list their words in word order.
+per state.  Either fold lists a result's words in word order, which its ring
+puts them in.
 """
 
 from __future__ import annotations
@@ -388,12 +389,14 @@ def _ring(theory: Theory, n: int) -> tuple:
     """
     What the theory's folds on the size-n board compute in: (the ring's 1,
     the weight of a branch, the sum of the products of a list of (weight,
-    value) pairs, the nonzero coefficients of a dict of values by word, the
-    interesting kinds whose cell is (0, 0), which the folds skip).  It is
-    the walks' and folds' one reader of _WEIGHT, read as each starts.  Where
-    every weight is an integer (H and K), values are signed puzzle counts,
-    summed in ints and made constants by the coefficients; otherwise (H_T
-    and K_T) they are Poly or LPoly values built by _weight from the cells.
+    value) pairs, the nonzero coefficients of a dict of values by word, in
+    word order, the interesting kinds whose cell is (0, 0), which the folds
+    skip).  It is the walks' and folds' one reader of _WEIGHT, read as each
+    starts, and the coefficients are the one place a fold's words are put
+    in order.  Where every weight is an integer (H and K), values are
+    signed puzzle counts, summed in ints and made constants by the
+    coefficients; otherwise (H_T and K_T) they are Poly or LPoly values
+    built by _weight from the cells.
     """
     k_theory = theory.k_theory
     const = (LPoly if k_theory else Poly).const
@@ -401,10 +404,10 @@ def _ring(theory: Theory, n: int) -> tuple:
     skip = frozenset(kind for kind, *_ in INTERESTING if cells[kind] == (0, 0))
     if not any(b for _, b in cells.values()):
         return (1, lambda br: cells[br.kind][0], _int_sum_of_products,
-                lambda value: {lam: const(n, c) for lam, c in value.items() if c}, skip)
+                lambda value: {lam: const(n, c) for lam, c in sorted(value.items()) if c}, skip)
     return (const(n, 1), lambda br: _weight(k_theory, cells[br.kind], br.pos.i, br.pos.j, n),
-            sum_of_products, lambda value: {lam: c for lam, c in value.items() if not c.is_zero()},
-            skip)
+            sum_of_products,
+            lambda value: {lam: c for lam, c in sorted(value.items()) if not c.is_zero()}, skip)
 
 
 def _int_sum_of_products(pairs) -> int:
@@ -418,12 +421,11 @@ def _fold(ring: tuple, states: dict, roots: list) -> list[dict]:
     a state's value maps each final word below it to its coefficient.  A
     final state's value maps its word to the ring's 1, and an interesting
     state's sums, word by word, the (weight, child coefficient) pairs of
-    its branches whose kind is not skipped, in the order the words first
-    come.  Forced pieces weigh 1 and are not multiplied in: a forced state
-    shares its child's dict.  A child's value is dropped once its last
-    parent has read it; a root is no state's child, so its value is read
-    after the loop.  A state that only a skipped branch reaches is folded
-    too, and no root reads its value.
+    its branches whose kind is not skipped.  Forced pieces weigh 1 and are
+    not multiplied in: a forced state shares its child's dict.  A child's
+    value is dropped once its last parent has read it; a root is no
+    state's child, so its value is read after the loop.  A state that only
+    a skipped branch reaches is folded too, and no root reads its value.
     """
     one, weight, add, coefficients, skip = ring
     # per state, the parent that reads its value last: states come children
@@ -452,8 +454,8 @@ def _fold(ring: tuple, states: dict, roots: list) -> list[dict]:
 def _fold_forward(ring: tuple, states: dict, root: bytes | None) -> dict:
     """
     The nonzero coefficients of the value of one pair's root in the ring
-    (see _ring), in word order, where states is the root's graph pruned of
-    the ring's skipped kinds, graph([(mu, nu)], skip).  The fold goes
+    (see _ring), where states is the root's graph pruned of the ring's
+    skipped kinds, graph([(mu, nu)], skip).  The fold goes
     forward: the root's value is the ring's 1, and a state's value is the
     sum of the (weight, parent value) pairs its parents pushed to it.
     States come parents first in reversed(states).  Each state pushes its
@@ -483,11 +485,12 @@ def _fold_forward(ring: tuple, states: dict, root: bytes | None) -> dict:
                 pushed[q.key] = [(w, value)]
             else:
                 into.append((w, value))
-    return coefficients(dict(sorted(words.items())))
+    return coefficients(words)
 
 
 # the ring of puzzle counts: a final state is one run, and a branch weighs 1
-_COUNTS = (1, lambda br: 1, _int_sum_of_products, dict, frozenset())
+_COUNTS = (1, lambda br: 1, _int_sum_of_products, lambda value: dict(sorted(value.items())),
+           frozenset())
 
 
 def puzzle_counts(mu: Word, nu: Word) -> dict[str, int]:
@@ -508,10 +511,10 @@ def table(theories, pairs) -> list[tuple[dict, ...]]:
     order.  One walk serves every pair and theory: it leaves out only the
     kinds that weigh zero in every theory, and each theory's fold skips
     the rest of its ring's zero kinds, folding each distinct state once.
-    The folds go backward (_fold), so that pairs share states, and each
-    dict lists its words in the order that fold meets them, not in word
-    order.  Every pair must be of one board size, since each fold computes
-    in that size's ring.
+    The folds go backward (_fold), so that pairs share states; each dict
+    is the pair's structure_constants item for item, word order included.
+    Every pair must be of one board size, since each fold computes in that
+    size's ring.
     """
     theories = [Theory(t) for t in theories]
     if not theories:

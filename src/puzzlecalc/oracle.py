@@ -330,7 +330,10 @@ def _suite_boundary(max_n: int) -> list[str]:
 
 
 def _suite_covers(max_n: int) -> list[str]:
-    """Move-generated covers match brute-force covers of the entrywise order."""
+    """Move-generated covers match brute-force covers of the entrywise order,
+    up to n = 4 whatever max_n is: the brute force is cubic in the dot sets
+    of a size, so n = 5 would make this suite about ten times slower, and
+    n = 6 alone takes about 1.1 s.  tests/test_intervalrank.py checks n = 5."""
     bad = []
     for n in range(1, min(max_n, 4) + 1):
         for size in range(n + 1):

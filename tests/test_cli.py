@@ -90,7 +90,6 @@ def test_coeff_invariant_violation_is_one_line(capsys, monkeypatch):
     filling = puzzlecalc.filling
     interesting = next(key for key, pieces in filling._PIECES.items() if len(pieces) > 1)
     monkeypatch.delitem(filling._PIECES, interesting)
-    filling._rows.clear()
     code, out, err = run(capsys, "coeff", "--theory", "h", "--mu", "0101", "--nu", "1010")
     assert (code, out) == (2, "")
     assert err.startswith("internal invariant violation: unfillable rhombus ('1', '0') at ")
@@ -208,7 +207,6 @@ def test_puzzles_failure_leaves_stdout_empty(capsys, monkeypatch, tmp_path, rend
         return derive(p, site)
 
     monkeypatch.setattr(puzzlecalc.filling, "_derive_branches", derive_or_fail)
-    puzzlecalc.filling._rows.clear()
     assert run(capsys, *argv)[0] == 0
     last.append(len(calls))
     assert _final_words(calls[-1]) == {"1010"}

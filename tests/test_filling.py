@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from puzzlecalc import board, filling
+from puzzlecalc import board, filling, oracle
 from puzzlecalc.board import (STEP, UNCHECKED, FillPos, Puzzle, PuzzlePath, Step, check_path,
                               final_path_word, initial_path, is_valid, path_from_key,
                               validate_path)
@@ -161,14 +161,6 @@ def test_reachable_is_the_tree_walk_deduplicated():
 
 
 
-def _pairs_by_k(max_n):
-    """Per (n, k) up to max_n, the list of every pair of words."""
-    for n in range(1, max_n + 1):
-        for k in range(n + 1):
-            ws = all_words(n, k)
-            yield [(mu, nu) for mu in ws for nu in ws]
-
-
 def test_graph_is_the_union_of_the_pairs_graphs(monkeypatch):
     # one walk over every pair of an (n, k) derives each distinct state
     # once, and holds each pair's graph, rows included
@@ -181,7 +173,7 @@ def test_graph_is_the_union_of_the_pairs_graphs(monkeypatch):
 
     monkeypatch.setattr(filling, "_derive_branches", counted)
     visits = distinct = 0
-    for pairs in _pairs_by_k(6):
+    for _, _, pairs in oracle._pairs_by_k(6):
         filling._rows.clear()
         derived.clear()
         states, roots = graph(pairs)
@@ -204,29 +196,31 @@ def test_graph_is_the_union_of_the_pairs_graphs(monkeypatch):
     assert (visits, distinct) == (37785, 7634)
 
 
+def _items(row):
+    """A table row, or any tuple of results, as item lists, order included."""
+    return [list(coeffs.items()) for coeffs in row]
+
+
 def test_table_is_structure_constants_pair_by_pair():
     # for each theory alone and the tuples the verify suites ask for, a
-    # table row is the pair's structure_constants as dicts, which list their
-    # words in word order; on every pair alone up to n = 4, where a theory's
-    # skipped kinds cut most of the graph, each of those tuples' table gives
-    # the many-pair table's row, dict order included; an unreachable pair
-    # gives {} in every theory.  (H, K) walks without equivariant branches,
-    # and H's fold skips topk too
+    # table row is the pair's structure_constants item for item, word order
+    # included; on every pair alone up to n = 4, where a theory's skipped
+    # kinds cut most of the graph, each of those tuples' table gives the
+    # many-pair table's row; an unreachable pair gives {} in every theory.
+    # (H, K) walks without equivariant branches, and H's fold skips topk too
     asks = [(t,) for t in Theory] + [(Theory.KT, Theory.K, Theory.HT, Theory.H),
                                      (Theory.H, Theory.HT, Theory.K), (Theory.H, Theory.K)]
     unreachable = 0
-    for pairs in _pairs_by_k(5):
+    for _, _, pairs in oracle._pairs_by_k(5):
         alone = {t: [structure_constants(t, mu, nu) for mu, nu in pairs] for t in Theory}
-        assert all(list(coeffs) == sorted(coeffs) for t in Theory for coeffs in alone[t])
         for theories in asks:
             rows = table(theories, pairs)
             assert len(rows) == len(pairs)
             for idx, row in enumerate(rows):
-                assert list(row) == [alone[t][idx] for t in theories]
+                assert _items(row) == _items(alone[t][idx] for t in theories)
                 if len(theories) > 1 and pairs[idx][0].n <= 4:
                     (single,) = table(theories, [pairs[idx]])
-                    assert [list(coeffs.items()) for coeffs in single] == \
-                        [list(coeffs.items()) for coeffs in row]
+                    assert _items(single) == _items(row)
         for (mu, nu), row in zip(pairs, table(tuple(Theory), pairs)):
             if not reachable(mu, nu):
                 assert row == ({},) * 4
@@ -298,59 +292,48 @@ def test_integer_fold_is_the_polynomial_fold(monkeypatch, shift0, cancelled):
     assert dropped[Theory.K] == cancelled
 
 
-def _one_pair_table(theory, mu, nu):
-    """table's backward fold of the one pair, as (word, coefficient) items."""
-    return list(table((theory,), [(mu, nu)])[0][0].items())
+@pytest.mark.parametrize("ring", [t.value for t in Theory] + ["counts"])
+def test_forward_fold_is_the_table_fold(ring):
+    # one pair folds forward from its root and a table folds backward: the
+    # same items in word order, on every pair up to n = 6, unreachable ones
+    # included, and on an n = 10 pair.  In a theory the forward fold is
+    # structure_constants; in the count ring, over the pair's unpruned
+    # graph, it is puzzle_counts and ascii_puzzles' counts
+    def folds(mu, nu):
+        """The pair's backward fold and its forward ones."""
+        if ring == "counts":
+            backward = filling._fold(filling._COUNTS, *graph([(mu, nu)]))[0]
+            return backward, [puzzle_counts(mu, nu), ascii_puzzles(mu, nu)[0]]
+        ((backward,),) = table((ring,), [(mu, nu)])
+        return backward, [structure_constants(ring, mu, nu)]
 
-
-@pytest.mark.parametrize("theory", list(Theory), ids=[t.value for t in Theory])
-def test_forward_fold_is_the_table_fold(theory):
-    # structure_constants folds one pair forward from the root, and lists
-    # its words in word order; table folds backward: the same terms, on
-    # every pair up to n = 6, unreachable ones included, and on an n = 10
-    # pair
     empty = 0
     for mu, nu in _pairs(6):
-        got = structure_constants(theory, mu, nu)
-        assert got == dict(_one_pair_table(theory, mu, nu)), (mu, nu)
-        assert list(got) == sorted(got), (mu, nu)
-        empty += not got
+        backward, forward = folds(mu, nu)
+        assert list(backward) == sorted(backward), (mu, nu)
+        assert _items(forward) == _items([backward] * len(forward)), (mu, nu)
+        empty += not backward
     assert empty == 650  # the unreachable pairs
-    mu, nu = parse_word("0110100110"), parse_word("1100110010")
-    got = structure_constants(theory, mu, nu)
-    assert len(got) == {"h": 2, "ht": 146, "k": 3, "kt": 148}[theory.value]
-    assert got == dict(_one_pair_table(theory, mu, nu))
-    assert list(got) == sorted(got)
+    backward, forward = folds(parse_word("0110100110"), parse_word("1100110010"))
+    assert len(backward) == {"h": 2, "ht": 146, "k": 3, "kt": 148, "counts": 148}[ring]
+    assert list(backward) == sorted(backward)
+    assert _items(forward) == _items([backward] * len(forward))
 
 
 def test_forward_fold_drops_the_cancelled_coefficients_table_drops(monkeypatch):
     # in the paper's K_T table no coefficient cancels; with the equivariant
     # piece weighing 1, 16 coefficients of pairs up to n = 5 sum to zero,
-    # and both folds drop exactly those, keeping the rest: in word order
-    # forward, in the reference's order backward
+    # and both folds drop exactly those, keeping the rest in word order
     monkeypatch.setitem(filling._WEIGHT, (Theory.KT, "equivariant"), (1, 0))
     dropped = 0
     for mu, nu in _pairs(5):
         want = _polynomial_fold(Theory.KT, mu, nu)
-        kept = [(lam, c) for lam, c in want.items() if not c.is_zero()]
+        kept = sorted((lam, c) for lam, c in want.items() if not c.is_zero())
         got = structure_constants(Theory.KT, mu, nu)
-        assert got == dict(kept) and list(got) == sorted(got)
-        assert _one_pair_table(Theory.KT, mu, nu) == kept
+        ((backward,),) = table((Theory.KT,), [(mu, nu)])
+        assert list(got.items()) == list(backward.items()) == kept
         dropped += len(want) - len(kept)
     assert dropped == 16
-
-
-def test_puzzle_counts_are_the_backward_count_fold_in_word_order():
-    # puzzle_counts and ascii_puzzles fold counts forward; the backward fold
-    # table uses is the reference, on every pair up to n = 6, unreachable
-    # ones included
-    empty = 0
-    for mu, nu in _pairs(6):
-        want = filling._fold(filling._COUNTS, *graph([(mu, nu)]))[0]
-        for got in (puzzle_counts(mu, nu), ascii_puzzles(mu, nu)[0]):
-            assert got == want and list(got) == sorted(got), (mu, nu)
-        empty += not want
-    assert empty == 650
 
 
 def _preorder(node):
@@ -480,7 +463,6 @@ def test_trace_of_an_unreachable_pair_scans_its_initial_path_once(monkeypatch):
 
     monkeypatch.setattr(board, "check_path", counted)
     monkeypatch.setattr(filling, "check_path", counted)
-    filling._rows.clear()
     with pytest.raises(ValueError) as err:
         next(trace_rows(parse_word("1100"), parse_word("0011")))
     assert len(calls) == 1
@@ -688,7 +670,6 @@ def test_no_key_is_reached_at_two_board_sizes():
 
 def test_invariant_error_is_not_cached(monkeypatch):
     start = initial_path(MU, NU)
-    filling._rows.clear()
     monkeypatch.setattr(filling, "_child_is_valid", lambda *args: False)
     for _ in range(2):
         with pytest.raises(InvariantError):
@@ -811,7 +792,6 @@ def test_a_path_checked_by_the_walk_equals_an_unchecked_one(monkeypatch):
     # the site slot is not part of the value: a path built from steps,
     # copied or unpickled equals and hashes as the walk's, and is UNCHECKED,
     # so on a miss it is validated once; the walk's own path is not
-    filling._rows.clear()
     states = reachable(MU, NU)
     check = filling.check_path
     calls = []

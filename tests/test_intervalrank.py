@@ -149,6 +149,27 @@ def test_covers_includes_east_slide_past_column():
     assert DotSet(4, frozenset({(1, 3), (2, 2)})) in covers(d)
 
 
+def test_covers_are_the_minimal_dot_sets_above_entrywise_up_to_n5():
+    # verify's covers suite stops at n = 4; here every dot set up to n = 5
+    # is checked against the brute-force covers of the entrywise order on
+    # rank matrices, among the dot sets of its size
+    count = 0
+    for n in range(1, 6):
+        cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+        for size in range(n + 1):
+            ds = all_dotsets(n, size)
+            ranks = [[rank_from_dots(d).entry(i, j) for i, j in cells] for d in ds]
+            # the pairs (a, b) of indexes into ds with ds[a] strictly below ds[b]
+            below = {(a, b) for a, ra in enumerate(ranks) for b, rb in enumerate(ranks)
+                     if a != b and all(map(int.__le__, ra, rb))}
+            for a, d in enumerate(ds):
+                above = [b for b in range(len(ds)) if (a, b) in below]
+                brute = {ds[b] for b in above if not any((c, b) in below for c in above)}
+                assert covers(d) == brute, d
+                count += 1
+    assert count == 277
+
+
 def test_irm_min_of_comparable_is_lower():
     d = parse_dots("1,2;3,4", 4)
     c = sorted(covers(d), key=format_dots)[0]

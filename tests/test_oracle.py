@@ -212,21 +212,13 @@ def test_boundary_suite_validates_each_path_once(monkeypatch):
 _INTERESTING = board.steps_key((board.STEP["SE", "1"], board.STEP["SW", "0"]))
 
 
-@pytest.fixture
-def fresh_rows():
-    # legal_branches' memo keeps branches derived with the real pieces
-    filling._rows.clear()
-    yield
-    filling._rows.clear()
-
-
 def _topk_as(monkeypatch, piece):
     equivariant, shift0, shift1, _ = filling._PIECES[_INTERESTING]
     monkeypatch.setitem(filling._PIECES, _INTERESTING, (equivariant, shift0, shift1, piece))
     return verify_suite(4, ["inversion"]).results
 
 
-def test_inversion_suite_reads_the_branch_kind(monkeypatch, fresh_rows):
+def test_inversion_suite_reads_the_branch_kind(monkeypatch):
     # the topk branch reads shift1 but still places the topk piece, so a
     # count of placement kinds would pass it
     topk = filling._PIECES[_INTERESTING][3]
@@ -235,7 +227,7 @@ def test_inversion_suite_reads_the_branch_kind(monkeypatch, fresh_rows):
     assert "branches give" in detail
 
 
-def test_inversion_suite_catches_a_relabelled_topk_piece(monkeypatch, fresh_rows):
+def test_inversion_suite_catches_a_relabelled_topk_piece(monkeypatch):
     # the branch and its placement both read shift1
     ((suite, ok, _),) = _topk_as(monkeypatch,
                                  filling._rhombus("shift1", ("1", "0"), "1", "K", None))
