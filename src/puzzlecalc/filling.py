@@ -119,7 +119,9 @@ class Branch:
 class _Piece(NamedTuple):
     """One of the 17 pieces: its kind, the key of the steps that replace the
     kink and the step after it, its placement, and its branches by
-    position, c or (i, j)."""
+    position, c or (i, j).  A piece put in _PIECES in place of another
+    needs a made of its own: one that _replace copied shares the real
+    piece's, so its branches would stay there after the patch's undo."""
     kind: str
     new: bytes
     placement: RhombusPlacement | TrianglePlacement
@@ -155,11 +157,13 @@ _new = object.__new__
 
 
 # legal_branches' memo: the branches of a path state, keyed by the path's
-# key.  Branches are a function of the path alone, and a key holds n steps
-# that are not W, so keys of different board sizes never collide and a hit
-# returns what a fresh derivation would.  A row is a tuple of (branch,
-# child) pairs, which the walks push as they are.  Only _walk_start drops it.
+# key.  Branches are a function of the path and of _PIECES alone, and a key
+# holds n steps that are not W, so keys of different board sizes never
+# collide.  A row is a tuple of (branch, child) pairs, which the walks push
+# as they are.  Only _walk_start drops it, and then copies _PIECES into
+# _rows_from, so that a hit returns what a fresh derivation would.
 _rows: dict[bytes, tuple[tuple[Branch, PuzzlePath], ...]] = {}
+_rows_from: dict[bytes, tuple[_Piece, ...]] = {}
 
 
 def legal_branches(p: PuzzlePath) -> tuple[tuple[Branch, PuzzlePath], ...]:
@@ -171,7 +175,7 @@ def legal_branches(p: PuzzlePath) -> tuple[tuple[Branch, PuzzlePath], ...]:
     raises ValueError; one that a parent derived (which passed
     _child_is_valid) or a walk validated (_walk_start) carries its site.
     A broken invariant raises InvariantError, and is raised again on the
-    next call.
+    next call.  A hit in the memo is returned unchecked (see _walk_start).
     """
     key = p.key
     out = _rows.get(key)
@@ -189,19 +193,23 @@ def legal_branches(p: PuzzlePath) -> tuple[tuple[Branch, PuzzlePath], ...]:
 def _walk_start(mu: Word, nu: Word) -> tuple[PuzzlePath | None, list[str]]:
     """
     The initial path of (mu, nu) for a walk, or None when it is invalid,
-    and its violations, as validate_path gives them.  Unless legal_branches'
-    memo holds its row, it is checked here, in one check_path pass, and
-    built with its fill site, so legal_branches does not check it again,
-    and the memo is dropped first.
+    and its violations, as validate_path gives them.  Every walk checks it
+    here, in one check_path pass, and gives it its fill site, so
+    legal_branches does not check it again.  The memo is dropped unless it
+    holds the path's row and _PIECES equals _rows_from, which holds the
+    piece tuples themselves, so an unpatched entry compares by identity: a
+    walk after a patch of _PIECES, or after its undo, derives afresh.
     """
     p = initial_path(mu, nu)
-    if p.key in _rows:
-        return p, []
     bad, site = check_path(p)
     if bad:
         return None, bad
-    _rows.clear()
-    return path_from_key(p.n, p.key, site), bad
+    if p.key not in _rows or _PIECES != _rows_from:
+        _rows.clear()
+        _rows_from.clear()
+        _rows_from.update(_PIECES)
+    p.site = site
+    return p, bad
 
 
 def _child_is_valid(kink: int, key: bytes, start: int) -> bool:

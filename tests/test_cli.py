@@ -207,6 +207,9 @@ def test_puzzles_failure_leaves_stdout_empty(capsys, monkeypatch, tmp_path, rend
         return derive(p, site)
 
     monkeypatch.setattr(puzzlecalc.filling, "_derive_branches", derive_or_fail)
+    # a walk keeps the memo while it holds the pair's rows, and derives
+    # nothing: both runs start from an empty one, so each derives every state
+    puzzlecalc.filling._rows.clear()
     assert run(capsys, *argv)[0] == 0
     last.append(len(calls))
     assert _final_words(calls[-1]) == {"1010"}
@@ -241,6 +244,18 @@ def test_reader_closing_the_pipe_early_is_not_an_error():
         _, err = proc.communicate(timeout=60)
     assert proc.returncode == 0, err
     assert err == b""
+
+
+def test_reader_gone_with_no_stdout_descriptor_is_not_an_error(capsys, monkeypatch):
+    # capsys' stdout has no descriptor to point at the null device, so the
+    # command returns 0 at once, and writes nothing
+    def gone(*args):
+        raise BrokenPipeError
+
+    with pytest.raises(OSError):
+        sys.stdout.fileno()
+    monkeypatch.setattr(puzzlecalc.cli, "structure_constants", gone)
+    assert run(capsys, "coeff", "--theory", "h", "--mu", "01", "--nu", "10") == (0, "", "")
 
 
 @pytest.mark.parametrize("form", [[], ["--json"]], ids=["plain", "json"])

@@ -174,6 +174,9 @@ def test_graph_is_the_union_of_the_pairs_graphs(monkeypatch):
     monkeypatch.setattr(filling, "_derive_branches", counted)
     visits = distinct = 0
     for _, _, pairs in oracle._pairs_by_k(6):
+        # the walk keeps the memo when it holds the first pair's row, as an
+        # earlier graph of these pairs leaves it: cleared, every state is
+        # derived under the count
         filling._rows.clear()
         derived.clear()
         states, roots = graph(pairs)
@@ -417,10 +420,10 @@ def test_trace_rows_depths_are_the_recursive_walks():
 
 
 def test_a_walk_validates_its_initial_path_once(monkeypatch):
-    # a walk on a cold memo validates the initial path once, and a second
-    # walk of the same pair finds it in the memo; an unreachable pair still
-    # gives {}, nothing, or trace's ValueError, whose text names the
-    # violations of that one scan
+    # every walk validates its initial path once, on a cold memo or on the
+    # warm one a walk of the same pair left, and no state below it; an
+    # unreachable pair gives {}, nothing, or trace's ValueError, whose text
+    # names the violations of that one scan
     check = filling.check_path
     calls = []
 
@@ -434,7 +437,6 @@ def test_a_walk_validates_its_initial_path_once(monkeypatch):
     for mu, nu in _pairs(4):
         start = initial_path(mu, nu)
         for name, walk in walks.items():
-            filling._rows.clear()
             calls.clear()
             if not is_valid(start):
                 if name == "trace_rows":
@@ -448,7 +450,7 @@ def test_a_walk_validates_its_initial_path_once(monkeypatch):
                 continue
             assert walk(mu, nu) and calls == [start.key], name
             walk(mu, nu)
-            assert calls == [start.key], name
+            assert calls == [start.key] * 2, name
 
 
 def test_trace_of_an_unreachable_pair_scans_its_initial_path_once(monkeypatch):
@@ -519,10 +521,9 @@ def test_warm_and_cold_branches_agree():
 
 def test_parent_computed_sites_match_check_path():
     # unpruned, so every pruned graph is a subgraph of the one checked here;
-    # on a cold memo the initial path carries the site _walk_start gave it
+    # the initial path carries the site _walk_start gave it
     children = 0
     for mu, nu in _pairs(6):
-        filling._rows.clear()
         for p, branches in reachable(mu, nu).values():
             assert p.site == check_path(p)[1], p
             for _, q in branches:
@@ -609,6 +610,9 @@ def test_branches_share_their_pieces():
 def test_table_holds_one_pair():
     a = (parse_word("010101"), parse_word("101010"))
     b = (parse_word("001011"), parse_word("110100"))
+    # a graph of many pairs, as an earlier test may leave it, holds the rows
+    # of a and b at once, and the walks below would keep it
+    filling._rows.clear()
     from_a, from_b = set(reachable(*a)), set(reachable(*b))
     only_a = from_a - from_b
     assert only_a
@@ -671,6 +675,9 @@ def test_no_key_is_reached_at_two_board_sizes():
 def test_invariant_error_is_not_cached(monkeypatch):
     start = initial_path(MU, NU)
     monkeypatch.setattr(filling, "_child_is_valid", lambda *args: False)
+    # legal_branches is called with no walk to drop the memo, which may
+    # hold start's row from an earlier walk and would hide the patch
+    filling._rows.clear()
     for _ in range(2):
         with pytest.raises(InvariantError):
             legal_branches(start)
@@ -714,6 +721,8 @@ def test_invariant_error_below_a_forced_chain(monkeypatch):
     check = filling._child_is_valid
     monkeypatch.setattr(filling, "_child_is_valid",
                         lambda kink, key, start: key != bad and check(kink, key, start))
+    # a walk keeps the memo the walks above left: the patch is seen only
+    # on states derived after it
     filling._rows.clear()
     for walk in (lambda: graph([(MU, NU)]), lambda: structure_constants(Theory.KT, MU, NU)):
         for _ in range(2):
@@ -737,7 +746,6 @@ def test_an_unfillable_kink_raises(monkeypatch):
     path, _ = _first_interesting(MU, NU)
     kink, pos = path.site
     monkeypatch.delitem(filling._PIECES, path.key[kink:kink + 2])
-    filling._rows.clear()
     with pytest.raises(InvariantError, match=re.escape(f"unfillable rhombus ('1', '0') at {pos}")):
         graph([(MU, NU)])
 
@@ -762,6 +770,8 @@ def test_an_interesting_state_out_of_rule_raises(monkeypatch, kinds, message):
         return check(code, k, start) != (k == key and start == kink + 2 and code in flip)
 
     monkeypatch.setattr(filling, "_child_is_valid", flipped)
+    # a walk keeps the memo the walk above left: the patch is seen only on
+    # states derived after it
     filling._rows.clear()
     with pytest.raises(InvariantError, match=re.escape(message.format(pos))):
         graph([(MU, NU)])
@@ -791,7 +801,9 @@ def test_a_path_rebuilt_from_fresh_steps_hits_the_table():
 def test_a_path_checked_by_the_walk_equals_an_unchecked_one(monkeypatch):
     # the site slot is not part of the value: a path built from steps,
     # copied or unpickled equals and hashes as the walk's, and is UNCHECKED,
-    # so on a miss it is validated once; the walk's own path is not
+    # so on a miss it is validated once; the walk's own path is not.  A
+    # second walk reads the first's rows, and its root carries a site too
+    reachable(MU, NU)
     states = reachable(MU, NU)
     check = filling.check_path
     calls = []
@@ -809,6 +821,7 @@ def test_a_path_checked_by_the_walk_equals_an_unchecked_one(monkeypatch):
         for q in copies:
             assert q == path and hash(q) == hash(path) and repr(q) == repr(path)
             assert q.site is UNCHECKED
+        # legal_branches derives, and so checks, only on a miss
         filling._rows.clear()
         assert legal_branches(path) == branches and not calls
         filling._rows.clear()
@@ -900,12 +913,14 @@ def test_one_weight_cell_is_a_whole_mutant_and_leaves_no_trace(monkeypatch):
     # every walk and fold reads the weight table as it starts, and a weight
     # is built from its cell, not from its theory and kind: one setitem
     # changes every reader, a skipped kind and a warm K_T fold included,
-    # and once undone every reading is back
-    h, kt = Theory.H, Theory.KT
+    # and once undone every reading is back.  So does one setitem or
+    # delitem of the piece table, though the memo holds the pair's rows
+    h, k, kt = Theory.H, Theory.K, Theory.KT
 
     def readings():
         return (structure_constants(h, MU, NU), table((h,), [(MU, NU)]),
-                count_puzzles(h, MU, NU), structure_constants(kt, MU, NU))
+                count_puzzles(h, MU, NU), structure_constants(kt, MU, NU),
+                structure_constants(k, MU, NU))
 
     before = readings()
     with monkeypatch.context() as mp:
@@ -917,4 +932,18 @@ def test_one_weight_cell_is_a_whole_mutant_and_leaves_no_trace(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setitem(filling._WEIGHT, (kt, "shift0"), (1, 0))
         assert structure_constants(kt, MU, NU) != before[3]
+    assert readings() == before
+    # the topk piece relabelled shift1 weighs 1 in K, not -1
+    interesting = next(at for at, pieces in filling._PIECES.items() if len(pieces) > 1)
+    *kept, _ = filling._PIECES[interesting]
+    assert before[4]["0101"] == LPoly.const(4, -1)
+    with monkeypatch.context() as mp:
+        mp.setitem(filling._PIECES, interesting,
+                   (*kept, filling._rhombus("shift1", ("1", "0"), "1", "K", None)))
+        assert structure_constants(k, MU, NU)["0101"] == LPoly.const(4, 1)
+    assert structure_constants(k, MU, NU) == before[4]
+    with monkeypatch.context() as mp:
+        mp.delitem(filling._PIECES, interesting)
+        with pytest.raises(InvariantError, match=r"unfillable rhombus \('1', '0'\)"):
+            structure_constants(k, MU, NU)
     assert readings() == before

@@ -4,12 +4,12 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from puzzlecalc.intervalrank import (DotSet, _unembed, all_dotsets, covers,
+from puzzlecalc.intervalrank import (DotSet, IntervalRankMatrix, _unembed, all_dotsets, covers,
                                      embed_permutation, envelope, envelope_codim,
                                      essential_conditions, essential_set, fixed_point_in,
                                      format_dots, irm_min, matching_exists, parse_dots,
                                      rank_from_dots, rank_of_matrix)
-from puzzlecalc.words import all_words
+from puzzlecalc.words import Word, all_words
 
 
 def random_dotset(rng, n):
@@ -45,6 +45,19 @@ def test_parse_format_round_trip():
     d = parse_dots("1,5;3,3", 5)
     assert d.dots == frozenset({(1, 5), (3, 3)})
     assert parse_dots(format_dots(d), 5) == d
+
+
+def test_rank_matrix_shape_and_entry_bounds():
+    with pytest.raises(ValueError, match="^row count mismatch$"):
+        IntervalRankMatrix(2, ((1, 1),))
+    with pytest.raises(ValueError, match="^row 2 has wrong length$"):
+        IntervalRankMatrix(2, ((1, 1), (1, 0)))
+    r = rank_from_dots(parse_dots("1,1", 2))
+    # an empty window has rank 0; a window off the board has none
+    assert r.entry(2, 1) == 0
+    for i, j in [(0, 1), (1, 3), (3, 3)]:
+        with pytest.raises(IndexError):
+            r.entry(i, j)
 
 
 @given(dotsets)
@@ -305,3 +318,12 @@ def test_leq_and_irm_min_refuse_two_board_sizes(small, large):
         r1.leq(r2)
     with pytest.raises(ValueError, match="size mismatch"):
         irm_min(r1, r2)
+
+
+def test_fixed_point_in_and_matching_exists_take_one_board_size():
+    d = parse_dots("1,1", 2)
+    for test in (fixed_point_in, matching_exists):
+        with pytest.raises(ValueError, match="^size mismatch$"):
+            test(d, Word((0, 1, 0)))
+    # one dot and two 0s: no bijection
+    assert not matching_exists(d, Word((0, 0)))

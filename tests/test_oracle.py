@@ -50,6 +50,12 @@ def test_lr_oracle_degree_mismatch_is_zero():
     assert lr_oracle(lam, mu, nu) == 0
 
 
+def test_lr_oracle_refuses_words_of_two_shapes():
+    for lam, mu, nu in [("01", "01", "001"), ("01", "01", "11")]:
+        with pytest.raises(ValueError, match="^words must share n and k$"):
+            lr_oracle(parse_word(lam), parse_word(mu), parse_word(nu))
+
+
 def test_lr_oracle_identity():
     w = parse_word("0011")
     assert lr_oracle(w, w, parse_word("0101")) == 0

@@ -1,9 +1,11 @@
 from collections import Counter
 
-from puzzlecalc.board import initial_path, is_valid, path_from_key
+import pytest
+
+from puzzlecalc.board import STEP, PuzzlePath, initial_path, is_valid, path_from_key
 from puzzlecalc.filling import reachable, trace_rows
 from puzzlecalc.intervalrank import envelope, envelope_codim, rank_from_dots
-from puzzlecalc.pinkdots import path_codim, path_dots, path_to_rank
+from puzzlecalc.pinkdots import path_codim, path_dots, path_to_rank, valid_path_dots
 from puzzlecalc.words import all_words
 
 
@@ -86,3 +88,20 @@ def test_rank_consistency():
             for path, _ in reachable(mu, nu).values():
                 d, r = path_to_rank(path)
                 assert r == rank_from_dots(d)
+
+
+@pytest.mark.parametrize("n, steps, message", [
+    (1, "SWR", "unbalanced rays: 0 vs 1 on one side"),
+    (1, "SER W0", "kink R/K with no 1 below it"),
+    (1, "SE0 W1", "kink 0 lacks a NW ray partner below"),
+    (1, "SEK W1", "kink K lacks a NW ray partner below"),
+    (2, "SE0 SEK W1 W0", r"dot \(2,1\) below the diagonal"),
+], ids=["unbalanced", "no-1-below", "no-partner-0", "no-partner-k", "below-diagonal"])
+def test_rays_of_an_invalid_path_do_not_pair(n, steps, message):
+    # valid_path_dots trusts its caller, and on these invalid paths the rays
+    # do not pair up; path_dots refuses each one before placing a ray
+    p = PuzzlePath(n, tuple(STEP[step[:-1], step[-1]] for step in steps.split()))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        valid_path_dots(p)
+    with pytest.raises(ValueError, match="^invalid path: "):
+        path_dots(p)

@@ -77,6 +77,12 @@ def test_eval_at_one():
     assert eval_at_one(p) == 0
 
 
+def test_y_index_is_in_range():
+    for i in (0, 3):
+        with pytest.raises(PolyError, match=f"^variable index {i} out of range for n=2$"):
+            Poly.y(2, i)
+
+
 def test_y_to_zero():
     p = Poly.const(2, 5) + Poly.y(2, 1) * 3
     assert y_to_zero(p) == 5
@@ -97,6 +103,8 @@ def test_lowest_form_rejects_low_terms():
     p = LPoly.const(2, 1)
     with pytest.raises(PolyError):
         lowest_form(p, 1)
+    with pytest.raises(PolyError, match="degree must be >= 0"):
+        lowest_form(p, -1)
 
 
 @given(lpolys, st.integers(0, 2))

@@ -19,6 +19,15 @@ def test_parse_basic():
     assert str(w) == "0101"
 
 
+def test_word_bits_and_positions_are_checked():
+    with pytest.raises(WordError, match="^word bits must be 0 or 1$"):
+        Word((0, 2))
+    w = parse_word("01")
+    for p in (0, 3):
+        with pytest.raises(IndexError):
+            w[p]
+
+
 def test_parse_rejects_bad_alphabet():
     with pytest.raises(WordError, match="outside"):
         parse_word("01a1")
