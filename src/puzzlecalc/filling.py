@@ -161,7 +161,8 @@ _new = object.__new__
 # holds n steps that are not W, so keys of different board sizes never
 # collide.  A row is a tuple of (branch, child) pairs, which the walks push
 # as they are.  Only _walk_start drops it, and then copies _PIECES into
-# _rows_from, so that a hit returns what a fresh derivation would.
+# _rows_from, so that a walk's hit returns what a fresh derivation would
+# (for the limit of that, see _walk_start).
 _rows: dict[bytes, tuple[tuple[Branch, PuzzlePath], ...]] = {}
 _rows_from: dict[bytes, tuple[_Piece, ...]] = {}
 
@@ -198,7 +199,11 @@ def _walk_start(mu: Word, nu: Word) -> tuple[PuzzlePath | None, list[str]]:
     legal_branches does not check it again.  The memo is dropped unless it
     holds the path's row and _PIECES equals _rows_from, which holds the
     piece tuples themselves, so an unpatched entry compares by identity: a
-    walk after a patch of _PIECES, or after its undo, derives afresh.
+    walk after a patch of _PIECES, or after its undo, derives afresh.  The
+    check is made here only, so rows derived while a patch stands by a
+    walk started before it (a resumed runs or trace_rows generator), or
+    by a direct legal_branches call, outlive its undo; such a caller
+    clears _rows after the undo too.
     """
     p = initial_path(mu, nu)
     bad, site = check_path(p)

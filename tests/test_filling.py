@@ -420,10 +420,11 @@ def test_trace_rows_depths_are_the_recursive_walks():
 
 
 def test_a_walk_validates_its_initial_path_once(monkeypatch):
-    # every walk validates its initial path once, on a cold memo or on the
-    # warm one a walk of the same pair left, and no state below it; an
-    # unreachable pair gives {}, nothing, or trace's ValueError, whose text
-    # names the violations of that one scan
+    # every walk validates its initial path once and no state below it:
+    # each walk starts on a cold memo, and a second walk of the same pair,
+    # on the warm memo the first left, scans the root again and nothing
+    # else; an unreachable pair gives {}, nothing, or trace's ValueError,
+    # whose text names the violations of that one scan
     check = filling.check_path
     calls = []
 
@@ -437,6 +438,7 @@ def test_a_walk_validates_its_initial_path_once(monkeypatch):
     for mu, nu in _pairs(4):
         start = initial_path(mu, nu)
         for name, walk in walks.items():
+            filling._rows.clear()
             calls.clear()
             if not is_valid(start):
                 if name == "trace_rows":
@@ -947,3 +949,24 @@ def test_one_weight_cell_is_a_whole_mutant_and_leaves_no_trace(monkeypatch):
         with pytest.raises(InvariantError, match=r"unfillable rhombus \('1', '0'\)"):
             structure_constants(k, MU, NU)
     assert readings() == before
+
+
+def test_a_direct_call_under_a_piece_patch_outlives_its_undo(monkeypatch):
+    # the limit of a piece mutant: the memo is checked at a walk's start
+    # only, so rows a direct legal_branches call derives under a patch stay
+    # after its undo, and the caller clears the memo after the undo too
+    k = Theory.K
+    before = structure_constants(k, MU, NU)
+    interesting = next(at for at, pieces in filling._PIECES.items() if len(pieces) > 1)
+    *kept, _ = filling._PIECES[interesting]
+    with monkeypatch.context() as mp:
+        mp.setitem(filling._PIECES, interesting,
+                   (*kept, filling._rhombus("shift1", ("1", "0"), "1", "K", None)))
+        # a direct call after a patch clears the memo first
+        filling._rows.clear()
+        stack = [initial_path(MU, NU)]
+        while stack:
+            stack.extend(q for _, q in legal_branches(stack.pop()))
+    assert structure_constants(k, MU, NU)["0101"] == LPoly.const(4, 1)
+    filling._rows.clear()
+    assert structure_constants(k, MU, NU) == before
