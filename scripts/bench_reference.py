@@ -47,6 +47,8 @@ CAP_KB = 2_000_000
 
 N10 = ["--mu", "0110100110", "--nu", "1100110010"]
 N12 = ["--mu", "001011001101", "--nu", "110101010100"]
+# the CI pair of the plain n = 16 H and K digests, where the walk is most of the command
+N16 = ["--mu", "0000101010111101", "--nu", "1101001100011100"]
 
 # every n = 7 pair's H_T and K_T expansion from one table (the CI step's lines)
 TABLE_N7 = """import sys
@@ -71,6 +73,8 @@ ROWS = [
     ("n=10 kt coeff", ["coeff", "--theory", "kt", *N10], RUNS, None),
     ("n=12 k coeff --json", ["coeff", "--theory", "k", *N12, "--json"], RUNS, None),
     ("n=12 h coeff --json", ["coeff", "--theory", "h", *N12, "--json"], RUNS, None),
+    ("n=16 h coeff", ["coeff", "--theory", "h", *N16], RUNS, None),
+    ("n=16 k coeff", ["coeff", "--theory", "k", *N16], RUNS, None),
     ("n=12 ht coeff", ["coeff", "--theory", "ht", *N12], 1, CAP_KB),
     ("n=12 kt coeff", ["coeff", "--theory", "kt", *N12], 1, CAP_KB),
     ("n=10 puzzles --lambda 0100100111 --render ascii",

@@ -45,6 +45,9 @@ def _pair(mu_s: str, nu_s: str) -> tuple[Word, Word]:
 def cmd_coeff(args) -> int:
     mu, nu = _pair(args.mu, args.nu)
     theory = Theory(args.theory)
+    # --json counts first: the count's run walk derives every state once,
+    # and structure_constants' graph then reads each forced step off its row
+    count = count_puzzles(theory, mu, nu) if args.json else None
     coeffs = structure_constants(theory, mu, nu)
     write = sys.stdout.write
     if not args.json:
@@ -55,7 +58,7 @@ def cmd_coeff(args) -> int:
     # structure_constants gives ("coefficients" sorts first); the rest, count included,
     # is built before any write: a failure writes nothing
     rest = json.dumps({"n": mu.n, "k": mu.k, "mu": str(mu), "nu": str(nu), "theory": theory.value,
-                       "puzzle_count": count_puzzles(theory, mu, nu)}, sort_keys=True)
+                       "puzzle_count": count}, sort_keys=True)
     write('{"coefficients": {')
     for i, (lam, c) in enumerate(coeffs.items()):
         write(f'{", " if i else ""}"{lam}": {json_text(c)}')

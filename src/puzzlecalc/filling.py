@@ -10,12 +10,14 @@ ordinary or torus-equivariant cohomology, and ordinary or torus-equivariant
 K-theory.  The class of a partly filled puzzle depends on its path alone, so
 structure constants are summed once per distinct path state rather than once
 per run, and a state's continuations are derived and checked once per walk,
-which may serve many boundary pairs and theories.  A table's fold over many
-pairs goes backward, children first, and holds per state the value of every
-final word below it, so pairs share states; one pair's expansion, in any
-theory, and its puzzle counts are folded forward from its root, one value
-per state.  Either fold lists a result's words in word order, which its ring
-puts them in.
+which may serve many boundary pairs and theories.  A graph keeps only the
+chain ends, its roots and the states that are not forced, and a chain of
+forced pieces is one edge between two of them.  A table's fold over many
+pairs goes backward, children first, and holds per chain end the value of
+every final word below it, so pairs share states; one pair's expansion, in
+any theory, and its puzzle counts are folded forward from its root, one
+value per chain end.  Either fold lists a result's words in word order,
+which its ring puts them in.
 """
 
 from __future__ import annotations
@@ -152,8 +154,6 @@ _PIECES[steps_key((STEP["SE", "1"], STEP["SW", "0"]))] = tuple(
     _rhombus(kind, ("1", "0"), *new, mid) for kind, new, mid, *_ in INTERESTING)
 # the codes of the four SW steps: a head with these stripped ends in its last SE step
 _SW_CODES = bytes(range(SW_0, W_0))
-# builds a path with no __init__, as path_from_key does
-_new = object.__new__
 
 
 # legal_branches' memo: the branches of a path state, keyed by the path's
@@ -252,6 +252,34 @@ def _child_is_valid(kink: int, key: bytes, start: int) -> bool:
         kink == SE_0 or key.find(SW_1, start, ray) >= 0)
 
 
+def _forced(n: int, key: bytes, kink: int, pos: FillPos, piece: _Piece
+            ) -> tuple[Branch, bytes, tuple[int, FillPos] | None]:
+    """
+    The forced piece's branch at the fill site (kink, pos) of the valid
+    size-n path with this key, its child's key and the child's site, as
+    _derive_branches tells them; a child that breaks the path raises
+    InvariantError.  graph places forced chains through it too.
+    """
+    head = key[:kink]
+    child = head + piece.new + key[kink + 2:]
+    if pos.kind == "bottom":
+        # the steps between the child's kink and the new SW step are all
+        # SW, so the child's rhombus sits k - m rows above the bottom
+        m = len(head.rstrip(_SW_CODES)) - 1
+        c = at = pos.c
+        site = None if m < 0 else (m, rhombus_pos(c - 1, c - 1 + kink - m))
+        ok = m < 0 or _child_is_valid(key[m], child, m + 1)
+    else:
+        i, j = at = pos.i, pos.j
+        site = (kink + 1, bottom_pos(i) if key[kink + 2] >= W_0 else rhombus_pos(i, j - 1))
+        ok = _child_is_valid(piece.new[1], key, kink + 2)
+    if not ok:
+        shape = "triangle" if pos.kind == "bottom" else "rhombus"
+        raise InvariantError(
+            f"forced {shape} at {pos} broke the path: {validate_path(path_from_key(n, child))}")
+    return piece.made.get(at) or piece.branch(pos, at), child, site
+
+
 def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
                      ) -> tuple[tuple[Branch, PuzzlePath], ...]:
     """
@@ -263,8 +291,8 @@ def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
     triangle leaves it at the last SE step before k, or makes the child
     final.  Each candidate child is checked by _child_is_valid, which
     reads the steps after the child's kink; a rhombus leaves them as they
-    are in p.  A forced child and its branch are built in place, and a
-    PuzzlePath is built only for a kept child.
+    are in p.  A forced child is placed by _forced, and a PuzzlePath is
+    built only for a kept child.
     """
     if site is None:
         return ()
@@ -275,31 +303,10 @@ def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
         shape = "bottom triangle" if pos.kind == "bottom" else "rhombus"
         labels = STEPS[key[kink]].label, STEPS[key[kink + 1]].label
         raise InvariantError(f"unfillable {shape} {labels} at {pos}")
-    head, tail = key[:kink], key[kink + 2:]
     if len(pieces) == 1:
-        (piece,) = pieces
-        q = _new(PuzzlePath)
-        q.n = n
-        q.key = child = head + piece.new + tail
-        if pos.kind == "bottom":
-            # the steps between the child's kink and the new SW step are
-            # all SW, so the child's rhombus sits k - m rows above the bottom
-            m = len(head.rstrip(_SW_CODES)) - 1
-            c = at = pos.c
-            if m < 0:
-                q.site = None
-            else:
-                q.site = (m, rhombus_pos(c - 1, c - 1 + kink - m))
-                if not _child_is_valid(key[m], child, m + 1):
-                    raise InvariantError(
-                        f"forced triangle at {pos} broke the path: {validate_path(q)}")
-        else:
-            i, j = at = pos.i, pos.j
-            q.site = (kink + 1, bottom_pos(i) if key[kink + 2] >= W_0 else rhombus_pos(i, j - 1))
-            if not _child_is_valid(piece.new[1], key, kink + 2):
-                raise InvariantError(f"forced rhombus at {pos} broke the path: {validate_path(q)}")
-        return ((piece.made.get(at) or piece.branch(pos, at), q),)
-
+        br, child, child_site = _forced(n, key, kink, pos, pieces[0])
+        return ((br, path_from_key(n, child, child_site)),)
+    head, tail = key[:kink], key[kink + 2:]
     i, j = at = pos.i, pos.j
     child_site = (kink + 1, bottom_pos(i) if key[kink + 2] >= W_0 else rhombus_pos(i, j - 1))
     ok = [_child_is_valid(piece.new[1], key, kink + 2) for piece in pieces]
@@ -340,62 +347,118 @@ def _weight(k_theory: bool, cell: tuple[int, int], i: int, j: int, n: int):
 
 def graph(pairs, prune=frozenset()) -> tuple[dict, list]:
     """
-    The union of the state graphs of the boundary pairs: every path state
-    reachable from a pair's initial path through branches whose kind is not
-    in prune, keyed by the path's key and mapped to (path, kept branches),
+    The union of the state graphs of the boundary pairs, one entry per
+    chain end: each initial path, interesting state and final state
+    reachable from a pair's initial path through branches whose kind is
+    not in prune, keyed by the path's key and mapped to (path, edges),
     children before parents; and per pair, the key of its initial path, or
-    None when the pair is unreachable.  An initial path is no state's
-    child.  A key holds n steps that are not W, so boards of different
-    sizes share no key.
+    None when the pair is unreachable.  An edge is (branch, the forced
+    branches after it, the key of the chain end they reach), one per kept
+    branch, so an edge starts with a forced branch only at an initial path.
+    An initial path is no state's child.  A key holds n steps that are not
+    W, so boards of different sizes share no key.
 
-    One walk serves every pair, and reads each state's branches from
-    legal_branches, so each distinct state is derived once and kept in its
-    memo.  A forced child is followed in a loop, and the chain of forced
-    states is pushed once, with the state that ends it.
+    One walk serves every pair.  A chain end's branches come from
+    legal_branches, so each is derived once and kept in its memo; a forced
+    state gets no entry and no path: its step is read off its memo row
+    when there is one, and placed by _forced otherwise, which checks it as
+    legal_branches would.  A forced state met again reuses its chain's
+    tail.  expand gives the graph state by state.
     """
     out: dict[bytes, tuple[PuzzlePath, tuple]] = {}
     roots: list[bytes | None] = []
+    # per forced state met: its chain's forced branches, its own index in
+    # them, and the chain's end, with its path when out lacked it
+    tails: dict[bytes, tuple] = {}
     for mu, nu in pairs:
         p, _ = _walk_start(mu, nu)
         roots.append(None if p is None else p.key)
-        if p is None or p.key in out:
-            continue
-        # a path to walk from, or a chain: the (key, (path, kept branches))
-        # of states that lead each to the next, all forced but the last,
-        # written last first once the paths pushed above it are in out
-        stack: list = [p]
+        # a chain end to walk from, or a (key, entry) whose ends are in out
+        stack: list = [] if p is None else [p]
         while stack:
             path = stack.pop()
-            if type(path) is list:
-                out.update(reversed(path))
-                continue
-            chain = []
-            key = path.key
-            while key not in out:
-                branches = legal_branches(path)
-                if len(branches) != 1:
-                    break
-                chain.append((key, (path, branches)))
-                path = branches[0][1]
-                key = path.key
-            else:
-                out.update(reversed(chain))
-                continue
-            # a final or interesting state: its children come first
-            if prune:
-                branches = tuple([(br, q) for br, q in branches if br.kind not in prune])
-            chain.append((key, (path, branches)))
-            stack.append(chain)
-            stack += [q for _, q in branches if q.key not in out]
+            if type(path) is tuple:
+                out[path[0]] = path[1]
+            elif path.key not in out:
+                edges, ends = [], []
+                for br, q in legal_branches(path):
+                    if br.kind not in prune:
+                        forced, end, end_path = _chain(q, out, tails)
+                        edges.append((br, forced, end))
+                        if end not in out:
+                            ends.append(end_path)
+                stack.append((path.key, (path, tuple(edges))))
+                stack += ends
     return out, roots
+
+
+def _chain(q: PuzzlePath, out: dict, tails: dict) -> tuple[tuple, bytes, PuzzlePath | None]:
+    """graph's chain from the child q of a chain end: the forced branches
+    from q on, the chain end they reach, and its path unless out has it."""
+    n, key, site, path = q.n, q.key, q.site, q
+    keys, forced = [], []
+    while key not in out:
+        tail = tails.get(key)
+        if tail is not None:
+            chain, at, key, path = tail
+            forced += chain[at:]
+            break
+        row = _rows.get(key)
+        if row is not None:
+            if len(row) != 1:
+                break
+            br, path = row[0]
+            child, child_site = path.key, path.site
+        else:
+            if site is None:
+                break
+            kink, pos = site
+            pieces = _PIECES.get(key[kink:kink + 2])
+            if pieces is None or len(pieces) != 1:
+                break  # legal_branches derives it, or raises as it would
+            br, child, child_site = _forced(n, key, kink, pos, pieces[0])
+            path = None
+        keys.append(key)
+        forced.append(br)
+        key, site = child, child_site
+    if path is None and key not in out:
+        path = path_from_key(n, key, site)
+    forced = tuple(forced)
+    for at, k in enumerate(keys):
+        tails[k] = (forced, at, key, path)
+    return forced, key, path
+
+
+def expand(states: dict, prune=frozenset()) -> dict:
+    """
+    The chain ends states of a graph built with prune, state by state:
+    every state that they and their edges pass, forced ones included,
+    keyed by the path's key and mapped to (path, kept branches) as
+    legal_branches gives them, children before parents.  Each forced state
+    is derived here, through legal_branches.
+    """
+    out: dict[bytes, tuple[PuzzlePath, tuple]] = {}
+    for key, (path, _) in states.items():
+        row = legal_branches(path)
+        if prune:
+            row = tuple([(br, q) for br, q in row if br.kind not in prune])
+        for _, q in row:
+            chain = []
+            while q.key not in out:  # a chain's end comes before its start
+                branches = legal_branches(q)
+                chain.append((q.key, (q, branches)))
+                q = branches[0][1]
+            out.update(reversed(chain))
+        out[key] = (path, row)
+    return out
 
 
 def reachable(mu: Word, nu: Word, prune=frozenset()) -> dict:
     """
-    The state graph of the boundary pair (mu, nu), the graph of it alone:
-    the initial path comes last, and an unreachable pair yields {}.
+    The state graph of the boundary pair (mu, nu) alone, state by state
+    (expand): the initial path comes last, and an unreachable pair yields {}.
     """
-    return graph([(mu, nu)], prune)[0]
+    return expand(graph([(mu, nu)], prune)[0], prune)
 
 
 def _ring(theory: Theory, n: int) -> tuple:
@@ -430,37 +493,41 @@ def _int_sum_of_products(pairs) -> int:
 def _fold(ring: tuple, states: dict, roots: list) -> list[dict]:
     """
     Per root of a table, the nonzero coefficients of its value in the ring
-    (see _ring): a fold over the states, children before parents, in which
-    a state's value maps each final word below it to its coefficient.  A
-    final state's value maps its word to the ring's 1, and an interesting
-    state's sums, word by word, the (weight, child coefficient) pairs of
-    its branches whose kind is not skipped.  Forced pieces weigh 1 and are
-    not multiplied in: a forced state shares its child's dict.  A child's
-    value is dropped once its last parent has read it; a root is no
-    state's child, so its value is read after the loop.  A state that only
-    a skipped branch reaches is folded too, and no root reads its value.
+    (see _ring): a fold over the chain ends of graph's states, children
+    before parents, in which a state's value maps each final word below it
+    to its coefficient.  A final state's value maps its word to the ring's
+    1, and an interesting state's sums, word by word, the (weight, end
+    coefficient) pairs of its edges whose kind is not skipped.  Forced
+    pieces weigh 1 and are not multiplied in: an initial path whose edge is
+    forced shares its end's dict.  An end's value is dropped once its last
+    parent has read it; a root is no state's child, so its value is read
+    after the loop.  A state that only a skipped branch reaches is folded
+    too, and no root reads its value.
     """
     one, weight, add, coefficients, skip = ring
-    # per state, the parent that reads its value last: states come children
-    # before parents, so that is the last one met
-    last = {q.key: key for key, (_, branches) in states.items()
-            for br, q in branches if br.kind not in skip}
+    # per chain end, the parent that reads its value last: states come
+    # children before parents, so that is the last one met
+    last = {end: key for key, (_, edges) in states.items()
+            for br, _, end in edges if br.kind not in skip}
     value: dict[bytes, dict[str, object]] = {}
-    for key, (path, branches) in states.items():
-        if not branches:
+    for key, (path, edges) in states.items():
+        if not edges:
             value[key] = {str(final_path_word(path)): one}
-        elif branches[0][0].kind in FORCED:
-            child = branches[0][1].key
-            value[key] = value.pop(child) if last[child] is key else value[child]
+        elif edges[0][0].kind in FORCED:
+            value[key] = value[edges[0][2]]
         else:
             parts: dict[str, list] = {}
-            for br, q in branches:
+            for br, _, end in edges:
                 if br.kind not in skip:
                     w = weight(br)
-                    child = value.pop(q.key) if last[q.key] is key else value[q.key]
-                    for lam, c in child.items():
+                    for lam, c in value[end].items():
                         parts.setdefault(lam, []).append((w, c))
             value[key] = {lam: add(ps) for lam, ps in parts.items()}
+        # dropped after every edge has read: two edges of one state could end
+        # at one state (none do for n <= 8)
+        for _, _, end in edges:
+            if last.get(end) is key:
+                value.pop(end, None)
     return [{} if key is None else coefficients(value[key]) for key in roots]
 
 
@@ -471,31 +538,28 @@ def _fold_forward(ring: tuple, states: dict, root: bytes | None) -> dict:
     skipped kinds, graph([(mu, nu)], skip).  The fold goes
     forward: the root's value is the ring's 1, and a state's value is the
     sum of the (weight, parent value) pairs its parents pushed to it.
-    States come parents first in reversed(states).  Each state pushes its
-    value to each child, a forced child with weight 1, which passes it on
-    unchanged, and then holds none of it; a final state's value is its
-    word's coefficient.  So each edge multiplies its weight into one value,
-    where _fold multiplies it into the value of every word below the child.
+    Chain ends come parents first in reversed(states).  Each pushes its
+    value along each edge to the edge's end, with weight 1 along a forced
+    edge, which passes it on unchanged, and then holds none of it; a final
+    state's value is its word's coefficient.  So each edge multiplies its
+    weight into one value, where _fold multiplies it into the value of
+    every word below the end.
     """
     if root is None:
         return {}
     one, weight, add, coefficients, _ = ring
     pushed: dict[bytes, list] = {root: [(one, one)]}
     words: dict[str, object] = {}
-    for key, (path, branches) in reversed(states.items()):
+    for key, (path, edges) in reversed(states.items()):
         parts = pushed.pop(key)
         value = parts[0][1] if len(parts) == 1 and parts[0][0] is one else add(parts)
-        if not branches:
+        if not edges:
             words[str(final_path_word(path))] = value
             continue
-        if branches[0][0].kind in FORCED:
-            pairs = [(one, branches[0][1])]
-        else:
-            pairs = [(weight(br), q) for br, q in branches]
-        for w, q in pairs:
-            into = pushed.get(q.key)
+        for w, end in [(one if br.kind in FORCED else weight(br), end) for br, _, end in edges]:
+            into = pushed.get(end)
             if into is None:
-                pushed[q.key] = [(w, value)]
+                pushed[end] = [(w, value)]
             else:
                 into.append((w, value))
     return coefficients(words)
@@ -509,9 +573,9 @@ _COUNTS = (1, lambda br: 1, _int_sum_of_products, lambda value: dict(sorted(valu
 def puzzle_counts(mu: Word, nu: Word) -> dict[str, int]:
     """
     The number of puzzles of (mu, nu) per final word, in word order, folded
-    forward over the pair's unpruned state graph once per state: {} for an
-    unreachable pair.  Every state is derived and checked here, and left in
-    legal_branches' memo.
+    forward over the chain ends of the pair's unpruned graph: {} for an
+    unreachable pair.  Every state is checked here, and each chain end is
+    left in legal_branches' memo.
     """
     states, (root,) = graph([(mu, nu)])
     return _fold_forward(_COUNTS, states, root)
@@ -636,12 +700,11 @@ def ascii_puzzles(mu: Word, nu: Word, lam: Word | None = None) -> tuple[dict, It
 def _boards(mu: Word, nu: Word, states: dict, root: bytes | None, lam: Word | None):
     """
     The board texts of ascii_puzzles, from one text written by a preorder
-    walk over the chain ends of the pair's graph (states, root): its
-    interesting and final states.  An edge leaves a chain end by one
-    branch and runs through the forced states after it to the next chain
-    end; it is the (offset, byte) writes of all its pieces, with that end's
-    key, and is built once per edge.  A run writes every position, so at a
-    final state the text is that run's board.  With lam, one pass over the
+    walk over the chain ends of the pair's graph (states, root).  An edge
+    is written as the (offset, byte) writes of all its pieces, built once
+    per edge, with its end's key; the walk starts as if by an edge of no
+    pieces into the root.  A run writes every position, so at a final
+    state the text is that run's board.  With lam, one pass over the
     states, children before parents, marks those that reach lam's final
     state, and only edges that end at one are kept.
     """
@@ -651,35 +714,25 @@ def _boards(mu: Word, nu: Word, states: dict, root: bytes | None, lam: Word | No
     reach = None
     if lam is not None:
         reach = {final_path(lam).key}
-        for key, (_, branches) in states.items():
-            if any(q.key in reach for _, q in branches):
+        for key, (_, edges) in states.items():
+            if any(end in reach for _, _, end in edges):
                 reach.add(key)
         if root not in reach:
             return
-
-    def edge(entries: list, key: bytes) -> tuple[list, bytes]:
-        # the writes of entries and of the forced pieces from key on, and
-        # the chain end they reach
-        branches = states[key][1]
-        while len(branches) == 1:
-            br, q = branches[0]
-            entries.append(br.placed)
-            key = q.key
-            branches = states[key][1]
-        return list(placed_bytes(n, entries)), key
-
     text = boundary_text(mu, nu)
-    # per chain end, its edges in reverse branch order, as the stack takes them
-    edges: dict[bytes, list] = {}
-    stack = [edge([], root)]
+    # per chain end, its edges' writes in reverse branch order, as the stack takes them
+    writes_of: dict[bytes, list] = {}
+    stack = [((), root)]
     while stack:
         writes, key = stack.pop()
         for off, byte in writes:
             text[off] = byte
-        out = edges.get(key)
+        out = writes_of.get(key)
         if out is None:
-            out = edges[key] = [edge([br.placed], q.key) for br, q in reversed(states[key][1])
-                                if reach is None or q.key in reach]
+            out = writes_of[key] = [
+                (list(placed_bytes(n, [br.placed, *[f.placed for f in forced]])), end)
+                for br, forced, end in reversed(states[key][1])
+                if reach is None or end in reach]
         if out:
             stack += out
         else:  # a final state: with lam, only lam's is reached

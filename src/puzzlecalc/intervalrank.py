@@ -259,18 +259,20 @@ def matching_exists(d: DotSet, w: Word) -> bool:
         return False
     adj = [[p for p in zeros if i <= p <= j] for (i, j) in dots]
     match = {}  # zero position -> dot index
+    return all(_augment(adj, match, di, set()) for di in range(len(dots)))
 
-    def augment(di, seen):
-        for p in adj[di]:
-            if p in seen:
-                continue
-            seen.add(p)
-            if p not in match or augment(match[p], seen):
-                match[p] = di
-                return True
-        return False
 
-    return all(augment(di, set()) for di in range(len(dots)))
+def _augment(adj, match, di, seen) -> bool:
+    # matching_exists' augmenting path from dot di, a module-level function
+    # so that a call leaves no closure cycle for the cyclic collector
+    for p in adj[di]:
+        if p in seen:
+            continue
+        seen.add(p)
+        if p not in match or _augment(adj, match, match[p], seen):
+            match[p] = di
+            return True
+    return False
 
 
 # -- Richardson envelope ---------------------------------------------------
@@ -324,15 +326,16 @@ def all_dotsets(n: int, size: int) -> list[DotSet]:
     if size < 0:
         raise ValueError("size must be non-negative")
     out = []
-
-    def place(row, dots, used):
-        if len(dots) == size:
-            out.append(DotSet(n, frozenset(dots)))
-            return
-        for i in range(row, n + 2 - size + len(dots)):  # the rest must fit in rows i..n
-            for j in range(i, n + 1):
-                if j not in used:
-                    place(i + 1, dots + [(i, j)], used | {j})
-
-    place(1, [], frozenset())
+    _place(n, size, 1, [], frozenset(), out)
     return out
+
+
+def _place(n, size, row, dots, used, out) -> None:
+    # all_dotsets' recursion: puts every way to finish dots from row on into out
+    if len(dots) == size:
+        out.append(DotSet(n, frozenset(dots)))
+        return
+    for i in range(row, n + 2 - size + len(dots)):  # the rest must fit in rows i..n
+        for j in range(i, n + 1):
+            if j not in used:
+                _place(n, size, i + 1, dots + [(i, j)], used | {j}, out)

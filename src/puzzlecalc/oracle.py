@@ -32,45 +32,42 @@ def lr_count(outer, inner, content) -> int:
         return 0
     if sum(outer) - sum(inner) != sum(content):
         return 0
-    nrows = len(outer)
-    nvals = len(content)
-    remaining = list(content)
-    # grid[r][c] for inner[r] <= c < outer[r]
-    grid = [[0] * outer[r] for r in range(nrows)]
-    total = 0
-
-    # rows are filled right to left, so the lattice condition can be checked
-    # in reading order as each cell is placed
-    def fill(r: int, c: int, counts_prefix):
-        nonlocal total
-        if r == nrows:
-            total += 1
-            return
-        if c < inner[r]:  # row finished, start at the right end of the next
-            fill(r + 1, (outer[r + 1] - 1) if r + 1 < nrows else -1, counts_prefix)
-            return
-        lo = 1
-        if r > 0 and inner[r - 1] <= c:
-            lo = max(lo, grid[r - 1][c] + 1)  # strict increase down columns
-        hi = nvals
-        if c + 1 < outer[r]:
-            hi = min(hi, grid[r][c + 1])  # weak increase along the row
-        for v in range(hi, lo - 1, -1):
-            if remaining[v - 1] == 0:
-                continue
-            if v > 1 and counts_prefix[v - 1] >= counts_prefix[v - 2]:
-                continue  # lattice: never more v's than (v-1)'s so far
-            grid[r][c] = v
-            remaining[v - 1] -= 1
-            counts_prefix[v - 1] += 1
-            fill(r, c - 1, counts_prefix)
-            counts_prefix[v - 1] -= 1
-            remaining[v - 1] += 1
-            grid[r][c] = 0
-
-    if nrows == 0:
+    if not outer:
         return 1
-    fill(0, outer[0] - 1, [0] * nvals)
+    # grid[r][c] for inner[r] <= c < outer[r]
+    grid = [[0] * o for o in outer]
+    return _fill(outer, inner, grid, list(content), 0, outer[0] - 1, [0] * len(content))
+
+
+def _fill(outer, inner, grid, remaining, r, c, counts_prefix) -> int:
+    """lr_count's recursion: the tableaux that complete grid from cell (r, c)
+    on.  Rows are filled right to left, so the lattice condition can be
+    checked in reading order as each cell is placed.  A module-level
+    function, so that a call leaves no closure cycle for the collector."""
+    if r == len(outer):
+        return 1
+    if c < inner[r]:  # row finished, start at the right end of the next
+        nxt = outer[r + 1] - 1 if r + 1 < len(outer) else -1
+        return _fill(outer, inner, grid, remaining, r + 1, nxt, counts_prefix)
+    lo = 1
+    if r > 0 and inner[r - 1] <= c:
+        lo = max(lo, grid[r - 1][c] + 1)  # strict increase down columns
+    hi = len(remaining)
+    if c + 1 < outer[r]:
+        hi = min(hi, grid[r][c + 1])  # weak increase along the row
+    total = 0
+    for v in range(hi, lo - 1, -1):
+        if remaining[v - 1] == 0:
+            continue
+        if v > 1 and counts_prefix[v - 1] >= counts_prefix[v - 2]:
+            continue  # lattice: never more v's than (v-1)'s so far
+        grid[r][c] = v
+        remaining[v - 1] -= 1
+        counts_prefix[v - 1] += 1
+        total += _fill(outer, inner, grid, remaining, r, c - 1, counts_prefix)
+        counts_prefix[v - 1] -= 1
+        remaining[v - 1] += 1
+        grid[r][c] = 0
     return total
 
 
@@ -130,7 +127,7 @@ def _graphs(max_n):
     check the engine, so they do not take its word that a state is valid.
     pinkdots.valid_path_dots would skip that check."""
     for n, k, pairs in _pairs_by_k(max_n):
-        states = filling.graph(pairs)[0]
+        states = filling.expand(filling.graph(pairs)[0])
         yield n, k, states, {key: pinkdots.path_dots(path) for key, (path, _) in states.items()}
 
 
@@ -176,7 +173,7 @@ def _suite_dictionary(max_n: int) -> list[str]:
 
 def _suite_inversion(max_n: int) -> list[str]:
     """The degree bookkeeping of every puzzle, |nu| + #equivariant = |lam| +
-    |mu| + #topk, checked once per state of one unpruned graph per (n, k).
+    |mu| + #topk, checked once per chain end of one unpruned graph per (n, k).
 
     A state's value below is |lam| + #topk - #equivariant over the run's
     pieces from that state down: the final word's inversions at a final
@@ -184,17 +181,18 @@ def _suite_inversion(max_n: int) -> list[str]:
     pair's root must read |nu| - |mu|.  This is exactly the check on every
     puzzle: every state lies on a run from some root, and every non-final
     state has a branch, so a state whose branches disagree gives two puzzles
-    of one pair different values."""
+    of one pair different values.  A forced piece counts 0, and a forced
+    state has one branch, so an edge adds its first branch's count alone."""
     bad = []
     for n, k, pairs in _pairs_by_k(max_n):
         states, roots = filling.graph(pairs)
         below = {}
-        for key, (path, branches) in states.items():
-            if not branches:
+        for key, (path, edges) in states.items():
+            if not edges:
                 below[key] = inversions(final_path_word(path))
                 continue
-            values = {below[q.key] + (br.kind == "topk") - (br.kind == "equivariant")
-                      for br, q in branches}
+            values = {below[end] + (br.kind == "topk") - (br.kind == "equivariant")
+                      for br, _, end in edges}
             if len(values) > 1:
                 bad.append(f"{_where(n, k, path)}: branches give {sorted(values)}")
             below[key] = min(values)

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import json.scanner
@@ -16,7 +17,7 @@ import puzzlecalc
 from puzzlecalc.board import ascii_render, final_path_word, svg_render
 from puzzlecalc.cli import main
 from puzzlecalc.filling import enumerate_puzzles, legal_branches
-from puzzlecalc.oracle import _SUITES
+from puzzlecalc.oracle import _SUITES, verify_suite
 from puzzlecalc.words import parse_word
 
 
@@ -192,8 +193,8 @@ def _final_words(p):
 @pytest.mark.parametrize("render", [["ascii"], ["svg", "--out", "boards"],
                                     ["ascii", "--lambda", "1001"]], ids=["ascii", "svg", "lambda"])
 def test_puzzles_failure_leaves_stdout_empty(capsys, monkeypatch, tmp_path, render):
-    # the last state derived is broken: the count derives every state before
-    # its line, so neither it nor any board is written.  Every run through
+    # the last state derived is broken: the count derives every chain end
+    # before its line, so neither it nor any board is written.  Every run through
     # it ends at 1010, so the boards of --lambda 1001 never reach it, and it
     # must fail all the same
     argv = ["puzzles", "--mu", "0101", "--nu", "1010", "--render", *render]
@@ -219,6 +220,45 @@ def test_puzzles_failure_leaves_stdout_empty(capsys, monkeypatch, tmp_path, rend
     monkeypatch.chdir(tmp_path / "failing")
     assert run(capsys, *argv) == (2, "", "internal invariant violation: broken state\n")
     assert not [p for p in (tmp_path / "failing").rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize("shape", ["rhombus", "triangle"])
+def test_a_forced_piece_mutant_fails_alike_by_chain_and_by_state(capsys, monkeypatch, shape):
+    # plain coeff walks graph's chains, which place each forced piece in
+    # place, and trace walks state by state through legal_branches: both
+    # check a forced piece through one helper, so a piece that breaks the
+    # path there fails both with one message.  The mutant state has one
+    # parent, itself forced with one parent, so both walks reach it alike.
+    # A rhombus's check reads its state's key, a triangle's its child's
+    mu, nu = "01101100", "11001100"
+    states = puzzlecalc.filling.reachable(parse_word(mu), parse_word(nu))
+    parents = {}
+    for key, (_, branches) in states.items():
+        for _, q in branches:
+            parents.setdefault(q.key, []).append(key)
+    kind = "triangle" if shape == "triangle" else "boring"
+
+    def lone_forced(key):
+        return len(parents.get(key, ())) == 1 and len(states[key][1]) == 1
+
+    bad = next(q.key if kind == "triangle" else key
+               for key, (_, branches) in states.items()
+               if lone_forced(key) and lone_forced(parents[key][0])
+               and branches[0][0].kind == kind and branches[0][1].site is not None)
+    check = puzzlecalc.filling._child_is_valid
+    monkeypatch.setattr(puzzlecalc.filling, "_child_is_valid",
+                        lambda code, key, start: key != bad and check(code, key, start))
+    failures = []
+    for argv in (["coeff", "--theory", "kt"], ["trace"]):
+        # cleared, so that no forced step is read off a row derived before
+        # the patch
+        puzzlecalc.filling._rows.clear()
+        code, _, err = run(capsys, *argv, "--mu", mu, "--nu", nu)
+        failures.append((code, err))
+    assert failures[0] == failures[1]
+    assert re.fullmatch(f"internal invariant violation: forced {shape} at .* broke the path: "
+                        r"\[\]\n", failures[0][1])
+    assert failures[0][0] == 2
 
 
 def test_puzzles_out_is_a_file(tmp_path, capsys):
@@ -740,3 +780,32 @@ def test_invariant_violation_survives_optimize():
                          capture_output=True, text=True, env=env, timeout=60)
     assert res.stdout.split() == ["raised", "1", "2"], res.stderr
     assert res.stderr.startswith("internal invariant violation: ")
+
+
+def test_no_sweep_or_command_leaves_cyclic_garbage():
+    # every recursion is a module-level function, not a closure, so a
+    # verify sweep or a command leaves nothing that only the cyclic
+    # collector frees.  The first pass warms the caches and builds the
+    # parser, whose argparse formatters hold cycles
+    pair = ["--mu", "01101100", "--nu", "11001100"]
+    argvs = [["coeff", "--theory", "kt", *pair, "--json"],
+             ["puzzles", *pair, "--render", "ascii"], ["trace", *pair, "--json"],
+             ["rank", "fixed-points", "--n", "6", "--dots", "1,2;3,5"],
+             ["rank", "covers", "--n", "6", "--dots", "1,2;3,5"]]
+
+    def calls():
+        assert verify_suite(4).ok
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+
+    calls()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        calls()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

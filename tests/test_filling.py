@@ -10,9 +10,10 @@ from puzzlecalc.board import (STEP, UNCHECKED, FillPos, Puzzle, PuzzlePath, Step
                               final_path_word, initial_path, is_valid, path_from_key,
                               validate_path)
 from puzzlecalc.filling import (InvariantError, Theory, ascii_puzzles, branch_weight,
-                                count_puzzles, enumerate_puzzles, graph, legal_branches,
-                                puzzle_counts, puzzle_degree_balance, reachable, runs,
-                                structure_constants, table, trace, trace_rows)
+                                count_puzzles, enumerate_puzzles, expand, graph,
+                                legal_branches, puzzle_counts, puzzle_degree_balance,
+                                reachable, runs, structure_constants, table, trace,
+                                trace_rows)
 from puzzlecalc.poly import LPoly, Poly, eval_at_one, sum_of_products
 from puzzlecalc.words import all_words, parse_word
 
@@ -162,8 +163,8 @@ def test_reachable_is_the_tree_walk_deduplicated():
 
 
 def test_graph_is_the_union_of_the_pairs_graphs(monkeypatch):
-    # one walk over every pair of an (n, k) derives each distinct state
-    # once, and holds each pair's graph, rows included
+    # one walk over every pair of an (n, k) derives each distinct chain end
+    # once, and no forced state, and holds each pair's graph, edges included
     derive = filling._derive_branches
     derived = []
 
@@ -174,29 +175,112 @@ def test_graph_is_the_union_of_the_pairs_graphs(monkeypatch):
     monkeypatch.setattr(filling, "_derive_branches", counted)
     visits = distinct = 0
     for _, _, pairs in oracle._pairs_by_k(6):
-        # the walk keeps the memo when it holds the first pair's row, as an
-        # earlier graph of these pairs leaves it: cleared, every state is
-        # derived under the count
+        # cleared, so that no forced step is read off a row an earlier
+        # test left, and every chain end is derived under the count
         filling._rows.clear()
         derived.clear()
         states, roots = graph(pairs)
         assert len(derived) == len(states) == len(set(derived))
         order = {key: idx for idx, key in enumerate(states)}
-        for key, (path, branches) in states.items():
+        for key, (path, edges) in states.items():
             assert path.key == key
-            assert all(order[q.key] < order[key] for _, q in branches)
+            assert all(order[end] < order[key] for _, _, end in edges)
         union = set()
         for (mu, nu), root in zip(pairs, roots):
-            alone = reachable(mu, nu)
+            alone = graph([(mu, nu)])[0]
             assert root == (next(reversed(alone)) if alone else None)
-            for key, (_, branches) in alone.items():
-                assert states[key][1] == branches
+            for key, (_, edges) in alone.items():
+                assert states[key][1] == edges
             visits += len(alone)
             union.update(alone)
         assert union == set(states)
         distinct += len(states)
-    # over every (n, k) with n <= 6; at n = 6 alone, 32,076 and 5,719
-    assert (visits, distinct) == (37785, 7634)
+    # chain ends over every (n, k) with n <= 6, of 37,785 and 7,634 states
+    assert (visits, distinct) == (8699, 1584)
+
+
+def _reference(pairs, prune):
+    """
+    Every state reached from the pairs' initial paths through branches whose
+    kind is not in prune, found state by state by a depth-first walk over
+    legal_branches: per key, (path, kept branches).  An initial path is
+    given the site check_path finds, as a walk gives it.
+    """
+    out = {}
+    for mu, nu in pairs:
+        p = initial_path(mu, nu)
+        bad, p.site = check_path(p)
+        stack = [] if bad else [p]
+        while stack:
+            path = stack.pop()
+            if path.key not in out:
+                kept = tuple((br, q) for br, q in legal_branches(path) if br.kind not in prune)
+                out[path.key] = (path, kept)
+                stack += [q for _, q in kept]
+    return out
+
+
+def _check_edges(pairs, prune):
+    """
+    graph's edges of the pairs against _reference, on a cold memo and on
+    the warm one that the reference leaves: the chain ends are the roots
+    and the states whose one branch is not forced; an edge is its branch,
+    the forced branches after it and the end they reach, so every forced
+    state lies on a chain; and expand gives the reference's states,
+    children first, with its branches and sites.  Returns the numbers of
+    chain ends and of states.
+    """
+    filling._rows.clear()
+    cold = graph(pairs, prune)
+    want = _reference(pairs, prune)
+    assert graph(pairs, prune) == cold
+    states, roots = cold
+
+    def forced(key):
+        kept = want[key][1]
+        return len(kept) == 1 and kept[0][0].kind in filling.FORCED
+
+    assert set(states) == {key for key in want if key in roots or not forced(key)}
+    for key, (path, edges) in states.items():
+        assert path.site == want[key][0].site
+        kept = want[key][1]
+        assert [br for br, _, _ in edges] == [br for br, _ in kept]
+        for (_, chain, end), (_, q) in zip(edges, kept):
+            walked = []
+            while q.key not in states:
+                ((br, q),) = want[q.key][1]
+                walked.append(br)
+            assert (list(chain), end) == (walked, q.key)
+    full = expand(states, prune)
+    assert set(full) == set(want)
+    order = {key: idx for idx, key in enumerate(full)}
+    for key, (path, branches) in full.items():
+        assert path.site == want[key][0].site
+        assert branches == want[key][1]
+        assert [q.site for _, q in branches] == [q.site for _, q in want[key][1]]
+        assert all(order[q.key] < order[key] for _, q in branches)
+    return len(states), len(want)
+
+
+def test_graph_edges_expand_to_the_walk_state_by_state():
+    # every pair with n <= 5 alone, and one graph of many pairs per (n, k),
+    # unpruned and under each theory's skipped kinds
+    prunes = {_skip(theory, 5) for theory in (None, *Theory)}
+    assert len(prunes) == 4
+    totals = {}
+    for prune in prunes:
+        for pair in _pairs(5):
+            _check_edges([pair], prune)
+        ends = states = 0
+        for _, _, pairs in oracle._pairs_by_k(5):
+            counts = _check_edges(pairs, prune)
+            ends += counts[0]
+            states += counts[1]
+        totals[tuple(sorted(prune))] = ends, states
+    # (chain ends, states) over every (n, k) with n <= 5
+    assert totals == {
+        (): (454, 1915), ("topk",): (454, 1903), ("equivariant",): (454, 1915),
+        ("equivariant", "topk"): (454, 1903)}
 
 
 def _items(row):
@@ -635,10 +719,11 @@ def test_table_holds_one_pair():
 
 
 def test_the_memo_holds_the_pair_coeff_json_walks(monkeypatch):
-    # coeff --json walks the pair twice, structure_constants then
-    # count_puzzles: the memo then holds states of that pair alone, and
-    # the second walk finds every state it visits there.  A walk from an
-    # unreachable pair leaves the memo as it was
+    # coeff --json walks the pair twice, count_puzzles then
+    # structure_constants: the memo then holds states of that pair alone,
+    # and the second walk, whose graph reads each forced step off its row,
+    # derives nothing.  A walk from an unreachable pair leaves the memo as
+    # it was
     full = {pair: set(reachable(*pair)) for pair in _pairs(5)}
     derive = filling._derive_branches
     derived = []
@@ -652,9 +737,9 @@ def test_the_memo_holds_the_pair_coeff_json_walks(monkeypatch):
     for theory in Theory:
         for pair, states in full.items():
             before = set(filling._rows)
-            structure_constants(theory, *pair)
-            derived.clear()
             count_puzzles(theory, *pair)
+            derived.clear()
+            structure_constants(theory, *pair)
             assert not derived
             memo = set(filling._rows)
             if states:
@@ -711,11 +796,12 @@ def _forced_below_interesting(states, depth):
 
 
 def test_invariant_error_below_a_forced_chain(monkeypatch):
-    # the walk follows forced children in a loop: a forced piece that breaks
-    # the path several states below an interesting one raises on every
-    # call, and the state that placed it gets no row.  Only that state's
-    # check sees its own key: a rhombus leaves the steps after the kink as
-    # they are, so the check reads the parent's key
+    # graph places forced pieces in a loop: a forced piece that breaks the
+    # path several states below an interesting one raises on every call,
+    # and neither the state that placed it nor its forced parent gets a
+    # row; a walk state by state (runs) leaves the parent's row.  Only that
+    # state's check sees its own key: a rhombus leaves the steps after the
+    # kink as they are, so the check reads the parent's key
     found = _forced_below_interesting(reachable(MU, NU), 3)
     assert found is not None
     bad, parent = found
@@ -723,15 +809,19 @@ def test_invariant_error_below_a_forced_chain(monkeypatch):
     check = filling._child_is_valid
     monkeypatch.setattr(filling, "_child_is_valid",
                         lambda kink, key, start: key != bad and check(kink, key, start))
-    # a walk keeps the memo the walks above left: the patch is seen only
-    # on states derived after it
-    filling._rows.clear()
+    # cleared, so that no forced step is read off a row the walks above
+    # left, and the patch is seen
     for walk in (lambda: graph([(MU, NU)]), lambda: structure_constants(Theory.KT, MU, NU)):
+        filling._rows.clear()
         for _ in range(2):
             with pytest.raises(InvariantError, match="forced rhombus at rhombus"):
                 walk()
             assert bad not in filling._rows
-            assert parent in filling._rows
+            assert parent not in filling._rows
+    with pytest.raises(InvariantError, match="forced rhombus at rhombus"):
+        list(runs(MU, NU))
+    assert bad not in filling._rows
+    assert parent in filling._rows
     # the walk resumes on the rows it kept
     monkeypatch.undo()
     assert structure_constants(Theory.KT, MU, NU) == want
