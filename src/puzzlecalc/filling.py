@@ -362,14 +362,11 @@ def graph(pairs, prune=frozenset()) -> tuple[dict, list]:
     legal_branches, so each is derived once and kept in its memo; a forced
     state gets no entry and no path: its step is read off its memo row
     when there is one, and placed by _forced otherwise, which checks it as
-    legal_branches would.  A forced state met again reuses its chain's
-    tail.  expand gives the graph state by state.
+    legal_branches would.  A forced state met again is walked again.
+    reachable_from walks the states one by one.
     """
     out: dict[bytes, tuple[PuzzlePath, tuple]] = {}
     roots: list[bytes | None] = []
-    # per forced state met: its chain's forced branches, its own index in
-    # them, and the chain's end, with its path when out lacked it
-    tails: dict[bytes, tuple] = {}
     for mu, nu in pairs:
         p, _ = _walk_start(mu, nu)
         roots.append(None if p is None else p.key)
@@ -383,7 +380,7 @@ def graph(pairs, prune=frozenset()) -> tuple[dict, list]:
                 edges, ends = [], []
                 for br, q in legal_branches(path):
                     if br.kind not in prune:
-                        forced, end, end_path = _chain(q, out, tails)
+                        forced, end, end_path = _chain(q, out)
                         edges.append((br, forced, end))
                         if end not in out:
                             ends.append(end_path)
@@ -392,17 +389,12 @@ def graph(pairs, prune=frozenset()) -> tuple[dict, list]:
     return out, roots
 
 
-def _chain(q: PuzzlePath, out: dict, tails: dict) -> tuple[tuple, bytes, PuzzlePath | None]:
+def _chain(q: PuzzlePath, out: dict) -> tuple[tuple, bytes, PuzzlePath | None]:
     """graph's chain from the child q of a chain end: the forced branches
     from q on, the chain end they reach, and its path unless out has it."""
     n, key, site, path = q.n, q.key, q.site, q
-    keys, forced = [], []
+    forced = []
     while key not in out:
-        tail = tails.get(key)
-        if tail is not None:
-            chain, at, key, path = tail
-            forced += chain[at:]
-            break
         row = _rows.get(key)
         if row is not None:
             if len(row) != 1:
@@ -418,47 +410,43 @@ def _chain(q: PuzzlePath, out: dict, tails: dict) -> tuple[tuple, bytes, PuzzleP
                 break  # legal_branches derives it, or raises as it would
             br, child, child_site = _forced(n, key, kink, pos, pieces[0])
             path = None
-        keys.append(key)
         forced.append(br)
         key, site = child, child_site
     if path is None and key not in out:
         path = path_from_key(n, key, site)
-    forced = tuple(forced)
-    for at, k in enumerate(keys):
-        tails[k] = (forced, at, key, path)
-    return forced, key, path
+    return tuple(forced), key, path
 
 
-def expand(states: dict, prune=frozenset()) -> dict:
+def reachable_from(pairs) -> dict:
     """
-    The chain ends states of a graph built with prune, state by state:
-    every state that they and their edges pass, forced ones included,
-    keyed by the path's key and mapped to (path, kept branches) as
-    legal_branches gives them, children before parents.  Each forced state
-    is derived here, through legal_branches.
+    Every state reachable from the boundary pairs' initial paths, forced
+    ones included, keyed by the path's key and mapped to (path,
+    legal_branches(path)), children before parents.  One depth-first walk
+    serves every pair, and each state is derived once, whichever pairs
+    reach it; an unreachable pair adds nothing.
     """
     out: dict[bytes, tuple[PuzzlePath, tuple]] = {}
-    for key, (path, _) in states.items():
-        row = legal_branches(path)
-        if prune:
-            row = tuple([(br, q) for br, q in row if br.kind not in prune])
-        for _, q in row:
-            chain = []
-            while q.key not in out:  # a chain's end comes before its start
-                branches = legal_branches(q)
-                chain.append((q.key, (q, branches)))
-                q = branches[0][1]
-            out.update(reversed(chain))
-        out[key] = (path, row)
+    for mu, nu in pairs:
+        p, _ = _walk_start(mu, nu)
+        # a state to walk from, or a (key, entry) whose children are in out
+        stack: list = [] if p is None else [p]
+        while stack:
+            path = stack.pop()
+            if type(path) is tuple:
+                out[path[0]] = path[1]
+            elif path.key not in out:
+                branches = legal_branches(path)
+                stack.append((path.key, (path, branches)))
+                stack += [q for _, q in branches if q.key not in out]
     return out
 
 
-def reachable(mu: Word, nu: Word, prune=frozenset()) -> dict:
+def reachable(mu: Word, nu: Word) -> dict:
     """
-    The state graph of the boundary pair (mu, nu) alone, state by state
-    (expand): the initial path comes last, and an unreachable pair yields {}.
+    The states of the boundary pair (mu, nu) alone, reachable_from([(mu,
+    nu)]): the initial path comes last, and an unreachable pair yields {}.
     """
-    return expand(graph([(mu, nu)], prune)[0], prune)
+    return reachable_from([(mu, nu)])
 
 
 def _ring(theory: Theory, n: int) -> tuple:
@@ -496,13 +484,12 @@ def _fold(ring: tuple, states: dict, roots: list) -> list[dict]:
     (see _ring): a fold over the chain ends of graph's states, children
     before parents, in which a state's value maps each final word below it
     to its coefficient.  A final state's value maps its word to the ring's
-    1, and an interesting state's sums, word by word, the (weight, end
-    coefficient) pairs of its edges whose kind is not skipped.  Forced
-    pieces weigh 1 and are not multiplied in: an initial path whose edge is
-    forced shares its end's dict.  An end's value is dropped once its last
-    parent has read it; a root is no state's child, so its value is read
-    after the loop.  A state that only a skipped branch reaches is folded
-    too, and no root reads its value.
+    1, and any other state's sums, word by word, the (weight, end
+    coefficient) pairs of its edges whose kind is not skipped; a chain's
+    forced pieces weigh 1 and are not multiplied in.  An end's value is
+    dropped once its last parent has read it; a root is no state's child,
+    so its value is read after the loop.  A state that only a skipped
+    branch reaches is folded too, and no root reads its value.
     """
     one, weight, add, coefficients, skip = ring
     # per chain end, the parent that reads its value last: states come
@@ -513,8 +500,6 @@ def _fold(ring: tuple, states: dict, roots: list) -> list[dict]:
     for key, (path, edges) in states.items():
         if not edges:
             value[key] = {str(final_path_word(path)): one}
-        elif edges[0][0].kind in FORCED:
-            value[key] = value[edges[0][2]]
         else:
             parts: dict[str, list] = {}
             for br, _, end in edges:
@@ -539,11 +524,10 @@ def _fold_forward(ring: tuple, states: dict, root: bytes | None) -> dict:
     forward: the root's value is the ring's 1, and a state's value is the
     sum of the (weight, parent value) pairs its parents pushed to it.
     Chain ends come parents first in reversed(states).  Each pushes its
-    value along each edge to the edge's end, with weight 1 along a forced
-    edge, which passes it on unchanged, and then holds none of it; a final
-    state's value is its word's coefficient.  So each edge multiplies its
-    weight into one value, where _fold multiplies it into the value of
-    every word below the end.
+    value along each edge to the edge's end, with the weight of the edge's
+    branch, and then holds none of it; a final state's value is its word's
+    coefficient.  So each edge multiplies its weight into one value, where
+    _fold multiplies it into the value of every word below the end.
     """
     if root is None:
         return {}
@@ -556,12 +540,12 @@ def _fold_forward(ring: tuple, states: dict, root: bytes | None) -> dict:
         if not edges:
             words[str(final_path_word(path))] = value
             continue
-        for w, end in [(one if br.kind in FORCED else weight(br), end) for br, _, end in edges]:
+        for br, _, end in edges:
             into = pushed.get(end)
             if into is None:
-                pushed[end] = [(w, value)]
+                pushed[end] = [(weight(br), value)]
             else:
-                into.append((w, value))
+                into.append((weight(br), value))
     return coefficients(words)
 
 
@@ -692,7 +676,13 @@ def ascii_puzzles(mu: Word, nu: Word, lam: Word | None = None) -> tuple[dict, It
     order.  Both read one unpruned graph, built here with the counts, so
     every state is derived and checked before the first board is read.
     Memory is that graph, the stream's edges and one board (see _boards).
+    A lam of another length or number of 1s than mu raises ValueError
+    first, as initial_path does for mu and nu.
     """
+    if lam is not None and lam.n != mu.n:
+        raise ValueError("lambda's length differs from the words'")
+    if lam is not None and lam.k != mu.k:
+        raise ValueError("lambda has a different number of 1s from the words")
     states, (root,) = graph([(mu, nu)])
     return _fold_forward(_COUNTS, states, root), _boards(mu, nu, states, root, lam)
 

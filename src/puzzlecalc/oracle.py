@@ -119,15 +119,16 @@ def _pairs_by_k(max_n):
 
 
 def _graphs(max_n):
-    """Per (n, k), the union of every pair's unpruned state graph, and the
-    pink dots of each of its states, computed once per state.
+    """Per (n, k), every state reachable from any pair, state by state
+    (filling.reachable_from), and the pink dots of each, computed once per
+    state.
 
     The dots come from pinkdots.path_dots, which checks each path against
     the spec again although the engine derived and checked it: the suites
     check the engine, so they do not take its word that a state is valid.
     pinkdots.valid_path_dots would skip that check."""
     for n, k, pairs in _pairs_by_k(max_n):
-        states = filling.expand(filling.graph(pairs)[0])
+        states = filling.reachable_from(pairs)
         yield n, k, states, {key: pinkdots.path_dots(path) for key, (path, _) in states.items()}
 
 

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from puzzlecalc import filling
 from puzzlecalc.board import (OFF_BOARD, STEP, FillPos, PuzzlePath, Step, ascii_render,
                               check_path, final_path, final_path_word, initial_path, is_valid,
                               next_fill_position, path_from_key, steps_key, svg_render,
@@ -360,3 +361,17 @@ def test_the_run_walk_writes_each_rendered_board_and_the_fold_counts_them():
             boards = [text for word, text in rendered if word == lam]
             assert list(ascii_puzzles(mu, nu, lam)[1]) == boards, (mu, nu, lam)
             assert counts.get(str(lam), 0) == len(boards)
+
+
+@pytest.mark.parametrize("lam, message", [
+    ("01", "lambda's length differs from the words'"),
+    ("0111", "lambda has a different number of 1s from the words"),
+])
+def test_ascii_puzzles_refuses_a_lambda_of_another_board(monkeypatch, lam, message):
+    # refused before the graph is built, where it would yield no board
+    def unbuilt(pairs, prune=frozenset()):
+        raise AssertionError("graph built")
+
+    monkeypatch.setattr(filling, "graph", unbuilt)
+    with pytest.raises(ValueError, match=message):
+        ascii_puzzles(parse_word("0101"), parse_word("1010"), parse_word(lam))

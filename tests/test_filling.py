@@ -10,9 +10,9 @@ from puzzlecalc.board import (STEP, UNCHECKED, FillPos, Puzzle, PuzzlePath, Step
                               final_path_word, initial_path, is_valid, path_from_key,
                               validate_path)
 from puzzlecalc.filling import (InvariantError, Theory, ascii_puzzles, branch_weight,
-                                count_puzzles, enumerate_puzzles, expand, graph,
-                                legal_branches, puzzle_counts, puzzle_degree_balance,
-                                reachable, runs, structure_constants, table, trace,
+                                count_puzzles, enumerate_puzzles, graph, legal_branches,
+                                puzzle_counts, puzzle_degree_balance, reachable,
+                                reachable_from, runs, structure_constants, table, trace,
                                 trace_rows)
 from puzzlecalc.poly import LPoly, Poly, eval_at_one, sum_of_products
 from puzzlecalc.words import all_words, parse_word
@@ -164,7 +164,9 @@ def test_reachable_is_the_tree_walk_deduplicated():
 
 def test_graph_is_the_union_of_the_pairs_graphs(monkeypatch):
     # one walk over every pair of an (n, k) derives each distinct chain end
-    # once, and no forced state, and holds each pair's graph, edges included
+    # once, and no forced state, and holds each pair's graph, edges included;
+    # the memo is dropped at each pair whose root has no row, so afterwards
+    # it holds rows of the last reachable pair's states only
     derive = filling._derive_branches
     derived = []
 
@@ -181,6 +183,7 @@ def test_graph_is_the_union_of_the_pairs_graphs(monkeypatch):
         derived.clear()
         states, roots = graph(pairs)
         assert len(derived) == len(states) == len(set(derived))
+        rows = set(filling._rows)
         order = {key: idx for idx, key in enumerate(states)}
         for key, (path, edges) in states.items():
             assert path.key == key
@@ -194,6 +197,8 @@ def test_graph_is_the_union_of_the_pairs_graphs(monkeypatch):
             visits += len(alone)
             union.update(alone)
         assert union == set(states)
+        last = [pair for pair, root in zip(pairs, roots) if root is not None][-1]
+        assert rows <= set(reachable(*last))
         distinct += len(states)
     # chain ends over every (n, k) with n <= 6, of 37,785 and 7,634 states
     assert (visits, distinct) == (8699, 1584)
@@ -226,9 +231,10 @@ def _check_edges(pairs, prune):
     the warm one that the reference leaves: the chain ends are the roots
     and the states whose one branch is not forced; an edge is its branch,
     the forced branches after it and the end they reach, so every forced
-    state lies on a chain; and expand gives the reference's states,
-    children first, with its branches and sites.  Returns the numbers of
-    chain ends and of states.
+    state lies on a chain.  Unpruned, reachable_from gives the reference's
+    states, on a cold memo and on a warm one, with its branches and sites,
+    children first and the last reachable pair's initial path last.
+    Returns the numbers of chain ends and of states.
     """
     filling._rows.clear()
     cold = graph(pairs, prune)
@@ -251,18 +257,23 @@ def _check_edges(pairs, prune):
                 ((br, q),) = want[q.key][1]
                 walked.append(br)
             assert (list(chain), end) == (walked, q.key)
-    full = expand(states, prune)
-    assert set(full) == set(want)
-    order = {key: idx for idx, key in enumerate(full)}
-    for key, (path, branches) in full.items():
-        assert path.site == want[key][0].site
-        assert branches == want[key][1]
-        assert [q.site for _, q in branches] == [q.site for _, q in want[key][1]]
-        assert all(order[q.key] < order[key] for _, q in branches)
+    if not prune:
+        filling._rows.clear()
+        full = reachable_from(pairs)
+        assert reachable_from(pairs) == full
+        assert set(full) == set(want)
+        order = {key: idx for idx, key in enumerate(full)}
+        for key, (path, branches) in full.items():
+            assert path.site == want[key][0].site
+            assert branches == want[key][1]
+            assert [q.site for _, q in branches] == [q.site for _, q in want[key][1]]
+            assert all(order[q.key] < order[key] for _, q in branches)
+        if full:
+            assert next(reversed(full)) == [root for root in roots if root is not None][-1]
     return len(states), len(want)
 
 
-def test_graph_edges_expand_to_the_walk_state_by_state():
+def test_graph_edges_and_reachable_from_match_the_walk_state_by_state():
     # every pair with n <= 5 alone, and one graph of many pairs per (n, k),
     # unpruned and under each theory's skipped kinds
     prunes = {_skip(theory, 5) for theory in (None, *Theory)}
@@ -336,10 +347,12 @@ def test_table_refuses_pairs_of_two_board_sizes(theory):
 
 def _polynomial_fold(theory, mu, nu):
     """
-    The root value of (mu, nu) folded through branch_weight polynomials,
-    every branch's weight multiplied in, cancelled coefficients kept.
+    The root value of (mu, nu) folded through branch_weight polynomials
+    over its unpruned states, every branch's weight multiplied in but the
+    theory's skipped kinds, cancelled coefficients kept.
     """
-    states = reachable(mu, nu, _skip(theory, mu.n))
+    skip = _skip(theory, mu.n)
+    states = reachable(mu, nu)
     if not states:
         return {}
     one = (LPoly if theory.k_theory else Poly).const(mu.n, 1)
@@ -350,6 +363,8 @@ def _polynomial_fold(theory, mu, nu):
             continue
         parts = {}
         for br, q in branches:
+            if br.kind in skip:
+                continue
             w = branch_weight(theory, br, mu.n)
             for lam, c in value[q.key].items():
                 parts.setdefault(lam, []).append((w, c))
@@ -570,24 +585,6 @@ def test_pruned_kinds_are_those_of_zero_weight_at_every_window():
                     for kind, *_ in filling.INTERESTING:
                         br = filling.Branch(kind, FillPos("rhombus", i, j))
                         assert filling.branch_weight(theory, br, n).is_zero() == (kind in prune)
-
-
-def test_pruned_graph_is_reached_through_kept_branches():
-    for theory in Theory:
-        for mu, nu in _pairs(5):
-            prune = _skip(theory, mu.n)
-            full = reachable(mu, nu)
-            # parents come before children in reverse, so one pass marks
-            # every state reached from the initial path through kept branches
-            kept = {next(reversed(full))} if full else set()
-            for key in reversed(full):
-                if key in kept:
-                    kept.update(q.key for br, q in full[key][1] if br.kind not in prune)
-            pruned = reachable(mu, nu, prune)
-            assert set(pruned) == kept
-            for key, (_, branches) in pruned.items():
-                assert branches == tuple((br, q) for br, q in full[key][1]
-                                         if br.kind not in prune)
 
 
 def test_warm_and_cold_branches_agree():

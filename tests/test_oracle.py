@@ -199,6 +199,31 @@ def test_pinkdots_suite_catches_a_forced_step_that_moves_the_dots(monkeypatch):
     assert any("moved the dots" in line for line in _suite_pinkdots(3))
 
 
+@pytest.mark.parametrize("suite", ["pinkdots", "dictionary"])
+def test_state_sweeps_derive_each_state_once(monkeypatch, suite):
+    # on a cleared memo, one walk per (n, k) derives each of the 1,915
+    # states with n <= 5 once, and places each forced piece once: 1,656
+    # states have one forced branch.  A second walk over the graph's chain
+    # ends derived 2,329 states and placed 3,292 forced pieces
+    derive, forced = filling._derive_branches, filling._forced
+    derived, placed = [], []
+
+    def counted_derive(p, site):
+        derived.append(p.key)
+        return derive(p, site)
+
+    def counted_forced(*args):
+        placed.append(args[1])
+        return forced(*args)
+
+    monkeypatch.setattr(filling, "_derive_branches", counted_derive)
+    monkeypatch.setattr(filling, "_forced", counted_forced)
+    filling._rows.clear()
+    assert verify_suite(5, [suite]).ok
+    assert len(derived) == len(set(derived)) == 1915
+    assert len(placed) == len(set(placed)) == 1656
+
+
 def test_boundary_suite_validates_each_path_once(monkeypatch):
     # every initial path (valid or not) and every final path, once each
     validate = board.validate_path
