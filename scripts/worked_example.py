@@ -6,7 +6,7 @@ then print the puzzle census and the annotated degeneration tree.
 import argparse
 
 from puzzlecalc.cli import main as cli_main
-from puzzlecalc.filling import Theory, puzzle_counts, structure_constants
+from puzzlecalc.filling import Theory, ascii_puzzles, structure_constants
 from puzzlecalc.poly import render
 from puzzlecalc.words import parse_word
 
@@ -20,7 +20,7 @@ def run(mu_s: str, nu_s: str, show_trace: bool) -> int:
         for lam, c in coeffs.items():
             print(f"  {lam}: {render(c)}")
     print("[puzzles]")
-    for lam, count in puzzle_counts(mu, nu).items():
+    for lam, count in ascii_puzzles(mu, nu)[0].items():
         print(f"  {lam}: {count}")
     if show_trace:
         print("[trace]")

@@ -8,8 +8,8 @@ from .board import (Puzzle, PuzzlePath, Step, ascii_render, final_path_word,
                     initial_path, is_valid, next_fill_position, svg_render,
                     validate_path)
 from .filling import (Theory, ascii_puzzles, branch_weight, enumerate_puzzles, graph,
-                      legal_branches, puzzle_counts, reachable, runs, structure_constants,
-                      table, trace, trace_rows)
+                      legal_branches, reachable_from, runs, structure_constants, table,
+                      trace, trace_rows)
 from .intervalrank import (DotSet, IntervalRankMatrix, covers, envelope, envelope_codim,
                            essential_conditions, essential_set, fixed_point_in,
                            format_dots, irm_min, matching_exists, parse_dots,

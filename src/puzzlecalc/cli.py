@@ -17,7 +17,7 @@ import sys
 
 from .board import svg_render
 from .filling import FORCED, InvariantError, Theory, ascii_puzzles, branch_weight, \
-    count_puzzles, structure_constants, trace_rows
+    enumerate_puzzles, structure_constants, trace_rows
 from .intervalrank import DotSet, covers, envelope, essential_set, fixed_point_in, \
     format_dots, parse_dots, rank_from_dots
 from .oracle import UnknownSuiteError, verify_suite
@@ -47,7 +47,7 @@ def cmd_coeff(args) -> int:
     theory = Theory(args.theory)
     # --json counts first: the count's run walk derives every state once,
     # and structure_constants' graph then reads each forced step off its row
-    count = count_puzzles(theory, mu, nu) if args.json else None
+    count = len(enumerate_puzzles(mu, nu, theory)) if args.json else None
     coeffs = structure_constants(theory, mu, nu)
     write = sys.stdout.write
     if not args.json:

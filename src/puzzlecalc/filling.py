@@ -325,9 +325,11 @@ def _derive_branches(p: PuzzlePath, site: tuple[int, FillPos] | None
 
 def branch_weight(theory: Theory, branch: Branch, n: int):
     """
-    Weight of one branch in the theory on the size-n board: its kind's cell
-    of _WEIGHT at the branch's window (i, j), as _weight builds it.
+    Weight of one branch in the theory (a Theory or its name) on the size-n
+    board: its kind's cell of _WEIGHT at the branch's window (i, j), as
+    _weight builds it.
     """
+    theory = Theory(theory)
     return _weight(theory.k_theory, _WEIGHT[theory, branch.kind], branch.pos.i, branch.pos.j, n)
 
 
@@ -441,14 +443,6 @@ def reachable_from(pairs) -> dict:
     return out
 
 
-def reachable(mu: Word, nu: Word) -> dict:
-    """
-    The states of the boundary pair (mu, nu) alone, reachable_from([(mu,
-    nu)]): the initial path comes last, and an unreachable pair yields {}.
-    """
-    return reachable_from([(mu, nu)])
-
-
 def _ring(theory: Theory, n: int) -> tuple:
     """
     What the theory's folds on the size-n board compute in: (the ring's 1,
@@ -554,17 +548,6 @@ _COUNTS = (1, lambda br: 1, _int_sum_of_products, lambda value: dict(sorted(valu
            frozenset())
 
 
-def puzzle_counts(mu: Word, nu: Word) -> dict[str, int]:
-    """
-    The number of puzzles of (mu, nu) per final word, in word order, folded
-    forward over the chain ends of the pair's unpruned graph: {} for an
-    unreachable pair.  Every state is checked here, and each chain end is
-    left in legal_branches' memo.
-    """
-    states, (root,) = graph([(mu, nu)])
-    return _fold_forward(_COUNTS, states, root)
-
-
 def table(theories, pairs) -> list[tuple[dict, ...]]:
     """
     Per boundary pair of the iterable pairs, its structure_constants in
@@ -601,14 +584,6 @@ def structure_constants(theory: Theory, mu: Word, nu: Word) -> dict:
     ring = _ring(Theory(theory), mu.n)
     states, (root,) = graph([(mu, nu)], ring[4])  # pruned of the kinds the fold skips
     return _fold_forward(ring, states, root)
-
-
-def count_puzzles(theory: Theory, mu: Word, nu: Word) -> int:
-    """
-    The number of puzzles of (mu, nu) whose weight in the theory is
-    nonzero: len(enumerate_puzzles(mu, nu, theory=theory)).
-    """
-    return len(enumerate_puzzles(mu, nu, theory=theory))
 
 
 def runs(mu: Word, nu: Word, prune=frozenset()):
@@ -670,11 +645,13 @@ def enumerate_puzzles(mu: Word, nu: Word, theory: Theory | None = None) -> list[
 
 def ascii_puzzles(mu: Word, nu: Word, lam: Word | None = None) -> tuple[dict, Iterator[str]]:
     """
-    The puzzle counts of (mu, nu) in word order, as puzzle_counts gives
-    them, and a lazy stream of the ascii_render texts of its puzzles whose
-    final word is lam (every one when lam is None), in enumerate_puzzles'
-    order.  Both read one unpruned graph, built here with the counts, so
-    every state is derived and checked before the first board is read.
+    The number of puzzles of (mu, nu) per final word, in word order ({}
+    for an unreachable pair), folded forward over the chain ends of the
+    pair's unpruned graph, and a lazy stream of the ascii_render texts of
+    its puzzles whose final word is lam (every one when lam is None), in
+    enumerate_puzzles' order.  Both read that one graph, built here with
+    the counts, so every state is derived and checked, and each chain end
+    left in legal_branches' memo, before the first board is read.
     Memory is that graph, the stream's edges and one board (see _boards).
     A lam of another length or number of 1s than mu raises ValueError
     first, as initial_path does for mu and nu.

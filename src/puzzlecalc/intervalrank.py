@@ -164,11 +164,14 @@ def essential_conditions(d: DotSet, r: IntervalRankMatrix | None = None
     """
     Essential cells with their rank bounds, dropping bounds no k x n matrix
     can violate (those with bound >= min(k, window length), k = n - #dots).
-    r is rank_from_dots(d), computed here unless the caller has it.
+    r is rank_from_dots(d), computed here unless the caller has it; a
+    matrix of another board size raises ValueError.
     """
     k = d.n - len(d.dots)
     if r is None:
         r = rank_from_dots(d)
+    elif r.n != d.n:
+        raise ValueError("size mismatch")
     out = []
     for (i, j) in sorted(essential_set(d)):
         bound = r.entry(i, j)
@@ -235,10 +238,11 @@ def fixed_point_in(d: DotSet, w: Word, r: IntervalRankMatrix | None = None) -> b
     Whether the coordinate k-plane of w satisfies every window rank bound:
     w has at most r(i, j) ones in [i, j].  r is rank_from_dots(d), computed
     here unless the caller has it (a caller testing many words builds it
-    once).  Row i holds when ones[j] - r(i, j) <= ones[i - 1] for each j,
-    ones being the prefix counts; the first row that fails ends the test.
+    once); a word or matrix of another board size raises ValueError.  Row
+    i holds when ones[j] - r(i, j) <= ones[i - 1] for each j, ones being
+    the prefix counts; the first row that fails ends the test.
     """
-    if w.n != d.n:
+    if w.n != d.n or (r is not None and r.n != d.n):
         raise ValueError("size mismatch")
     if r is None:
         r = rank_from_dots(d)

@@ -9,7 +9,7 @@ from puzzlecalc.board import (OFF_BOARD, STEP, FillPos, PuzzlePath, Step, ascii_
                               check_path, final_path, final_path_word, initial_path, is_valid,
                               next_fill_position, path_from_key, steps_key, svg_render,
                               validate_path)
-from puzzlecalc.filling import ascii_puzzles, enumerate_puzzles, puzzle_counts, reachable
+from puzzlecalc.filling import ascii_puzzles, enumerate_puzzles, reachable_from
 from puzzlecalc.words import all_words, parse_word
 
 
@@ -131,7 +131,7 @@ def test_keys_round_trip_on_reachable_states():
     states = 0
     for n in range(1, 6):
         for mu, nu in _pairs(n):
-            for key, (p, _) in reachable(mu, nu).items():
+            for key, (p, _) in reachable_from([(mu, nu)]).items():
                 steps = p.steps
                 assert all(s is STEP[s] for s in steps)
                 assert steps_key(steps) == p.key == key and len(steps) == len(key)
@@ -187,7 +187,7 @@ def test_fill_position_matches_the_vertex_list_on_reachable_states():
     seen = set()
     for n in range(1, 6):
         for mu, nu in _pairs(n):
-            for steps, (path, _) in reachable(mu, nu).items():
+            for steps, (path, _) in reachable_from([(mu, nu)]).items():
                 if steps in seen:
                     continue
                 seen.add(steps)
@@ -352,7 +352,6 @@ def test_the_run_walk_writes_each_rendered_board_and_the_fold_counts_them():
     pairs += [(parse_word(mu), parse_word(nu)) for mu, nu in RENDER_PAIRS]
     for mu, nu in pairs:
         counts, stream = ascii_puzzles(mu, nu)
-        assert counts == puzzle_counts(mu, nu)
         rendered = [(pz.lam, ascii_render(pz)) for pz in enumerate_puzzles(mu, nu)]
         boards = [text for _, text in rendered]
         assert list(stream) == boards, (mu, nu)

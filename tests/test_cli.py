@@ -71,7 +71,7 @@ def test_coeff_json_fails_before_the_first_byte(capsys, monkeypatch, error, code
             raise puzzlecalc.filling.InvariantError("broken count")
         raise puzzlecalc.poly.PolyError("broken count")
 
-    monkeypatch.setattr(puzzlecalc.cli, "count_puzzles", failing)
+    monkeypatch.setattr(puzzlecalc.cli, "enumerate_puzzles", failing)
     argv = ["coeff", "--theory", "kt", "--mu", "0101", "--nu", "1010", "--json"]
     if code is None:
         with pytest.raises(puzzlecalc.poly.PolyError):
@@ -231,7 +231,7 @@ def test_a_forced_piece_mutant_fails_alike_by_chain_and_by_state(capsys, monkeyp
     # parent, itself forced with one parent, so both walks reach it alike.
     # A rhombus's check reads its state's key, a triangle's its child's
     mu, nu = "01101100", "11001100"
-    states = puzzlecalc.filling.reachable(parse_word(mu), parse_word(nu))
+    states = puzzlecalc.filling.reachable_from([(parse_word(mu), parse_word(nu))])
     parents = {}
     for key, (_, branches) in states.items():
         for _, q in branches:

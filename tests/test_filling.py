@@ -10,10 +10,9 @@ from puzzlecalc.board import (STEP, UNCHECKED, FillPos, Puzzle, PuzzlePath, Step
                               final_path_word, initial_path, is_valid, path_from_key,
                               validate_path)
 from puzzlecalc.filling import (InvariantError, Theory, ascii_puzzles, branch_weight,
-                                count_puzzles, enumerate_puzzles, graph, legal_branches,
-                                puzzle_counts, puzzle_degree_balance, reachable,
-                                reachable_from, runs, structure_constants, table, trace,
-                                trace_rows)
+                                enumerate_puzzles, graph, legal_branches,
+                                puzzle_degree_balance, reachable_from, runs,
+                                structure_constants, table, trace, trace_rows)
 from puzzlecalc.poly import LPoly, Poly, eval_at_one, sum_of_products
 from puzzlecalc.words import all_words, parse_word
 
@@ -69,8 +68,8 @@ def test_unreachable_pair_is_empty():
 
 
 def test_puzzle_counts():
-    assert count_puzzles(Theory.KT, MU, NU) == 6
-    assert count_puzzles(Theory.H, MU, NU) == 2
+    assert len(enumerate_puzzles(MU, NU, Theory.KT)) == 6
+    assert len(enumerate_puzzles(MU, NU, Theory.H)) == 2
     by_lam = {}
     for pz in enumerate_puzzles(MU, NU):
         by_lam[pz.lam] = by_lam.get(pz.lam, 0) + 1
@@ -104,7 +103,7 @@ def _pairs(max_n):
 
 def test_topk_requires_both_shifts():
     for mu, nu in _pairs(4):
-        for _, brs in reachable(mu, nu).values():
+        for _, brs in reachable_from([(mu, nu)]).values():
             kinds = {b.kind for b, _ in brs}
             if "topk" in kinds:
                 assert {"shift0", "shift1"} <= kinds
@@ -138,7 +137,7 @@ def _tree_states(mu, nu):
 
 def test_reachable_puts_children_before_parents():
     for mu, nu in _pairs(5):
-        states = reachable(mu, nu)
+        states = reachable_from([(mu, nu)])
         order = {key: idx for idx, key in enumerate(states)}
         for key, (path, branches) in states.items():
             assert path.key == key
@@ -150,7 +149,7 @@ def test_reachable_puts_children_before_parents():
 def test_reachable_is_the_tree_walk_deduplicated():
     visits = 0
     for mu, nu in _pairs(5):
-        states = reachable(mu, nu)
+        states = reachable_from([(mu, nu)])
         if not states:
             with pytest.raises(ValueError, match="no runs"):
                 trace(mu, nu)
@@ -158,7 +157,7 @@ def test_reachable_is_the_tree_walk_deduplicated():
         assert set(states) == _tree_states(mu, nu)
         visits += len(states)
     assert visits == 5709
-    assert reachable(parse_word("1100"), parse_word("0011")) == {}
+    assert reachable_from([(parse_word("1100"), parse_word("0011"))]) == {}
 
 
 
@@ -198,7 +197,7 @@ def test_graph_is_the_union_of_the_pairs_graphs(monkeypatch):
             union.update(alone)
         assert union == set(states)
         last = [pair for pair, root in zip(pairs, roots) if root is not None][-1]
-        assert rows <= set(reachable(*last))
+        assert rows <= set(reachable_from([last]))
         distinct += len(states)
     # chain ends over every (n, k) with n <= 6, of 37,785 and 7,634 states
     assert (visits, distinct) == (8699, 1584)
@@ -320,7 +319,7 @@ def test_table_is_structure_constants_pair_by_pair():
                     (single,) = table(theories, [pairs[idx]])
                     assert _items(single) == _items(row)
         for (mu, nu), row in zip(pairs, table(tuple(Theory), pairs)):
-            if not reachable(mu, nu):
+            if not reachable_from([(mu, nu)]):
                 assert row == ({},) * 4
                 unreachable += 1
     assert unreachable == 155
@@ -334,6 +333,12 @@ def test_table_takes_theory_names_and_refuses_none_or_a_bad_one():
         structure_constants("x", MU, NU)
     with pytest.raises(ValueError, match="one or more theories"):
         table((), [(MU, NU)])
+    branches = [br for _, brs in reachable_from([(MU, NU)]).values() for br, _ in brs]
+    assert {br.kind for br in branches} >= {"equivariant", "topk"}
+    for br in branches:
+        assert branch_weight("kt", br, MU.n) == branch_weight(Theory.KT, br, MU.n)
+    with pytest.raises(ValueError, match="'x' is not a valid Theory"):
+        branch_weight("x", branches[0], MU.n)
 
 
 @pytest.mark.parametrize("theory", list(Theory))
@@ -352,7 +357,7 @@ def _polynomial_fold(theory, mu, nu):
     theory's skipped kinds, cancelled coefficients kept.
     """
     skip = _skip(theory, mu.n)
-    states = reachable(mu, nu)
+    states = reachable_from([(mu, nu)])
     if not states:
         return {}
     one = (LPoly if theory.k_theory else Poly).const(mu.n, 1)
@@ -400,12 +405,12 @@ def test_forward_fold_is_the_table_fold(ring):
     # same items in word order, on every pair up to n = 6, unreachable ones
     # included, and on an n = 10 pair.  In a theory the forward fold is
     # structure_constants; in the count ring, over the pair's unpruned
-    # graph, it is puzzle_counts and ascii_puzzles' counts
+    # graph, it is ascii_puzzles' counts
     def folds(mu, nu):
         """The pair's backward fold and its forward ones."""
         if ring == "counts":
             backward = filling._fold(filling._COUNTS, *graph([(mu, nu)]))[0]
-            return backward, [puzzle_counts(mu, nu), ascii_puzzles(mu, nu)[0]]
+            return backward, [ascii_puzzles(mu, nu)[0]]
         ((backward,),) = table((ring,), [(mu, nu)])
         return backward, [structure_constants(ring, mu, nu)]
 
@@ -459,8 +464,23 @@ def test_runs_is_the_trace_tree_in_preorder():
         nodes += len(walk)
         for theory in Theory:
             leaves = sum(1 for _, branches in runs(mu, nu, _skip(theory, mu.n)) if not branches)
-            assert leaves == count_puzzles(theory, mu, nu)
+            assert leaves == len(enumerate_puzzles(mu, nu, theory))
     assert nodes == 8201
+
+
+def test_coeff_json_count_is_the_pruned_counting_fold():
+    # coeff --json's puzzle_count, len(enumerate_puzzles(...)), walks every
+    # run; the count ring folded over the theory's pruned graph gives it
+    # too, on every (pair, theory) with n <= 5, the unreachable ones (0)
+    # included
+    cases = 0
+    for mu, nu in _pairs(5):
+        for theory in Theory:
+            states, (root,) = graph([(mu, nu)], _skip(theory, mu.n))
+            folded = sum(filling._fold_forward(filling._COUNTS, states, root).values())
+            assert len(enumerate_puzzles(mu, nu, theory)) == folded, (mu, nu, theory)
+            cases += 1
+    assert cases == 1400
 
 
 def _puzzles_the_old_way(mu, nu, prune):
@@ -532,7 +552,8 @@ def test_a_walk_validates_its_initial_path_once(monkeypatch):
         return check(p)
 
     monkeypatch.setattr(filling, "check_path", counted)
-    walks = {"reachable": reachable, "runs": lambda mu, nu: list(runs(mu, nu)),
+    walks = {"reachable_from": lambda mu, nu: reachable_from([(mu, nu)]),
+             "runs": lambda mu, nu: list(runs(mu, nu)),
              "trace_rows": lambda mu, nu: list(trace_rows(mu, nu))}
     for mu, nu in _pairs(4):
         start = initial_path(mu, nu)
@@ -591,7 +612,7 @@ def test_warm_and_cold_branches_agree():
     states = 0
     for mu, nu in _pairs(5):
         filling._rows.clear()
-        walked = reachable(mu, nu)
+        walked = reachable_from([(mu, nu)])
         for path, first in walked.values():
             # a second call on a walked state is a memo hit
             assert legal_branches(path) is first
@@ -607,7 +628,7 @@ def test_parent_computed_sites_match_check_path():
     # the initial path carries the site _walk_start gave it
     children = 0
     for mu, nu in _pairs(6):
-        for p, branches in reachable(mu, nu).values():
+        for p, branches in reachable_from([(mu, nu)]).values():
             assert p.site == check_path(p)[1], p
             for _, q in branches:
                 assert q.site == check_path(q)[1], q
@@ -622,7 +643,7 @@ def test_local_check_is_validate_path():
     # breaks the path)
     verdicts = Counter()
     for mu, nu in _pairs(6):
-        for p, _ in reachable(mu, nu).values():
+        for p, _ in reachable_from([(mu, nu)]).values():
             site = check_path(p)[1]
             if site is None:
                 continue
@@ -646,7 +667,7 @@ def test_words_of_two_shapes_are_refused():
 
 def test_invalid_path_from_outside_is_refused():
     # a path shorter than an initial one leaves the memo of (MU, NU) in place
-    mid = next(path for path, _ in reachable(MU, NU).values()
+    mid = next(path for path, _ in reachable_from([(MU, NU)]).values()
                if len(path.steps) < 8 and any(s.dir == "SW" for s in path.steps))
     idx = next(idx for idx, s in enumerate(mid.steps) if s.dir == "SW")
     bad = PuzzlePath(4, mid.steps[:idx] + (STEP["SW", "K"],) + mid.steps[idx + 1:])
@@ -660,7 +681,7 @@ def test_invalid_path_from_outside_is_refused():
     mu, nu = parse_word("1100"), parse_word("0011")
     with pytest.raises(ValueError, match="invalid path"):
         legal_branches(initial_path(mu, nu))
-    assert not list(runs(mu, nu)) and not reachable(mu, nu)
+    assert not list(runs(mu, nu)) and not reachable_from([(mu, nu)])
     assert filling._rows == rows
 
 
@@ -668,7 +689,7 @@ def test_branches_share_their_pieces():
     # and equal branches are one object, equal to one built anew
     pieces, seen = {}, {}
     for mu, nu in _pairs(5):
-        for _, branches in reachable(mu, nu).values():
+        for _, branches in reachable_from([(mu, nu)]).values():
             for br, _ in branches:
                 piece = br.piece
                 labels = (piece.diag, piece.base) if br.kind == "triangle" else piece.right
@@ -696,18 +717,18 @@ def test_table_holds_one_pair():
     # a graph of many pairs, as an earlier test may leave it, holds the rows
     # of a and b at once, and the walks below would keep it
     filling._rows.clear()
-    from_a, from_b = set(reachable(*a)), set(reachable(*b))
+    from_a, from_b = set(reachable_from([a])), set(reachable_from([b]))
     only_a = from_a - from_b
     assert only_a
     for theory in Theory:
         enumerate_puzzles(*a)
         assert set(filling._rows) == from_a
         structure_constants(theory, *b)
-        count_puzzles(theory, *b)
+        enumerate_puzzles(*b, theory)
         assert set(filling._rows) <= from_b
     # a state of another board size passed from outside joins the memo, and
     # the next walk from an initial path with no row drops it
-    mid = next(path for path, _ in reachable(MU, NU).values() if len(path.steps) < 8)
+    mid = next(path for path, _ in reachable_from([(MU, NU)]).values() if len(path.steps) < 8)
     enumerate_puzzles(*a)
     legal_branches(mid)
     assert set(filling._rows) == from_a | {mid.key}
@@ -716,12 +737,12 @@ def test_table_holds_one_pair():
 
 
 def test_the_memo_holds_the_pair_coeff_json_walks(monkeypatch):
-    # coeff --json walks the pair twice, count_puzzles then
+    # coeff --json walks the pair twice, enumerate_puzzles then
     # structure_constants: the memo then holds states of that pair alone,
     # and the second walk, whose graph reads each forced step off its row,
     # derives nothing.  A walk from an unreachable pair leaves the memo as
     # it was
-    full = {pair: set(reachable(*pair)) for pair in _pairs(5)}
+    full = {pair: set(reachable_from([pair])) for pair in _pairs(5)}
     derive = filling._derive_branches
     derived = []
 
@@ -734,7 +755,7 @@ def test_the_memo_holds_the_pair_coeff_json_walks(monkeypatch):
     for theory in Theory:
         for pair, states in full.items():
             before = set(filling._rows)
-            count_puzzles(theory, *pair)
+            enumerate_puzzles(*pair, theory)
             derived.clear()
             structure_constants(theory, *pair)
             assert not derived
@@ -751,7 +772,7 @@ def test_no_key_is_reached_at_two_board_sizes():
     # a key holds n steps that are not W, so the memo needs no board size
     size = {}
     for mu, nu in _pairs(6):
-        for key, (path, _) in reachable(mu, nu).items():
+        for key, (path, _) in reachable_from([(mu, nu)]).items():
             assert size.setdefault(key, path.n) == path.n
     assert len(size) == 7634 and set(size.values()) == set(range(1, 7))
 
@@ -799,7 +820,7 @@ def test_invariant_error_below_a_forced_chain(monkeypatch):
     # row; a walk state by state (runs) leaves the parent's row.  Only that
     # state's check sees its own key: a rhombus leaves the steps after the
     # kink as they are, so the check reads the parent's key
-    found = _forced_below_interesting(reachable(MU, NU), 3)
+    found = _forced_below_interesting(reachable_from([(MU, NU)]), 3)
     assert found is not None
     bad, parent = found
     want = structure_constants(Theory.KT, MU, NU)
@@ -826,7 +847,7 @@ def test_invariant_error_below_a_forced_chain(monkeypatch):
 
 def _first_interesting(mu, nu):
     """The interesting state of (mu, nu) nearest its root: (its path, branches)."""
-    return next(row for row in reversed(reachable(mu, nu).values()) if len(row[1]) > 1)
+    return next(row for row in reversed(reachable_from([(mu, nu)]).values()) if len(row[1]) > 1)
 
 
 def test_an_unfillable_kink_raises(monkeypatch):
@@ -869,7 +890,7 @@ def test_an_interesting_state_out_of_rule_raises(monkeypatch, kinds, message):
 def test_table_reads_an_iterator_and_a_bad_theory_name_is_a_value_error():
     assert table((Theory.H,), iter([(MU, NU), (NU, MU)])) == [
         (structure_constants(Theory.H, MU, NU),), (structure_constants(Theory.H, NU, MU),)]
-    assert len(enumerate_puzzles(MU, NU, theory="h")) == count_puzzles(Theory.H, MU, NU)
+    assert len(enumerate_puzzles(MU, NU, theory="h")) == len(enumerate_puzzles(MU, NU, Theory.H))
     with pytest.raises(ValueError, match="'x' is not a valid Theory"):
         enumerate_puzzles(MU, NU, theory="x")
 
@@ -877,7 +898,7 @@ def test_table_reads_an_iterator_and_a_bad_theory_name_is_a_value_error():
 def test_a_path_rebuilt_from_fresh_steps_hits_the_table():
     # a path rebuilt from new Step calls or from plain tuples, copied or
     # unpickled has the walk's key, so it keys the same row
-    for path, branches in reachable(MU, NU).values():
+    for path, branches in reachable_from([(MU, NU)]).values():
         fresh = PuzzlePath(path.n, tuple(Step(s.dir, s.label) for s in path.steps))
         assert legal_branches(fresh) is branches
         plain = PuzzlePath(path.n, [(s.dir, s.label) for s in path.steps])
@@ -892,8 +913,8 @@ def test_a_path_checked_by_the_walk_equals_an_unchecked_one(monkeypatch):
     # copied or unpickled equals and hashes as the walk's, and is UNCHECKED,
     # so on a miss it is validated once; the walk's own path is not.  A
     # second walk reads the first's rows, and its root carries a site too
-    reachable(MU, NU)
-    states = reachable(MU, NU)
+    reachable_from([(MU, NU)])
+    states = reachable_from([(MU, NU)])
     check = filling.check_path
     calls = []
 
@@ -1008,7 +1029,7 @@ def test_one_weight_cell_is_a_whole_mutant_and_leaves_no_trace(monkeypatch):
 
     def readings():
         return (structure_constants(h, MU, NU), table((h,), [(MU, NU)]),
-                count_puzzles(h, MU, NU), structure_constants(kt, MU, NU),
+                len(enumerate_puzzles(MU, NU, h)), structure_constants(kt, MU, NU),
                 structure_constants(k, MU, NU))
 
     before = readings()
@@ -1017,7 +1038,8 @@ def test_one_weight_cell_is_a_whole_mutant_and_leaves_no_trace(monkeypatch):
         assert structure_constants(h, MU, NU) != before[0]
         assert table((h,), [(MU, NU)]) != before[1]
         # topk no longer skipped: H keeps the puzzles K keeps
-        assert count_puzzles(h, MU, NU) == count_puzzles(Theory.K, MU, NU) != before[2]
+        h_count = len(enumerate_puzzles(MU, NU, h))
+        assert h_count == len(enumerate_puzzles(MU, NU, Theory.K)) != before[2]
     with monkeypatch.context() as mp:
         mp.setitem(filling._WEIGHT, (kt, "shift0"), (1, 0))
         assert structure_constants(kt, MU, NU) != before[3]

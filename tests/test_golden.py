@@ -46,7 +46,7 @@ import pytest
 from puzzlecalc.board import (PuzzlePath, Step, ascii_render, initial_path, path_from_key,
                               svg_render, validate_path)
 from puzzlecalc.cli import main
-from puzzlecalc.filling import enumerate_puzzles, reachable
+from puzzlecalc.filling import enumerate_puzzles, reachable_from
 from puzzlecalc.intervalrank import all_dotsets, format_dots
 from puzzlecalc.pinkdots import path_to_rank
 from puzzlecalc.words import all_words
@@ -120,7 +120,7 @@ def _paths(n: int) -> set[bytes]:
     seen = set()
     for mu, nu in _pairs(n):
         seen.add(initial_path(mu, nu).key)
-        seen.update(reachable(mu, nu))
+        seen.update(reachable_from([(mu, nu)]))
     return seen
 
 
@@ -143,7 +143,7 @@ def validate_path_digest(n: int) -> str:
 def path_dots_digest(n: int) -> str:
     h = hashlib.sha256()
     for mu, nu in _pairs(n):
-        for path, _ in sorted(reachable(mu, nu).values(),
+        for path, _ in sorted(reachable_from([(mu, nu)]).values(),
                               key=lambda item: [(s.dir, s.label) for s in item[0].steps]):
             d = format_dots(path_to_rank(path)[0])
             h.update(f"{mu} {nu} {' '.join(s.dir + s.label for s in path.steps)} | {d}\n".encode())

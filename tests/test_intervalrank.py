@@ -84,6 +84,16 @@ def test_essential_conditions_filters_vacuous():
     assert essential_conditions(d) == [(1, 2, 1)]
 
 
+@pytest.mark.parametrize("size", [2, 4])
+def test_essential_conditions_refuses_a_rank_matrix_of_another_size(size):
+    # the n = 2 matrix has no window (1, 2) bound below 2, so the bound
+    # read from it would drop the one condition
+    d = parse_dots("1,2", 3)
+    assert essential_conditions(d, rank_from_dots(d)) == [(1, 2, 1)]
+    with pytest.raises(ValueError, match="^size mismatch$"):
+        essential_conditions(d, rank_from_dots(parse_dots("", size)))
+
+
 def _essential_set_by_scanning(d):
     """essential_set as it was first written: survives scans every dot."""
     n = d.n
@@ -327,3 +337,11 @@ def test_fixed_point_in_and_matching_exists_take_one_board_size():
             test(d, Word((0, 1, 0)))
     # one dot and two 0s: no bijection
     assert not matching_exists(d, Word((0, 0)))
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_fixed_point_in_refuses_a_rank_matrix_of_another_size(size):
+    d, w = parse_dots("1,2", 3), Word((0, 1, 1))
+    assert fixed_point_in(d, w, rank_from_dots(d))
+    with pytest.raises(ValueError, match="^size mismatch$"):
+        fixed_point_in(d, w, rank_from_dots(parse_dots("", size)))

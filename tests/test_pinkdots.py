@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from puzzlecalc.board import STEP, PuzzlePath, initial_path, is_valid, path_from_key
-from puzzlecalc.filling import reachable, trace_rows
+from puzzlecalc.filling import reachable_from, trace_rows
 from puzzlecalc.intervalrank import envelope, envelope_codim, rank_from_dots
 from puzzlecalc.pinkdots import path_codim, path_dots, path_to_rank, valid_path_dots
 from puzzlecalc.words import all_words
@@ -55,7 +55,7 @@ def test_codim_formula_matches_dot_geometry_off_the_reachable_states():
     reached = {}
     for n in range(1, 6):
         for mu, nu in _valid_pairs(n):
-            reached.update(reachable(mu, nu))
+            reached.update(reachable_from([(mu, nu)]))
     unreached = {}
     for key, (path, _) in reached.items():
         for idx, code in enumerate(key):
@@ -85,7 +85,7 @@ def test_rank_consistency():
     # the rank matrix path_to_rank returns is its dots' own
     for n in range(1, 5):
         for mu, nu in _valid_pairs(n):
-            for path, _ in reachable(mu, nu).values():
+            for path, _ in reachable_from([(mu, nu)]).values():
                 d, r = path_to_rank(path)
                 assert r == rank_from_dots(d)
 

@@ -10,7 +10,7 @@ from puzzlecalc import poly
 from puzzlecalc.poly import (LIMIT, LPoly, Poly, PolyError, eval_at_one, json_text,
                              lowest_form, render, sum_of_products, y_to_zero)
 from puzzlecalc.cli import main
-from puzzlecalc.filling import Theory, count_puzzles, structure_constants
+from puzzlecalc.filling import Theory, enumerate_puzzles, structure_constants
 from puzzlecalc.words import Word, all_words, inversions
 
 
@@ -457,7 +457,7 @@ def test_coeff_output_is_the_reference_encoding(theory, capsys):
                     doc = {"n": n, "k": k, "mu": str(mu), "nu": str(nu), "theory": theory.value,
                            "coefficients": {lam: json.loads(_ref_json(p))
                                             for lam, p in coeffs.items()},
-                           "puzzle_count": count_puzzles(theory, mu, nu)}
+                           "puzzle_count": len(enumerate_puzzles(mu, nu, theory))}
                     text = "".join(f"{lam}: {_REF[type(p)](n, p.terms).render()}\n"
                                    for lam, p in sorted(coeffs.items()))
                     argv = ["coeff", "--theory", theory.value, "--mu", str(mu), "--nu", str(nu)]
