@@ -12,12 +12,11 @@ structure constants are summed once per distinct path state rather than once
 per run, and a state's continuations are derived and checked once per walk,
 which may serve many boundary pairs and theories.  A graph keeps only the
 chain ends, its roots and the states that are not forced, and a chain of
-forced pieces is one edge between two of them.  A table's fold over many
-pairs goes backward, children first, and holds per chain end the value of
-every final word below it, so pairs share states; one pair's expansion, in
-any theory, and its puzzle counts are folded forward from its root, one
-value per chain end.  Either fold lists a result's words in word order,
-which its ring puts them in.
+forced pieces is one edge between two of them.  One fold serves a table of
+many pairs, one pair's expansion in any theory and its puzzle counts: it
+goes forward, parents first, and holds per chain end one value for each
+root above it, so pairs share states.  It lists a result's words in word
+order, which its ring puts them in.
 """
 
 from __future__ import annotations
@@ -474,73 +473,43 @@ def _int_sum_of_products(pairs) -> int:
 
 def _fold(ring: tuple, states: dict, roots: list) -> list[dict]:
     """
-    Per root of a table, the nonzero coefficients of its value in the ring
-    (see _ring): a fold over the chain ends of graph's states, children
-    before parents, in which a state's value maps each final word below it
-    to its coefficient.  A final state's value maps its word to the ring's
-    1, and any other state's sums, word by word, the (weight, end
-    coefficient) pairs of its edges whose kind is not skipped; a chain's
-    forced pieces weigh 1 and are not multiplied in.  An end's value is
-    dropped once its last parent has read it; a root is no state's child,
-    so its value is read after the loop.  A state that only a skipped
-    branch reaches is folded too, and no root reads its value.
+    Per root, the nonzero coefficients of its value in the ring (see
+    _ring), in word order ({} for a root that is None): a forward fold over
+    the chain ends of graph's states.  Each root's value at its own state
+    is the ring's 1, and a state's value for a root is the sum of the
+    (weight, value) pairs that its parents pushed to it for that root.
+    Chain ends come parents first in reversed(states), for a union of pairs
+    too, since graph puts a chain end after everything below it.  Each one
+    pushes its values along its edges whose kind the ring does not skip,
+    each with the weight of the edge's branch, and then holds none of
+    them; a chain's forced pieces weigh 1 and are not multiplied in.  A
+    state that nothing pushed to is not folded, and a final state's values
+    are its word's coefficients, one per root.
     """
     one, weight, add, coefficients, skip = ring
-    # per chain end, the parent that reads its value last: states come
-    # children before parents, so that is the last one met
-    last = {end: key for key, (_, edges) in states.items()
-            for br, _, end in edges if br.kind not in skip}
-    value: dict[bytes, dict[str, object]] = {}
-    for key, (path, edges) in states.items():
-        if not edges:
-            value[key] = {str(final_path_word(path)): one}
-        else:
-            parts: dict[str, list] = {}
-            for br, _, end in edges:
-                if br.kind not in skip:
-                    w = weight(br)
-                    for lam, c in value[end].items():
-                        parts.setdefault(lam, []).append((w, c))
-            value[key] = {lam: add(ps) for lam, ps in parts.items()}
-        # dropped after every edge has read: two edges of one state could end
-        # at one state (none do for n <= 8)
-        for _, _, end in edges:
-            if last.get(end) is key:
-                value.pop(end, None)
-    return [{} if key is None else coefficients(value[key]) for key in roots]
-
-
-def _fold_forward(ring: tuple, states: dict, root: bytes | None) -> dict:
-    """
-    The nonzero coefficients of the value of one pair's root in the ring
-    (see _ring), where states is the root's graph pruned of the ring's
-    skipped kinds, graph([(mu, nu)], skip).  The fold goes
-    forward: the root's value is the ring's 1, and a state's value is the
-    sum of the (weight, parent value) pairs its parents pushed to it.
-    Chain ends come parents first in reversed(states).  Each pushes its
-    value along each edge to the edge's end, with the weight of the edge's
-    branch, and then holds none of it; a final state's value is its word's
-    coefficient.  So each edge multiplies its weight into one value, where
-    _fold multiplies it into the value of every word below the end.
-    """
-    if root is None:
-        return {}
-    one, weight, add, coefficients, _ = ring
-    pushed: dict[bytes, list] = {root: [(one, one)]}
-    words: dict[str, object] = {}
+    # per chain end not yet folded, per root index above it, the pairs pushed
+    pending: dict[bytes, dict[int, list]] = {}
+    for idx, key in enumerate(roots):
+        if key is not None:
+            pending.setdefault(key, {})[idx] = [(one, one)]
+    words: list[dict[str, object]] = [{} for _ in roots]
     for key, (path, edges) in reversed(states.items()):
-        parts = pushed.pop(key)
-        value = parts[0][1] if len(parts) == 1 and parts[0][0] is one else add(parts)
-        if not edges:
-            words[str(final_path_word(path))] = value
+        values = pending.pop(key, None)
+        if values is None:
             continue
+        for idx, ps in values.items():  # each root's pushed pairs become its value
+            values[idx] = ps[0][1] if len(ps) == 1 and ps[0][0] is one else add(ps)
+        if not edges:
+            lam = str(final_path_word(path))
+            for idx, value in values.items():
+                words[idx][lam] = value
         for br, _, end in edges:
-            into = pushed.get(end)
-            if into is None:
-                pushed[end] = [(weight(br), value)]
-            else:
-                into.append((weight(br), value))
-    return coefficients(words)
+            if br.kind not in skip:
+                w = weight(br)
+                into = pending.setdefault(end, {})
+                for idx, value in values.items():
+                    into.setdefault(idx, []).append((w, value))
+    return [coefficients(value) for value in words]
 
 
 # the ring of puzzle counts: a final state is one run, and a branch weighs 1
@@ -555,8 +524,9 @@ def table(theories, pairs) -> list[tuple[dict, ...]]:
     order.  One walk serves every pair and theory: it leaves out only the
     kinds that weigh zero in every theory, and each theory's fold skips
     the rest of its ring's zero kinds, folding each distinct state once.
-    The folds go backward (_fold), so that pairs share states; each dict
-    is the pair's structure_constants item for item, word order included.
+    Each theory's fold (_fold) carries one value per pair over the shared
+    graph; each dict is the pair's structure_constants item for item, word
+    order included.
     Every pair must be of one board size, since each fold computes in that
     size's ring.
     """
@@ -578,12 +548,11 @@ def structure_constants(theory: Theory, mu: Word, nu: Word) -> dict:
     All nonzero coefficients of the product expansion for the pair (mu, nu),
     keyed by the boundary word read off each final path, in word order: the
     table of the one pair, as a dict.  An unreachable boundary pair yields
-    the empty dict.  The pair's graph is folded forward from its root
-    (_fold_forward), one value per state.
+    the empty dict.  The pair's graph, pruned of the kinds its ring skips,
+    is folded forward from its root (_fold), one value per state.
     """
     ring = _ring(Theory(theory), mu.n)
-    states, (root,) = graph([(mu, nu)], ring[4])  # pruned of the kinds the fold skips
-    return _fold_forward(ring, states, root)
+    return _fold(ring, *graph([(mu, nu)], ring[4]))[0]
 
 
 def runs(mu: Word, nu: Word, prune=frozenset()):
@@ -661,7 +630,7 @@ def ascii_puzzles(mu: Word, nu: Word, lam: Word | None = None) -> tuple[dict, It
     if lam is not None and lam.k != mu.k:
         raise ValueError("lambda has a different number of 1s from the words")
     states, (root,) = graph([(mu, nu)])
-    return _fold_forward(_COUNTS, states, root), _boards(mu, nu, states, root, lam)
+    return _fold(_COUNTS, states, [root])[0], _boards(mu, nu, states, root, lam)
 
 
 def _boards(mu: Word, nu: Word, states: dict, root: bytes | None, lam: Word | None):

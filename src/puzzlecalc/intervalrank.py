@@ -96,7 +96,7 @@ class IntervalRankMatrix:
         return all(all(map(le, row, above)) for row, above in zip(self.rows, other.rows))
 
     def __str__(self) -> str:
-        width = max(len(str(v)) for row in self.rows for v in row)
+        width = max((len(str(v)) for row in self.rows for v in row), default=0)
         return "\n".join(" " * ((width + 1) * i) + " ".join(str(v).rjust(width) for v in row)
                          for i, row in enumerate(self.rows))
 

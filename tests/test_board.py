@@ -136,6 +136,7 @@ def test_keys_round_trip_on_reachable_states():
                 assert all(s is STEP[s] for s in steps)
                 assert steps_key(steps) == p.key == key and len(steps) == len(key)
                 assert PuzzlePath(p.n, steps) == p == path_from_key(p.n, key)
+                assert p != key and p != "x"
                 assert hash(PuzzlePath(p.n, steps)) == hash(p)
                 states += 1
     assert states == 5709

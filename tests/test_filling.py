@@ -379,66 +379,80 @@ def _polynomial_fold(theory, mu, nu):
 
 @pytest.mark.parametrize("shift0, cancelled", [(1, 0), (-1, 2)])
 def test_integer_fold_is_the_polynomial_fold(monkeypatch, shift0, cancelled):
-    # H and K fold signed puzzle counts in ints and make constants at the
-    # roots; the reference folds polynomials, as H_T and K_T do.  Words come
-    # in word order.  In the paper's table no coefficient cancels (a K
-    # coefficient's puzzles all have its sign), so a K table where shift0
-    # weighs -1 checks that both folds drop the same cancelled ones (two, of
-    # one pair)
+    # the reference folds branch_weight polynomials over every state and
+    # shares no fold code with the engine.  In all four theories, on every
+    # pair up to n = 6, the pair's structure_constants and its row of one
+    # table of every pair of its (n, k) are the reference's nonzero
+    # coefficients, item for item in word order.  H and K fold signed
+    # puzzle counts in ints and make constants at the roots.  In the
+    # paper's table no coefficient cancels (a K coefficient's puzzles all
+    # have its sign), so a K table where shift0 weighs -1 checks that every
+    # fold drops the same cancelled ones (two, of one pair)
     monkeypatch.setitem(filling._WEIGHT, (Theory.K, "shift0"), (shift0, 0))
     dropped = Counter()
-    for theory in (Theory.H, Theory.K):
-        for mu, nu in _pairs(6):
-            want = _polynomial_fold(theory, mu, nu)
-            got = structure_constants(theory, mu, nu)
-            assert got == {lam: c for lam, c in want.items() if not c.is_zero()}
-            assert list(got) == sorted(got)
-            assert all(type(c) is type(want[lam]) for lam, c in got.items())
-            dropped[theory] += len(want) - len(got)
-    assert dropped[Theory.H] == 0
-    assert dropped[Theory.K] == cancelled
+    for _, _, pairs in oracle._pairs_by_k(6):
+        for (mu, nu), row in zip(pairs, table(tuple(Theory), pairs)):
+            for theory, in_table in zip(Theory, row):
+                want = _polynomial_fold(theory, mu, nu)
+                kept = sorted((lam, c) for lam, c in want.items() if not c.is_zero())
+                got = structure_constants(theory, mu, nu)
+                assert list(got.items()) == list(in_table.items()) == kept, (mu, nu, theory)
+                assert all(type(c) is type(want[lam]) for lam, c in got.items())
+                dropped[theory] += len(want) - len(kept)
+    assert dropped == {Theory.H: 0, Theory.HT: 0, Theory.K: cancelled, Theory.KT: 0}
+
+
+def test_puzzle_counts_are_the_enumerated_final_words():
+    # ascii_puzzles' counts are the final words of the puzzles that
+    # enumerate_puzzles lists, one per run, in word order, on every pair up
+    # to n = 6, unreachable ones ({}) included
+    empty = 0
+    for mu, nu in _pairs(6):
+        counts = ascii_puzzles(mu, nu)[0]
+        want = Counter(str(pz.lam) for pz in enumerate_puzzles(mu, nu))
+        assert list(counts.items()) == sorted(want.items()), (mu, nu)
+        empty += not counts
+    assert empty == 650  # the unreachable pairs
 
 
 @pytest.mark.parametrize("ring", [t.value for t in Theory] + ["counts"])
-def test_forward_fold_is_the_table_fold(ring):
-    # one pair folds forward from its root and a table folds backward: the
-    # same items in word order, on every pair up to n = 6, unreachable ones
-    # included, and on an n = 10 pair.  In a theory the forward fold is
-    # structure_constants; in the count ring, over the pair's unpruned
-    # graph, it is ascii_puzzles' counts
-    def folds(mu, nu):
-        """The pair's backward fold and its forward ones."""
-        if ring == "counts":
-            backward = filling._fold(filling._COUNTS, *graph([(mu, nu)]))[0]
-            return backward, [ascii_puzzles(mu, nu)[0]]
-        ((backward,),) = table((ring,), [(mu, nu)])
-        return backward, [structure_constants(ring, mu, nu)]
+def test_word_counts_of_an_n10_pair(ring):
+    # the words of structure_constants and of the pair's table row in a
+    # theory, and in the count ring ascii_puzzles' counts over the pair's
+    # unpruned graph: how many, in word order
+    mu, nu = parse_word("0110100110"), parse_word("1100110010")
+    if ring == "counts":
+        got = ascii_puzzles(mu, nu)[0]
+    else:
+        got = structure_constants(ring, mu, nu)
+        assert _items(table((ring,), [(mu, nu)])[0]) == _items((got,))
+    assert len(got) == {"h": 2, "ht": 146, "k": 3, "kt": 148, "counts": 148}[ring]
+    assert list(got) == sorted(got)
 
-    empty = 0
-    for mu, nu in _pairs(6):
-        backward, forward = folds(mu, nu)
-        assert list(backward) == sorted(backward), (mu, nu)
-        assert _items(forward) == _items([backward] * len(forward)), (mu, nu)
-        empty += not backward
-    assert empty == 650  # the unreachable pairs
-    backward, forward = folds(parse_word("0110100110"), parse_word("1100110010"))
-    assert len(backward) == {"h": 2, "ht": 146, "k": 3, "kt": 148, "counts": 148}[ring]
-    assert list(backward) == sorted(backward)
-    assert _items(forward) == _items([backward] * len(forward))
+
+def test_a_table_keeps_apart_two_roots_on_one_key():
+    # a table of [p, an unreachable pair, p] starts two roots at one state:
+    # each keeps its own value, and the two are not added
+    p, unreachable = (MU, NU), (parse_word("1100"), parse_word("0011"))
+    for theories in [(t,) for t in Theory] + [tuple(Theory)]:
+        want = _items(structure_constants(t, *p) for t in theories)
+        rows = table(theories, [p, unreachable, p])
+        assert [_items(row) for row in rows] == [want, [[]] * len(theories), want]
 
 
 def test_forward_fold_drops_the_cancelled_coefficients_table_drops(monkeypatch):
     # in the paper's K_T table no coefficient cancels; with the equivariant
     # piece weighing 1, 16 coefficients of pairs up to n = 5 sum to zero,
-    # and both folds drop exactly those, keeping the rest in word order
+    # and structure_constants and table drop exactly those, keeping the rest
+    # in word order
     monkeypatch.setitem(filling._WEIGHT, (Theory.KT, "equivariant"), (1, 0))
     dropped = 0
     for mu, nu in _pairs(5):
         want = _polynomial_fold(Theory.KT, mu, nu)
         kept = sorted((lam, c) for lam, c in want.items() if not c.is_zero())
         got = structure_constants(Theory.KT, mu, nu)
-        ((backward,),) = table((Theory.KT,), [(mu, nu)])
-        assert list(got.items()) == list(backward.items()) == kept
+        ((in_table,),) = table((Theory.KT,), [(mu, nu)])
+        assert list(got.items()) == list(in_table.items()) == kept
         dropped += len(want) - len(kept)
     assert dropped == 16
 
@@ -477,7 +491,7 @@ def test_coeff_json_count_is_the_pruned_counting_fold():
     for mu, nu in _pairs(5):
         for theory in Theory:
             states, (root,) = graph([(mu, nu)], _skip(theory, mu.n))
-            folded = sum(filling._fold_forward(filling._COUNTS, states, root).values())
+            folded = sum(filling._fold(filling._COUNTS, states, [root])[0].values())
             assert len(enumerate_puzzles(mu, nu, theory)) == folded, (mu, nu, theory)
             cases += 1
     assert cases == 1400

@@ -288,16 +288,17 @@ def test_fixed_points_monotone_under_covers(d):
 
 
 def _every_dotset(max_n):
-    for n in range(1, max_n + 1):
+    for n in range(max_n + 1):
         for size in range(n + 1):
             yield from all_dotsets(n, size)
 
 
 def test_rank_from_dots_counts_the_dots_in_every_window_up_to_n6():
     # r(i, j) = (j - i + 1) - #{dots (a, b) with i <= a and b <= j}, read
-    # through entry()
+    # through entry(); its text is its rows, one line each, and empty at n = 0
     for d in _every_dotset(6):
         r = rank_from_dots(d)
+        assert [tuple(map(int, line.split())) for line in str(r).splitlines()] == list(r.rows)
         for i in range(1, d.n + 1):
             for j in range(i, d.n + 1):
                 inside = sum(1 for a, b in d.dots if i <= a and b <= j)

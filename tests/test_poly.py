@@ -60,6 +60,17 @@ def test_render_examples():
     assert render(Poly.zero(2)) == "0"
     assert render(Poly.const(2, -3)) == "-3"
     assert render(LPoly.exp(4, (1, 0, 0, -1), -1)) == "-1*E(1,0,0,-1)"
+    # str is render, for both rings
+    for q in (p, LPoly.exp(4, (1, 0, 0, -1), -1)):
+        assert str(q) == render(q)
+
+
+def test_a_value_is_immutable():
+    p = Poly.y(3, 1)
+    for name in ("n", "_coeffs", "terms"):
+        with pytest.raises(AttributeError, match="^immutable$"):
+            setattr(p, name, None)
+    assert p == Poly.y(3, 1)
 
 
 @given(polys)
