@@ -154,9 +154,9 @@ def cmd_trace(args) -> int:
 
 
 # verify's cost grows steeply with --max-n: on a 2-core x86 box the ten
-# suites' time lines sum to about 0.26 s at 5 and 3.6 s at 6 (specialize
-# 2.1 s of it), and the whole process takes about 0.39 s and 19 MB peak RSS
-# at 5, 3.9 s and 20 MB at 6
+# suites' time lines sum to about 0.35 s at 5 and 2.34 s at 6 (specialize
+# 1.46 s of it), and the whole process takes about 0.47 s and 19 MB peak RSS
+# at 5, 2.46 s and 20 MB at 6
 MAX_VERIFY_N = 6
 
 # rank fixed-points tests every word with n - #dots ones, C(n, n/2) at worst,

@@ -12,11 +12,12 @@ structure constants are summed once per distinct path state rather than once
 per run, and a state's continuations are derived and checked once per walk,
 which may serve many boundary pairs and theories.  A graph keeps only the
 chain ends, its roots and the states that are not forced, and a chain of
-forced pieces is one edge between two of them.  One fold serves a table of
-many pairs, one pair's expansion in any theory and its puzzle counts: it
-goes forward, parents first, and holds per chain end one value for each
-root above it, so pairs share states.  It lists a result's words in word
-order, which its ring puts them in.
+forced pieces is one edge between two of them.  A table of many pairs is
+the one route from pairs to expansions, and one pair's expansion is its
+one-row table.  One fold serves the tables and the puzzle counts: it goes
+forward, parents first, and holds per chain end one value for each root
+above it, so pairs share states.  It lists a result's words in word order,
+which its ring puts them in.
 """
 
 from __future__ import annotations
@@ -357,7 +358,11 @@ def graph(pairs, prune=frozenset()) -> tuple[dict, list]:
     branches after it, the key of the chain end they reach), one per kept
     branch, so an edge starts with a forced branch only at an initial path.
     An initial path is no state's child.  A key holds n steps that are not
-    W, so boards of different sizes share no key.
+    W, so boards of different sizes share no key.  prune names interesting
+    kinds only, as runs reads it: one naming a forced kind raises
+    ValueError, so a forced piece is always followed.  A chain end whose
+    branches are all pruned has no edges but is no final state; a final
+    state's path has no site.
 
     One walk serves every pair.  A chain end's branches come from
     legal_branches, so each is derived once and kept in its memo; a forced
@@ -366,6 +371,8 @@ def graph(pairs, prune=frozenset()) -> tuple[dict, list]:
     legal_branches would.  A forced state met again is walked again.
     reachable_from walks the states one by one.
     """
+    if not set(FORCED).isdisjoint(prune):
+        raise ValueError(f"prune names interesting kinds only, got {sorted(prune)}")
     out: dict[bytes, tuple[PuzzlePath, tuple]] = {}
     roots: list[bytes | None] = []
     for mu, nu in pairs:
@@ -483,8 +490,9 @@ def _fold(ring: tuple, states: dict, roots: list) -> list[dict]:
     pushes its values along its edges whose kind the ring does not skip,
     each with the weight of the edge's branch, and then holds none of
     them; a chain's forced pieces weigh 1 and are not multiplied in.  A
-    state that nothing pushed to is not folded, and a final state's values
-    are its word's coefficients, one per root.
+    state that nothing pushed to is not folded.  A final state, one whose
+    path has no site, gives its values as its word's coefficients, one per
+    root; a chain end whose branches are all pruned adds nothing.
     """
     one, weight, add, coefficients, skip = ring
     # per chain end not yet folded, per root index above it, the pairs pushed
@@ -499,7 +507,7 @@ def _fold(ring: tuple, states: dict, roots: list) -> list[dict]:
             continue
         for idx, ps in values.items():  # each root's pushed pairs become its value
             values[idx] = ps[0][1] if len(ps) == 1 and ps[0][0] is one else add(ps)
-        if not edges:
+        if path.site is None:
             lam = str(final_path_word(path))
             for idx, value in values.items():
                 words[idx][lam] = value
@@ -519,14 +527,15 @@ _COUNTS = (1, lambda br: 1, _int_sum_of_products, lambda value: dict(sorted(valu
 
 def table(theories, pairs) -> list[tuple[dict, ...]]:
     """
-    Per boundary pair of the iterable pairs, its structure_constants in
-    each of the theories (one or more, each a Theory or its name), in
-    order.  One walk serves every pair and theory: it leaves out only the
-    kinds that weigh zero in every theory, and each theory's fold skips
-    the rest of its ring's zero kinds, folding each distinct state once.
-    Each theory's fold (_fold) carries one value per pair over the shared
-    graph; each dict is the pair's structure_constants item for item, word
-    order included.
+    Per boundary pair of the iterable pairs, its expansion in each of the
+    theories (one or more, each a Theory or its name), in order: the one
+    route from pairs to expansions, of which structure_constants is the
+    one-pair, one-theory row.  One walk serves every pair and theory: it
+    leaves out only the interesting kinds that weigh zero in every theory,
+    and each theory's fold skips the rest of its ring's zero kinds,
+    folding each distinct state once.  Each theory's fold (_fold) carries
+    one value per pair over the shared graph, so a pair's row is its
+    one-pair table's, item for item, word order included.
     Every pair must be of one board size, since each fold computes in that
     size's ring.
     """
@@ -546,13 +555,12 @@ def table(theories, pairs) -> list[tuple[dict, ...]]:
 def structure_constants(theory: Theory, mu: Word, nu: Word) -> dict:
     """
     All nonzero coefficients of the product expansion for the pair (mu, nu),
-    keyed by the boundary word read off each final path, in word order: the
-    table of the one pair, as a dict.  An unreachable boundary pair yields
-    the empty dict.  The pair's graph, pruned of the kinds its ring skips,
-    is folded forward from its root (_fold), one value per state.
+    keyed by the boundary word read off each final path, in word order:
+    table's one entry for the one pair in the one theory, so it takes the
+    same route and checks.  An unreachable boundary pair yields the empty
+    dict.
     """
-    ring = _ring(Theory(theory), mu.n)
-    return _fold(ring, *graph([(mu, nu)], ring[4]))[0]
+    return table((theory,), [(mu, nu)])[0][0]
 
 
 def runs(mu: Word, nu: Word, prune=frozenset()):
@@ -563,9 +571,13 @@ def runs(mu: Word, nu: Word, prune=frozenset()):
     legal_branches(path), called exactly once per node.  The stack holds
     the (branch, child) pairs of those tuples themselves, and no depth.
     Only children whose kind is not in prune are visited, so a node whose
-    branches are all pruned is not a leaf.  An unreachable pair yields
+    branches are all pruned is not a leaf.  prune names interesting kinds
+    only, as graph reads it: one naming a forced kind raises ValueError,
+    and a forced piece is always followed.  An unreachable pair yields
     nothing.
     """
+    if not set(FORCED).isdisjoint(prune):
+        raise ValueError(f"prune names interesting kinds only, got {sorted(prune)}")
     p, _ = _walk_start(mu, nu)
     return iter(()) if p is None else _runs_from(p, prune)
 
@@ -577,9 +589,8 @@ def _runs_from(p: PuzzlePath, prune):
         node = stack.pop()
         branches = legal_branches(node[1])
         yield node, branches
-        if len(branches) == 1:
-            if branches[0][0].kind not in prune:
-                stack.append(branches[0])
+        if len(branches) == 1:  # forced: prune names no forced kind
+            stack.append(branches[0])
         elif branches:
             stack.extend([pair for pair in reversed(branches) if pair[0].kind not in prune])
 

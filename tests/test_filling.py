@@ -299,12 +299,16 @@ def _items(row):
 
 
 def test_table_is_structure_constants_pair_by_pair():
-    # for each theory alone and the tuples the verify suites ask for, a
-    # table row is the pair's structure_constants item for item, word order
-    # included; on every pair alone up to n = 4, where a theory's skipped
-    # kinds cut most of the graph, each of those tuples' table gives the
-    # many-pair table's row; an unreachable pair gives {} in every theory.
-    # (H, K) walks without equivariant branches, and H's fold skips topk too
+    # structure_constants is a one-pair, one-theory table, so this holds
+    # each row of a table of every pair of an (n, k), for each theory alone
+    # and the tuples the verify suites ask for, to that pair's one-pair
+    # tables, item for item, word order included, on every pair with n <= 5:
+    # pairs that share a graph keep their values apart.  Up to n = 4, where
+    # a theory's skipped kinds cut most of the graph, the tuple's own
+    # one-pair table gives the row too; an unreachable pair gives {} in
+    # every theory.  (H, K) walks without equivariant branches, and H's fold
+    # skips topk too.  test_integer_fold_is_the_polynomial_fold is the
+    # reference that shares no fold code
     asks = [(t,) for t in Theory] + [(Theory.KT, Theory.K, Theory.HT, Theory.H),
                                      (Theory.H, Theory.HT, Theory.K), (Theory.H, Theory.K)]
     unreachable = 0
@@ -495,6 +499,31 @@ def test_coeff_json_count_is_the_pruned_counting_fold():
             assert len(enumerate_puzzles(mu, nu, theory)) == folded, (mu, nu, theory)
             cases += 1
     assert cases == 1400
+
+
+def test_prune_means_the_same_to_runs_and_the_graph_fold():
+    # prune names interesting kinds only: on every pair with n <= 5 and each
+    # of the 16 sets of them, runs' final states, counted per word, are the
+    # count ring folded over the graph under that prune, word order
+    # included; a chain end whose kept branches are all pruned is no final
+    # state to either.  A prune naming a forced kind is refused by both
+    kinds = [kind for kind, *_ in filling.INTERESTING]
+    prunes = [frozenset(kind for bit, kind in enumerate(kinds) if mask >> bit & 1)
+              for mask in range(1 << len(kinds))]
+    cases = 0
+    for mu, nu in _pairs(5):
+        for prune in prunes:
+            leaves = Counter(str(final_path_word(path))
+                             for (_, path), branches in runs(mu, nu, prune) if not branches)
+            folded = filling._fold(filling._COUNTS, *graph([(mu, nu)], prune))[0]
+            assert list(folded.items()) == sorted(leaves.items()), (mu, nu, prune)
+            cases += 1
+    assert cases == 5600
+    for prune in ({"boring"}, {"triangle", "topk"}):
+        with pytest.raises(ValueError, match="interesting kinds only"):
+            graph([(MU, NU)], prune)
+        with pytest.raises(ValueError, match="interesting kinds only"):
+            runs(MU, NU, prune)
 
 
 def _puzzles_the_old_way(mu, nu, prune):
