@@ -50,7 +50,8 @@ N12 = ["--mu", "001011001101", "--nu", "110101010100"]
 # the CI pair of the plain n = 16 H and K digests, where the walk is most of the command
 N16 = ["--mu", "0000101010111101", "--nu", "1101001100011100"]
 
-# every n = 7 pair's H_T and K_T expansion from one table (the CI step's lines)
+# every n = 7 pair's expansion in the theories named by its argument, from one
+# table (the CI step's lines)
 TABLE_N7 = """import sys
 from puzzlecalc.filling import Theory, table
 from puzzlecalc.poly import json_text
@@ -88,6 +89,9 @@ ROWS = [
     ("trace --mu 01101100 --nu 11001100", ["trace", "--mu", "01101100", "--nu", "11001100"],
      RUNS, None),
     ("table of every n=7 pair, ht and kt", ["-c", TABLE_N7, "ht,kt"], RUNS, None),
+    # the commute suite's theories: no kind weighs zero in all three, so the
+    # walk leaves nothing out and H's and K's folds multiply their zero weights
+    ("table of every n=7 pair, h, ht and k", ["-c", TABLE_N7, "h,ht,k"], RUNS, None),
     # 12,870 words tested, 2,064 printed
     ("n=16 rank fixed-points", ["rank", "fixed-points", "--n", "16", "--dots",
                                 "2,12;3,16;4,10;6,7;8,9;10,15;11,13;13,14"], RUNS, None),

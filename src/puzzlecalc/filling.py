@@ -10,7 +10,9 @@ ordinary or torus-equivariant cohomology, and ordinary or torus-equivariant
 K-theory.  The class of a partly filled puzzle depends on its path alone, so
 structure constants are summed once per distinct path state rather than once
 per run, and a state's continuations are derived and checked once per walk,
-which may serve many boundary pairs and theories.  A graph keeps only the
+which may serve many boundary pairs and theories.  The theories decide the
+walk: it leaves out the interesting branches that weigh zero in every one
+of them, and each theory's fold multiplies the rest.  A graph keeps only the
 chain ends, its roots and the states that are not forced, and a chain of
 forced pieces is one edge between two of them.  A table of many pairs is
 the one route from pairs to expansions, and one pair's expansion is its
@@ -347,22 +349,36 @@ def _weight(k_theory: bool, cell: tuple[int, int], i: int, j: int, n: int):
     return ring.const(n, a) + y * b
 
 
-def graph(pairs, prune=frozenset()) -> tuple[dict, list]:
+def _zero_kinds(theories) -> frozenset:
+    """The interesting kinds whose _WEIGHT cell is (0, 0) in every one of
+    the theories (each a Theory or its name): the branches that weigh zero
+    in each of them, which a walk for them leaves out.  _WEIGHT is read at
+    each call, as a walk starts, so a patch of it holds for the next walk.
+    No theories leave out nothing; a name that is no Theory raises
+    ValueError."""
+    theories = [Theory(t) for t in theories]
+    return frozenset(kind for kind, *_ in INTERESTING
+                     if theories and all(_WEIGHT[t, kind] == (0, 0) for t in theories))
+
+
+def graph(pairs, theories=()) -> tuple[dict, list]:
     """
     The union of the state graphs of the boundary pairs, one entry per
     chain end: each initial path, interesting state and final state
-    reachable from a pair's initial path through branches whose kind is
-    not in prune, keyed by the path's key and mapped to (path, edges),
-    children before parents; and per pair, the key of its initial path, or
-    None when the pair is unreachable.  An edge is (branch, the forced
-    branches after it, the key of the chain end they reach), one per kept
-    branch, so an edge starts with a forced branch only at an initial path.
-    An initial path is no state's child.  A key holds n steps that are not
-    W, so boards of different sizes share no key.  prune names interesting
-    kinds only, as runs reads it: one naming a forced kind raises
-    ValueError, so a forced piece is always followed.  A chain end whose
-    branches are all pruned has no edges but is no final state; a final
-    state's path has no site.
+    reachable from a pair's initial path through branches of a kind that
+    weighs nonzero in one of the theories (each a Theory or its name;
+    none: every branch), keyed by the path's key and mapped to (path,
+    edges), children before parents; and per pair, the key of its initial
+    path, or None when the pair is unreachable.  An edge is (branch, the
+    forced branches after it, the key of the chain end they reach), one
+    per kept branch, so an edge starts with a forced branch only at an
+    initial path.  An initial path is no state's child.  A key holds n
+    steps that are not W, so boards of different sizes share no key.  The
+    kinds left out are _zero_kinds', as runs leaves them out, so a forced
+    piece, which weighs 1, is always followed; a name that is no Theory
+    raises ValueError before the walk.  A chain end whose branches all
+    weigh zero has no edges but is no final state; a final state's path
+    has no site.
 
     One walk serves every pair.  A chain end's branches come from
     legal_branches, so each is derived once and kept in its memo; a forced
@@ -371,8 +387,7 @@ def graph(pairs, prune=frozenset()) -> tuple[dict, list]:
     legal_branches would.  A forced state met again is walked again.
     reachable_from walks the states one by one.
     """
-    if not set(FORCED).isdisjoint(prune):
-        raise ValueError(f"prune names interesting kinds only, got {sorted(prune)}")
+    zero = _zero_kinds(theories)
     out: dict[bytes, tuple[PuzzlePath, tuple]] = {}
     roots: list[bytes | None] = []
     for mu, nu in pairs:
@@ -387,7 +402,7 @@ def graph(pairs, prune=frozenset()) -> tuple[dict, list]:
             elif path.key not in out:
                 edges, ends = [], []
                 for br, q in legal_branches(path):
-                    if br.kind not in prune:
+                    if br.kind not in zero:
                         forced, end, end_path = _chain(q, out)
                         edges.append((br, forced, end))
                         if end not in out:
@@ -454,24 +469,23 @@ def _ring(theory: Theory, n: int) -> tuple:
     What the theory's folds on the size-n board compute in: (the ring's 1,
     the weight of a branch, the sum of the products of a list of (weight,
     value) pairs, the nonzero coefficients of a dict of values by word, in
-    word order, the interesting kinds whose cell is (0, 0), which the folds
-    skip).  It is the walks' and folds' one reader of _WEIGHT, read as each
-    starts, and the coefficients are the one place a fold's words are put
-    in order.  Where every weight is an integer (H and K), values are
-    signed puzzle counts, summed in ints and made constants by the
-    coefficients; otherwise (H_T and K_T) they are Poly or LPoly values
-    built by _weight from the cells.
+    word order).  It is the folds' one reader of _WEIGHT, read as each
+    starts (_zero_kinds is the walks'), and the coefficients are the one
+    place a fold's words are put in order, and where the exact zeros that
+    zero weights make are dropped.  Where every weight is an integer (H and
+    K), values are signed puzzle counts, summed in ints and made constants
+    by the coefficients; otherwise (H_T and K_T) they are Poly or LPoly
+    values built by _weight from the cells.
     """
     k_theory = theory.k_theory
     const = (LPoly if k_theory else Poly).const
     cells = {kind: cell for (t, kind), cell in _WEIGHT.items() if t is theory}
-    skip = frozenset(kind for kind, *_ in INTERESTING if cells[kind] == (0, 0))
     if not any(b for _, b in cells.values()):
         return (1, lambda br: cells[br.kind][0], _int_sum_of_products,
-                lambda value: {lam: const(n, c) for lam, c in sorted(value.items()) if c}, skip)
+                lambda value: {lam: const(n, c) for lam, c in sorted(value.items()) if c})
     return (const(n, 1), lambda br: _weight(k_theory, cells[br.kind], br.pos.i, br.pos.j, n),
             sum_of_products,
-            lambda value: {lam: c for lam, c in sorted(value.items()) if not c.is_zero()}, skip)
+            lambda value: {lam: c for lam, c in sorted(value.items()) if not c.is_zero()})
 
 
 def _int_sum_of_products(pairs) -> int:
@@ -487,14 +501,17 @@ def _fold(ring: tuple, states: dict, roots: list) -> list[dict]:
     (weight, value) pairs that its parents pushed to it for that root.
     Chain ends come parents first in reversed(states), for a union of pairs
     too, since graph puts a chain end after everything below it.  Each one
-    pushes its values along its edges whose kind the ring does not skip,
-    each with the weight of the edge's branch, and then holds none of
-    them; a chain's forced pieces weigh 1 and are not multiplied in.  A
-    state that nothing pushed to is not folded.  A final state, one whose
-    path has no site, gives its values as its word's coefficients, one per
-    root; a chain end whose branches are all pruned adds nothing.
+    pushes its values along every edge, each with the weight of the edge's
+    branch, and then holds none of them; a chain's forced pieces weigh 1
+    and are not multiplied in.  The theories of graph's walk decide which
+    edges there are: an edge whose kind weighs zero in this ring, kept for
+    another theory of a table, pushes exact zeros, which the coefficients
+    drop.  A state that nothing pushed to is not folded.  A final state,
+    one whose path has no site, gives its values as its word's
+    coefficients, one per root; a chain end whose branches the walk left
+    out adds nothing.
     """
-    one, weight, add, coefficients, skip = ring
+    one, weight, add, coefficients = ring
     # per chain end not yet folded, per root index above it, the pairs pushed
     pending: dict[bytes, dict[int, list]] = {}
     for idx, key in enumerate(roots):
@@ -512,17 +529,15 @@ def _fold(ring: tuple, states: dict, roots: list) -> list[dict]:
             for idx, value in values.items():
                 words[idx][lam] = value
         for br, _, end in edges:
-            if br.kind not in skip:
-                w = weight(br)
-                into = pending.setdefault(end, {})
-                for idx, value in values.items():
-                    into.setdefault(idx, []).append((w, value))
+            w = weight(br)
+            into = pending.setdefault(end, {})
+            for idx, value in values.items():
+                into.setdefault(idx, []).append((w, value))
     return [coefficients(value) for value in words]
 
 
 # the ring of puzzle counts: a final state is one run, and a branch weighs 1
-_COUNTS = (1, lambda br: 1, _int_sum_of_products, lambda value: dict(sorted(value.items())),
-           frozenset())
+_COUNTS = (1, lambda br: 1, _int_sum_of_products, lambda value: dict(sorted(value.items())))
 
 
 def table(theories, pairs) -> list[tuple[dict, ...]]:
@@ -530,12 +545,13 @@ def table(theories, pairs) -> list[tuple[dict, ...]]:
     Per boundary pair of the iterable pairs, its expansion in each of the
     theories (one or more, each a Theory or its name), in order: the one
     route from pairs to expansions, of which structure_constants is the
-    one-pair, one-theory row.  One walk serves every pair and theory: it
-    leaves out only the interesting kinds that weigh zero in every theory,
-    and each theory's fold skips the rest of its ring's zero kinds,
-    folding each distinct state once.  Each theory's fold (_fold) carries
-    one value per pair over the shared graph, so a pair's row is its
-    one-pair table's, item for item, word order included.
+    one-pair, one-theory row.  One walk, graph's for these theories,
+    serves every pair and theory: it leaves out only the interesting kinds
+    that weigh zero in every theory, and each theory's fold multiplies
+    every edge of it, those of its own zero weights too, folding each
+    distinct state once.  Each theory's fold (_fold) carries one value per
+    pair over the shared graph, so a pair's row is its one-pair table's,
+    item for item, word order included.
     Every pair must be of one board size, since each fold computes in that
     size's ring.
     """
@@ -547,9 +563,8 @@ def table(theories, pairs) -> list[tuple[dict, ...]]:
     if len(sizes) > 1:
         raise ValueError(f"table takes pairs of one board size, got n = {sizes}")
     n = max(sizes, default=0)  # no pairs: no roots, so no fold reads n
-    rings = [_ring(t, n) for t in theories]
-    states, roots = graph(pairs, frozenset.intersection(*(ring[4] for ring in rings)))
-    return list(zip(*(_fold(ring, states, roots) for ring in rings)))
+    states, roots = graph(pairs, theories)
+    return list(zip(*(_fold(_ring(t, n), states, roots) for t in theories)))
 
 
 def structure_constants(theory: Theory, mu: Word, nu: Word) -> dict:
@@ -563,54 +578,54 @@ def structure_constants(theory: Theory, mu: Word, nu: Word) -> dict:
     return table((theory,), [(mu, nu)])[0][0]
 
 
-def runs(mu: Word, nu: Word, prune=frozenset()):
+def runs(mu: Word, nu: Word, theory: Theory | None = None):
     """
     Every run of the boundary pair (mu, nu), as a preorder walk of its tree
     with branches in order: for each node, ((via, path), branches), where
     via is the branch taken to arrive (None at the root) and branches is
     legal_branches(path), called exactly once per node.  The stack holds
     the (branch, child) pairs of those tuples themselves, and no depth.
-    Only children whose kind is not in prune are visited, so a node whose
-    branches are all pruned is not a leaf.  prune names interesting kinds
-    only, as graph reads it: one naming a forced kind raises ValueError,
-    and a forced piece is always followed.  An unreachable pair yields
-    nothing.
+    With a theory (a Theory or its name), only children whose kind weighs
+    nonzero in it are visited, as graph walks for it (see _zero_kinds), so
+    a forced piece is always followed, and a node whose branches all weigh
+    zero is not a leaf.  A name that is no Theory raises ValueError here,
+    before the walk, for an unreachable pair too, which yields nothing.
     """
-    if not set(FORCED).isdisjoint(prune):
-        raise ValueError(f"prune names interesting kinds only, got {sorted(prune)}")
+    zero = _zero_kinds(() if theory is None else (theory,))
     p, _ = _walk_start(mu, nu)
-    return iter(()) if p is None else _runs_from(p, prune)
+    return iter(()) if p is None else _runs_from(p, zero)
 
 
-def _runs_from(p: PuzzlePath, prune):
-    """runs' walk from the initial path p, which _walk_start gave."""
+def _runs_from(p: PuzzlePath, zero: frozenset):
+    """runs' walk from the initial path p, which _walk_start gave, leaving
+    out the branches whose kind is in zero (no forced kind is)."""
     stack: list[tuple[Branch | None, PuzzlePath]] = [(None, p)]
     while stack:
         node = stack.pop()
         branches = legal_branches(node[1])
         yield node, branches
-        if len(branches) == 1:  # forced: prune names no forced kind
+        if len(branches) == 1:
             stack.append(branches[0])
         elif branches:
-            stack.extend([pair for pair in reversed(branches) if pair[0].kind not in prune])
+            stack.extend([pair for pair in reversed(branches) if pair[0].kind not in zero])
 
 
 def enumerate_puzzles(mu: Word, nu: Word, theory: Theory | None = None) -> list[Puzzle]:
     """
-    Every completed puzzle for (mu, nu), pruned to branches of nonzero
-    weight when a theory is given.  Each node writes its branch's entry
-    into one dict, keyed by its position, (i, j) or c, and made with its
-    keys in the order of the Puzzle's tuples: a run writes every position,
-    so at a leaf the dict's values are that run's pieces, in order.
+    Every completed puzzle for (mu, nu), or with a theory (a Theory or its
+    name), every one with no piece of zero weight in it: runs' walk for
+    that theory.  Each node writes its branch's entry into one dict, keyed
+    by its position, (i, j) or c, and made with its keys in the order of
+    the Puzzle's tuples: a run writes every position, so at a leaf the
+    dict's values are that run's pieces, in order.
     """
     n = mu.n
-    prune = _ring(Theory(theory), n)[4] if theory is not None else frozenset()
     out = []
     grid = dict.fromkeys([(i, j) for i in range(1, n) for j in range(i + 1, n + 1)])
     rhombi = len(grid)
     grid.update(dict.fromkeys(range(1, n + 1)))
     words: dict[bytes, Word] = {}   # final word per final state
-    for (via, path), branches in runs(mu, nu, prune):
+    for (via, path), branches in runs(mu, nu, theory):
         if via is not None:
             grid[via.placed[0]] = via.placed
         if branches:
@@ -627,11 +642,12 @@ def ascii_puzzles(mu: Word, nu: Word, lam: Word | None = None) -> tuple[dict, It
     """
     The number of puzzles of (mu, nu) per final word, in word order ({}
     for an unreachable pair), folded forward over the chain ends of the
-    pair's unpruned graph, and a lazy stream of the ascii_render texts of
-    its puzzles whose final word is lam (every one when lam is None), in
-    enumerate_puzzles' order.  Both read that one graph, built here with
-    the counts, so every state is derived and checked, and each chain end
-    left in legal_branches' memo, before the first board is read.
+    pair's graph of every branch, and a lazy stream of the ascii_render
+    texts of its puzzles whose final word is lam (every one when lam is
+    None), in enumerate_puzzles' order.  Both read that one graph, built
+    here with the counts, so every state is derived and checked, and each
+    chain end left in legal_branches' memo, before the first board is
+    read.
     Memory is that graph, the stream's edges and one board (see _boards).
     A lam of another length or number of 1s than mu raises ValueError
     first, as initial_path does for mu and nu.

@@ -369,7 +369,7 @@ def test_the_run_walk_writes_each_rendered_board_and_the_fold_counts_them():
 ])
 def test_ascii_puzzles_refuses_a_lambda_of_another_board(monkeypatch, lam, message):
     # refused before the graph is built, where it would yield no board
-    def unbuilt(pairs, prune=frozenset()):
+    def unbuilt(pairs, theories=()):
         raise AssertionError("graph built")
 
     monkeypatch.setattr(filling, "graph", unbuilt)

@@ -87,12 +87,6 @@ def test_branch_order_is_deterministic():
                                        "shift1", "topk"].index)
 
 
-def _skip(theory, n):
-    """The kinds whose branches the theory's walks and folds on the size-n
-    board leave out, or none for theory None."""
-    return frozenset() if theory is None else filling._ring(theory, n)[4]
-
-
 def _pairs(max_n):
     for n in range(1, max_n + 1):
         for k in range(n + 1):
@@ -203,12 +197,13 @@ def test_graph_is_the_union_of_the_pairs_graphs(monkeypatch):
     assert (visits, distinct) == (8699, 1584)
 
 
-def _reference(pairs, prune):
+def _reference(pairs, theories):
     """
-    Every state reached from the pairs' initial paths through branches whose
-    kind is not in prune, found state by state by a depth-first walk over
-    legal_branches: per key, (path, kept branches).  An initial path is
-    given the site check_path finds, as a walk gives it.
+    Every state reached from the pairs' initial paths through branches that
+    weigh nonzero in one of the theories (every branch, for none), found
+    state by state by a depth-first walk over legal_branches: per key,
+    (path, kept branches).  An initial path is given the site check_path
+    finds, as a walk gives it.
     """
     out = {}
     for mu, nu in pairs:
@@ -218,27 +213,30 @@ def _reference(pairs, prune):
         while stack:
             path = stack.pop()
             if path.key not in out:
-                kept = tuple((br, q) for br, q in legal_branches(path) if br.kind not in prune)
+                kept = tuple((br, q) for br, q in legal_branches(path)
+                             if not theories or not all(
+                                 branch_weight(t, br, path.n).is_zero() for t in theories))
                 out[path.key] = (path, kept)
                 stack += [q for _, q in kept]
     return out
 
 
-def _check_edges(pairs, prune):
+def _check_edges(pairs, theories):
     """
     graph's edges of the pairs against _reference, on a cold memo and on
     the warm one that the reference leaves: the chain ends are the roots
     and the states whose one branch is not forced; an edge is its branch,
     the forced branches after it and the end they reach, so every forced
-    state lies on a chain.  Unpruned, reachable_from gives the reference's
-    states, on a cold memo and on a warm one, with its branches and sites,
-    children first and the last reachable pair's initial path last.
+    state lies on a chain.  For no theory, reachable_from gives the
+    reference's states, on a cold memo and on a warm one, with its branches
+    and sites, children first and the last reachable pair's initial path
+    last.
     Returns the numbers of chain ends and of states.
     """
     filling._rows.clear()
-    cold = graph(pairs, prune)
-    want = _reference(pairs, prune)
-    assert graph(pairs, prune) == cold
+    cold = graph(pairs, theories)
+    want = _reference(pairs, theories)
+    assert graph(pairs, theories) == cold
     states, roots = cold
 
     def forced(key):
@@ -256,7 +254,7 @@ def _check_edges(pairs, prune):
                 ((br, q),) = want[q.key][1]
                 walked.append(br)
             assert (list(chain), end) == (walked, q.key)
-    if not prune:
+    if not theories:
         filling._rows.clear()
         full = reachable_from(pairs)
         assert reachable_from(pairs) == full
@@ -274,23 +272,21 @@ def _check_edges(pairs, prune):
 
 def test_graph_edges_and_reachable_from_match_the_walk_state_by_state():
     # every pair with n <= 5 alone, and one graph of many pairs per (n, k),
-    # unpruned and under each theory's skipped kinds
-    prunes = {_skip(theory, 5) for theory in (None, *Theory)}
-    assert len(prunes) == 4
+    # for no theory, each theory alone, and (H, K), whose walk leaves out
+    # only the equivariant branches, as K's does
     totals = {}
-    for prune in prunes:
+    for theories in [(), *[(t,) for t in Theory], (Theory.H, Theory.K)]:
         for pair in _pairs(5):
-            _check_edges([pair], prune)
+            _check_edges([pair], theories)
         ends = states = 0
         for _, _, pairs in oracle._pairs_by_k(5):
-            counts = _check_edges(pairs, prune)
+            counts = _check_edges(pairs, theories)
             ends += counts[0]
             states += counts[1]
-        totals[tuple(sorted(prune))] = ends, states
+        totals["".join(theories)] = ends, states
     # (chain ends, states) over every (n, k) with n <= 5
-    assert totals == {
-        (): (454, 1915), ("topk",): (454, 1903), ("equivariant",): (454, 1915),
-        ("equivariant", "topk"): (454, 1903)}
+    assert totals == {"": (454, 1915), "h": (454, 1903), "ht": (454, 1903),
+                      "k": (454, 1915), "kt": (454, 1915), "hk": (454, 1915)}
 
 
 def _items(row):
@@ -304,11 +300,12 @@ def test_table_is_structure_constants_pair_by_pair():
     # and the tuples the verify suites ask for, to that pair's one-pair
     # tables, item for item, word order included, on every pair with n <= 5:
     # pairs that share a graph keep their values apart.  Up to n = 4, where
-    # a theory's skipped kinds cut most of the graph, the tuple's own
+    # a theory's zero weights cut most of the graph, the tuple's own
     # one-pair table gives the row too; an unreachable pair gives {} in
     # every theory.  (H, K) walks without equivariant branches, and H's fold
-    # skips topk too.  test_integer_fold_is_the_polynomial_fold is the
-    # reference that shares no fold code
+    # multiplies the topk edges, which K's weight keeps, by H's zero weight.
+    # test_integer_fold_is_the_polynomial_fold is the reference that shares
+    # no fold code
     asks = [(t,) for t in Theory] + [(Theory.KT, Theory.K, Theory.HT, Theory.H),
                                      (Theory.H, Theory.HT, Theory.K), (Theory.H, Theory.K)]
     unreachable = 0
@@ -357,10 +354,9 @@ def test_table_refuses_pairs_of_two_board_sizes(theory):
 def _polynomial_fold(theory, mu, nu):
     """
     The root value of (mu, nu) folded through branch_weight polynomials
-    over its unpruned states, every branch's weight multiplied in but the
-    theory's skipped kinds, cancelled coefficients kept.
+    over all its states, every branch's weight multiplied in but the zero
+    ones, cancelled coefficients kept.
     """
-    skip = _skip(theory, mu.n)
     states = reachable_from([(mu, nu)])
     if not states:
         return {}
@@ -372,9 +368,9 @@ def _polynomial_fold(theory, mu, nu):
             continue
         parts = {}
         for br, q in branches:
-            if br.kind in skip:
-                continue
             w = branch_weight(theory, br, mu.n)
+            if w.is_zero():
+                continue
             for lam, c in value[q.key].items():
                 parts.setdefault(lam, []).append((w, c))
         value[key] = {lam: sum_of_products(ps) for lam, ps in parts.items()}
@@ -419,17 +415,27 @@ def test_puzzle_counts_are_the_enumerated_final_words():
     assert empty == 650  # the unreachable pairs
 
 
+@pytest.fixture(scope="module")
+def n10_table():
+    """The n = 10 pair's entry in its table of all four theories."""
+    (row,) = table(tuple(Theory), [(parse_word("0110100110"), parse_word("1100110010"))])
+    return dict(zip(Theory, row))
+
+
 @pytest.mark.parametrize("ring", [t.value for t in Theory] + ["counts"])
-def test_word_counts_of_an_n10_pair(ring):
-    # the words of structure_constants and of the pair's table row in a
-    # theory, and in the count ring ascii_puzzles' counts over the pair's
-    # unpruned graph: how many, in word order
+def test_word_counts_of_an_n10_pair(n10_table, ring):
+    # the words of structure_constants in a theory, and in the count ring
+    # ascii_puzzles' counts over the pair's graph of every branch: how
+    # many, in word order.  A theory's expansion is also the pair's entry
+    # in its table of all four theories, whose walk leaves nothing out, so
+    # H and K multiply their zero weights in where their own walks leave
+    # those branches out
     mu, nu = parse_word("0110100110"), parse_word("1100110010")
     if ring == "counts":
         got = ascii_puzzles(mu, nu)[0]
     else:
         got = structure_constants(ring, mu, nu)
-        assert _items(table((ring,), [(mu, nu)])[0]) == _items((got,))
+        assert list(n10_table[Theory(ring)].items()) == list(got.items())
     assert len(got) == {"h": 2, "ht": 146, "k": 3, "kt": 148, "counts": 148}[ring]
     assert list(got) == sorted(got)
 
@@ -447,17 +453,17 @@ def test_a_table_keeps_apart_two_roots_on_one_key():
 def test_forward_fold_drops_the_cancelled_coefficients_table_drops(monkeypatch):
     # in the paper's K_T table no coefficient cancels; with the equivariant
     # piece weighing 1, 16 coefficients of pairs up to n = 5 sum to zero,
-    # and structure_constants and table drop exactly those, keeping the rest
-    # in word order
+    # and structure_constants and each pair's row of one table of every
+    # pair of its (n, k) drop exactly those, keeping the rest in word order
     monkeypatch.setitem(filling._WEIGHT, (Theory.KT, "equivariant"), (1, 0))
     dropped = 0
-    for mu, nu in _pairs(5):
-        want = _polynomial_fold(Theory.KT, mu, nu)
-        kept = sorted((lam, c) for lam, c in want.items() if not c.is_zero())
-        got = structure_constants(Theory.KT, mu, nu)
-        ((in_table,),) = table((Theory.KT,), [(mu, nu)])
-        assert list(got.items()) == list(in_table.items()) == kept
-        dropped += len(want) - len(kept)
+    for _, _, pairs in oracle._pairs_by_k(5):
+        for (mu, nu), (in_table,) in zip(pairs, table((Theory.KT,), pairs)):
+            want = _polynomial_fold(Theory.KT, mu, nu)
+            kept = sorted((lam, c) for lam, c in want.items() if not c.is_zero())
+            got = structure_constants(Theory.KT, mu, nu)
+            assert list(got.items()) == list(in_table.items()) == kept, (mu, nu)
+            dropped += len(want) - len(kept)
     assert dropped == 16
 
 
@@ -481,54 +487,64 @@ def test_runs_is_the_trace_tree_in_preorder():
         assert walk == list(_preorder(trace(mu, nu)))
         nodes += len(walk)
         for theory in Theory:
-            leaves = sum(1 for _, branches in runs(mu, nu, _skip(theory, mu.n)) if not branches)
+            leaves = sum(1 for _, branches in runs(mu, nu, theory) if not branches)
             assert leaves == len(enumerate_puzzles(mu, nu, theory))
     assert nodes == 8201
 
 
 def test_coeff_json_count_is_the_pruned_counting_fold():
     # coeff --json's puzzle_count, len(enumerate_puzzles(...)), walks every
-    # run; the count ring folded over the theory's pruned graph gives it
-    # too, on every (pair, theory) with n <= 5, the unreachable ones (0)
-    # included
+    # run; the count ring folded over the theory's graph gives it too, on
+    # every (pair, theory) with n <= 5, the unreachable ones (0) included
     cases = 0
     for mu, nu in _pairs(5):
         for theory in Theory:
-            states, (root,) = graph([(mu, nu)], _skip(theory, mu.n))
+            states, (root,) = graph([(mu, nu)], (theory,))
             folded = sum(filling._fold(filling._COUNTS, states, [root])[0].values())
             assert len(enumerate_puzzles(mu, nu, theory)) == folded, (mu, nu, theory)
             cases += 1
     assert cases == 1400
 
 
-def test_prune_means_the_same_to_runs_and_the_graph_fold():
-    # prune names interesting kinds only: on every pair with n <= 5 and each
-    # of the 16 sets of them, runs' final states, counted per word, are the
-    # count ring folded over the graph under that prune, word order
-    # included; a chain end whose kept branches are all pruned is no final
-    # state to either.  A prune naming a forced kind is refused by both
-    kinds = [kind for kind, *_ in filling.INTERESTING]
-    prunes = [frozenset(kind for bit, kind in enumerate(kinds) if mask >> bit & 1)
-              for mask in range(1 << len(kinds))]
+def test_a_theory_means_the_same_to_runs_and_the_graph_fold():
+    # on every pair with n <= 5, for no theory and each theory by name,
+    # runs' final states, counted per word, are the count ring folded over
+    # the graph for that theory, word order included; a chain end whose
+    # branches all weigh zero is no final state to either
     cases = 0
     for mu, nu in _pairs(5):
-        for prune in prunes:
+        for theory in (None, *[t.value for t in Theory]):
             leaves = Counter(str(final_path_word(path))
-                             for (_, path), branches in runs(mu, nu, prune) if not branches)
-            folded = filling._fold(filling._COUNTS, *graph([(mu, nu)], prune))[0]
-            assert list(folded.items()) == sorted(leaves.items()), (mu, nu, prune)
+                             for (_, path), branches in runs(mu, nu, theory) if not branches)
+            walked = graph([(mu, nu)], () if theory is None else (theory,))
+            folded = filling._fold(filling._COUNTS, *walked)[0]
+            assert list(folded.items()) == sorted(leaves.items()), (mu, nu, theory)
             cases += 1
-    assert cases == 5600
-    for prune in ({"boring"}, {"triangle", "topk"}):
-        with pytest.raises(ValueError, match="interesting kinds only"):
-            graph([(MU, NU)], prune)
-        with pytest.raises(ValueError, match="interesting kinds only"):
-            runs(MU, NU, prune)
+    assert cases == 1750
 
 
-def _puzzles_the_old_way(mu, nu, prune):
-    """Every puzzle of (mu, nu), by a recursive walk whose leaves split their
-    run's entries by kind and sort them."""
+@pytest.mark.parametrize("name", ["Kt", "topk", "x"])
+@pytest.mark.parametrize("pair", [(MU, NU), (parse_word("1100"), parse_word("0011"))],
+                         ids=["reachable", "unreachable"])
+def test_a_walk_refuses_a_bad_theory_name_before_it_starts(monkeypatch, name, pair):
+    # a misspelled theory, a kind's name or a stray string is no Theory:
+    # graph and runs raise ValueError before the walk starts, for an
+    # unreachable pair too, whatever the other theories given
+    def unwalked(mu, nu):
+        raise AssertionError("walk started")
+
+    monkeypatch.setattr(filling, "_walk_start", unwalked)
+    for theories in [(name,), ("h", name), {name}]:
+        with pytest.raises(ValueError, match=f"{name!r} is not a valid Theory"):
+            graph([pair], theories)
+    with pytest.raises(ValueError, match=f"{name!r} is not a valid Theory"):
+        runs(*pair, name)
+
+
+def _puzzles_the_old_way(mu, nu, theory):
+    """Every puzzle of (mu, nu), with a theory only those whose pieces all
+    weigh nonzero in it, by a recursive walk whose leaves split their run's
+    entries by kind and sort them."""
     out = []
 
     def walk(path, run):
@@ -538,7 +554,7 @@ def _puzzles_the_old_way(mu, nu, prune):
             bottoms = sorted(br.placed for br in run if br.kind == "triangle")
             out.append(Puzzle(mu.n, final_path_word(path), mu, nu, tuple(rhombi), tuple(bottoms)))
         for br, q in branches:
-            if br.kind not in prune:
+            if theory is None or not branch_weight(theory, br, mu.n).is_zero():
                 walk(q, run + [br])
 
     p = initial_path(mu, nu)
@@ -552,7 +568,7 @@ def test_puzzles_from_slots_are_the_sorted_runs():
     for mu, nu in _pairs(5):
         for theory in (None, *Theory):
             got = enumerate_puzzles(mu, nu, theory=theory)
-            assert got == _puzzles_the_old_way(mu, nu, _skip(theory, mu.n)), (mu, nu, theory)
+            assert got == _puzzles_the_old_way(mu, nu, theory), (mu, nu, theory)
             puzzles += len(got)
     assert puzzles == 3886
 
@@ -638,17 +654,22 @@ def test_trace_of_an_unreachable_pair_scans_its_initial_path_once(monkeypatch):
         "have 1 bottom 0s', '6: no R or bottom 0 after the kink before a bottom 1']")
 
 
-def test_pruned_kinds_are_those_of_zero_weight_at_every_window():
-    # a ring skips the kinds whose cell is (0, 0), which weigh zero at every window
-    assert _skip(Theory.H, 4) == {"equivariant", "topk"}
-    for theory in Theory:
+def test_the_kinds_a_walk_leaves_out_weigh_zero_at_every_window():
+    # a walk for some theories leaves out the kinds that weigh zero at every
+    # window in each of them; for no theory, none
+    assert filling._zero_kinds(["h"]) == {"equivariant", "topk"}
+    assert filling._zero_kinds(()) == frozenset()
+    kinds = [kind for kind, *_ in filling.INTERESTING]
+    for mask in range(1, 1 << len(Theory)):
+        theories = [t for bit, t in enumerate(Theory) if mask >> bit & 1]
         for n in range(2, 6):
-            prune = _skip(theory, n)
+            zero = filling._zero_kinds(theories)
             for i in range(1, n):
                 for j in range(i + 1, n + 1):
-                    for kind, *_ in filling.INTERESTING:
+                    for kind in kinds:
                         br = filling.Branch(kind, FillPos("rhombus", i, j))
-                        assert filling.branch_weight(theory, br, n).is_zero() == (kind in prune)
+                        assert all(branch_weight(t, br, n).is_zero()
+                                   for t in theories) == (kind in zero), (theories, kind)
 
 
 def test_warm_and_cold_branches_agree():
@@ -667,8 +688,8 @@ def test_warm_and_cold_branches_agree():
 
 
 def test_parent_computed_sites_match_check_path():
-    # unpruned, so every pruned graph is a subgraph of the one checked here;
-    # the initial path carries the site _walk_start gave it
+    # every branch, so the graph of any theories is a subgraph of the one
+    # checked here; the initial path carries the site _walk_start gave it
     children = 0
     for mu, nu in _pairs(6):
         for p, branches in reachable_from([(mu, nu)]).values():
@@ -1065,7 +1086,7 @@ def test_duality_rejects_a_wrong_kt_weight(monkeypatch, wrong, failures):
 def test_one_weight_cell_is_a_whole_mutant_and_leaves_no_trace(monkeypatch):
     # every walk and fold reads the weight table as it starts, and a weight
     # is built from its cell, not from its theory and kind: one setitem
-    # changes every reader, a skipped kind and a warm K_T fold included,
+    # changes every reader, a kind of zero weight and a warm K_T fold included,
     # and once undone every reading is back.  So does one setitem or
     # delitem of the piece table, though the memo holds the pair's rows
     h, k, kt = Theory.H, Theory.K, Theory.KT
@@ -1080,7 +1101,7 @@ def test_one_weight_cell_is_a_whole_mutant_and_leaves_no_trace(monkeypatch):
         mp.setitem(filling._WEIGHT, (h, "topk"), (1, 0))
         assert structure_constants(h, MU, NU) != before[0]
         assert table((h,), [(MU, NU)]) != before[1]
-        # topk no longer skipped: H keeps the puzzles K keeps
+        # topk no longer of zero weight: H keeps the puzzles K keeps
         h_count = len(enumerate_puzzles(MU, NU, h))
         assert h_count == len(enumerate_puzzles(MU, NU, Theory.K)) != before[2]
     with monkeypatch.context() as mp:
